@@ -7,18 +7,7 @@ graph accumulates exactly on T, wraps the graph in nested open-strip
 certificates, and verifies the accumulation set numerically.
 """
 
-from .conditions import (
-    CheckResult,
-    MultiplicityData,
-    Regime,
-    Verdict,
-    check_regime,
-    empty_slice_set,
-    extended_multiplicity_set,
-    is_countable,
-    is_meager,
-    multiplicity_sets,
-)
+from .conditions import CheckResult, Regime, TargetAnalysis, Verdict, check_regime
 from .demos import DEMO_NAMES, UnknownDemoError, demo_set, sect6_c_order
 from .fileio import ParseError, parse_target_file, parse_target_text, serialize_target
 from .geometry import (
@@ -48,7 +37,6 @@ from .synthesis import (
     NetPlacementError,
     RegimeUnsatisfiedError,
     SynthFunction,
-    evaluate,
     f0_bounded,
     f0_unbounded,
     f_on_c,
@@ -83,7 +71,6 @@ __all__ = [
     "FarPointResult",
     "Hyper",
     "LevelSets",
-    "MultiplicityData",
     "NetPlacementError",
     "ParseError",
     "PLine",
@@ -97,6 +84,7 @@ __all__ = [
     "StripFamily",
     "StripReport",
     "SynthFunction",
+    "TargetAnalysis",
     "TargetSet",
     "UnknownDemoError",
     "Verdict",
@@ -107,19 +95,13 @@ __all__ = [
     "check_regime",
     "closure_direction_check",
     "demo_set",
-    "empty_slice_set",
     "epsilon_schedule",
-    "evaluate",
-    "extended_multiplicity_set",
     "f0_bounded",
     "f0_unbounded",
     "f_on_c",
     "hausdorff_to_target",
-    "is_countable",
-    "is_meager",
     "lemma31_net",
     "level_index",
-    "multiplicity_sets",
     "parse_target_file",
     "parse_target_text",
     "rat",

@@ -177,8 +177,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
 def _add_common(sub: argparse.ArgumentParser, regime: bool = True) -> None:
-    sub.add_argument("--depth", type=int, default=10,
+    sub.add_argument("--depth", type=_int_at_least(1), default=10,
                      help="truncation depth N (default 10)")
     if regime:
         sub.add_argument("--regime", required=True,
@@ -187,7 +200,7 @@ def _add_common(sub: argparse.ArgumentParser, regime: bool = True) -> None:
         sub.add_argument("--signed", action="store_true",
                          help="sign the empty-slice values toward the "
                               "closure divergence direction")
-    sub.add_argument("--grid", type=int, default=1024,
+    sub.add_argument("--grid", type=_int_at_least(1), default=1024,
                      help="verification grid resolution M (default 1024)")
     sub.add_argument("--precision", type=int, default=12,
                      help="significant digits in CSV output (default 12)")
@@ -203,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_demo = subs.add_parser("demo", help="write a built-in target set")
     p_demo.add_argument("name", choices=DEMO_NAMES)
-    p_demo.add_argument("--depth", type=int, default=10)
+    p_demo.add_argument("--depth", type=_int_at_least(1), default=10)
     p_demo.add_argument("--out", default=None)
     p_demo.set_defaults(func=_cmd_demo)
 
@@ -211,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("target", help="target file, '-', or demo name")
     p_check.add_argument("--regime", required=True,
                          choices=[r.value for r in Regime])
-    p_check.add_argument("--depth", type=int, default=10)
+    p_check.add_argument("--depth", type=_int_at_least(1), default=10)
     p_check.set_defaults(func=_cmd_check)
 
     p_synth = subs.add_parser("synth", help="synthesize and emit sampled graph")
@@ -229,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_verify)
     p_verify.add_argument("--eps", type=float, default=None,
                           help="clustering cell size (default 2/grid)")
-    p_verify.add_argument("--min-count", type=int, default=3,
+    p_verify.add_argument("--min-count", type=_int_at_least(2), default=3,
                           help="distinct-x samples per candidate cell (default 3)")
     p_verify.add_argument("--ycap", type=float, default=None,
                           help="y band for the Hausdorff comparison (default depth/2)")
@@ -243,7 +256,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, UnknownDemoError, FileNotFoundError, ValueError) as exc:
+    except (ParseError, UnknownDemoError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RegimeUnsatisfiedError as exc:

@@ -12,17 +12,22 @@ A target set can be realized as the accumulation set of
 For finite piece unions every one of these conditions is decidable exactly:
 "countable" for a finite union of intervals means "contains no interval",
 and likewise "meager" means "no span with interior".
+
+A ``TargetAnalysis`` computes the sets these checks read (C, D, extended D)
+together with the ones the certificates read (the diameter levels D_n and
+the level sets U_k, V_k), each at most once per target.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .geometry import Box, Hyper, Piece, PLine, Point, TargetSet
-from .intervals import ZERO, Span, XSet, rat, rational_sqrt, span_intersection
+from .geometry import Box, Hyper, PLine, Point, TargetSet
+from .intervals import ZERO, Span, XSet, rational_sqrt, span_intersection
 
 
 class Regime(enum.Enum):
@@ -72,36 +77,6 @@ class Verdict:
             lines.append(line)
         lines.append(f"REGIME {self.regime.value} {'PASS' if self.passed else 'FAIL'}")
         return lines
-
-
-class MultiplicityData(NamedTuple):
-    D: XSet
-    D_n: List[XSet]
-    residual: bool
-
-
-# ---------------------------------------------------------------------------
-# Basic set conditions
-# ---------------------------------------------------------------------------
-
-
-def empty_slice_set(target: TargetSet) -> XSet:
-    """C = the set of x in [0,1] whose slice is empty (exact)."""
-    return target.x_projection().complement()
-
-
-def is_countable(s: XSet) -> Tuple[bool, Optional[Span]]:
-    """Countable iff no interval; returns a widest interval on failure."""
-    if s.contains_interval():
-        return False, s.widest_interval()
-    return True, None
-
-
-def is_meager(s: XSet) -> Tuple[bool, Optional[Span]]:
-    """Meager iff empty interior; for finite unions that is interval-freeness."""
-    if s.contains_interval():
-        return False, s.widest_interval()
-    return True, None
 
 
 # ---------------------------------------------------------------------------
@@ -361,103 +336,144 @@ def _pair_difference_ge(a: _Comp, b: _Comp, t: Fraction, dom: Span) -> XSet:
 
 
 # ---------------------------------------------------------------------------
-# Multiplicity sets
+# Target analysis
 # ---------------------------------------------------------------------------
 
 
-def multiplicity_sets(target: TargetSet, n_max: int = 32) -> MultiplicityData:
-    """D = {x : #slice > 1} and the diameter level sets D_n (diam >= 1/n).
-
-    D is exact apart from finitely many irrational coincidence points per
-    component pair, which are kept inside D; the D_n are exact where the
-    threshold equations have rational roots and inner dyadic approximations
-    otherwise. D_n monotonicity (D_n subset of D_{n+1}) is enforced by
-    accumulation.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be positive")
-    comps = _components(target)
-    d_set = XSet.empty()
+def _overlapping_pairs(comps: Sequence[_Comp]) -> List[Tuple[_Comp, _Comp, Span]]:
+    """Every component pair whose domains meet, with the shared domain."""
     pairs: List[Tuple[_Comp, _Comp, Span]] = []
     for i in range(len(comps)):
         for j in range(i + 1, len(comps)):
             dom = _pair_domain(comps[i], comps[j])
-            if dom is None:
-                continue
-            pairs.append((comps[i], comps[j], dom))
-            roots = _coincidence_points(comps[i], comps[j])
-            if roots is None:
-                continue
-            d_set = d_set | _span_minus_points(dom, roots)
-    levels: List[XSet] = []
-    prev = XSet.empty()
-    for n in range(1, n_max + 1):
-        t = Fraction(1, n)
-        dn = prev
-        for a, b, dom in pairs:
-            dn = dn | _pair_difference_ge(a, b, t, dom)
-            dn = dn | _pair_difference_ge(b, a, t, dom)
-        levels.append(dn)
-        prev = dn
-    residual = not (d_set - (levels[-1] if levels else XSet.empty())).is_empty
-    return MultiplicityData(d_set, levels, residual)
+            if dom is not None:
+                pairs.append((comps[i], comps[j], dom))
+    return pairs
 
 
-def extended_multiplicity_set(target: TargetSet) -> XSet:
-    """{x : the extended-closure slice has more than one element}.
+def _level_projection(target: TargetSet, k: int) -> XSet:
+    """U_k = {x : the slice meets [-k, k]} (exact)."""
+    return target.clipped(Fraction(-k), Fraction(k)).x_projection()
 
-    Equals D plus those arc pole points whose divergence directions and
-    finite values together exceed one element.
+
+class TargetAnalysis:
+    """The sets of one target that the regimes and certificates read.
+
+    Built once per target. Each set is computed on first use and then kept:
+
+    * ``c_set``: the empty-slice set C, exact.
+    * ``d_set``: the multi-valued set D = {x : #slice > 1}. It is exact
+      apart from finitely many irrational coincidence points per component
+      pair, which stay inside D.
+    * ``extended_d_set``: D plus the arc pole points whose extended-closure
+      slice has more than one element.
+    * ``d_levels(n)``: the diameter level sets D_1..D_n (diam >= 1/k). They
+      are exact where the threshold equations have rational roots and inner
+      dyadic approximations otherwise; D_k is a subset of D_{k+1} by
+      accumulation. Deeper levels extend the last cached one.
+    * ``u_level(k)`` and ``v_part(k)``: the level sets U_k and their
+      differences V_1 = U_1, V_k = U_k - U_{k-1}, for any k.
     """
-    out = multiplicity_sets(target, n_max=1).D
-    for piece in target.pieces:
-        if isinstance(piece, Hyper) and piece.excluded_pole is not None:
-            x = piece.excluded_pole
-            if target.extended_slice_at(x).count_exceeds_one():
-                out = out | XSet.point(x)
-    return out
 
+    def __init__(self, target: TargetSet):
+        self.target = target
+        self._d_levels: List[XSet] = []
+        self._u: Dict[int, XSet] = {}
+        self._v: Dict[int, XSet] = {}
 
-# ---------------------------------------------------------------------------
-# Regime verdicts
-# ---------------------------------------------------------------------------
+    @cached_property
+    def pairs(self) -> List[Tuple[_Comp, _Comp, Span]]:
+        """The value components' overlapping pairs, which D and D_n read."""
+        return _overlapping_pairs(_components(self.target))
+
+    @cached_property
+    def c_set(self) -> XSet:
+        return self.target.x_projection().complement()
+
+    @cached_property
+    def d_set(self) -> XSet:
+        out = XSet.empty()
+        for a, b, dom in self.pairs:
+            roots = _coincidence_points(a, b)
+            if roots is not None:
+                out = out | _span_minus_points(dom, roots)
+        return out
+
+    @cached_property
+    def extended_d_set(self) -> XSet:
+        out = self.d_set
+        for piece in self.target.pieces:
+            if isinstance(piece, Hyper) and piece.excluded_pole is not None:
+                x = piece.excluded_pole
+                if self.target.extended_slice_at(x).count_exceeds_one():
+                    out = out | XSet.point(x)
+        return out
+
+    def d_levels(self, n: int) -> List[XSet]:
+        levels = self._d_levels
+        while len(levels) < n:
+            t = Fraction(1, len(levels) + 1)
+            dn = levels[-1] if levels else XSet.empty()
+            for a, b, dom in self.pairs:
+                dn = dn | _pair_difference_ge(a, b, t, dom)
+                dn = dn | _pair_difference_ge(b, a, t, dom)
+            levels.append(dn)
+        return levels[:n]
+
+    def u_level(self, k: int) -> XSet:
+        if k not in self._u:
+            self._u[k] = _level_projection(self.target, k)
+        return self._u[k]
+
+    def v_part(self, k: int) -> XSet:
+        if k not in self._v:
+            self._v[k] = self.u_level(1) if k == 1 else self.u_level(k) - self.u_level(k - 1)
+        return self._v[k]
+
+    def verdict(self, regime: Regime) -> Verdict:
+        """Run the regime's hypothesis checks in order with exact witnesses.
+
+        A set is countable, or meager, exactly when it contains no interval;
+        the widest interval it contains is the witness against it.
+        """
+        checks: List[CheckResult] = []
+        # Closedness holds structurally: every piece is closed and the union
+        # is finite, so this check cannot fail for a well-formed TargetSet.
+        checks.append(CheckResult("closed", True))
+
+        if regime.bounded:
+            bounded = self.target.is_bounded()
+            witness: Witness = None
+            if not bounded:
+                for piece in self.target.pieces:
+                    if isinstance(piece, Hyper) and piece.excluded_pole is not None:
+                        witness = piece.excluded_pole
+                        break
+            checks.append(CheckResult("compact", bounded, witness))
+
+        c_set = self.c_set
+        if regime.bounded:
+            nonempty = c_set.is_empty
+            witness = None
+            if not nonempty:
+                span = c_set.spans[0]
+                witness = span if span.lo < span.hi else span.lo
+            checks.append(CheckResult("slices_nonempty", nonempty, witness))
+        else:
+            interval = c_set.widest_interval()
+            checks.append(CheckResult("countable_empty_slice_set", interval is None, interval))
+
+        if regime is Regime.B1_BOUNDED:
+            interval = self.d_set.widest_interval()
+            checks.append(CheckResult("multiplicity_meager", interval is None, interval))
+        elif regime is Regime.B1:
+            interval = self.extended_d_set.widest_interval()
+            checks.append(CheckResult("extended_multiplicity_meager", interval is None, interval))
+
+        passed = all(c.passed for c in checks)
+        return Verdict(regime, passed, tuple(checks))
 
 
 def check_regime(target: TargetSet, regime: Regime) -> Verdict:
-    """Run the regime's hypothesis checks in order with exact witnesses."""
-    checks: List[CheckResult] = []
-    # Closedness holds structurally: every piece is closed and the union is
-    # finite, so this check cannot fail for a well-formed TargetSet.
-    checks.append(CheckResult("closed", True))
-
-    if regime.bounded:
-        bounded = target.is_bounded()
-        witness: Witness = None
-        if not bounded:
-            for piece in target.pieces:
-                if isinstance(piece, Hyper) and piece.excluded_pole is not None:
-                    witness = piece.excluded_pole
-                    break
-        checks.append(CheckResult("compact", bounded, witness))
-
-    c_set = empty_slice_set(target)
-    if regime.bounded:
-        nonempty = c_set.is_empty
-        witness = None
-        if not nonempty:
-            span = c_set.spans[0]
-            witness = span if span.lo < span.hi else span.lo
-        checks.append(CheckResult("slices_nonempty", nonempty, witness))
-    else:
-        ok, witness_span = is_countable(c_set)
-        checks.append(CheckResult("countable_empty_slice_set", ok, witness_span))
-
-    if regime is Regime.B1_BOUNDED:
-        ok, witness_span = is_meager(multiplicity_sets(target, n_max=1).D)
-        checks.append(CheckResult("multiplicity_meager", ok, witness_span))
-    elif regime is Regime.B1:
-        ok, witness_span = is_meager(extended_multiplicity_set(target))
-        checks.append(CheckResult("extended_multiplicity_meager", ok, witness_span))
-
-    passed = all(c.passed for c in checks)
-    return Verdict(regime, passed, tuple(checks))
+    """Run the regime's hypothesis checks on a fresh analysis of the target."""
+    return TargetAnalysis(target).verdict(regime)

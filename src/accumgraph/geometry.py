@@ -212,30 +212,6 @@ class TargetSet:
             not isinstance(p, Hyper) or p.excluded_pole is None for p in self.pieces
         )
 
-    def y_extent(self) -> Tuple[Fraction, Fraction]:
-        """Exact global y-range of a bounded, nonempty set."""
-        if self.is_empty:
-            raise ValueError("empty set has no y extent")
-        lo: Optional[Fraction] = None
-        hi: Optional[Fraction] = None
-        for piece in self.pieces:
-            if isinstance(piece, Point):
-                plo = phi = piece.y
-            elif isinstance(piece, Box):
-                plo, phi = piece.y0, piece.y1
-            elif isinstance(piece, PLine):
-                ys = [y for _, y in piece.vertices]
-                plo, phi = min(ys), max(ys)
-            else:
-                a, b = piece.closed_y_range()
-                if a is None or b is None:
-                    raise ValueError("unbounded set has no finite y extent")
-                plo, phi = a, b
-            lo = plo if lo is None else min(lo, plo)
-            hi = phi if hi is None else max(hi, phi)
-        assert lo is not None and hi is not None
-        return lo, hi
-
     # -- slicing -------------------------------------------------------
 
     def slice_at(self, x: RatLike) -> SliceSet:

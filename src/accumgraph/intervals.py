@@ -68,11 +68,6 @@ class Span:
             return False
         return True
 
-    def closure(self) -> "Span":
-        if self.lo_open or self.hi_open:
-            return Span(self.lo, self.hi)
-        return self
-
     def distance_to(self, x: Fraction) -> Fraction:
         """Distance from x to the closure of the span."""
         if x < self.lo:
@@ -222,9 +217,6 @@ class XSet:
 
     def isolated_points(self) -> list[Fraction]:
         return [s.lo for s in self.spans if s.is_point]
-
-    def measure(self) -> Fraction:
-        return sum((s.width for s in self.spans), ZERO)
 
     def distance_to(self, x: RatLike) -> Optional[Fraction]:
         """Distance from x to the closure of the set; None when empty."""

@@ -32,9 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .conditions import Regime, multiplicity_sets
-from .geometry import TargetSet
-from .intervals import ZERO, RatLike, Span, XSet, rat
+from .intervals import RatLike, Span, rat
 from .synthesis import SynthFunction, level_index
 
 
@@ -102,24 +100,13 @@ def epsilon_schedule(f: SynthFunction, centers: Sequence[RatLike],
     c_first = list(f.c_points)[:depth]
     unbounded = not f.regime.bounded
     baire1 = f.regime.baire1
-    d_levels = multiplicity_sets(f.target, n_max=depth).D_n if baire1 else []
+    d_levels = f.analysis.d_levels(depth) if baire1 else []
     w_parts: List[Tuple[int, Span]] = []
     if unbounded and f.levels is not None:
         w_parts = list(f.levels.W[:depth])
 
     a_rank = {x: i + 1 for i, x in enumerate(a_enum)}
     c_rank = {c: i + 1 for i, c in enumerate(f.c_points)}
-
-    v_cache: Dict[int, XSet] = {}
-
-    def v_part(k: int) -> XSet:
-        if f.levels is not None and k <= f.levels.depth:
-            return f.levels.V[k - 1]
-        if k not in v_cache:
-            u_k = f.target.clipped(Fraction(-k), Fraction(k)).x_projection()
-            u_prev = f.target.clipped(Fraction(-(k - 1)), Fraction(k - 1)).x_projection()
-            v_cache[k] = u_k - u_prev
-        return v_cache[k]
 
     eps_rows: List[Tuple[Fraction, ...]] = []
     sep_index: Dict[int, int] = {}
@@ -174,7 +161,7 @@ def epsilon_schedule(f: SynthFunction, centers: Sequence[RatLike],
                         if d < bound:
                             bound = d
                 assert fx is not None
-                over = _overlap_bound(f, x, fx, kx, n, v_part)
+                over = _overlap_bound(f, x, fx, kx, n)
                 if over is not None and over < bound:
                     bound = over
             if bound <= 0:
@@ -190,7 +177,7 @@ def epsilon_schedule(f: SynthFunction, centers: Sequence[RatLike],
 
 
 def _overlap_bound(f: SynthFunction, x: Fraction, fx: Fraction,
-                   kx: Optional[int], n: int, v_part) -> Optional[Fraction]:
+                   kx: Optional[int], n: int) -> Optional[Fraction]:
     """Exact largest radius respecting f0(r) - f0(x) < 1/n on the shadow.
 
     Offending points form the x-projection of the target clipped to
@@ -209,7 +196,7 @@ def _overlap_bound(f: SynthFunction, x: Fraction, fx: Fraction,
         if lo > k:
             return None
         bad = f.target.clipped(lo, k).x_projection()
-        bad = bad & v_part(kx)
+        bad = bad & f.analysis.v_part(kx)
     d = bad.distance_to(x)
     if d is None:
         return None
@@ -228,12 +215,7 @@ def _overlap_bound(f: SynthFunction, x: Fraction, fx: Fraction,
 def build_strip(f: SynthFunction, sched: EpsilonSchedule, n: int,
                 col_floats: Optional[np.ndarray] = None,
                 f_floats: Optional[np.ndarray] = None) -> StripLevel:
-    """One strip level: per-column (inf, sup) over the union of ball chords.
-
-    A column crossed by no ball inherits the full chord of the nearest
-    center's ball; with the columns themselves all being centers this
-    branch is defensive only.
-    """
+    """One strip level: per-column (inf, sup) over the union of ball chords."""
     cols = sched.columns
     m = len(cols)
     if col_floats is None:
@@ -260,13 +242,6 @@ def build_strip(f: SynthFunction, sched: EpsilonSchedule, n: int,
             lo[i] = min(lo[i], fc - e)
             hi[i] = max(hi[i], fc + e)
             cnt[i] += 1
-    untouched = np.nonzero(cnt == 0)[0]
-    for j in untouched:
-        i = int(np.argmin(np.abs(col_floats - col_floats[j])))
-        e = float(sched.eps[i][n - 1])
-        lo[j] = f_floats[i] - e
-        hi[j] = f_floats[i] + e
-        cnt[j] = 1
     return StripLevel(n, lo, hi, cnt)
 
 
@@ -335,7 +310,7 @@ def verify_strips(family: StripFamily, f: SynthFunction,
     kinds = np.array(sched.kinds)
     m = len(cols)
 
-    d_set = multiplicity_sets(f.target, n_max=1).D
+    d_set = f.analysis.d_set
     backbone_checked = np.array([
         kinds[i] == "B" and not d_set.contains(sched.columns[i])
         for i in range(m)

@@ -25,19 +25,11 @@ target from a truncated graph.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .conditions import (
-    Regime,
-    Verdict,
-    check_regime,
-    empty_slice_set,
-    extended_multiplicity_set,
-    multiplicity_sets,
-)
+from .conditions import Regime, TargetAnalysis, Verdict
 from .geometry import (
     Box,
     EmptySliceError,
@@ -295,7 +287,6 @@ class _Placer:
         self.index += 1
         scale = min(Fraction(1, 16 * n * self.index), self._ABS_CAP)
         dmax_sq = min(Fraction(1, 16 * n), Fraction(1, 1024)) ** 2
-        step = scale
         attempts = 0
         offset_iter = self._offsets(scale)
         for delta in offset_iter:
@@ -401,18 +392,14 @@ def _closed_parts(span: Span) -> List[Span]:
     return parts
 
 
-def u_sets(target: TargetSet, depth: int) -> LevelSets:
+def u_sets(analysis: TargetAnalysis, depth: int) -> LevelSets:
     """Exact level sets U_n = {x : slice meets [-n, n]}, their differences
     V_n and an enumeration of closed parts of the V_n ordered by level and
-    then left endpoint."""
+    then left endpoint, read from the target's analysis."""
     if depth < 1:
         raise ValueError("depth must be positive")
-    u_list: List[XSet] = []
-    for n in range(1, depth + 1):
-        u_list.append(target.clipped(Fraction(-n), Fraction(n)).x_projection())
-    v_list: List[XSet] = [u_list[0]]
-    for n in range(1, depth):
-        v_list.append(u_list[n] - u_list[n - 1])
+    u_list = [analysis.u_level(n) for n in range(1, depth + 1)]
+    v_list = [analysis.v_part(n) for n in range(1, depth + 1)]
     w_list: List[Tuple[int, Span]] = []
     for n, v in enumerate(v_list, start=1):
         parts: List[Span] = []
@@ -492,10 +479,13 @@ class SynthFunction:
 
     Evaluation order: net value if x carries a net point, else the
     enumeration value if x is in the empty-slice set, else the backbone.
+    ``analysis`` is the target's analysis that synthesis used; the strip
+    certificates read the same one.
     """
 
     regime: Regime
     target: TargetSet
+    analysis: TargetAnalysis = field(repr=False, compare=False)
     approx: CountableApprox
     c_points: Tuple[Fraction, ...]
     c_values: Dict[Fraction, Fraction]
@@ -533,10 +523,6 @@ class SynthFunction:
         return self.evaluate(x)
 
 
-def evaluate(f: SynthFunction, x: RatLike) -> Fraction:
-    return f.evaluate(x)
-
-
 def synthesize(target: TargetSet, regime: Regime, depth: int = 10,
                signed: bool = False,
                c_order: Optional[Sequence[RatLike]] = None) -> SynthFunction:
@@ -548,11 +534,12 @@ def synthesize(target: TargetSet, regime: Regime, depth: int = 10,
     regimes. The enumeration of C is ascending by default and can be
     overridden (it must list exactly the points of C).
     """
-    verdict = check_regime(target, regime)
+    analysis = TargetAnalysis(target)
+    verdict = analysis.verdict(regime)
     if not verdict.passed:
         raise RegimeUnsatisfiedError(verdict)
 
-    c_set = empty_slice_set(target)
+    c_set = analysis.c_set
     c_points = [rat(c) for c in c_order] if c_order is not None else sorted(c_set.isolated_points())
     if sorted(c_points) != sorted(c_set.isolated_points()):
         raise ValueError("c_order must enumerate exactly the empty-slice points")
@@ -561,17 +548,18 @@ def synthesize(target: TargetSet, regime: Regime, depth: int = 10,
     if not regime.bounded:
         avoid = avoid | XSet.points(c_points)
     if regime is Regime.B1_BOUNDED:
-        avoid = avoid | multiplicity_sets(target, n_max=1).D
+        avoid = avoid | analysis.d_set
     elif regime is Regime.B1:
-        avoid = avoid | extended_multiplicity_set(target)
+        avoid = avoid | analysis.extended_d_set
 
     approx = lemma31_net(target, depth, avoid)
-    levels = None if regime.bounded else u_sets(target, depth)
+    levels = None if regime.bounded else u_sets(analysis, depth)
     c_values = {} if regime.bounded else f_on_c(c_points, target, signed)
 
     return SynthFunction(
         regime=regime,
         target=target,
+        analysis=analysis,
         approx=approx,
         c_points=tuple(c_points),
         c_values=c_values,

@@ -11,12 +11,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from accumgraph.conditions import (
-    Regime,
-    check_regime,
-    empty_slice_set,
-    multiplicity_sets,
-)
+from accumgraph.conditions import Regime, TargetAnalysis, check_regime
 from accumgraph.demos import demo_set, sect6_c_order
 from accumgraph.geometry import Box, Hyper, PLine, Point, TargetSet
 from accumgraph.intervals import XSet
@@ -226,7 +221,7 @@ def test_criterion_2_net_invariants(synths):
             failures.append(f"{name}/{regime.value}: duplicate net x")
         a_set = set(f.a_values)
         if regime.baire1:
-            d = multiplicity_sets(target, n_max=1).D
+            d = TargetAnalysis(target).d_set
             if any(d.contains(a) for a in a_set):
                 failures.append(f"{name}/{regime.value}: net meets D")
         if not regime.bounded:
@@ -443,6 +438,6 @@ def test_criterion_8_randomized_monotonicity():
             failures.append(f"case {case}: b1-bounded passed but b2-bounded failed")
         if b1 and not b2:
             failures.append(f"case {case}: b1 passed but b2 failed")
-        if empty_slice_set(t) | t.x_projection() != XSet.full():
+        if TargetAnalysis(t).c_set | t.x_projection() != XSet.full():
             failures.append(f"case {case}: projection partition broken")
     _verdict(8, "randomized-monotonicity", started, failures)

@@ -120,3 +120,26 @@ def test_unknown_regime_rejected(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["check", "square", "--regime", "b3"])
     assert exc.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "constant", "--regime", "b1", "--grid", "0"],
+    ["strips", "constant", "--regime", "b1", "--depth", "0"],
+    ["check", "square", "--regime", "b2", "--depth", "-1"],
+    ["demo", "square", "--depth", "0"],
+    ["verify", "constant", "--regime", "b1", "--min-count", "1"],
+    ["synth", "constant", "--regime", "b1", "--grid", "ten"],
+    ["check", "{dir}", "--regime", "b1"],
+], ids=["grid-0", "depth-0", "depth-negative", "demo-depth-0", "min-count-1",
+        "grid-not-int", "target-is-directory"])
+def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):
+    argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    assert "Traceback" not in err

@@ -1,4 +1,4 @@
-"""Regime hypothesis checks and the multiplicity machinery."""
+"""Regime hypothesis checks and the target analysis behind them."""
 
 from fractions import Fraction as F
 
@@ -6,15 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from accumgraph.conditions import (
-    Regime,
-    check_regime,
-    empty_slice_set,
-    extended_multiplicity_set,
-    is_countable,
-    is_meager,
-    multiplicity_sets,
-)
+from accumgraph.conditions import Regime, TargetAnalysis, check_regime
 from accumgraph.demos import demo_set, sect6_pole_points
 from accumgraph.geometry import Box, Hyper, PLine, Point, TargetSet
 from accumgraph.intervals import Span, XSet
@@ -26,24 +18,22 @@ from accumgraph.intervals import Span, XSet
 
 
 def test_empty_slice_set_full_square():
-    assert empty_slice_set(demo_set("square")).is_empty
+    assert TargetAnalysis(demo_set("square")).c_set.is_empty
 
 
 def test_empty_slice_set_hyperbola():
-    assert empty_slice_set(demo_set("hyperbola")) == XSet.point(0)
+    assert TargetAnalysis(demo_set("hyperbola")).c_set == XSet.point(0)
 
 
 def test_empty_slice_set_short_box():
-    c = empty_slice_set(TargetSet((Box(0, F(1, 4), 0, 0),)))
+    c = TargetAnalysis(TargetSet((Box(0, F(1, 4), 0, 0),))).c_set
     assert c == XSet.interval(F(1, 4), 1, lo_open=True)
-    ok, witness = is_countable(c)
-    assert not ok
-    assert witness == Span(F(1, 4), F(1), lo_open=True)
+    assert c.widest_interval() == Span(F(1, 4), F(1), lo_open=True)
 
 
 def test_empty_slice_set_sect6():
     depth = 4
-    c = empty_slice_set(demo_set("sect6", depth))
+    c = TargetAnalysis(demo_set("sect6", depth)).c_set
     assert c == XSet.points(sect6_pole_points(depth))
 
 
@@ -53,24 +43,23 @@ def test_empty_slice_set_sect6():
 
 
 def test_multiplicity_full_square():
-    data = multiplicity_sets(demo_set("square"), n_max=2)
-    assert data.D == XSet.full()
-    assert data.D_n[0] == XSet.full()
-    assert not data.residual
+    data = TargetAnalysis(demo_set("square"))
+    assert data.d_set == XSet.full()
+    assert data.d_levels(2)[0] == XSet.full()
 
 
 def test_multiplicity_single_pline():
     t = TargetSet((PLine(((F(0), F(0)), (F(1, 2), F(1)), (F(1), F(0)))),))
-    data = multiplicity_sets(t, n_max=4)
-    assert data.D.is_empty
-    assert all(dn.is_empty for dn in data.D_n)
+    data = TargetAnalysis(t)
+    assert data.d_set.is_empty
+    assert all(dn.is_empty for dn in data.d_levels(4))
 
 
 def test_multiplicity_box_and_point():
     t = TargetSet((Box(0, 1, 0, 0), Point(F(1, 2), 1)))
-    data = multiplicity_sets(t, n_max=2)
-    assert data.D == XSet.point(F(1, 2))
-    assert data.D_n[0] == XSet.point(F(1, 2))
+    data = TargetAnalysis(t)
+    assert data.d_set == XSet.point(F(1, 2))
+    assert data.d_levels(2)[0] == XSet.point(F(1, 2))
 
 
 def oracle_multiplicity_points(target, denominator=240):
@@ -90,7 +79,7 @@ def test_multiplicity_matches_brute_force_scan():
         PLine(((F(1, 4), F(0)), (F(3, 4), F(2)))),
         Hyper(F(0), F(1, 8), F(7, 8), F(1)),
     ))
-    d = multiplicity_sets(t, n_max=1).D
+    d = TargetAnalysis(t).d_set
     for x in (F(i, 240) for i in range(241)):
         expected = t.slice_at(x).is_multivalued()
         # D may keep finitely many irrational coincidence points; rational
@@ -103,15 +92,16 @@ def test_diameter_levels_nested_and_below_d():
         Box(0, 1, 0, 0),
         PLine(((F(0), F(0)), (F(1), F(2)))),
     ))
-    data = multiplicity_sets(t, n_max=8)
-    for prev, cur in zip(data.D_n, data.D_n[1:]):
+    data = TargetAnalysis(t)
+    d_levels = data.d_levels(8)
+    for prev, cur in zip(d_levels, d_levels[1:]):
         assert prev.is_subset_of(cur)
-    for dn in data.D_n:
-        assert dn.is_subset_of(data.D)
+    for dn in d_levels:
+        assert dn.is_subset_of(data.d_set)
     # diam(x) = 2x here, so D_n = {x : 2x >= 1/n} = [1/(2n), 1].
     for n in (1, 2, 4, 8):
-        assert data.D_n[n - 1] == XSet.closed(F(1, 2 * n), 1)
-    assert data.D == XSet.interval(0, 1, lo_open=True)
+        assert d_levels[n - 1] == XSet.closed(F(1, 2 * n), 1)
+    assert data.d_set == XSet.interval(0, 1, lo_open=True)
 
 
 def test_diameter_levels_irrational_boundary_inner():
@@ -122,41 +112,28 @@ def test_diameter_levels_irrational_boundary_inner():
         PLine(((F(0), F(0)), (F(1), F(1)))),
         Hyper(F(2), F(0), F(1), F(3)),
     ))
-    data = multiplicity_sets(t, n_max=4)
+    data = TargetAnalysis(t)
     for n in (1, 2, 3, 4):
-        dn = data.D_n[n - 1]
+        dn = data.d_levels(4)[n - 1]
         for span in dn.spans:
             for probe in {span.lo, span.hi, (span.lo + span.hi) / 2}:
                 if dn.contains(probe):
                     assert t.slice_at(probe).diameter() >= F(1, n)
-        assert dn.is_subset_of(data.D)
-
-
-def test_residual_flag_for_vanishing_diameters():
-    # Two lines meeting at 0: the diameter is positive but arbitrarily
-    # small near the crossing, so the level sets never exhaust D.
-    t = TargetSet((
-        PLine(((F(0), F(0)), (F(1), F(0)))),
-        PLine(((F(0), F(0)), (F(1), F(1)))),
-    ))
-    data = multiplicity_sets(t, n_max=8)
-    assert data.D == XSet.interval(0, 1, lo_open=True)
-    assert data.D_n[7] == XSet.closed(F(1, 8), 1)
-    assert data.residual
+        assert dn.is_subset_of(data.d_set)
 
 
 def test_extended_multiplicity_hyper_plus_point():
     t = TargetSet((Hyper(0, 0, 1, 1), Point(0, 0)))
-    assert extended_multiplicity_set(t) == XSet.point(0)
+    assert TargetAnalysis(t).extended_d_set == XSet.point(0)
 
 
 def test_extended_multiplicity_hyper_alone():
-    assert extended_multiplicity_set(demo_set("hyperbola")).is_empty
+    assert TargetAnalysis(demo_set("hyperbola")).extended_d_set.is_empty
 
 
 def test_extended_multiplicity_sect6_empty():
     t = demo_set("sect6", 5)
-    ext = extended_multiplicity_set(t)
+    ext = TargetAnalysis(t).extended_d_set
     assert ext.is_empty
     # Brute-force confirmation at all pole points and gap midpoints.
     for x in sect6_pole_points(5):
@@ -171,20 +148,16 @@ def test_extended_multiplicity_two_sided_pole():
     ))
     ext = t.extended_slice_at(F(1, 2))
     assert ext.plus_inf and ext.minus_inf
-    assert extended_multiplicity_set(t).contains(F(1, 2))
-
-
-# ---------------------------------------------------------------------------
-# Meagerness
-# ---------------------------------------------------------------------------
+    assert TargetAnalysis(t).extended_d_set.contains(F(1, 2))
 
 
 def test_is_meager_cases():
-    assert is_meager(XSet.empty())[0]
-    assert is_meager(XSet.points([F(1, 2), F(1, 3)]))[0]
-    ok, witness = is_meager(XSet.closed(F(1, 4), F(1, 2)))
-    assert not ok
-    assert witness == Span(F(1, 4), F(1, 2))
+    # A finite union of spans is meager (equivalently countable) exactly when
+    # it contains no interval, i.e. when widest_interval() finds none; the
+    # widest interval is the witness the multiplicity checks report.
+    assert XSet.empty().widest_interval() is None
+    assert XSet.points([F(1, 2), F(1, 3)]).widest_interval() is None
+    assert XSet.closed(F(1, 4), F(1, 2)).widest_interval() == Span(F(1, 4), F(1, 2))
 
 
 def test_meager_d_iff_all_levels_meager():
@@ -193,9 +166,9 @@ def test_meager_d_iff_all_levels_meager():
         TargetSet((Box(0, 1, 0, 0), Point(F(1, 2), 1))),
         TargetSet((PLine(((F(0), F(0)), (F(1), F(1)))), Box(0, F(1, 2), 0, 0))),
     ):
-        data = multiplicity_sets(t, n_max=16)
-        d_meager = is_meager(data.D)[0]
-        levels_meager = all(is_meager(dn)[0] for dn in data.D_n)
+        data = TargetAnalysis(t)
+        d_meager = data.d_set.widest_interval() is None
+        levels_meager = all(dn.widest_interval() is None for dn in data.d_levels(16))
         assert d_meager == levels_meager
 
 
@@ -292,8 +265,9 @@ def random_target(draw):
 @settings(max_examples=60, deadline=None)
 @given(random_target())
 def test_projection_partition(t):
-    assert empty_slice_set(t) | t.x_projection() == XSet.full()
-    assert (empty_slice_set(t) & t.x_projection()).is_empty
+    c_set = TargetAnalysis(t).c_set
+    assert c_set | t.x_projection() == XSet.full()
+    assert (c_set & t.x_projection()).is_empty
 
 
 @settings(max_examples=40, deadline=None)
@@ -310,8 +284,9 @@ def test_regime_monotonicity(t):
 @settings(max_examples=30, deadline=None)
 @given(random_target())
 def test_diameter_levels_structure(t):
-    data = multiplicity_sets(t, n_max=6)
-    for prev, cur in zip(data.D_n, data.D_n[1:]):
+    data = TargetAnalysis(t)
+    d_levels = data.d_levels(6)
+    for prev, cur in zip(d_levels, d_levels[1:]):
         assert prev.is_subset_of(cur)
-    for dn in data.D_n:
-        assert dn.is_subset_of(data.D)
+    for dn in d_levels:
+        assert dn.is_subset_of(data.d_set)

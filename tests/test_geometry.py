@@ -244,12 +244,6 @@ def test_is_bounded():
     assert TargetSet((Hyper(F(1, 2), F(5, 8), F(7, 8), 1),)).is_bounded()
 
 
-def test_y_extent():
-    t = TargetSet((Box(0, 1, -2, 1), Point(F(1, 2), 4),
-                   Hyper(F(0), F(1, 4), F(1, 2), F(1))))
-    assert t.y_extent() == (F(-2), F(4))
-
-
 # ---------------------------------------------------------------------------
 # Distances
 # ---------------------------------------------------------------------------

@@ -1,0 +1,140 @@
+"""Byte identity of CLI output across commits.
+
+Each command's exit code, stdout, stderr and ``--out`` files are hashed and
+compared with digests recorded from an earlier commit of the program, so a
+change that alters any output byte of the cheap demo commands shows up here.
+The README promises deterministic output; this keeps that promise across
+versions, not only across runs of the same version.
+"""
+
+import contextlib
+import hashlib
+import io
+from pathlib import Path
+
+import pytest
+
+from accumgraph.cli import main
+
+DEMOS = ("constant", "square", "hyperbola", "sect6")
+REGIMES = ("b2-bounded", "b2", "b1-bounded", "b1")
+PASSING = {
+    "constant": REGIMES,
+    "square": ("b2-bounded", "b2"),
+    "hyperbola": ("b2", "b1"),
+    "sect6": ("b2", "b1"),
+}
+SMALL = ["--depth", "4", "--grid", "64"]
+
+
+def golden_commands():
+    cmds = [("check", demo, "--regime", regime, "--depth", "4")
+            for demo in DEMOS for regime in REGIMES]
+    for demo in DEMOS:
+        for regime in PASSING[demo]:
+            for sub in ("synth", "verify"):
+                cmds.append((sub, demo, "--regime", regime, *SMALL))
+    for demo in ("sect6", "hyperbola"):
+        cmds.append(("strips", demo, "--regime", "b1", *SMALL))
+    return cmds
+
+
+def output_digest(argv, workdir: Path) -> str:
+    """sha256 over the exit code, stdout, stderr and every --out file."""
+    argv = list(argv)
+    if argv[0] != "check":
+        argv += ["--out", str(workdir / "out")]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    h = hashlib.sha256(f"{code}\n".encode())
+    for text in (out.getvalue(), err.getvalue()):
+        h.update(text.encode() + b"\0")
+    for path in sorted(workdir.iterdir()):
+        h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
+GOLDEN = {
+    "check constant --regime b2-bounded --depth 4":
+        "a7627f97a2f01a628d962bf43bb429512a3b9d46e34cbc3fd1316614119118ca",
+    "check constant --regime b2 --depth 4":
+        "6e9e62abe1d93184b99edc276c41a491cc26893c6031f83d99c73cfa2d2eb2ac",
+    "check constant --regime b1-bounded --depth 4":
+        "02ffb063b6e80b869617711519efcec6d24c332356eb6d2a69d4b3b299bf92ff",
+    "check constant --regime b1 --depth 4":
+        "b9b8e181f2a23955c2a0e099c6eb5bed673e31f8fab90c0020948b1b8b6d8a6f",
+    "check square --regime b2-bounded --depth 4":
+        "a7627f97a2f01a628d962bf43bb429512a3b9d46e34cbc3fd1316614119118ca",
+    "check square --regime b2 --depth 4":
+        "6e9e62abe1d93184b99edc276c41a491cc26893c6031f83d99c73cfa2d2eb2ac",
+    "check square --regime b1-bounded --depth 4":
+        "f20a8f310072050d8013aa0e791da4fb4979635abb4938c3763718a6a7c8fdf1",
+    "check square --regime b1 --depth 4":
+        "9f084af14ae6fe366e054c551bf8ced2bb0247a37f7184c6fc6fec6e717546f4",
+    "check hyperbola --regime b2-bounded --depth 4":
+        "f69f1dfa12eab394ec25559377de1e8f188cc7b26c43f00652c63309eba4b640",
+    "check hyperbola --regime b2 --depth 4":
+        "6e9e62abe1d93184b99edc276c41a491cc26893c6031f83d99c73cfa2d2eb2ac",
+    "check hyperbola --regime b1-bounded --depth 4":
+        "335122658c2f69e2d2ee9d1316e4c718ef427742b364d25a6c34e24745d56440",
+    "check hyperbola --regime b1 --depth 4":
+        "b9b8e181f2a23955c2a0e099c6eb5bed673e31f8fab90c0020948b1b8b6d8a6f",
+    "check sect6 --regime b2-bounded --depth 4":
+        "a1778a6bbd9ddea2f22595aeb0f96f3bd68d6bc536bcf8ffe04e8082ad041852",
+    "check sect6 --regime b2 --depth 4":
+        "2111688e51447160c8ccc0ad0c59a563db00b22268b732ccbc0638cbe0d8df36",
+    "check sect6 --regime b1-bounded --depth 4":
+        "7684972458dbea7f1fc2ed0da1a6d7d94373f6c70fb26c9aa94a0c2d7377314b",
+    "check sect6 --regime b1 --depth 4":
+        "e16857a846cc711fe605cd87b4183171484c734ab10dc22532904a2ba57ac759",
+    "synth constant --regime b2-bounded --depth 4 --grid 64":
+        "564f4853435554e62ffec97ba4fc2af0ad7fdd3a22c786a7691f4b0384094498",
+    "verify constant --regime b2-bounded --depth 4 --grid 64":
+        "162fff20a876169015133930b5e315fede2d76e5564d301a9e79c2728188928b",
+    "synth constant --regime b2 --depth 4 --grid 64":
+        "564f4853435554e62ffec97ba4fc2af0ad7fdd3a22c786a7691f4b0384094498",
+    "verify constant --regime b2 --depth 4 --grid 64":
+        "162fff20a876169015133930b5e315fede2d76e5564d301a9e79c2728188928b",
+    "synth constant --regime b1-bounded --depth 4 --grid 64":
+        "564f4853435554e62ffec97ba4fc2af0ad7fdd3a22c786a7691f4b0384094498",
+    "verify constant --regime b1-bounded --depth 4 --grid 64":
+        "162fff20a876169015133930b5e315fede2d76e5564d301a9e79c2728188928b",
+    "synth constant --regime b1 --depth 4 --grid 64":
+        "564f4853435554e62ffec97ba4fc2af0ad7fdd3a22c786a7691f4b0384094498",
+    "verify constant --regime b1 --depth 4 --grid 64":
+        "162fff20a876169015133930b5e315fede2d76e5564d301a9e79c2728188928b",
+    "synth square --regime b2-bounded --depth 4 --grid 64":
+        "f4754bbda93a29e0a224f1b8fad97fafb9cf0b1432cda22d440e8ab0eaae24b9",
+    "verify square --regime b2-bounded --depth 4 --grid 64":
+        "5a0c1fc3d8d82d7de5b1a6cb2b027b74e565e71424bf618f27e1e9988f6453b2",
+    "synth square --regime b2 --depth 4 --grid 64":
+        "f4754bbda93a29e0a224f1b8fad97fafb9cf0b1432cda22d440e8ab0eaae24b9",
+    "verify square --regime b2 --depth 4 --grid 64":
+        "5a0c1fc3d8d82d7de5b1a6cb2b027b74e565e71424bf618f27e1e9988f6453b2",
+    "synth hyperbola --regime b2 --depth 4 --grid 64":
+        "afb0af37647f4d1864ef781cd9bf8c720192489c01067a8ac4c0173dec3b2d34",
+    "verify hyperbola --regime b2 --depth 4 --grid 64":
+        "28232ad9e4ffbb9abbd8cedff6f91511652116ac2dd4894f28d9591e8051ad72",
+    "synth hyperbola --regime b1 --depth 4 --grid 64":
+        "afb0af37647f4d1864ef781cd9bf8c720192489c01067a8ac4c0173dec3b2d34",
+    "verify hyperbola --regime b1 --depth 4 --grid 64":
+        "28232ad9e4ffbb9abbd8cedff6f91511652116ac2dd4894f28d9591e8051ad72",
+    "synth sect6 --regime b2 --depth 4 --grid 64":
+        "57fb12938f1a0ecbfb3841b9bc8ca9df612fd5bb8329917d48670d6fc8c23f89",
+    "verify sect6 --regime b2 --depth 4 --grid 64":
+        "f9e731c84f57f3e2f7e6bd5f8b79dff622d96204c785e1e295079c359cb1880b",
+    "synth sect6 --regime b1 --depth 4 --grid 64":
+        "57fb12938f1a0ecbfb3841b9bc8ca9df612fd5bb8329917d48670d6fc8c23f89",
+    "verify sect6 --regime b1 --depth 4 --grid 64":
+        "f9e731c84f57f3e2f7e6bd5f8b79dff622d96204c785e1e295079c359cb1880b",
+    "strips sect6 --regime b1 --depth 4 --grid 64":
+        "6ee808a1211fbe535f03544496f57f42149adf1efd6a2e7e0184d1c375b90d84",
+    "strips hyperbola --regime b1 --depth 4 --grid 64":
+        "6e655620d44eb306558de603a010b650796f5593c235705ebc3f22e1085a4dec",
+}
+
+
+@pytest.mark.parametrize("argv", golden_commands(), ids=" ".join)
+def test_cli_output_bytes_unchanged(argv, tmp_path):
+    assert output_digest(argv, tmp_path) == GOLDEN[" ".join(argv)]

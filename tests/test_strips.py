@@ -1,12 +1,14 @@
 """Radius schedules and strip certificates."""
 
 import math
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from accumgraph.conditions import Regime, multiplicity_sets
+from accumgraph import conditions
+from accumgraph.conditions import Regime, TargetAnalysis
 from accumgraph.demos import demo_set, sect6_c_order
 from accumgraph.strips import (
     EpsilonSchedule,
@@ -105,7 +107,7 @@ def test_schedule_sect6_w_separation():
                 if not part.contains(x):
                     assert part.distance_to(x) >= e
     # Net centers stay off the diameter level sets in Baire-1 regimes.
-    d_levels = multiplicity_sets(f.target, n_max=depth).D_n
+    d_levels = TargetAnalysis(f.target).d_levels(depth)
     for i, x in enumerate(sched.columns):
         if sched.kinds[i] != "A":
             continue
@@ -115,6 +117,37 @@ def test_schedule_sect6_w_separation():
                 d = dn.distance_to(x)
                 if d is not None:
                     assert d >= e
+
+
+@pytest.mark.parametrize("demo", ["sect6", "hyperbola"])
+def test_pipeline_analyses_target_once(demo, monkeypatch):
+    """Checks, synthesis, schedule and strip verification share one analysis:
+    the component-pair list and every level set U_k are built once."""
+    pair_builds = []
+    u_builds = Counter()
+    build_pairs = conditions._overlapping_pairs
+    build_u = conditions._level_projection
+
+    def counted_pairs(comps):
+        pair_builds.append(len(comps))
+        return build_pairs(comps)
+
+    def counted_u(target, k):
+        u_builds[k] += 1
+        return build_u(target, k)
+
+    monkeypatch.setattr(conditions, "_overlapping_pairs", counted_pairs)
+    monkeypatch.setattr(conditions, "_level_projection", counted_u)
+    depth = 3
+    f = synthesize(demo_set(demo, depth), Regime.B1, depth=depth)
+    sched = epsilon_schedule(f, small_grid(16))
+    assert verify_strips(build_strip_family(f, sched), f).passed
+    assert len(pair_builds) == 1
+    assert set(u_builds.values()) == {1}
+    assert set(range(1, depth + 1)) <= set(u_builds)
+    if demo == "hyperbola":
+        # Backbone columns near the pole sit on levels beyond the net depth.
+        assert max(u_builds) > depth
 
 
 def test_schedule_completes_columns():

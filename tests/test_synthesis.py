@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from accumgraph.conditions import Regime, multiplicity_sets
+from accumgraph.conditions import Regime, TargetAnalysis
 from accumgraph.demos import demo_set, sect6_c_order, sect6_pole_points
 from accumgraph.geometry import Box, EmptySliceError, Hyper, PLine, Point, TargetSet
 from accumgraph.intervals import XSet
@@ -209,7 +209,7 @@ def test_f0_unbounded_level_inequality():
 
 
 def test_u_sets_hyperbola():
-    L = u_sets(demo_set("hyperbola"), 5)
+    L = u_sets(TargetAnalysis(demo_set("hyperbola")), 5)
     for n in range(1, 6):
         assert L.U[n - 1] == XSet.closed(F(1, n), 1), f"n={n}"
     assert L.V[0] == XSet.point(1)
@@ -217,7 +217,7 @@ def test_u_sets_hyperbola():
 
 
 def test_u_sets_square():
-    L = u_sets(demo_set("square"), 3)
+    L = u_sets(TargetAnalysis(demo_set("square")), 3)
     assert L.U[0] == XSet.full()
     assert L.V[0] == XSet.full()
     assert L.V[1].is_empty and L.V[2].is_empty
@@ -227,7 +227,7 @@ def test_u_sets_square():
 def test_u_sets_sect6_matches_grid_oracle():
     depth = 8
     t = demo_set("sect6", depth)
-    L = u_sets(t, depth)
+    L = u_sets(TargetAnalysis(t), depth)
     poles = sect6_pole_points(depth)
     for n in (2, 5, 8):
         u = L.U[n - 1]
@@ -239,7 +239,7 @@ def test_u_sets_sect6_matches_grid_oracle():
 
 def test_u_sets_structure():
     t = demo_set("sect6", 6)
-    L = u_sets(t, 6)
+    L = u_sets(TargetAnalysis(t), 6)
     proj = t.x_projection()
     for a, b in zip(L.U, L.U[1:]):
         assert a.is_subset_of(b)
@@ -325,7 +325,7 @@ def test_synthesize_avoids_by_regime():
     c = set(sect6_pole_points(6))
     assert set(f.c_points) == c
     assert not (set(f.a_values) & c)
-    d = multiplicity_sets(t, n_max=1).D
+    d = TargetAnalysis(t).d_set
     for a in f.a_values:
         assert not d.contains(a)
 
