@@ -202,7 +202,7 @@ def _add_common(sub: argparse.ArgumentParser, regime: bool = True) -> None:
                               "closure divergence direction")
     sub.add_argument("--grid", type=_int_at_least(1), default=1024,
                      help="verification grid resolution M (default 1024)")
-    sub.add_argument("--precision", type=int, default=12,
+    sub.add_argument("--precision", type=_int_at_least(0), default=12,
                      help="significant digits in CSV output (default 12)")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
 

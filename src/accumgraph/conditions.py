@@ -24,9 +24,9 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
-from .geometry import Box, Hyper, PLine, Point, TargetSet
+from .geometry import RationalGraph, TargetSet
 from .intervals import ZERO, Span, XSet, rational_sqrt, span_intersection
 
 
@@ -80,63 +80,32 @@ class Verdict:
 
 
 # ---------------------------------------------------------------------------
-# Value components and pairwise analysis
+# Pairwise analysis of rational graphs
 # ---------------------------------------------------------------------------
 #
-# Every piece decomposes into single-valued "components" over an x-span:
-# linear graphs y = m x + q (points, box edges, polyline segments) and
-# hyperbola branches y = c/(x - p). A slice has more than one point exactly
-# when two components disagree, and diameter >= t exactly when two
-# components differ by at least t, so both D and every D_n reduce to
-# pairwise comparisons with linear/quadratic solvers over the rationals.
+# Every piece decomposes into single-valued rational graphs
+# y = (n1 x + n0)/(d1 x + d0) over an x-span (``RationalGraph``). A slice has
+# more than one point exactly when two graphs disagree, and diameter >= t
+# exactly when two graphs differ by at least t. Over the common denominator
+# da*db, the difference a - b - t has the numerator na*db - nb*da - t*da*db,
+# a polynomial of degree at most 2, so both D and every D_n reduce to
+# pairwise rational root and sign computations.
 
 
-@dataclass(frozen=True)
-class _LinComp:
-    dom: Span
-    m: Fraction
-    q: Fraction
-
-    def value(self, x: Fraction) -> Fraction:
-        return self.m * x + self.q
+def _times(p: Tuple[Fraction, Fraction], q: Tuple[Fraction, Fraction]) -> Tuple[Fraction, ...]:
+    """Coefficients (x^2, x, 1) of the product of two linear polynomials."""
+    return p[0] * q[0], p[0] * q[1] + p[1] * q[0], p[1] * q[1]
 
 
-@dataclass(frozen=True)
-class _HypComp:
-    dom: Span
-    p: Fraction
-    c: Fraction
-
-    def value(self, x: Fraction) -> Fraction:
-        return self.c / (x - self.p)
-
-
-_Comp = Union[_LinComp, _HypComp]
-
-
-def _components(target: TargetSet) -> List[_Comp]:
-    comps: List[_Comp] = []
-    for piece in target.pieces:
-        if isinstance(piece, Point):
-            comps.append(_LinComp(piece.domain(), ZERO, piece.y))
-        elif isinstance(piece, Box):
-            dom = piece.domain()
-            comps.append(_LinComp(dom, ZERO, piece.y0))
-            if piece.y1 != piece.y0:
-                comps.append(_LinComp(dom, ZERO, piece.y1))
-        elif isinstance(piece, PLine):
-            for (xa, ya), (xb, yb) in piece.segments():
-                m = (yb - ya) / (xb - xa)
-                comps.append(_LinComp(Span(xa, xb), m, ya - m * xa))
-        else:
-            comps.append(_HypComp(piece.domain(), piece.pole, piece.coef))
-    return comps
-
-
-def _domain_sign(comp: _HypComp) -> int:
-    """Constant sign of (x - p) on the component's domain."""
-    probe = comp.dom.hi if comp.dom.lo == comp.p else comp.dom.lo
-    return 1 if probe - comp.p > 0 else -1
+def _difference_numerator(a: RationalGraph, b: RationalGraph,
+                          t: Fraction) -> Tuple[Fraction, ...]:
+    """Coefficients (x^2, x, 1) of na*db - nb*da - t*da*db, multiplied by
+    the constant sign of da*db so that it has the sign of a - b - t."""
+    sign = a.den_sign * b.den_sign
+    return tuple(
+        sign * (u - v - t * w)
+        for u, v, w in zip(_times(a.num, b.den), _times(b.num, a.den), _times(a.den, b.den))
+    )
 
 
 def _span_minus_points(dom: Span, points: Sequence[Fraction]) -> XSet:
@@ -151,36 +120,6 @@ def _span_minus_points(dom: Span, points: Sequence[Fraction]) -> XSet:
         lo, lo_open = c, True
     out = out | XSet.interval(lo, dom.hi, lo_open, dom.hi_open)
     return out
-
-
-def _coincidence_points(a: _Comp, b: _Comp) -> Optional[List[Fraction]]:
-    """Rational solutions of a == b; None when identically equal.
-
-    Irrational solutions (possible only for linear-vs-branch pairs) are
-    dropped, which leaves them inside the multi-valued set D. That enlarges
-    D by at most finitely many points per pair, which can never change an
-    interval-freeness verdict.
-    """
-    if isinstance(a, _LinComp) and isinstance(b, _LinComp):
-        dm, dq = a.m - b.m, a.q - b.q
-        if dm == 0:
-            return None if dq == 0 else []
-        return [-dq / dm]
-    if isinstance(a, _HypComp) and isinstance(b, _HypComp):
-        if a.p == b.p:
-            return None if a.c == b.c else []
-        # c1/(x-p1) = c2/(x-p2)  <=>  (c1-c2) x = c1 p2 - c2 p1
-        dc = a.c - b.c
-        if dc == 0:
-            return []
-        return [(a.c * b.p - b.c * a.p) / dc]
-    lin, hyp = (a, b) if isinstance(a, _LinComp) else (b, a)
-    assert isinstance(lin, _LinComp) and isinstance(hyp, _HypComp)
-    # (m x + q)(x - p) = c
-    qa = lin.m
-    qb = lin.q - lin.m * hyp.p
-    qc = -lin.q * hyp.p - hyp.c
-    return _rational_quadratic_roots(qa, qb, qc)
 
 
 def _rational_quadratic_roots(a: Fraction, b: Fraction, c: Fraction) -> List[Fraction]:
@@ -288,66 +227,22 @@ def _bracket_irrational_roots(a: Fraction, b: Fraction, c: Fraction,
     return u1, l2
 
 
-def _pair_domain(a: _Comp, b: _Comp) -> Optional[Span]:
-    return span_intersection(a.dom, b.dom)
-
-
-def _pair_difference_ge(a: _Comp, b: _Comp, t: Fraction, dom: Span) -> XSet:
-    """{x in dom : a(x) - b(x) >= t}, exact up to inner dyadic slivers."""
-    if isinstance(a, _LinComp) and isinstance(b, _LinComp):
-        return _quad_ge_zero(ZERO, a.m - b.m, a.q - b.q - t, dom)
-    if isinstance(a, _HypComp) and isinstance(b, _HypComp) and a.p == b.p:
-        sign = _domain_sign(a)
-        # (c1 - c2)/(x - p) >= t, multiplied through by (x - p).
-        if sign > 0:
-            return _quad_ge_zero(ZERO, -t, (a.c - b.c) + t * a.p, dom)
-        return _quad_ge_zero(ZERO, t, -(a.c - b.c) - t * a.p, dom)
-    if isinstance(a, _HypComp) and isinstance(b, _HypComp):
-        s = _domain_sign(a) * _domain_sign(b)
-        # c1(x-p2) - c2(x-p1) - t(x-p1)(x-p2) >= 0 after multiplying by
-        # (x-p1)(x-p2), flipping when that product is negative.
-        qa = -t
-        qb = a.c - b.c + t * (a.p + b.p)
-        qc = -a.c * b.p + b.c * a.p - t * a.p * b.p
-        if s < 0:
-            qa, qb, qc = -qa, -qb, -qc
-        return _quad_ge_zero(qa, qb, qc, dom)
-    if isinstance(a, _LinComp):
-        # (m x + q - t)(x - p) - c >= 0 after multiplying by (x - p).
-        lin, hyp, flip = a, b, False
-    else:
-        # c/(x-p) - (m x + q) >= t  <=>  c - (m x + q + t)(x - p) >= 0.
-        lin, hyp, flip = b, a, True
-    assert isinstance(hyp, _HypComp) and isinstance(lin, _LinComp)
-    sign = _domain_sign(hyp)
-    if not flip:
-        shift = lin.q - t
-        qa = lin.m
-        qb = shift - lin.m * hyp.p
-        qc = -shift * hyp.p - hyp.c
-    else:
-        shift = lin.q + t
-        qa = -lin.m
-        qb = -(shift - lin.m * hyp.p)
-        qc = shift * hyp.p + hyp.c
-    if sign < 0:
-        qa, qb, qc = -qa, -qb, -qc
-    return _quad_ge_zero(qa, qb, qc, dom)
-
-
 # ---------------------------------------------------------------------------
 # Target analysis
 # ---------------------------------------------------------------------------
 
 
-def _overlapping_pairs(comps: Sequence[_Comp]) -> List[Tuple[_Comp, _Comp, Span]]:
-    """Every component pair whose domains meet, with the shared domain."""
-    pairs: List[Tuple[_Comp, _Comp, Span]] = []
-    for i in range(len(comps)):
-        for j in range(i + 1, len(comps)):
-            dom = _pair_domain(comps[i], comps[j])
+_Pair = Tuple[RationalGraph, RationalGraph, Span]
+
+
+def _overlapping_pairs(graphs: Sequence[RationalGraph]) -> List[_Pair]:
+    """Every graph pair whose domains meet, with the shared domain."""
+    pairs: List[_Pair] = []
+    for i in range(len(graphs)):
+        for j in range(i + 1, len(graphs)):
+            dom = span_intersection(graphs[i].dom, graphs[j].dom)
             if dom is not None:
-                pairs.append((comps[i], comps[j], dom))
+                pairs.append((graphs[i], graphs[j], dom))
     return pairs
 
 
@@ -363,8 +258,9 @@ class TargetAnalysis:
 
     * ``c_set``: the empty-slice set C, exact.
     * ``d_set``: the multi-valued set D = {x : #slice > 1}. It is exact
-      apart from finitely many irrational coincidence points per component
-      pair, which stay inside D.
+      apart from finitely many irrational coincidence points per graph
+      pair, which stay inside D: that enlarges D by finitely many points,
+      which can never change an interval-freeness verdict.
     * ``extended_d_set``: D plus the arc pole points whose extended-closure
       slice has more than one element.
     * ``d_levels(n)``: the diameter level sets D_1..D_n (diam >= 1/k). They
@@ -382,9 +278,10 @@ class TargetAnalysis:
         self._v: Dict[int, XSet] = {}
 
     @cached_property
-    def pairs(self) -> List[Tuple[_Comp, _Comp, Span]]:
-        """The value components' overlapping pairs, which D and D_n read."""
-        return _overlapping_pairs(_components(self.target))
+    def pairs(self) -> List[_Pair]:
+        """The pieces' rational graphs in overlapping pairs, which D and D_n
+        read."""
+        return _overlapping_pairs([g for piece in self.target.pieces for g in piece.graphs()])
 
     @cached_property
     def c_set(self) -> XSet:
@@ -394,19 +291,19 @@ class TargetAnalysis:
     def d_set(self) -> XSet:
         out = XSet.empty()
         for a, b, dom in self.pairs:
-            roots = _coincidence_points(a, b)
-            if roots is not None:
-                out = out | _span_minus_points(dom, roots)
+            numerator = _difference_numerator(a, b, ZERO)
+            # An all-zero numerator means identical graphs, which add no
+            # second value.
+            if any(numerator):
+                out = out | _span_minus_points(dom, _rational_quadratic_roots(*numerator))
         return out
 
     @cached_property
     def extended_d_set(self) -> XSet:
         out = self.d_set
-        for piece in self.target.pieces:
-            if isinstance(piece, Hyper) and piece.excluded_pole is not None:
-                x = piece.excluded_pole
-                if self.target.extended_slice_at(x).count_exceeds_one():
-                    out = out | XSet.point(x)
+        for x, _ in self.target.excluded_poles:
+            if self.target.extended_slice_at(x).count_exceeds_one():
+                out = out | XSet.point(x)
         return out
 
     def d_levels(self, n: int) -> List[XSet]:
@@ -415,8 +312,8 @@ class TargetAnalysis:
             t = Fraction(1, len(levels) + 1)
             dn = levels[-1] if levels else XSet.empty()
             for a, b, dom in self.pairs:
-                dn = dn | _pair_difference_ge(a, b, t, dom)
-                dn = dn | _pair_difference_ge(b, a, t, dom)
+                dn = dn | _quad_ge_zero(*_difference_numerator(a, b, t), dom)
+                dn = dn | _quad_ge_zero(*_difference_numerator(b, a, t), dom)
             levels.append(dn)
         return levels[:n]
 
@@ -442,14 +339,8 @@ class TargetAnalysis:
         checks.append(CheckResult("closed", True))
 
         if regime.bounded:
-            bounded = self.target.is_bounded()
-            witness: Witness = None
-            if not bounded:
-                for piece in self.target.pieces:
-                    if isinstance(piece, Hyper) and piece.excluded_pole is not None:
-                        witness = piece.excluded_pole
-                        break
-            checks.append(CheckResult("compact", bounded, witness))
+            poles = self.target.excluded_poles
+            checks.append(CheckResult("compact", not poles, poles[0][0] if poles else None))
 
         c_set = self.c_set
         if regime.bounded:

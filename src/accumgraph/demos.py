@@ -43,7 +43,7 @@ def demo_set(name: str, depth: int = 10) -> TargetSet:
 def _tent_pole_set(depth: int) -> TargetSet:
     if depth < 1:
         raise ValueError("tent-pole depth must be at least 1")
-    poles = sorted({Fraction(0)} | {Fraction(1, k) for k in range(1, depth + 1)})
+    poles = sect6_pole_points(depth)
     pieces: List[Hyper] = []
     for a, b in zip(poles, poles[1:]):
         mid = (a + b) / 2

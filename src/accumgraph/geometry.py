@@ -5,6 +5,11 @@ piecewise-linear graphs, and hyperbola arcs y = c/(x - p). Every piece is a
 closed subset of [0,1] x R (a hyperbola arc is closed because |y| diverges
 at an excluded pole endpoint), so any finite union of pieces is closed.
 
+Each piece kind carries its own behaviour: the y-interval above an x, band
+clipping, point distance, the single-valued rational graphs the target
+analysis compares, the float probe net and the Lemma 3.1 net samples. A
+``TargetSet`` only loops over its pieces.
+
 Slicing, projection and band clipping are exact; only the point-to-arc
 distance uses floating point.
 """
@@ -14,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from .intervals import ONE, ZERO, RatLike, SliceSet, Span, XSet, rat
 
@@ -25,13 +30,68 @@ class EmptySliceError(Exception):
     """Raised when an operation needs a nonempty slice and gets none."""
 
 
+@dataclass(frozen=True)
+class RationalGraph:
+    """Graph of y = (n1 x + n0)/(d1 x + d0) over a span.
+
+    ``den_sign`` is the constant sign of the denominator on the span. A line
+    y = m x + q has numerator (m, q) and denominator 1; an arc y = c/(x - p)
+    has numerator c and denominator x - p.
+    """
+
+    dom: Span
+    num: Tuple[Fraction, Fraction]
+    den: Tuple[Fraction, Fraction]
+    den_sign: int
+
+
+def _line(dom: Span, m: Fraction, q: Fraction) -> RationalGraph:
+    return RationalGraph(dom, (m, q), (ZERO, ONE), 1)
+
+
+# A net sample: (x, y, slider). The slider moves the sample along its piece
+# to a nearby x2, giving the y there, or None where the piece does not reach.
+Slider = Optional[Callable[[Fraction], Optional[Fraction]]]
+NetSample = Tuple[Fraction, Fraction, Slider]
+
+
+def _dyadic_nodes(lo: Fraction, hi: Fraction, pitch: Fraction) -> List[Fraction]:
+    """Dyadic subdivision nodes of [lo, hi] with step <= pitch.
+
+    The subdivision count is a power of two, so node sets nest as the pitch
+    shrinks across levels.
+    """
+    if lo == hi:
+        return [lo]
+    width = hi - lo
+    m = 1
+    while width / m > pitch:
+        m *= 2
+    return [lo + width * Fraction(i, m) for i in range(m + 1)]
+
+
 # ---------------------------------------------------------------------------
 # Pieces
 # ---------------------------------------------------------------------------
 
 
+class _Piece:
+    """Defaults of the piece kinds: no excluded pole, and the slice of a
+    graph y_at over its domain (points and boxes slice on their own)."""
+
+    # Only an arc can leave an endpoint out of its domain.
+    excluded_pole: Optional[Fraction] = None
+
+    def y_interval(self, x: Fraction) -> Optional[Tuple[Fraction, Fraction]]:
+        """The closed y-interval of the piece above x; None if it misses x."""
+        if self.domain().contains(x):
+            y = self.y_at(x)
+            return y, y
+        return None
+
+
 @dataclass(frozen=True)
-class Point:
+class Point(_Piece):
     """A single point (x, y) with x in [0, 1]."""
 
     x: Fraction
@@ -46,9 +106,32 @@ class Point:
     def domain(self) -> Span:
         return Span(self.x, self.x)
 
+    def y_interval(self, x: Fraction) -> Optional[Tuple[Fraction, Fraction]]:
+        return (self.y, self.y) if x == self.x else None
+
+    def clipped(self, ylo: Optional[Fraction], yhi: Optional[Fraction]) -> List[Piece]:
+        if (ylo is None or self.y >= ylo) and (yhi is None or self.y <= yhi):
+            return [self]
+        return []
+
+    def distance(self, px: Fraction, py: Fraction) -> float:
+        return math.sqrt(float(_point_distance_sq(px, py, self.x, self.y)))
+
+    def graphs(self) -> List[RationalGraph]:
+        return [_line(self.domain(), ZERO, self.y)]
+
+    def probes(self, pitch: float) -> List[Tuple[float, float]]:
+        return [(float(self.x), float(self.y))]
+
+    def net_samples(self, n: int, grid_pitch: Fraction,
+                    curve_spacing: Fraction) -> List[NetSample]:
+        if abs(self.y) <= n:
+            return [(self.x, self.y, None)]
+        return []
+
 
 @dataclass(frozen=True)
-class Box:
+class Box(_Piece):
     """Closed rectangle [x0, x1] x [y0, y1]; degenerate edges allowed."""
 
     x0: Fraction
@@ -67,9 +150,61 @@ class Box:
     def domain(self) -> Span:
         return Span(self.x0, self.x1)
 
+    def y_interval(self, x: Fraction) -> Optional[Tuple[Fraction, Fraction]]:
+        return (self.y0, self.y1) if self.x0 <= x <= self.x1 else None
+
+    def clipped(self, ylo: Optional[Fraction], yhi: Optional[Fraction]) -> List[Piece]:
+        ny0 = self.y0 if ylo is None else max(self.y0, ylo)
+        ny1 = self.y1 if yhi is None else min(self.y1, yhi)
+        if ny0 <= ny1:
+            return [Box(self.x0, self.x1, ny0, ny1)]
+        return []
+
+    def distance(self, px: Fraction, py: Fraction) -> float:
+        dx = max(self.x0 - px, ZERO, px - self.x1)
+        dy = max(self.y0 - py, ZERO, py - self.y1)
+        return math.sqrt(float(_sq(dx) + _sq(dy)))
+
+    def graphs(self) -> List[RationalGraph]:
+        """The bottom and top edges; a flat box has one."""
+        dom = self.domain()
+        out = [_line(dom, ZERO, self.y0)]
+        if self.y1 != self.y0:
+            out.append(_line(dom, ZERO, self.y1))
+        return out
+
+    def probes(self, pitch: float) -> List[Tuple[float, float]]:
+        x0, x1 = float(self.x0), float(self.x1)
+        y0, y1 = float(self.y0), float(self.y1)
+        nx = max(1, math.ceil((x1 - x0) / pitch))
+        ny = max(1, math.ceil((y1 - y0) / pitch))
+        return [(x0 + (x1 - x0) * i / nx, y0 + (y1 - y0) * j / ny)
+                for i in range(nx + 1) for j in range(ny + 1)]
+
+    def net_samples(self, n: int, grid_pitch: Fraction,
+                    curve_spacing: Fraction) -> List[NetSample]:
+        xs = _dyadic_nodes(self.x0, self.x1, grid_pitch)
+        ys = _dyadic_nodes(self.y0, self.y1, grid_pitch)
+        band_lo, band_hi = Fraction(-n), Fraction(n)
+        rows = [y for y in ys if band_lo <= y <= band_hi]
+        # Exact band-edge rows keep the clipped region covered even though the
+        # dyadic grid is anchored on the full box.
+        for edge in (band_lo, band_hi):
+            if self.y0 < edge < self.y1 and edge not in rows:
+                rows.append(edge)
+        rows.sort()
+        out: List[NetSample] = []
+        for y in rows:
+            def slider(x2: Fraction, y=y) -> Optional[Fraction]:
+                return y if self.x0 <= x2 <= self.x1 else None
+
+            for x in xs:
+                out.append((x, y, slider))
+        return out
+
 
 @dataclass(frozen=True)
-class PLine:
+class PLine(_Piece):
     """Graph of the piecewise-linear interpolant through the vertices.
 
     Vertex x coordinates must be strictly increasing; at least two vertices.
@@ -100,9 +235,73 @@ class PLine:
                 return ya + (yb - ya) * (x - xa) / (xb - xa)
         raise ValueError(f"x={x} outside polyline domain")
 
+    def clipped(self, ylo: Optional[Fraction], yhi: Optional[Fraction]) -> List[Piece]:
+        out: List[Piece] = []
+        for (xa, ya), (xb, yb) in self.segments():
+            out.extend(_clip_segment(xa, ya, xb, yb, ylo, yhi))
+        return out
+
+    def distance(self, px: Fraction, py: Fraction) -> float:
+        best = min(
+            _segment_distance_sq(px, py, xa, ya, xb, yb)
+            for (xa, ya), (xb, yb) in self.segments()
+        )
+        return math.sqrt(float(best))
+
+    def graphs(self) -> List[RationalGraph]:
+        out = []
+        for (xa, ya), (xb, yb) in self.segments():
+            m = (yb - ya) / (xb - xa)
+            out.append(_line(Span(xa, xb), m, ya - m * xa))
+        return out
+
+    def probes(self, pitch: float) -> List[Tuple[float, float]]:
+        out: List[Tuple[float, float]] = []
+        for (xa, ya), (xb, yb) in self.segments():
+            ax, ay, bx, by = float(xa), float(ya), float(xb), float(yb)
+            steps = max(1, math.ceil(math.hypot(bx - ax, by - ay) / pitch))
+            for i in range(steps + 1):
+                t = i / steps
+                out.append((ax + t * (bx - ax), ay + t * (by - ay)))
+        return out
+
+    def net_samples(self, n: int, grid_pitch: Fraction,
+                    curve_spacing: Fraction) -> List[NetSample]:
+        out: List[NetSample] = []
+        for (xa, ya), (xb, yb) in self.segments():
+            out.extend(self._segment_samples(xa, ya, xb, yb, n, curve_spacing))
+        return out
+
+    def _segment_samples(self, xa: Fraction, ya: Fraction, xb: Fraction,
+                         yb: Fraction, n: int, spacing: Fraction) -> List[NetSample]:
+        manhattan = abs(xb - xa) + abs(yb - ya)
+        m = 1
+        while manhattan / m > spacing:
+            m *= 2
+        band_lo, band_hi = Fraction(-n), Fraction(n)
+        dy = yb - ya
+
+        def slider(x2: Fraction) -> Optional[Fraction]:
+            return self.y_at(x2) if xa <= x2 <= xb else None
+
+        ts = [Fraction(i, m) for i in range(m + 1)]
+        # Band crossings, exact.
+        if dy != 0:
+            for edge in (band_lo, band_hi):
+                t = (edge - ya) / dy
+                if ZERO < t < ONE and t not in ts:
+                    ts.append(t)
+        ts.sort()
+        out: List[NetSample] = []
+        for t in ts:
+            y = ya + t * dy
+            if band_lo <= y <= band_hi:
+                out.append((xa + t * (xb - xa), y, slider))
+        return out
+
 
 @dataclass(frozen=True)
-class Hyper:
+class Hyper(_Piece):
     """Arc of y = coef/(x - pole) over [x0, x1].
 
     When the pole coincides with an endpoint, that endpoint is excluded from
@@ -131,6 +330,12 @@ class Hyper:
             return self.pole
         return None
 
+    @property
+    def side(self) -> int:
+        """Constant sign of x - pole on the domain: +1 when the arc lies
+        right of its pole, -1 when it lies left."""
+        return 1 if self.pole <= self.x0 else -1
+
     def domain(self) -> Span:
         if self.pole == self.x0:
             return Span(self.x0, self.x1, lo_open=True)
@@ -146,14 +351,12 @@ class Hyper:
     def divergence_sign(self) -> int:
         """Sign of y as x approaches an excluded pole endpoint; 0 if none.
 
-        Approaching pole == x0 from the right gives x - pole -> 0+, so the
-        sign is sign(coef); approaching pole == x1 from the left flips it.
+        Near the pole y has the sign of coef * (x - pole), that is of
+        coef times ``side``.
         """
-        if self.pole == self.x0:
-            return 1 if self.coef > 0 else -1
-        if self.pole == self.x1:
-            return -1 if self.coef > 0 else 1
-        return 0
+        if self.excluded_pole is None:
+            return 0
+        return self.side if self.coef > 0 else -self.side
 
     def closed_y_range(self) -> Tuple[Optional[Fraction], Optional[Fraction]]:
         """(lo, hi) of the y image; None marks an infinite side."""
@@ -167,6 +370,167 @@ class Hyper:
         if self.divergence_sign() > 0:
             return min(ys), None
         return None, max(ys)
+
+    def clipped(self, ylo: Optional[Fraction], yhi: Optional[Fraction]) -> List[Piece]:
+        """Exact band clipping via the monotone inverse x = p + c/y."""
+        img_lo, img_hi = self.closed_y_range()
+        lo = img_lo if ylo is None else (ylo if img_lo is None else max(img_lo, ylo))
+        hi = img_hi if yhi is None else (yhi if img_hi is None else min(img_hi, yhi))
+        # lo/hi None means that side stays unbounded (only possible when the
+        # corresponding band side is None).
+        if lo is not None and hi is not None and lo > hi:
+            return []
+        # y never takes the value 0 on an arc; drop a bound of the wrong sign.
+        c = self.coef
+        if (c > 0) == (self.side > 0):
+            if hi is not None and hi <= 0:
+                return []
+            if lo is not None and lo <= 0:
+                lo = None  # branch already bounded below by its own range
+        else:
+            if lo is not None and lo >= 0:
+                return []
+            if hi is not None and hi >= 0:
+                hi = None
+        xs: List[Fraction] = []
+        unbounded = False
+        for bound in (lo, hi):
+            if bound is None:
+                unbounded = True
+            else:
+                xs.append(self.pole + c / bound)
+        if unbounded:
+            # One end still diverges: it reaches toward the pole endpoint.
+            xs.append(self.pole)
+        na, nb = min(xs), max(xs)
+        na = max(na, self.x0)
+        nb = min(nb, self.x1)
+        if na > nb:
+            return []
+        if na == nb:
+            if na == self.pole:
+                return []
+            return [Point(na, self.y_at(na))]
+        return [Hyper(self.pole, na, nb, c)]
+
+    def distance(self, px: Fraction, py: Fraction) -> float:
+        """Bracketing scan plus golden-section refinement to ~1e-12."""
+        # Exact membership first, so distance 0 is reported exactly.
+        if self.domain().contains(px) and py * (px - self.pole) == self.coef:
+            return 0.0
+        p = float(self.pole)
+        c = float(self.coef)
+        fx, fy = float(px), float(py)
+
+        def dist_sq(u: float) -> float:
+            # u = x - pole, guaranteed nonzero by the sampling below.
+            dxx = fx - (p + u)
+            dyy = fy - c / u
+            return dxx * dxx + dyy * dyy
+
+        u_lo = float(self.x0) - p
+        u_hi = float(self.x1) - p
+        # Keep a hair away from an excluded pole endpoint; the distance grows
+        # without bound there, so the minimum is never lost.
+        tiny = max(1e-15, 1e-9 * (u_hi - u_lo))
+        if self.pole == self.x0:
+            u_lo = tiny
+        elif self.pole == self.x1:
+            u_hi = -tiny
+
+        # Bracketing scan: uniform in u plus uniform in y (steep side), then
+        # golden-section refinement around every local minimum candidate.
+        candidates = set()
+        steps = 257
+        for i in range(steps + 1):
+            candidates.add(u_lo + (u_hi - u_lo) * i / steps)
+        y_a, y_b = c / u_lo, c / u_hi
+        for i in range(steps + 1):
+            y = y_a + (y_b - y_a) * i / steps
+            if y != 0.0:
+                u = c / y
+                if u_lo <= u <= u_hi:
+                    candidates.add(u)
+        us = sorted(candidates)
+        vals = [dist_sq(u) for u in us]
+        best_sq = min(vals)
+        for i, v in enumerate(vals):
+            if i > 0 and i < len(us) - 1 and not (v <= vals[i - 1] and v <= vals[i + 1]):
+                continue
+            lo = us[max(i - 1, 0)]
+            hi = us[min(i + 1, len(us) - 1)]
+            best_sq = min(best_sq, _golden_min(dist_sq, lo, hi))
+        return math.sqrt(max(best_sq, 0.0))
+
+    def graphs(self) -> List[RationalGraph]:
+        return [RationalGraph(self.domain(), (ZERO, self.coef), (ONE, -self.pole), self.side)]
+
+    def probes(self, pitch: float) -> List[Tuple[float, float]]:
+        p, c = float(self.pole), float(self.coef)
+        x0, x1 = float(self.x0), float(self.x1)
+        tiny = max(1e-12, 1e-9 * (x1 - x0))
+        if self.pole == self.x0:
+            x0 += tiny
+        elif self.pole == self.x1:
+            x1 -= tiny
+        out: List[Tuple[float, float]] = []
+        x = x0
+        while x < x1:
+            y = c / (x - p)
+            out.append((x, y))
+            slope = abs(c) / (x - p) ** 2
+            x += max(pitch / (1.0 + slope), tiny)
+        out.append((x1, c / (x1 - p)))
+        return out
+
+    def net_samples(self, n: int, grid_pitch: Fraction,
+                    curve_spacing: Fraction) -> List[NetSample]:
+        band = Fraction(n)
+        pole, c = self.pole, self.coef
+        y_at = self.y_at
+
+        def clamped(x: Fraction) -> Fraction:
+            if x == pole:
+                return band if self.divergence_sign() > 0 else -band
+            return min(max(y_at(x), -band), band)
+
+        def in_band(x: Fraction) -> bool:
+            return x != pole and abs(y_at(x)) <= band
+
+        nodes: Dict[Fraction, Fraction] = {}
+
+        def emit(x: Fraction) -> None:
+            if in_band(x):
+                nodes.setdefault(x, y_at(x))
+
+        def beyond_same_side(a: Fraction, b: Fraction) -> bool:
+            ca, cb = clamped(a), clamped(b)
+            return (abs(ca) == band and ca == cb
+                    and not in_band(a) and not in_band(b))
+
+        def rec(a: Fraction, b: Fraction, fuel: int) -> None:
+            if beyond_same_side(a, b):
+                return
+            if fuel == 0 or (b - a) + abs(clamped(b) - clamped(a)) <= curve_spacing:
+                emit(a)
+                emit(b)
+                return
+            mid = (a + b) / 2
+            rec(a, mid, fuel - 1)
+            rec(mid, b, fuel - 1)
+
+        rec(self.x0, self.x1, 64)
+        dom = self.domain()
+        # Exact band-crossing points: y = +-n at x = pole + c/(+-n).
+        for edge in (band, -band):
+            x_cross = pole + c / edge
+            if dom.contains(x_cross):
+                nodes.setdefault(x_cross, y_at(x_cross))
+
+        def slider(x2: Fraction) -> Optional[Fraction]:
+            return y_at(x2) if dom.contains(x2) else None
+
+        return [(x, nodes[x], slider) for x in sorted(nodes)]
 
 
 Piece = Union[Point, Box, PLine, Hyper]
@@ -206,11 +570,16 @@ class TargetSet:
     def is_empty(self) -> bool:
         return not self.pieces
 
+    @property
+    def excluded_poles(self) -> List[Tuple[Fraction, int]]:
+        """(x, sign) per arc with an excluded pole endpoint x, in piece
+        order: the arc's y diverges toward sign * infinity as it nears x."""
+        return [(p.excluded_pole, p.divergence_sign())
+                for p in self.pieces if p.excluded_pole is not None]
+
     def is_bounded(self) -> bool:
         """Bounded iff no arc has an excluded pole endpoint."""
-        return all(
-            not isinstance(p, Hyper) or p.excluded_pole is None for p in self.pieces
-        )
+        return not self.excluded_poles
 
     # -- slicing -------------------------------------------------------
 
@@ -221,20 +590,9 @@ class TargetSet:
             raise ValueError(f"slice x={x} outside [0, 1]")
         intervals: List[Tuple[Fraction, Fraction]] = []
         for piece in self.pieces:
-            if isinstance(piece, Point):
-                if piece.x == x:
-                    intervals.append((piece.y, piece.y))
-            elif isinstance(piece, Box):
-                if piece.x0 <= x <= piece.x1:
-                    intervals.append((piece.y0, piece.y1))
-            elif isinstance(piece, PLine):
-                if piece.domain().contains(x):
-                    y = piece.y_at(x)
-                    intervals.append((y, y))
-            else:
-                if piece.domain().contains(x):
-                    y = piece.y_at(x)
-                    intervals.append((y, y))
+            interval = piece.y_interval(x)
+            if interval is not None:
+                intervals.append(interval)
         return SliceSet(intervals)
 
     def extended_slice_at(self, x: RatLike) -> ExtendedSlice:
@@ -246,14 +604,8 @@ class TargetSet:
         list has no other way to accumulate at infinity.
         """
         x = rat(x)
-        plus = minus = False
-        for piece in self.pieces:
-            if isinstance(piece, Hyper) and piece.excluded_pole == x:
-                if piece.divergence_sign() > 0:
-                    plus = True
-                else:
-                    minus = True
-        return ExtendedSlice(self.slice_at(x), plus, minus)
+        signs = {sign for pole, sign in self.excluded_poles if pole == x}
+        return ExtendedSlice(self.slice_at(x), 1 in signs, -1 in signs)
 
     def x_projection(self) -> XSet:
         """Exact projection onto the x axis."""
@@ -269,7 +621,7 @@ class TargetSet:
         """
         pieces: List[Piece] = []
         for piece in self.pieces:
-            pieces.extend(_clip_piece(piece, ylo, yhi))
+            pieces.extend(piece.clipped(ylo, yhi))
         return TargetSet(tuple(pieces))
 
     # -- distance ----------------------------------------------------------
@@ -286,7 +638,7 @@ class TargetSet:
         px, py = rat(p[0]), rat(p[1])
         best = math.inf
         for piece in self.pieces:
-            d = _piece_distance(piece, px, py)
+            d = piece.distance(px, py)
             if d < best:
                 best = d
             if best == 0.0:
@@ -302,27 +654,8 @@ class TargetSet:
 
 
 # ---------------------------------------------------------------------------
-# Band clipping helpers
+# Clipping and distance helpers
 # ---------------------------------------------------------------------------
-
-
-def _clip_piece(piece: Piece, ylo: Optional[Fraction], yhi: Optional[Fraction]) -> List[Piece]:
-    if isinstance(piece, Point):
-        if (ylo is None or piece.y >= ylo) and (yhi is None or piece.y <= yhi):
-            return [piece]
-        return []
-    if isinstance(piece, Box):
-        ny0 = piece.y0 if ylo is None else max(piece.y0, ylo)
-        ny1 = piece.y1 if yhi is None else min(piece.y1, yhi)
-        if ny0 <= ny1:
-            return [Box(piece.x0, piece.x1, ny0, ny1)]
-        return []
-    if isinstance(piece, PLine):
-        out: List[Piece] = []
-        for (xa, ya), (xb, yb) in piece.segments():
-            out.extend(_clip_segment(xa, ya, xb, yb, ylo, yhi))
-        return out
-    return _clip_arc(piece, ylo, yhi)
 
 
 def _clip_segment(xa: Fraction, ya: Fraction, xb: Fraction, yb: Fraction,
@@ -357,63 +690,6 @@ def _clip_segment(xa: Fraction, ya: Fraction, xb: Fraction, yb: Fraction,
     return [PLine(((nxa, nya), (nxb, nyb)))]
 
 
-def _clip_arc(arc: Hyper, ylo: Optional[Fraction], yhi: Optional[Fraction]) -> List[Piece]:
-    """Clip a hyperbola arc to a band; exact via the monotone map x = p + c/y."""
-    img_lo, img_hi = arc.closed_y_range()
-    lo = img_lo if ylo is None else (ylo if img_lo is None else max(img_lo, ylo))
-    hi = img_hi if yhi is None else (yhi if img_hi is None else min(img_hi, yhi))
-    # lo/hi None means that side stays unbounded (only possible when the
-    # corresponding band side is None).
-    if lo is not None and hi is not None and lo > hi:
-        return []
-    # y never takes the value 0 on an arc; drop a bound of the wrong sign.
-    c = arc.coef
-    pos_branch = _arc_y_sign(arc) > 0
-    if pos_branch:
-        if hi is not None and hi <= 0:
-            return []
-        if lo is not None and lo <= 0:
-            lo = None  # branch already bounded below by its own range
-    else:
-        if lo is not None and lo >= 0:
-            return []
-        if hi is not None and hi >= 0:
-            hi = None
-    xs: List[Fraction] = []
-    unbounded = False
-    for bound in (lo, hi):
-        if bound is None:
-            unbounded = True
-        else:
-            xs.append(arc.pole + c / bound)
-    if unbounded:
-        # One end still diverges: it reaches toward the pole endpoint.
-        xs.append(arc.pole)
-    na, nb = min(xs), max(xs)
-    na = max(na, arc.x0)
-    nb = min(nb, arc.x1)
-    if na > nb:
-        return []
-    if na == nb:
-        if na == arc.pole:
-            return []
-        return [Point(na, arc.y_at(na))]
-    return [Hyper(arc.pole, na, nb, c)]
-
-
-def _arc_y_sign(arc: Hyper) -> int:
-    """Constant sign of y on the arc's domain."""
-    probe = arc.x1 if arc.pole == arc.x0 else arc.x0
-    if probe == arc.pole:
-        probe = (arc.x0 + arc.x1) / 2
-    return 1 if arc.y_at(probe) > 0 else -1
-
-
-# ---------------------------------------------------------------------------
-# Distance helpers
-# ---------------------------------------------------------------------------
-
-
 def _sq(v: Fraction) -> Fraction:
     return v * v
 
@@ -432,71 +708,6 @@ def _segment_distance_sq(px: Fraction, py: Fraction,
     t = ((px - xa) * dx + (py - ya) * dy) / denom
     t = min(max(t, Fraction(0)), Fraction(1))
     return _point_distance_sq(px, py, xa + t * dx, ya + t * dy)
-
-
-def _piece_distance(piece: Piece, px: Fraction, py: Fraction) -> float:
-    if isinstance(piece, Point):
-        return math.sqrt(float(_point_distance_sq(px, py, piece.x, piece.y)))
-    if isinstance(piece, Box):
-        dx = max(piece.x0 - px, ZERO, px - piece.x1)
-        dy = max(piece.y0 - py, ZERO, py - piece.y1)
-        return math.sqrt(float(_sq(dx) + _sq(dy)))
-    if isinstance(piece, PLine):
-        best = min(
-            _segment_distance_sq(px, py, xa, ya, xb, yb)
-            for (xa, ya), (xb, yb) in piece.segments()
-        )
-        return math.sqrt(float(best))
-    return _arc_distance(piece, px, py)
-
-
-def _arc_distance(arc: Hyper, px: Fraction, py: Fraction) -> float:
-    # Exact membership first, so distance 0 is reported exactly.
-    if arc.domain().contains(px) and py * (px - arc.pole) == arc.coef:
-        return 0.0
-    p = float(arc.pole)
-    c = float(arc.coef)
-    fx, fy = float(px), float(py)
-
-    def dist_sq(u: float) -> float:
-        # u = x - pole, guaranteed nonzero by the sampling below.
-        dxx = fx - (p + u)
-        dyy = fy - c / u
-        return dxx * dxx + dyy * dyy
-
-    u_lo = float(arc.x0) - p
-    u_hi = float(arc.x1) - p
-    # Keep a hair away from an excluded pole endpoint; the distance grows
-    # without bound there, so the minimum is never lost.
-    tiny = max(1e-15, 1e-9 * (u_hi - u_lo))
-    if arc.pole == arc.x0:
-        u_lo = tiny
-    elif arc.pole == arc.x1:
-        u_hi = -tiny
-
-    # Bracketing scan: uniform in u plus uniform in y (steep side), then
-    # golden-section refinement around every local minimum candidate.
-    candidates = set()
-    steps = 257
-    for i in range(steps + 1):
-        candidates.add(u_lo + (u_hi - u_lo) * i / steps)
-    y_a, y_b = c / u_lo, c / u_hi
-    for i in range(steps + 1):
-        y = y_a + (y_b - y_a) * i / steps
-        if y != 0.0:
-            u = c / y
-            if u_lo <= u <= u_hi:
-                candidates.add(u)
-    us = sorted(candidates)
-    vals = [dist_sq(u) for u in us]
-    best_sq = min(vals)
-    for i, v in enumerate(vals):
-        if i > 0 and i < len(us) - 1 and not (v <= vals[i - 1] and v <= vals[i + 1]):
-            continue
-        lo = us[max(i - 1, 0)]
-        hi = us[min(i + 1, len(us) - 1)]
-        best_sq = min(best_sq, _golden_min(dist_sq, lo, hi))
-    return math.sqrt(max(best_sq, 0.0))
 
 
 def _golden_min(f, lo: float, hi: float, tol: float = ARC_DISTANCE_TOL) -> float:

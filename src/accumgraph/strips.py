@@ -213,15 +213,13 @@ def _overlap_bound(f: SynthFunction, x: Fraction, fx: Fraction,
 
 
 def build_strip(f: SynthFunction, sched: EpsilonSchedule, n: int,
-                col_floats: Optional[np.ndarray] = None,
-                f_floats: Optional[np.ndarray] = None) -> StripLevel:
-    """One strip level: per-column (inf, sup) over the union of ball chords."""
-    cols = sched.columns
-    m = len(cols)
-    if col_floats is None:
-        col_floats = np.array([float(x) for x in cols])
-    if f_floats is None:
-        f_floats = np.array([float(f.evaluate(x)) for x in cols])
+                col_floats: np.ndarray, f_floats: np.ndarray) -> StripLevel:
+    """One strip level: per-column (inf, sup) over the union of ball chords.
+
+    ``col_floats`` and ``f_floats`` are the columns and f at the columns as
+    floats, shared by all levels of a family.
+    """
+    m = len(sched.columns)
     lo = np.full(m, np.inf)
     hi = np.full(m, -np.inf)
     cnt = np.zeros(m, dtype=np.int64)

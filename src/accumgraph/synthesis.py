@@ -27,18 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .conditions import Regime, TargetAnalysis, Verdict
-from .geometry import (
-    Box,
-    EmptySliceError,
-    Hyper,
-    Piece,
-    PLine,
-    Point,
-    TargetSet,
-)
+from .geometry import EmptySliceError, Slider, TargetSet
 from .intervals import ONE, ZERO, RatLike, Span, XSet, rat
 
 
@@ -116,155 +108,6 @@ def _grid_pitch(n: int) -> Fraction:
     return _dyadic_pitch_at_most(bound)
 
 
-def _dyadic_nodes(lo: Fraction, hi: Fraction, pitch: Fraction) -> List[Fraction]:
-    """Dyadic subdivision nodes of [lo, hi] with step <= pitch.
-
-    The subdivision count is a power of two, so node sets nest as the pitch
-    shrinks across levels.
-    """
-    if lo == hi:
-        return [lo]
-    width = hi - lo
-    m = 1
-    while width / m > pitch:
-        m *= 2
-    return [lo + width * Fraction(i, m) for i in range(m + 1)]
-
-
-_Slider = Optional[Callable[[Fraction], Optional[Fraction]]]
-_RawSample = Tuple[Fraction, Fraction, _Slider]
-
-
-def _sample_point(piece: Point, n: int) -> List[_RawSample]:
-    if abs(piece.y) <= n:
-        return [(piece.x, piece.y, None)]
-    return []
-
-
-def _sample_box(piece: Box, n: int) -> List[_RawSample]:
-    pitch = _grid_pitch(n)
-    xs = _dyadic_nodes(piece.x0, piece.x1, pitch)
-    ys = _dyadic_nodes(piece.y0, piece.y1, pitch)
-    band_lo, band_hi = Fraction(-n), Fraction(n)
-    rows = [y for y in ys if band_lo <= y <= band_hi]
-    # Exact band-edge rows keep the clipped region covered even though the
-    # dyadic grid is anchored on the full box.
-    for edge in (band_lo, band_hi):
-        if piece.y0 < edge < piece.y1 and edge not in rows:
-            rows.append(edge)
-    rows.sort()
-    out: List[_RawSample] = []
-    for y in rows:
-        def slider(x2: Fraction, y=y) -> Optional[Fraction]:
-            return y if piece.x0 <= x2 <= piece.x1 else None
-
-        for x in xs:
-            out.append((x, y, slider))
-    return out
-
-
-def _sample_segment(xa: Fraction, ya: Fraction, xb: Fraction, yb: Fraction,
-                    n: int) -> List[_RawSample]:
-    spacing = _curve_spacing(n)
-    manhattan = abs(xb - xa) + abs(yb - ya)
-    m = 1
-    while manhattan / m > spacing:
-        m *= 2
-    band_lo, band_hi = Fraction(-n), Fraction(n)
-    dy = yb - ya
-
-    def y_of(t: Fraction) -> Fraction:
-        return ya + t * dy
-
-    def slider(x2: Fraction) -> Optional[Fraction]:
-        if xa <= x2 <= xb:
-            return ya + (x2 - xa) * dy / (xb - xa)
-        return None
-
-    ts = [Fraction(i, m) for i in range(m + 1)]
-    # Band crossings, exact.
-    if dy != 0:
-        for edge in (band_lo, band_hi):
-            t = (edge - ya) / dy
-            if ZERO < t < ONE and t not in ts:
-                ts.append(t)
-    ts.sort()
-    out: List[_RawSample] = []
-    for t in ts:
-        y = y_of(t)
-        if band_lo <= y <= band_hi:
-            out.append((xa + t * (xb - xa), y, slider))
-    return out
-
-
-def _sample_arc(piece: Hyper, n: int) -> List[_RawSample]:
-    spacing = _curve_spacing(n)
-    band = Fraction(n)
-    pole, c = piece.pole, piece.coef
-
-    def y_at(x: Fraction) -> Fraction:
-        return c / (x - pole)
-
-    def clamped(x: Fraction) -> Fraction:
-        if x == pole:
-            return band if piece.divergence_sign() > 0 else -band
-        return min(max(y_at(x), -band), band)
-
-    def in_band(x: Fraction) -> bool:
-        return x != pole and abs(y_at(x)) <= band
-
-    nodes: Dict[Fraction, Fraction] = {}
-
-    def emit(x: Fraction) -> None:
-        if in_band(x):
-            nodes.setdefault(x, y_at(x))
-
-    def beyond_same_side(a: Fraction, b: Fraction) -> bool:
-        ca, cb = clamped(a), clamped(b)
-        return (abs(ca) == band and ca == cb
-                and not in_band(a) and not in_band(b))
-
-    def rec(a: Fraction, b: Fraction, fuel: int) -> None:
-        if beyond_same_side(a, b):
-            return
-        if fuel == 0 or (b - a) + abs(clamped(b) - clamped(a)) <= spacing:
-            emit(a)
-            emit(b)
-            return
-        mid = (a + b) / 2
-        rec(a, mid, fuel - 1)
-        rec(mid, b, fuel - 1)
-
-    rec(piece.x0, piece.x1, 64)
-    # Exact band-crossing points: y = +-n at x = pole + c/(+-n).
-    for edge in (band, -band):
-        x_cross = pole + c / edge
-        if piece.domain().contains(x_cross):
-            nodes.setdefault(x_cross, y_at(x_cross))
-
-    dom = piece.domain()
-
-    def slider(x2: Fraction) -> Optional[Fraction]:
-        if dom.contains(x2):
-            return y_at(x2)
-        return None
-
-    return [(x, nodes[x], slider) for x in sorted(nodes)]
-
-
-def _sample_piece(piece: Piece, n: int) -> List[_RawSample]:
-    if isinstance(piece, Point):
-        return _sample_point(piece, n)
-    if isinstance(piece, Box):
-        return _sample_box(piece, n)
-    if isinstance(piece, PLine):
-        out: List[_RawSample] = []
-        for (xa, ya), (xb, yb) in piece.segments():
-            out.extend(_sample_segment(xa, ya, xb, yb, n))
-        return out
-    return _sample_arc(piece, n)
-
-
 class _Placer:
     """Assigns final x coordinates: pairwise distinct, off the avoid set.
 
@@ -283,7 +126,7 @@ class _Placer:
         self.used: set[Fraction] = set()
         self.index = 0
 
-    def place(self, x: Fraction, y: Fraction, n: int, slider: _Slider) -> Tuple[Fraction, Fraction]:
+    def place(self, x: Fraction, y: Fraction, n: int, slider: Slider) -> Tuple[Fraction, Fraction]:
         self.index += 1
         scale = min(Fraction(1, 16 * n * self.index), self._ABS_CAP)
         dmax_sq = min(Fraction(1, 16 * n), Fraction(1, 1024)) ** 2
@@ -342,8 +185,9 @@ def lemma31_net(target: TargetSet, depth: int, avoid: XSet = XSet.empty()) -> Co
     for n in range(1, depth + 1):
         points: List[Tuple[Fraction, Fraction]] = []
         xs: List[Fraction] = []
+        grid_pitch, curve_spacing = _grid_pitch(n), _curve_spacing(n)
         for piece in target.pieces:
-            for x, y, slider in _sample_piece(piece, n):
+            for x, y, slider in piece.net_samples(n, grid_pitch, curve_spacing):
                 x2, y2 = placer.place(x, y, n, slider)
                 points.append((x2, y2))
                 xs.append(x2)
@@ -362,9 +206,10 @@ _W_MAX_PARTS = 14
 
 @dataclass(frozen=True)
 class LevelSets:
+    """The enumeration W of closed parts of the level parts V_1..V_depth;
+    U_n and V_n themselves are read from ``TargetAnalysis``."""
+
     depth: int
-    U: Tuple[XSet, ...]
-    V: Tuple[XSet, ...]
     W: Tuple[Tuple[int, Span], ...]  # (level, closed part), enumeration order
 
 
@@ -393,21 +238,19 @@ def _closed_parts(span: Span) -> List[Span]:
 
 
 def u_sets(analysis: TargetAnalysis, depth: int) -> LevelSets:
-    """Exact level sets U_n = {x : slice meets [-n, n]}, their differences
-    V_n and an enumeration of closed parts of the V_n ordered by level and
-    then left endpoint, read from the target's analysis."""
+    """Enumerate closed parts of the exact level parts V_n = U_n - U_{n-1}
+    (U_n = {x : slice meets [-n, n]}), ordered by level and then left
+    endpoint, reading U_n and V_n from the target's analysis."""
     if depth < 1:
         raise ValueError("depth must be positive")
-    u_list = [analysis.u_level(n) for n in range(1, depth + 1)]
-    v_list = [analysis.v_part(n) for n in range(1, depth + 1)]
     w_list: List[Tuple[int, Span]] = []
-    for n, v in enumerate(v_list, start=1):
+    for n in range(1, depth + 1):
         parts: List[Span] = []
-        for span in v.spans:
+        for span in analysis.v_part(n).spans:
             parts.extend(_closed_parts(span))
         parts.sort(key=lambda s: (s.lo, s.hi))
         w_list.extend((n, part) for part in parts)
-    return LevelSets(depth, tuple(u_list), tuple(v_list), tuple(w_list))
+    return LevelSets(depth, tuple(w_list))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import Box, Hyper, PLine, Point, TargetSet
+from .geometry import TargetSet
 from .intervals import ONE, ZERO, RatLike, rat
 from .synthesis import SynthFunction
 
@@ -92,50 +92,10 @@ def accumulation_estimate(points: Sequence[Tuple[Fraction, Fraction]],
 
 def probe_points(target: TargetSet, pitch: float) -> np.ndarray:
     """Float probe net over the target's pieces at roughly the given pitch."""
-    probes: List[Tuple[float, float]] = []
-    for piece in target.pieces:
-        if isinstance(piece, Point):
-            probes.append((float(piece.x), float(piece.y)))
-        elif isinstance(piece, Box):
-            x0, x1 = float(piece.x0), float(piece.x1)
-            y0, y1 = float(piece.y0), float(piece.y1)
-            nx = max(1, math.ceil((x1 - x0) / pitch))
-            ny = max(1, math.ceil((y1 - y0) / pitch))
-            for i in range(nx + 1):
-                for j in range(ny + 1):
-                    probes.append((x0 + (x1 - x0) * i / nx,
-                                   y0 + (y1 - y0) * j / ny))
-        elif isinstance(piece, PLine):
-            for (xa, ya), (xb, yb) in piece.segments():
-                ax, ay, bx, by = float(xa), float(ya), float(xb), float(yb)
-                steps = max(1, math.ceil(math.hypot(bx - ax, by - ay) / pitch))
-                for i in range(steps + 1):
-                    t = i / steps
-                    probes.append((ax + t * (bx - ax), ay + t * (by - ay)))
-        else:
-            probes.extend(_arc_probes(piece, pitch))
+    probes = [probe for piece in target.pieces for probe in piece.probes(pitch)]
     if not probes:
         return np.empty((0, 2))
     return np.array(probes)
-
-
-def _arc_probes(arc: Hyper, pitch: float) -> List[Tuple[float, float]]:
-    p, c = float(arc.pole), float(arc.coef)
-    x0, x1 = float(arc.x0), float(arc.x1)
-    tiny = max(1e-12, 1e-9 * (x1 - x0))
-    if arc.pole == arc.x0:
-        x0 += tiny
-    elif arc.pole == arc.x1:
-        x1 -= tiny
-    out: List[Tuple[float, float]] = []
-    x = x0
-    while x < x1:
-        y = c / (x - p)
-        out.append((x, y))
-        slope = abs(c) / (x - p) ** 2
-        x += max(pitch / (1.0 + slope), tiny)
-    out.append((x1, c / (x1 - p)))
-    return out
 
 
 def hausdorff_to_target(est: AccumulationEstimate, target: TargetSet,

@@ -130,8 +130,9 @@ def test_unknown_regime_rejected(capsys, monkeypatch):
     ["verify", "constant", "--regime", "b1", "--min-count", "1"],
     ["synth", "constant", "--regime", "b1", "--grid", "ten"],
     ["check", "{dir}", "--regime", "b1"],
+    ["synth", "constant", "--regime", "b1", "--precision", "-1"],
 ], ids=["grid-0", "depth-0", "depth-negative", "demo-depth-0", "min-count-1",
-        "grid-not-int", "target-is-directory"])
+        "grid-not-int", "target-is-directory", "precision-negative"])
 def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):
     argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
     try:

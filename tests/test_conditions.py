@@ -122,6 +122,38 @@ def test_diameter_levels_irrational_boundary_inner():
         assert dn.is_subset_of(data.d_set)
 
 
+_LINE_UP = PLine(((F(0), F(1)), (F(1), F(2))))
+_INVERSE = Hyper(F(0), F(0), F(1), F(1))
+
+
+@pytest.mark.parametrize("pieces", [
+    (Hyper(0, 0, 1, 1), Hyper(0, F(1, 4), 1, F(1, 2))),
+    (Hyper(1, 0, 1, -1), Hyper(1, F(1, 4), 1, F(-1, 3))),
+    (Hyper(F(3, 2), 0, 1, -1), Hyper(F(3, 2), 0, 1, -2)),
+    (Hyper(0, 0, F(1, 2), 1), Hyper(0, F(1, 4), 1, 1)),
+    (Hyper(0, 0, 1, F(1, 4)), Hyper(1, 0, 1, F(-1, 4))),
+    (Hyper(1, 0, 1, F(-1, 4)), Hyper(F(-1, 2), F(1, 3), 1, F(1, 2))),
+    (_LINE_UP, _INVERSE),
+    (_INVERSE, _LINE_UP),
+    (PLine(((F(0), F(-1)), (F(1), F(-2)))), Hyper(1, 0, 1, F(1, 2))),
+], ids=["same-pole-left", "same-pole-right", "same-pole-outside",
+        "same-pole-equal-coef", "left-vs-right-pole", "right-vs-outside-pole",
+        "line-vs-branch", "branch-vs-line", "line-vs-right-pole"])
+def test_pair_numerator_matches_slices(pieces):
+    # D and D_1..D_4 of two graphs, against slices at rational probes. The
+    # probes are far from the irrational crossings, so the inner dyadic
+    # approximation of D_n agrees with the slices there as well.
+    t = TargetSet(pieces)
+    data = TargetAnalysis(t)
+    probes = {F(i, 60) for i in range(61)} | {F(i, 97) for i in range(98)}
+    for x in sorted(probes):
+        values = t.slice_at(x)
+        assert data.d_set.contains(x) == values.is_multivalued(), f"x={x}"
+        for n, dn in enumerate(data.d_levels(4), start=1):
+            expected = values.is_multivalued() and values.diameter() >= F(1, n)
+            assert dn.contains(x) == expected, f"x={x} n={n}"
+
+
 def test_extended_multiplicity_hyper_plus_point():
     t = TargetSet((Hyper(0, 0, 1, 1), Point(0, 0)))
     assert TargetAnalysis(t).extended_d_set == XSet.point(0)

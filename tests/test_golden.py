@@ -2,7 +2,8 @@
 
 Each command's exit code, stdout, stderr and ``--out`` files are hashed and
 compared with digests recorded from an earlier commit of the program, so a
-change that alters any output byte of the cheap demo commands shows up here.
+change that alters any output byte of the cheap demo commands, or of the
+same commands on a target with every piece kind, shows up here.
 The README promises deterministic output; this keeps that promise across
 versions, not only across runs of the same version.
 """
@@ -25,6 +26,10 @@ PASSING = {
     "sect6": ("b2", "b1"),
 }
 SMALL = ["--depth", "4", "--grid", "64"]
+# A target file with every piece kind and every arc pole position, which the
+# demos lack; commands name it by file name and run it by path.
+MIXED = Path(__file__).with_name("mixed_target.txt")
+MIXED_PASSING = ("b2", "b1")
 
 
 def golden_commands():
@@ -36,12 +41,17 @@ def golden_commands():
                 cmds.append((sub, demo, "--regime", regime, *SMALL))
     for demo in ("sect6", "hyperbola"):
         cmds.append(("strips", demo, "--regime", "b1", *SMALL))
+    cmds += [("check", MIXED.name, "--regime", regime, "--depth", "4") for regime in REGIMES]
+    for regime in MIXED_PASSING:
+        for sub in ("synth", "verify", "strips"):
+            if sub != "strips" or regime.startswith("b1"):
+                cmds.append((sub, MIXED.name, "--regime", regime, *SMALL))
     return cmds
 
 
 def output_digest(argv, workdir: Path) -> str:
     """sha256 over the exit code, stdout, stderr and every --out file."""
-    argv = list(argv)
+    argv = [str(MIXED) if arg == MIXED.name else arg for arg in argv]
     if argv[0] != "check":
         argv += ["--out", str(workdir / "out")]
     out, err = io.StringIO(), io.StringIO()
@@ -132,6 +142,24 @@ GOLDEN = {
         "6ee808a1211fbe535f03544496f57f42149adf1efd6a2e7e0184d1c375b90d84",
     "strips hyperbola --regime b1 --depth 4 --grid 64":
         "6e655620d44eb306558de603a010b650796f5593c235705ebc3f22e1085a4dec",
+    "check mixed_target.txt --regime b2-bounded --depth 4":
+        "c642343b26edfc88835ab98bec2dd5362028fee8340e48b8124f6ad04768086f",
+    "check mixed_target.txt --regime b2 --depth 4":
+        "6e9e62abe1d93184b99edc276c41a491cc26893c6031f83d99c73cfa2d2eb2ac",
+    "check mixed_target.txt --regime b1-bounded --depth 4":
+        "3ffe4503e17165d0b6830dc6d5a50cd9d801c7d6c81a546fe8cfc479d81dae77",
+    "check mixed_target.txt --regime b1 --depth 4":
+        "b9b8e181f2a23955c2a0e099c6eb5bed673e31f8fab90c0020948b1b8b6d8a6f",
+    "synth mixed_target.txt --regime b2 --depth 4 --grid 64":
+        "7b0de8fa3de71f3ab56c492b78aa5bb5f7fb2871723513998c922a79ce19e501",
+    "verify mixed_target.txt --regime b2 --depth 4 --grid 64":
+        "57c811fae1a3b283291b464251f4549c0deec514d6b7223a44ec06943b0d3ab2",
+    "synth mixed_target.txt --regime b1 --depth 4 --grid 64":
+        "99c230ffaa81cd48b0e47dae8670b87f95e4d593fca8a9b04623adb367a9ae55",
+    "verify mixed_target.txt --regime b1 --depth 4 --grid 64":
+        "47c35083a832652412ca9f7ba020dfb23c6d73f563b966795ce3383721dff06b",
+    "strips mixed_target.txt --regime b1 --depth 4 --grid 64":
+        "13984ba09c1fa8fa58711f10b91d30201d82f7bcfbd2609142f79d4b9bf22d7e",
 }
 
 

@@ -208,29 +208,37 @@ def test_f0_unbounded_level_inequality():
 # ---------------------------------------------------------------------------
 
 
+def level_sets(analysis, depth):
+    """U_1..U_depth and V_1..V_depth, as read from the analysis."""
+    return ([analysis.u_level(n) for n in range(1, depth + 1)],
+            [analysis.v_part(n) for n in range(1, depth + 1)])
+
+
 def test_u_sets_hyperbola():
-    L = u_sets(TargetAnalysis(demo_set("hyperbola")), 5)
+    U, V = level_sets(TargetAnalysis(demo_set("hyperbola")), 5)
     for n in range(1, 6):
-        assert L.U[n - 1] == XSet.closed(F(1, n), 1), f"n={n}"
-    assert L.V[0] == XSet.point(1)
-    assert L.V[1] == XSet.interval(F(1, 2), 1, hi_open=True)
+        assert U[n - 1] == XSet.closed(F(1, n), 1), f"n={n}"
+    assert V[0] == XSet.point(1)
+    assert V[1] == XSet.interval(F(1, 2), 1, hi_open=True)
 
 
 def test_u_sets_square():
-    L = u_sets(TargetAnalysis(demo_set("square")), 3)
-    assert L.U[0] == XSet.full()
-    assert L.V[0] == XSet.full()
-    assert L.V[1].is_empty and L.V[2].is_empty
+    analysis = TargetAnalysis(demo_set("square"))
+    L = u_sets(analysis, 3)
+    U, V = level_sets(analysis, 3)
+    assert U[0] == XSet.full()
+    assert V[0] == XSet.full()
+    assert V[1].is_empty and V[2].is_empty
     assert [n for n, _ in L.W] == [1]
 
 
 def test_u_sets_sect6_matches_grid_oracle():
     depth = 8
     t = demo_set("sect6", depth)
-    L = u_sets(TargetAnalysis(t), depth)
+    U, _ = level_sets(TargetAnalysis(t), depth)
     poles = sect6_pole_points(depth)
     for n in (2, 5, 8):
-        u = L.U[n - 1]
+        u = U[n - 1]
         for i in range(0, 401):
             x = F(i, 400)
             d = min(abs(x - p) for p in poles)
@@ -239,21 +247,23 @@ def test_u_sets_sect6_matches_grid_oracle():
 
 def test_u_sets_structure():
     t = demo_set("sect6", 6)
-    L = u_sets(TargetAnalysis(t), 6)
+    analysis = TargetAnalysis(t)
+    L = u_sets(analysis, 6)
+    U, V = level_sets(analysis, 6)
     proj = t.x_projection()
-    for a, b in zip(L.U, L.U[1:]):
+    for a, b in zip(U, U[1:]):
         assert a.is_subset_of(b)
-    for u in L.U:
+    for u in U:
         assert u.is_subset_of(proj)
     # V partition: union of V equals U_depth; parts disjoint.
     acc = XSet.empty()
-    for v in L.V:
+    for v in V:
         assert (acc & v).is_empty
         acc = acc | v
-    assert acc == L.U[-1]
+    assert acc == U[-1]
     # W parts are closed subsets of their level's V.
     for n, part in L.W:
-        assert XSet((part,)).is_subset_of(L.V[n - 1])
+        assert XSet((part,)).is_subset_of(V[n - 1])
     # Enumeration ordered by level then left endpoint.
     keys = [(n, part.lo, part.hi) for n, part in L.W]
     assert keys == sorted(keys)
