@@ -22,13 +22,12 @@ import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .conditions import Regime, check_regime
 from .demos import DEMO_NAMES, UnknownDemoError, demo_c_order, demo_set, truncation_notice
 from .fileio import ParseError, parse_target_text, serialize_target
 from .geometry import TargetSet
-from .intervals import rat
 from .strips import build_strip_family, epsilon_schedule, verify_strips
 from .synthesis import RegimeUnsatisfiedError, SynthFunction, synthesize
 from .verification import (
@@ -78,7 +77,7 @@ def _synthesize(target: TargetSet, demo: Optional[str], args: argparse.Namespace
     c_order = demo_c_order(demo, args.depth) if demo else None
     return synthesize(
         target,
-        Regime.from_name(args.regime),
+        Regime(args.regime),
         depth=args.depth,
         signed=args.signed,
         c_order=c_order,
@@ -113,7 +112,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     target, _ = _load_target(args.target, args.depth)
-    verdict = check_regime(target, Regime.from_name(args.regime))
+    verdict = check_regime(target, Regime(args.regime))
     print("\n".join(verdict.report_lines()))
     return EXIT_OK if verdict.passed else EXIT_FAIL
 

@@ -21,6 +21,7 @@ the level sets U_k, V_k), each at most once per target.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -43,13 +44,6 @@ class Regime(enum.Enum):
     @property
     def baire1(self) -> bool:
         return self in (Regime.B1_BOUNDED, Regime.B1)
-
-    @classmethod
-    def from_name(cls, name: str) -> "Regime":
-        for regime in cls:
-            if regime.value == name:
-                return regime
-        raise ValueError(f"unknown regime {name!r}")
 
 
 Witness = Union[Span, XSet, Fraction, None]
@@ -89,7 +83,7 @@ class Verdict:
 # exactly when two graphs differ by at least t. Over the common denominator
 # da*db, the difference a - b - t has the numerator na*db - nb*da - t*da*db,
 # a polynomial of degree at most 2, so both D and every D_n reduce to
-# pairwise rational root and sign computations.
+# pairwise sign sets of quadratics.
 
 
 def _times(p: Tuple[Fraction, Fraction], q: Tuple[Fraction, Fraction]) -> Tuple[Fraction, ...]:
@@ -108,62 +102,7 @@ def _difference_numerator(a: RationalGraph, b: RationalGraph,
     )
 
 
-def _span_minus_points(dom: Span, points: Sequence[Fraction]) -> XSet:
-    """dom with finitely many points removed, as an XSet."""
-    cuts = sorted({x for x in points if dom.contains(x)})
-    if not cuts:
-        return XSet((dom,))
-    out = XSet.empty()
-    lo, lo_open = dom.lo, dom.lo_open
-    for c in cuts:
-        out = out | XSet.interval(lo, c, lo_open, True)
-        lo, lo_open = c, True
-    out = out | XSet.interval(lo, dom.hi, lo_open, dom.hi_open)
-    return out
-
-
-def _rational_quadratic_roots(a: Fraction, b: Fraction, c: Fraction) -> List[Fraction]:
-    if a == 0:
-        if b == 0:
-            return []
-        return [-c / b]
-    disc = b * b - 4 * a * c
-    if disc < 0:
-        return []
-    root = rational_sqrt(disc)
-    if root is None:
-        return []
-    return sorted({(-b - root) / (2 * a), (-b + root) / (2 * a)})
-
-
 # -- exact sign sets of quadratics ------------------------------------------
-
-
-_BISECT_STEPS = 80
-
-
-def _quad(a: Fraction, b: Fraction, c: Fraction, x: Fraction) -> Fraction:
-    return (a * x + b) * x + c
-
-
-def _bisect_root(a: Fraction, b: Fraction, c: Fraction,
-                 lo: Fraction, hi: Fraction) -> Tuple[Fraction, Fraction]:
-    """Dyadic bracket (l, u) around the single root in [lo, hi].
-
-    Signs at lo and hi must differ (one may be zero only at a true root).
-    """
-    flo = _quad(a, b, c, lo)
-    for _ in range(_BISECT_STEPS):
-        mid = (lo + hi) / 2
-        fmid = _quad(a, b, c, mid)
-        if fmid == 0:
-            return mid, mid
-        if (fmid > 0) == (flo > 0):
-            lo = mid
-            flo = fmid
-        else:
-            hi = mid
-    return lo, hi
 
 
 def _quad_ge_zero(a: Fraction, b: Fraction, c: Fraction, dom: Span) -> XSet:
@@ -195,7 +134,7 @@ def _quad_ge_zero(a: Fraction, b: Fraction, c: Fraction, dom: Span) -> XSet:
         r2 = (-b + sq) / (2 * a)
         r1, r2 = min(r1, r2), max(r1, r2)
     else:
-        r1, r2 = _bracket_irrational_roots(a, b, c, vertex)
+        r1, r2 = _bracket_irrational_roots(a, disc, vertex)
     if a > 0:
         left = XSet.interval(ZERO, min(r1, Fraction(1))) if r1 >= ZERO else XSet.empty()
         right = XSet.interval(max(r2, ZERO), Fraction(1)) if r2 <= Fraction(1) else XSet.empty()
@@ -205,26 +144,27 @@ def _quad_ge_zero(a: Fraction, b: Fraction, c: Fraction, dom: Span) -> XSet:
     return whole & XSet.interval(max(r1, ZERO), min(r2, Fraction(1)))
 
 
-def _bracket_irrational_roots(a: Fraction, b: Fraction, c: Fraction,
+def _bracket_irrational_roots(a: Fraction, disc: Fraction,
                               vertex: Fraction) -> Tuple[Fraction, Fraction]:
-    """Conservative rational stand-ins for the two irrational roots.
+    """Conservative rational stand-ins for the two irrational roots
+    vertex -+ delta, delta^2 = disc/(4 a^2).
 
-    The dyadic sliver containing each true root is assigned to the
-    *unsatisfied* side, so the reported region is inner in both sign cases.
+    Each root lies inside one cell of the dyadic grid of pitch h = w/2^80
+    through the vertex, where w is the least power of two >= 1 with
+    w > delta: the cell vertex -+ (m, m + 1) h with m = floor(delta/h). That
+    cell is assigned to the *unsatisfied* side, so the reported region is
+    inner in both sign cases.
     """
-    # Guaranteed bracket: widen until the sign at vertex +- w matches a.
+    delta_sq = disc / (4 * a * a)
     w = Fraction(1)
-    while _quad(a, b, c, vertex - w) * a <= 0:
+    while w * w <= delta_sq:
         w *= 2
-    while _quad(a, b, c, vertex + w) * a <= 0:
-        w *= 2
-    l1, u1 = _bisect_root(a, b, c, vertex - w, vertex)
-    l2, u2 = _bisect_root(a, b, c, vertex, vertex + w)
-    if a > 0:
-        # Satisfied outside the roots: report (-inf, l1] u [u2, inf).
-        return l1, u2
-    # Satisfied between the roots: report [u1, l2].
-    return u1, l2
+    h = w / 2 ** 80
+    # floor(sqrt(y)) == isqrt(floor(y)) for every real y >= 0.
+    m = math.isqrt(math.floor(delta_sq / (h * h)))
+    # a > 0 is satisfied outside the roots, a < 0 between them.
+    cells = m + 1 if a > 0 else m
+    return vertex - cells * h, vertex + cells * h
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +231,11 @@ class TargetAnalysis:
     def d_set(self) -> XSet:
         out = XSet.empty()
         for a, b, dom in self.pairs:
-            numerator = _difference_numerator(a, b, ZERO)
-            # An all-zero numerator means identical graphs, which add no
-            # second value.
-            if any(numerator):
-                out = out | _span_minus_points(dom, _rational_quadratic_roots(*numerator))
+            # a = b exactly where the t = 0 numerator q is >= 0 and -q >= 0;
+            # irrational roots fall in the inner slivers and stay in D.
+            agree = (_quad_ge_zero(*_difference_numerator(a, b, ZERO), dom)
+                     & _quad_ge_zero(*_difference_numerator(b, a, ZERO), dom))
+            out = out | (XSet((dom,)) - agree)
         return out
 
     @cached_property

@@ -17,7 +17,7 @@ CLI prints a notice saying so.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .geometry import Box, Hyper, PLine, TargetSet
 

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-from .intervals import ONE, ZERO, RatLike, SliceSet, Span, XSet, rat
+import numpy as np
 
-ARC_DISTANCE_TOL = 1e-12
+from .intervals import ONE, ZERO, RatLike, SliceSet, Span, XSet, rat
 
 
 class EmptySliceError(Exception):
@@ -414,53 +414,40 @@ class Hyper(_Piece):
         return [Hyper(self.pole, na, nb, c)]
 
     def distance(self, px: Fraction, py: Fraction) -> float:
-        """Bracketing scan plus golden-section refinement to ~1e-12."""
+        """Least distance over the arc's finite ends and the stationary points
+        of the squared distance.
+
+        With u = x - pole, a = px - pole and b = py, the squared distance
+        (u - a)^2 + (b - c/u)^2 is stationary where
+        u^4 - a u^3 + b c u - c^2 = 0. Each root of that quartic is polished
+        by Newton steps and clamped to the arc's u-range; every candidate is
+        a point of the arc, so spurious ones cannot lower the minimum.
+        """
         # Exact membership first, so distance 0 is reported exactly.
         if self.domain().contains(px) and py * (px - self.pole) == self.coef:
             return 0.0
-        p = float(self.pole)
         c = float(self.coef)
-        fx, fy = float(px), float(py)
+        a, b = float(px - self.pole), float(py)
+        u_lo, u_hi = float(self.x0 - self.pole), float(self.x1 - self.pole)
 
-        def dist_sq(u: float) -> float:
-            # u = x - pole, guaranteed nonzero by the sampling below.
-            dxx = fx - (p + u)
-            dyy = fy - c / u
-            return dxx * dxx + dyy * dyy
+        def quartic(u: float) -> float:
+            return (((u - a) * u) * u + b * c) * u - c * c
 
-        u_lo = float(self.x0) - p
-        u_hi = float(self.x1) - p
-        # Keep a hair away from an excluded pole endpoint; the distance grows
-        # without bound there, so the minimum is never lost.
-        tiny = max(1e-15, 1e-9 * (u_hi - u_lo))
-        if self.pole == self.x0:
-            u_lo = tiny
-        elif self.pole == self.x1:
-            u_hi = -tiny
+        def slope(u: float) -> float:
+            return ((4.0 * u - 3.0 * a) * u) * u + b * c
 
-        # Bracketing scan: uniform in u plus uniform in y (steep side), then
-        # golden-section refinement around every local minimum candidate.
-        candidates = set()
-        steps = 257
-        for i in range(steps + 1):
-            candidates.add(u_lo + (u_hi - u_lo) * i / steps)
-        y_a, y_b = c / u_lo, c / u_hi
-        for i in range(steps + 1):
-            y = y_a + (y_b - y_a) * i / steps
-            if y != 0.0:
-                u = c / y
-                if u_lo <= u <= u_hi:
-                    candidates.add(u)
-        us = sorted(candidates)
-        vals = [dist_sq(u) for u in us]
-        best_sq = min(vals)
-        for i, v in enumerate(vals):
-            if i > 0 and i < len(us) - 1 and not (v <= vals[i - 1] and v <= vals[i + 1]):
-                continue
-            lo = us[max(i - 1, 0)]
-            hi = us[min(i + 1, len(us) - 1)]
-            best_sq = min(best_sq, _golden_min(dist_sq, lo, hi))
-        return math.sqrt(max(best_sq, 0.0))
+        candidates = [u_lo, u_hi]
+        for root in np.roots((1.0, -a, 0.0, b * c, -c * c)):
+            u = min(max(root.real, u_lo), u_hi)
+            for _ in range(3):
+                d = slope(u)
+                if d == 0.0:
+                    break
+                u = min(max(u - quartic(u) / d, u_lo), u_hi)
+            candidates.append(u)
+        # u = 0 is an excluded pole end, where the distance diverges.
+        return math.sqrt(min((a - u) ** 2 + (b - c / u) ** 2
+                             for u in candidates if u != 0.0))
 
     def graphs(self) -> List[RationalGraph]:
         return [RationalGraph(self.domain(), (ZERO, self.coef), (ONE, -self.pole), self.side)]
@@ -630,8 +617,8 @@ class TargetSet:
         """Euclidean distance from p to the nearest point of the union.
 
         Exact (returns 0.0 precisely on membership) for points, boxes and
-        polylines; arcs are minimized numerically with a bracketing scan
-        plus golden-section refinement to ~1e-12.
+        polylines; an arc takes the least of its finite ends and the float
+        stationary points of the squared distance (see ``Hyper.distance``).
         """
         if self.is_empty:
             return math.inf
@@ -708,22 +695,3 @@ def _segment_distance_sq(px: Fraction, py: Fraction,
     t = ((px - xa) * dx + (py - ya) * dy) / denom
     t = min(max(t, Fraction(0)), Fraction(1))
     return _point_distance_sq(px, py, xa + t * dx, ya + t * dy)
-
-
-def _golden_min(f, lo: float, hi: float, tol: float = ARC_DISTANCE_TOL) -> float:
-    """Golden-section minimum of f on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-    return min(f1, f2)

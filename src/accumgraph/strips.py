@@ -212,7 +212,7 @@ def _overlap_bound(f: SynthFunction, x: Fraction, fx: Fraction,
 # ---------------------------------------------------------------------------
 
 
-def build_strip(f: SynthFunction, sched: EpsilonSchedule, n: int,
+def build_strip(sched: EpsilonSchedule, n: int,
                 col_floats: np.ndarray, f_floats: np.ndarray) -> StripLevel:
     """One strip level: per-column (inf, sup) over the union of ball chords.
 
@@ -247,7 +247,7 @@ def build_strip_family(f: SynthFunction, sched: EpsilonSchedule) -> StripFamily:
     col_floats = np.array([float(x) for x in sched.columns])
     f_floats = np.array([float(f.evaluate(x)) for x in sched.columns])
     levels = tuple(
-        build_strip(f, sched, n, col_floats, f_floats)
+        build_strip(sched, n, col_floats, f_floats)
         for n in range(1, sched.depth + 1)
     )
     return StripFamily(sched, col_floats, f_floats, levels)

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .geometry import TargetSet
-from .intervals import ONE, ZERO, RatLike, rat
+from .intervals import ONE, RatLike, rat
 from .synthesis import SynthFunction
 
 
@@ -103,9 +103,9 @@ def hausdorff_to_target(est: AccumulationEstimate, target: TargetSet,
                         probe_pitch: Optional[float] = None) -> Tuple[float, float]:
     """(forward, backward) farthest-nearest distances within |y| <= y_cap.
 
-    Forward: candidates against the target. Backward: a fine probe net of
-    the banded target against the candidates; infinity when the target part
-    is nonempty but no candidate exists.
+    Forward: candidates whose cells overlap the band against the target.
+    Backward: a fine probe net of the banded target against the candidates;
+    infinity when the target part is nonempty but no candidate exists.
     """
     if y_cap <= 0:
         raise ValueError("y_cap must be positive")
@@ -114,7 +114,9 @@ def hausdorff_to_target(est: AccumulationEstimate, target: TargetSet,
     cap = Fraction(y_cap)
     banded = target.clipped(-cap, cap)
 
-    cands = [(cx, cy) for cx, cy in est.candidates if abs(cy) <= y_cap]
+    # A cell overlapping the band may hold target points at |y| = y_cap even
+    # when its centre lies outside.
+    cands = [(cx, cy) for cx, cy in est.candidates if abs(cy) - est.eps / 2 <= y_cap]
     d_forward = 0.0
     for cand in cands:
         d = target.distance_to((rat(cand[0]), rat(cand[1])))

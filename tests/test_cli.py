@@ -144,3 +144,13 @@ def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):
     assert out == ""
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
     assert "Traceback" not in err
+
+
+def test_verify_target_on_band_edge_passes(capsys, monkeypatch):
+    # At the default depth 10 the band is |y| <= 5, so the whole target sits
+    # on its edge; the cells clustering there are centred just outside it.
+    code, out, _ = run_cli(["verify", "-", "--regime", "b1"],
+                           stdin_text="pline 0:5 1:5\n",
+                           capsys=capsys, monkeypatch=monkeypatch)
+    assert code == EXIT_OK, out
+    assert "d_backward=inf" not in out

@@ -1,15 +1,21 @@
 """Regime hypothesis checks and the target analysis behind them."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from accumgraph.conditions import Regime, TargetAnalysis, check_regime
+from accumgraph.conditions import (
+    Regime,
+    TargetAnalysis,
+    _bracket_irrational_roots,
+    check_regime,
+)
 from accumgraph.demos import demo_set, sect6_pole_points
 from accumgraph.geometry import Box, Hyper, PLine, Point, TargetSet
-from accumgraph.intervals import Span, XSet
+from accumgraph.intervals import Span, XSet, rational_sqrt
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +126,46 @@ def test_diameter_levels_irrational_boundary_inner():
                 if dn.contains(probe):
                     assert t.slice_at(probe).diameter() >= F(1, n)
         assert dn.is_subset_of(data.d_set)
+
+
+def bisection_brackets(a, b, c):
+    """Inner stand-ins for the irrational roots of a x^2 + b x + c by
+    bisection: widen w from 1 by doubling until a q(vertex -+ w) > 0, halve
+    [vertex - w, vertex] and [vertex, vertex + w] 80 times each, and keep the
+    cell ends on the unsatisfied side of each root."""
+    def q(x):
+        return (a * x + b) * x + c
+
+    vertex = -b / (2 * a)
+    w = F(1)
+    while a * q(vertex - w) <= 0:
+        w *= 2
+    cells = []
+    for lo, hi in ((vertex - w, vertex), (vertex, vertex + w)):
+        for _ in range(80):
+            mid = (lo + hi) / 2
+            if (q(mid) > 0) == (q(lo) > 0):
+                lo = mid
+            else:
+                hi = mid
+        cells.append((lo, hi))
+    (l1, u1), (l2, u2) = cells
+    return (l1, u2) if a > 0 else (u1, l2)
+
+
+def test_irrational_root_brackets_match_bisection():
+    rng = random.Random(20151)
+    checked = 0
+    while checked < 200:
+        scale = F(10) ** rng.randint(-4, 4)
+        a, b, c = (F(rng.randint(-50, 50), rng.randint(1, 30)) * s
+                   for s in (scale, 1, 1 / scale))
+        disc = b * b - 4 * a * c
+        if a == 0 or disc <= 0 or rational_sqrt(disc) is not None:
+            continue
+        vertex = -b / (2 * a)
+        assert _bracket_irrational_roots(a, disc, vertex) == bisection_brackets(a, b, c), (a, b, c)
+        checked += 1
 
 
 _LINE_UP = PLine(((F(0), F(1)), (F(1), F(2))))

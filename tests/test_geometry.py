@@ -286,13 +286,41 @@ def test_distance_sect6_against_dense_sampling():
     assert got <= math.hypot(1 / 12, 1.0)
 
 
+def oracle_arc_distance(arc, p, samples=100000):
+    """Least distance from p to x-uniform samples of the arc plus y-uniform
+    samples within the distance of its nearer end sample, where the nearest
+    point's y must lie; the y samples keep steep stretches dense."""
+    px, py = float(p[0]), float(p[1])
+    pts = oracle_arc_points(arc, samples)
+    (x_lo, _), (x_hi, _) = pts[0], pts[-1]
+    bound = min(math.hypot(x - px, y - py) for x, y in (pts[0], pts[-1]))
+    pole, c = float(arc.pole), float(arc.coef)
+    for i in range(samples + 1):
+        y = py - bound + 2 * bound * i / samples
+        if y != 0 and x_lo <= pole + c / y <= x_hi:
+            pts.append((pole + c / y, y))
+    return min(math.hypot(x - px, y - py) for x, y in pts)
+
+
 def test_distance_arc_against_dense_sampling_various_targets():
-    arc = Hyper(F(1), F(1, 8), F(1), F(-3))
-    t = TargetSet((arc,))
-    dense = oracle_arc_points(arc, samples=400000)
-    for p in [(F(0), F(0)), (F(1, 2), F(-5)), (F(9, 10), F(2)), (F(1), F(-40))]:
-        oracle = min(math.hypot(x - float(p[0]), y - float(p[1])) for x, y in dense)
-        assert t.distance_to(p) == pytest.approx(oracle, abs=1e-6)
+    cases = [
+        (Hyper(F(1), F(1, 8), F(1), F(-3)),
+         [(F(0), F(0)), (F(1, 2), F(-5)), (F(9, 10), F(2)), (F(1), F(-40))]),
+        # Off the arc's axis of symmetry y = x, two local minima with
+        # different values; on it, two equal ones.
+        (Hyper(F(0), F(1, 50), F(1), F(1, 16)), [(F(3, 4), F(7, 10)), (F(3, 4), F(3, 4))]),
+        # Nearest point at the finite end of a left- and a right-pole arc.
+        (Hyper(F(0), F(0), F(1, 2), F(1)), [(F(1), F(0))]),
+        (Hyper(F(1), F(1, 2), F(1), F(1)), [(F(0), F(0))]),
+        # Steep arc: slope -c/u^2 reaches -10^4 at u = 1/1000.
+        (Hyper(F(0), F(0), F(1), F(1, 100)),
+         [(F(1, 2), F(1, 2)), (F(0), F(0)), (F(1, 5), F(3)), (F(1, 50), F(1))]),
+    ]
+    for arc, points in cases:
+        t = TargetSet((arc,))
+        for p in points:
+            oracle = oracle_arc_distance(arc, p)
+            assert t.distance_to(p) == pytest.approx(oracle, abs=1e-6), (arc, p)
 
 
 def test_distance_zero_iff_membership_rational():

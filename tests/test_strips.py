@@ -176,7 +176,7 @@ def test_chord_formula_single_ball():
         eps=((F(1, 4),), (F(1, 1000000),)),
         sep_index={},
     )
-    level = build_strip(f, sched, 1, np.array([float(x) for x in sched.columns]),
+    level = build_strip(sched, 1, np.array([float(x) for x in sched.columns]),
                         np.array([float(f.evaluate(x)) for x in sched.columns]))
     assert level.lo[0] == pytest.approx(-0.25)
     assert level.hi[0] == pytest.approx(0.25)
