@@ -188,7 +188,7 @@ def _overlapping_pairs(graphs: Sequence[RationalGraph]) -> List[_Pair]:
 
 def _level_projection(target: TargetSet, k: int) -> XSet:
     """U_k = {x : the slice meets [-k, k]} (exact)."""
-    return target.clipped(Fraction(-k), Fraction(k)).x_projection()
+    return target.shadow(Fraction(-k), Fraction(k))
 
 
 class TargetAnalysis:

@@ -23,7 +23,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .intervals import ONE, ZERO, RatLike, SliceSet, Span, XSet, rat
+from .intervals import ONE, ZERO, RatLike, SliceSet, Span, XSet, rat, span_intersection
 
 
 class EmptySliceError(Exception):
@@ -43,6 +43,29 @@ class RationalGraph:
     num: Tuple[Fraction, Fraction]
     den: Tuple[Fraction, Fraction]
     den_sign: int
+
+    def shadow(self, lo: Fraction, hi: Optional[Fraction]) -> Optional[Span]:
+        """The x of ``dom`` where lo <= y <= hi (no cap when hi is None).
+
+        y is monotone on the span, so each bound theta keeps one side of
+        r = (n0 - theta d0)/(theta d1 - n1), or all of the span or nothing
+        where theta d1 = n1. An open pole end stays open."""
+        (n1, n0), (d1, d0) = self.num, self.den
+        x0, x1 = self.dom.lo, self.dom.hi
+        for theta, sign in ((lo, self.den_sign), (hi, -self.den_sign)):
+            if theta is None:
+                continue
+            # y >= theta (y <= theta for the cap) exactly where
+            # sign * (a r - b) >= 0.
+            a, b = n1 - theta * d1, theta * d0 - n0
+            if a == 0:
+                if sign * b > 0:
+                    return None
+            elif (a > 0) == (sign > 0):
+                x0 = max(x0, b / a)
+            else:
+                x1 = min(x1, b / a)
+        return span_intersection(self.dom, Span(x0, x1)) if x0 <= x1 else None
 
 
 def _line(dom: Span, m: Fraction, q: Fraction) -> RationalGraph:
@@ -88,6 +111,10 @@ class _Piece:
             y = self.y_at(x)
             return y, y
         return None
+
+    def shadow(self, lo: Fraction, hi: Optional[Fraction]) -> List[Span]:
+        """The x where the piece meets the band lo <= y <= hi, off its graphs."""
+        return [s for s in (g.shadow(lo, hi) for g in self.graphs()) if s is not None]
 
 
 @dataclass(frozen=True)
@@ -152,6 +179,10 @@ class Box(_Piece):
 
     def y_interval(self, x: Fraction) -> Optional[Tuple[Fraction, Fraction]]:
         return (self.y0, self.y1) if self.x0 <= x <= self.x1 else None
+
+    def shadow(self, lo: Fraction, hi: Optional[Fraction]) -> List[Span]:
+        top = self.y1 if hi is None else min(self.y1, hi)
+        return [self.domain()] if max(self.y0, lo) <= top else []
 
     def clipped(self, ylo: Optional[Fraction], yhi: Optional[Fraction]) -> List[Piece]:
         ny0 = self.y0 if ylo is None else max(self.y0, ylo)
@@ -597,6 +628,10 @@ class TargetSet:
     def x_projection(self) -> XSet:
         """Exact projection onto the x axis."""
         return XSet(p.domain() for p in self.pieces)
+
+    def shadow(self, lo: Fraction, hi: Optional[Fraction]) -> XSet:
+        """Exact x-projection of the band lo <= y <= hi (no cap when hi is None)."""
+        return XSet(s for piece in self.pieces for s in piece.shadow(lo, hi))
 
     # -- clipping --------------------------------------------------------
 

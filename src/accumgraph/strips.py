@@ -18,10 +18,12 @@ radii obey, per level n:
   point r in the shadow (within the same level part) has
   f0(r) - f0(x) < 1/n.
 
-The overlap radius is computed exactly: the set of offending r is the
-x-projection of the target clipped to the band {y >= f0(x) + 1/n} (capped
-at the level band in the unbounded case), and the radius is the exact
-rational distance from the center to that projection.
+The overlap radius is computed exactly from monotone inverse images: each
+rational graph of a piece is monotone on its span, so the x where it meets
+the band {y >= f0(x) + 1/n} (capped at the level band in the unbounded case)
+is one sub-span, cut with one division per bound. The radius is the exact
+rational distance from the center to these shadows within the center's own
+level part, over the pieces nearer than the running bound only.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .intervals import RatLike, Span, rat
+from .geometry import Piece
+from .intervals import ONE, ZERO, RatLike, Span, rat, span_intersection
 from .synthesis import SynthFunction, level_index
 
 
@@ -97,13 +100,13 @@ def epsilon_schedule(f: SynthFunction, centers: Sequence[RatLike],
 
     a_enum = f.approx.a_enumeration
     a_first = a_enum[:depth]
-    c_first = list(f.c_points)[:depth]
     unbounded = not f.regime.bounded
-    baire1 = f.regime.baire1
-    d_levels = f.analysis.d_levels(depth) if baire1 else []
+    c_first = list(f.c_points)[:depth] if unbounded else []
+    d_levels = f.analysis.d_levels(depth) if f.regime.baire1 else []
     w_parts: List[Tuple[int, Span]] = []
     if unbounded and f.levels is not None:
         w_parts = list(f.levels.W[:depth])
+    pieces = [(p.domain(), p) for p in f.target.pieces]
 
     a_rank = {x: i + 1 for i, x in enumerate(a_enum)}
     c_rank = {c: i + 1 for i, c in enumerate(f.c_points)}
@@ -117,51 +120,41 @@ def epsilon_schedule(f: SynthFunction, centers: Sequence[RatLike],
             sep_index[idx] = a_rank[x]
         elif kind == "C":
             sep_index[idx] = c_rank[x]
-        fx: Optional[Fraction] = None
-        kx: Optional[int] = None
         if kind == "B":
             fx = f.backbone_value(x)
-            if unbounded:
-                kx = level_index(f.target, x)
+            kx = level_index(f.target, x) if unbounded else None
+            near = pieces
+            v_near = f.analysis.v_part(kx).spans if unbounded else (Span(ZERO, ONE),)
         row: List[Fraction] = []
         prev: Optional[Fraction] = None
         for n in range(1, depth + 1):
             bound = Fraction(1, n)
             if prev is not None and prev < bound:
                 bound = prev
-            for a in a_first[:n]:
-                if a != x:
-                    gap = abs(x - a)
-                    if gap < bound:
-                        bound = gap
-            if unbounded:
-                for c in c_first[:n]:
-                    if c != x:
-                        gap = abs(x - c)
-                        if gap < bound:
-                            bound = gap
-            if kind == "A" and baire1:
-                for i in range(n):
-                    d = d_levels[i].distance_to(x)
-                    if d is not None:
-                        if d == 0:
-                            raise ScheduleInfeasibleError(
-                                f"net point {x} touches diameter level set {i + 1}"
-                            )
-                        if d < bound:
-                            bound = d
+            # A term first read at level m is at least that level's unshrunk
+            # bound, hence above prev: only level n's own terms can lower it.
+            i = n - 1
+            for points in (a_first, c_first):
+                if i < len(points) and points[i] != x and (gap := abs(x - points[i])) < bound:
+                    bound = gap
+            # Level n's separation set: D_n, or W_n unless it holds x.
+            sep: Optional[Fraction] = None
+            if kind == "A" and i < len(d_levels):
+                sep = d_levels[i].distance_to(x)
+                clash = "net point {x} touches diameter level set {n}"
+            elif kind == "B" and i < len(w_parts) and not w_parts[i][1].contains(x):
+                sep = w_parts[i][1].distance_to(x)
+                clash = "backbone center {x} touches a foreign level part"
+            if sep == 0:
+                raise ScheduleInfeasibleError(clash.format(x=x, n=n))
+            if sep is not None and sep < bound:
+                bound = sep
             if kind == "B":
-                for _, part in w_parts[:n]:
-                    if not part.contains(x):
-                        d = part.distance_to(x)
-                        if d == 0:
-                            raise ScheduleInfeasibleError(
-                                f"backbone center {x} touches a foreign level part"
-                            )
-                        if d < bound:
-                            bound = d
-                assert fx is not None
-                over = _overlap_bound(f, x, fx, kx, n)
+                # What lies no nearer than the bound cannot lower it, and
+                # the bound only falls with n: the lists only shrink.
+                near = [(dom, p) for dom, p in near if dom.distance_to(x) < bound]
+                v_near = [v for v in v_near if v.distance_to(x) < bound]
+                over = _overlap_bound(near, v_near, x, fx, kx, n)
                 if over is not None and over < bound:
                     bound = over
             if bound <= 0:
@@ -176,30 +169,24 @@ def epsilon_schedule(f: SynthFunction, centers: Sequence[RatLike],
     return EpsilonSchedule(depth, columns, kinds, tuple(eps_rows), sep_index)
 
 
-def _overlap_bound(f: SynthFunction, x: Fraction, fx: Fraction,
-                   kx: Optional[int], n: int) -> Optional[Fraction]:
+def _overlap_bound(near: Sequence[Tuple[Span, Piece]], v_near: Sequence[Span], x: Fraction,
+                   fx: Fraction, kx: Optional[int], n: int) -> Optional[Fraction]:
     """Exact largest radius respecting f0(r) - f0(x) < 1/n on the shadow.
 
-    Offending points form the x-projection of the target clipped to
-    y >= f0(x) + 1/n (intersected with the level band and the center's own
-    level part in the unbounded regimes); the bound is the distance to that
-    closed set. The center itself never lies in it, so the bound is
-    positive.
+    Offending points r are the inverse image of the band y >= f0(x) + 1/n
+    (capped at the level band |y| <= k_x in the unbounded regimes): the band
+    shadows of the pieces ``near`` the center, met with the spans ``v_near``
+    (the center's own level part, or [0, 1] in the bounded regimes). The
+    bound is the distance to the closure of that set, which never holds the
+    center, so the bound is positive.
     """
-    theta = fx + Fraction(1, n)
-    if f.regime.bounded:
-        bad = f.target.clipped(theta, None).x_projection()
-    else:
-        assert kx is not None
-        k = Fraction(kx)
-        lo = max(theta, -k)
-        if lo > k:
-            return None
-        bad = f.target.clipped(lo, k).x_projection()
-        bad = bad & f.analysis.v_part(kx)
-    d = bad.distance_to(x)
-    if d is None:
-        return None
+    lo, hi = fx + Fraction(1, n), None
+    if kx is not None:
+        hi = Fraction(kx)
+        lo = max(lo, -hi)
+    spans = [span_intersection(shadow, v) for _, piece in near
+             for shadow in piece.shadow(lo, hi) for v in v_near]
+    d = min((s.distance_to(x) for s in spans if s is not None), default=None)
     if d == 0:
         raise ScheduleInfeasibleError(
             f"overlap condition unsatisfiable at center {x}, level {n}"

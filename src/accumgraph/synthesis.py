@@ -31,7 +31,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .conditions import Regime, TargetAnalysis, Verdict
 from .geometry import EmptySliceError, Slider, TargetSet
-from .intervals import ONE, ZERO, RatLike, Span, XSet, rat
+from .intervals import ONE, ZERO, RatLike, SliceSet, Span, XSet, rat
 
 
 class RegimeUnsatisfiedError(Exception):
@@ -266,25 +266,28 @@ def f0_bounded(target: TargetSet, x: RatLike) -> Fraction:
     return values.max_value()
 
 
+def _leveled_slice(target: TargetSet, x: RatLike) -> Tuple[SliceSet, int]:
+    """The slice at x and n_x = max(1, ceil(min |y| over the slice))."""
+    values = target.slice_at(x)
+    if values.is_empty:
+        raise EmptySliceError(f"empty slice at x={x}")
+    m = values.min_abs()
+    return values, max(1, -((-m.numerator) // m.denominator))  # ceil
+
+
 def level_index(target: TargetSet, x: RatLike) -> int:
     """n_x: the minimal n with a slice value of magnitude at most n.
 
     Computed directly as max(1, ceil(min |y| over the slice)), which agrees
     with membership in the level sets U_n without any depth truncation.
     """
-    values = target.slice_at(x)
-    if values.is_empty:
-        raise EmptySliceError(f"empty slice at x={x}")
-    m = values.min_abs()
-    n = -((-m.numerator) // m.denominator)  # ceil
-    return max(1, n)
+    return _leveled_slice(target, x)[1]
 
 
 def f0_unbounded(target: TargetSet, x: RatLike) -> Fraction:
     """Largest slice value whose magnitude does not exceed n_x."""
-    n = level_index(target, x)
-    clipped = target.slice_at(x).clipped(Fraction(-n), Fraction(n))
-    return clipped.max_value()
+    values, n = _leveled_slice(target, x)
+    return values.clipped(Fraction(-n), Fraction(n)).max_value()
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ code paths.
 """
 
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -236,6 +237,60 @@ def test_clip_preserves_excluded_pole():
     assert half.x_projection() == XSet.closed(F(1, 10), 1)
     unbounded_side = t.clipped(F(1), None)
     assert unbounded_side.x_projection() == XSet.interval(0, 1, lo_open=True)
+
+
+def _random_band_piece(rng):
+    """A piece of a random kind; arcs get a left, right or outside pole and a
+    coefficient of either sign, so their values lie on both sides of y = 0."""
+    kind = rng.choice(["point", "box", "pline", "hyper"])
+    xs = sorted(F(i, 16) for i in rng.sample(range(17), rng.randint(2, 5)))
+    y = lambda: F(rng.randint(-24, 24), 8)
+    if kind == "point":
+        return Point(xs[0], y())
+    if kind == "box":
+        y0, y1 = sorted([y(), y()])
+        return Box(xs[0], rng.choice([xs[0], xs[-1]]), y0, y1)
+    if kind == "pline":
+        return PLine(tuple((x, y()) for x in xs))
+    a, b = xs[0], xs[-1]
+    coef = rng.choice([-1, 1]) * F(rng.randint(1, 16), rng.randint(1, 4))
+    pole = rng.choice([a, b, a - F(rng.randint(1, 8), 16), b + F(rng.randint(1, 8), 16)])
+    return Hyper(pole, a, b, coef)
+
+
+def _band_edges(piece):
+    """The piece's own finite end and vertex values: arc ends, polyline
+    vertices, box edges and the point's y."""
+    if isinstance(piece, Point):
+        return [piece.y]
+    if isinstance(piece, Box):
+        return [piece.y0, piece.y1]
+    if isinstance(piece, PLine):
+        return [v for _, v in piece.vertices]
+    return [piece.y_at(x) for x in (piece.x0, piece.x1) if x != piece.pole]
+
+
+def test_shadow_matches_clipping():
+    """A band shadow is the x-projection of the band-clipped piece, with the
+    open pole end of an arc kept open."""
+    rng = random.Random(20260606)
+    for _ in range(150):
+        piece = _random_band_piece(rng)
+        levels = _band_edges(piece) + [F(0), F(rng.randint(-40, 40), 8), F(-100), F(100)]
+        for lo in levels:
+            for hi in levels + [None]:
+                want = XSet(q.domain() for q in piece.clipped(lo, hi))
+                assert XSet(piece.shadow(lo, hi)) == want, (piece, lo, hi)
+    pieces = tuple(_random_band_piece(rng) for _ in range(6))
+    t = TargetSet(pieces)
+    for lo, hi in ((F(-1), F(1)), (F(1, 2), None), (F(-3), F(-2))):
+        assert t.shadow(lo, hi) == t.clipped(lo, hi).x_projection()
+
+
+def test_shadow_keeps_open_pole_end():
+    arc = Hyper(0, 0, 1, 1)
+    assert XSet(arc.shadow(F(2), None)) == XSet.interval(0, F(1, 2), lo_open=True)
+    assert XSet(arc.shadow(F(1), F(4))) == XSet.closed(F(1, 4), 1)
 
 
 def test_is_bounded():

@@ -1,6 +1,7 @@
 """Radius schedules and strip certificates."""
 
 import math
+import random
 from collections import Counter
 from fractions import Fraction as F
 
@@ -8,9 +9,11 @@ import numpy as np
 import pytest
 
 from accumgraph import conditions
-from accumgraph.conditions import Regime, TargetAnalysis
-from accumgraph.demos import demo_set, sect6_c_order
+from accumgraph.conditions import Regime, TargetAnalysis, check_regime
+from accumgraph.demos import demo_c_order, demo_set, sect6_c_order
+from accumgraph.geometry import Box, Hyper, PLine, Point, TargetSet
 from accumgraph.strips import (
+    _SHRINK,
     EpsilonSchedule,
     build_strip,
     build_strip_family,
@@ -148,6 +151,111 @@ def test_pipeline_analyses_target_once(demo, monkeypatch):
     if demo == "hyperbola":
         # Backbone columns near the pole sit on levels beyond the net depth.
         assert max(u_builds) > depth
+
+
+def test_schedule_makes_no_clipped_call(monkeypatch):
+    """Overlap radii and level sets come from band shadows: neither the
+    target nor any piece is clipped while synthesizing and scheduling."""
+    def refuse(*args):
+        raise AssertionError("band clipping on the schedule path")
+
+    for cls in (TargetSet, Point, Box, PLine, Hyper):
+        monkeypatch.setattr(cls, "clipped", refuse)
+    for demo in ("sect6", "hyperbola"):
+        f = synthesize(demo_set(demo, 4), Regime.B1, depth=4, c_order=demo_c_order(demo, 4))
+        assert epsilon_schedule(f, small_grid(64)).eps
+
+
+# ---------------------------------------------------------------------------
+# The schedule against a reference
+# ---------------------------------------------------------------------------
+
+
+def reference_eps(f, centers):
+    """The radii by the direct rule: at level n every term of levels 1..n,
+    and the overlap term as the distance to the x-projection of the target
+    clipped to the band, within the center's level part V_k (itself taken
+    from clipped projections)."""
+    depth = f.depth
+    unbounded = not f.regime.bounded
+    a_first = f.approx.a_enumeration[:depth]
+    c_first = list(f.c_points)[:depth] if unbounded else []
+    d_levels = f.analysis.d_levels(depth) if f.regime.baire1 else []
+    w_parts = list(f.levels.W[:depth]) if unbounded else []
+
+    def u(k):
+        return f.target.clipped(F(-k), F(k)).x_projection()
+
+    rows = []
+    for x in sorted({*centers, *f.a_values, *f.c_values}):
+        kind = f.classify(x)
+        row = []
+        for n in range(1, depth + 1):
+            terms = [F(1, n)] + row[-1:]
+            terms += [abs(x - p) for p in a_first[:n] + c_first[:n] if p != x]
+            if kind == "A":
+                terms += [dn.distance_to(x) for dn in d_levels[:n] if not dn.is_empty]
+            if kind == "B":
+                terms += [part.distance_to(x) for _, part in w_parts[:n] if not part.contains(x)]
+                theta = f.backbone_value(x) + F(1, n)
+                if unbounded:
+                    k = level_index(f.target, x)
+                    v_k = u(k) - u(k - 1) if k > 1 else u(1)
+                    bad = f.target.clipped(max(theta, F(-k)), F(k)).x_projection() & v_k
+                else:
+                    bad = f.target.clipped(theta, None).x_projection()
+                if not bad.is_empty:
+                    terms.append(bad.distance_to(x))
+            assert min(terms) > 0
+            row.append(min(terms) * _SHRINK)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("demo", ["sect6", "hyperbola"])
+def test_schedule_matches_reference_demos(demo):
+    depth = 6
+    f = synthesize(demo_set(demo, depth), Regime.B1, depth=depth,
+                   c_order=demo_c_order(demo, depth))
+    grid = small_grid(64)
+    assert epsilon_schedule(f, grid).eps == reference_eps(f, grid)
+
+
+def _graph_target(rng):
+    """Graphs over consecutive x-ranges of [0, 1] (polylines and arcs with
+    a left, right or outside pole), plus points and vertical segments: the
+    multi-valued set stays finite, so the Baire-1 regimes can pass."""
+    cuts = [F(i, 16) for i in sorted(rng.sample(range(1, 16), rng.randint(0, 3)))]
+    ends = [F(0)] + cuts + [F(1)]
+    y = lambda: F(rng.randint(-24, 24), 8)
+    pieces = []
+    for a, b in zip(ends, ends[1:]):
+        kind = rng.choice(["pline", "arc"])
+        if kind == "pline":
+            inner = sorted({a + (b - a) * F(rng.randint(1, 7), 8) for _ in range(rng.randint(0, 2))})
+            pieces.append(PLine(tuple((x, y()) for x in [a, *inner, b])))
+        else:
+            coef = rng.choice([-1, 1]) * F(rng.randint(1, 8), 8)
+            pole = rng.choice([a, b, a - F(1, 16), b + F(1, 16)])
+            pieces.append(Hyper(pole, a, b, coef))
+    for _ in range(rng.randint(0, 2)):
+        x = F(rng.randint(0, 16), 16)
+        pieces.append(rng.choice([Point(x, y()), Box(x, x, *sorted([y(), y()]))]))
+    return TargetSet(tuple(pieces))
+
+
+def test_schedule_matches_reference_random_targets():
+    rng = random.Random(20260607)
+    cases = 0
+    while cases < 20:
+        target = _graph_target(rng)
+        regime = Regime.B1_BOUNDED if target.is_bounded() else Regime.B1
+        if not check_regime(target, regime).passed:
+            continue
+        cases += 1
+        f = synthesize(target, regime, depth=4)
+        grid = small_grid(32)
+        assert epsilon_schedule(f, grid).eps == reference_eps(f, grid), target
 
 
 def test_schedule_completes_columns():
