@@ -33,7 +33,6 @@ from .strips import (
 )
 from .synthesis import (
     CountableApprox,
-    LevelSets,
     NetPlacementError,
     RegimeUnsatisfiedError,
     SynthFunction,
@@ -43,7 +42,6 @@ from .synthesis import (
     lemma31_net,
     level_index,
     synthesize,
-    u_sets,
 )
 from .verification import (
     AccumulationEstimate,
@@ -70,7 +68,6 @@ __all__ = [
     "ExtendedSlice",
     "FarPointResult",
     "Hyper",
-    "LevelSets",
     "NetPlacementError",
     "ParseError",
     "PLine",
@@ -110,6 +107,5 @@ __all__ = [
     "sect6_c_order",
     "serialize_target",
     "synthesize",
-    "u_sets",
     "verify_strips",
 ]

@@ -129,7 +129,7 @@ def _cmd_strips(args: argparse.Namespace) -> int:
     f = _synthesize(target, demo, args)
     grid = [Fraction(i, args.grid) for i in range(args.grid + 1)]
     sched = epsilon_schedule(f, grid)
-    family = build_strip_family(f, sched)
+    family = build_strip_family(sched)
     report = verify_strips(family, f)
     print("\n".join(report.lines()))
     if args.out:
@@ -149,7 +149,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     f = _synthesize(target, demo, args)
     eps = args.eps if args.eps is not None else 2.0 / args.grid
     points = sample_graph(f, Fraction(1, args.grid))
-    est = accumulation_estimate(points, eps, min_count=args.min_count, depth=args.depth)
+    est = accumulation_estimate(points, eps, min_count=args.min_count)
     y_cap = args.ycap if args.ycap is not None else args.depth / 2.0
     d_fwd, d_bwd = hausdorff_to_target(est, target, y_cap)
     far = remark31_check(points, f, eps)
@@ -189,16 +189,15 @@ def _int_at_least(low: int):
     return parse
 
 
-def _add_common(sub: argparse.ArgumentParser, regime: bool = True) -> None:
+def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--depth", type=_int_at_least(1), default=10,
                      help="truncation depth N (default 10)")
-    if regime:
-        sub.add_argument("--regime", required=True,
-                         choices=[r.value for r in Regime],
-                         help="synthesis regime")
-        sub.add_argument("--signed", action="store_true",
-                         help="sign the empty-slice values toward the "
-                              "closure divergence direction")
+    sub.add_argument("--regime", required=True,
+                     choices=[r.value for r in Regime],
+                     help="synthesis regime")
+    sub.add_argument("--signed", action="store_true",
+                     help="sign the empty-slice values toward the "
+                          "closure divergence direction")
     sub.add_argument("--grid", type=_int_at_least(1), default=1024,
                      help="verification grid resolution M (default 1024)")
     sub.add_argument("--precision", type=_int_at_least(0), default=12,

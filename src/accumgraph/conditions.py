@@ -14,8 +14,9 @@ For finite piece unions every one of these conditions is decidable exactly:
 and likewise "meager" means "no span with interior".
 
 A ``TargetAnalysis`` computes the sets these checks read (C, D, extended D)
-together with the ones the certificates read (the diameter levels D_n and
-the level sets U_k, V_k), each at most once per target.
+together with the ones the certificates read (the diameter levels D_n, the
+level sets U_k, V_k and the enumeration W of closed parts of the V_k), each
+at most once per target.
 """
 
 from __future__ import annotations
@@ -191,6 +192,34 @@ def _level_projection(target: TargetSet, k: int) -> XSet:
     return target.shadow(Fraction(-k), Fraction(k))
 
 
+_W_RESOLUTION = Fraction(1, 4096)
+_W_MAX_PARTS = 14
+
+
+def _closed_parts(span: Span) -> List[Span]:
+    """Decompose one span of a V_n into nested closed parts.
+
+    Closed spans are their own part. A half-open or open span is written as
+    an increasing union of closed subintervals whose cut approaches the
+    open end geometrically; the sequence is truncated once the remaining
+    sliver is below a fixed resolution.
+    """
+    if not span.lo_open and not span.hi_open:
+        return [span]
+    parts: List[Span] = []
+    w = span.width
+    shrink = w / 2
+    for _ in range(_W_MAX_PARTS):
+        lo = span.lo + shrink if span.lo_open else span.lo
+        hi = span.hi - shrink if span.hi_open else span.hi
+        if lo <= hi:
+            parts.append(Span(lo, hi))
+        if shrink <= _W_RESOLUTION:
+            break
+        shrink /= 2
+    return parts
+
+
 class TargetAnalysis:
     """The sets of one target that the regimes and certificates read.
 
@@ -209,6 +238,8 @@ class TargetAnalysis:
       accumulation. Deeper levels extend the last cached one.
     * ``u_level(k)`` and ``v_part(k)``: the level sets U_k and their
       differences V_1 = U_1, V_k = U_k - U_{k-1}, for any k.
+    * ``w_parts(depth)``: the enumeration W of closed parts of
+      V_1..V_depth, which backbone radii keep clear of. It is not kept.
     """
 
     def __init__(self, target: TargetSet):
@@ -266,6 +297,16 @@ class TargetAnalysis:
         if k not in self._v:
             self._v[k] = self.u_level(1) if k == 1 else self.u_level(k) - self.u_level(k - 1)
         return self._v[k]
+
+    def w_parts(self, depth: int) -> List[Tuple[int, Span]]:
+        """The enumeration W: (n, closed part) over the closed parts of
+        V_1..V_depth, ordered by level and then left endpoint."""
+        out: List[Tuple[int, Span]] = []
+        for n in range(1, depth + 1):
+            parts = [part for span in self.v_part(n).spans for part in _closed_parts(span)]
+            parts.sort(key=lambda s: (s.lo, s.hi))
+            out.extend((n, part) for part in parts)
+        return out
 
     def verdict(self, regime: Regime) -> Verdict:
         """Run the regime's hypothesis checks in order with exact witnesses.

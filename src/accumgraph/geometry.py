@@ -5,10 +5,15 @@ piecewise-linear graphs, and hyperbola arcs y = c/(x - p). Every piece is a
 closed subset of [0,1] x R (a hyperbola arc is closed because |y| diverges
 at an excluded pole endpoint), so any finite union of pieces is closed.
 
-Each piece kind carries its own behaviour: the y-interval above an x, band
-clipping, point distance, the single-valued rational graphs the target
-analysis compares, the float probe net and the Lemma 3.1 net samples. A
-``TargetSet`` only loops over its pieces.
+Each piece kind carries its own behaviour: the y-interval above an x, point
+distance, the single-valued rational graphs the target analysis compares,
+the float probe net and the Lemma 3.1 net samples. A ``TargetSet`` only
+loops over its pieces.
+
+Where a piece meets a horizontal band is read off its rational graphs: each
+is monotone, so its band shadow is one sub-span, and band clipping is each
+graph over its shadow. A box, whose graphs are only its edges, clips its
+own y-range.
 
 Slicing, projection and band clipping are exact; only the point-to-arc
 distance uses floating point.
@@ -44,8 +49,8 @@ class RationalGraph:
     den: Tuple[Fraction, Fraction]
     den_sign: int
 
-    def shadow(self, lo: Fraction, hi: Optional[Fraction]) -> Optional[Span]:
-        """The x of ``dom`` where lo <= y <= hi (no cap when hi is None).
+    def shadow(self, lo: Optional[Fraction], hi: Optional[Fraction]) -> Optional[Span]:
+        """The x of ``dom`` where lo <= y <= hi (None: no bound on that side).
 
         y is monotone on the span, so each bound theta keeps one side of
         r = (n0 - theta d0)/(theta d1 - n1), or all of the span or nothing
@@ -66,6 +71,16 @@ class RationalGraph:
             else:
                 x1 = min(x1, b / a)
         return span_intersection(self.dom, Span(x0, x1)) if x0 <= x1 else None
+
+    def piece(self, span: Span) -> Piece:
+        """The graph over a sub-span of ``dom`` as a piece: a point when the
+        span is degenerate, else a segment (d1 = 0) or an arc (n1 = 0)."""
+        (n1, n0), (d1, d0) = self.num, self.den
+        lo, hi = span.lo, span.hi
+        if d1 != 0 and lo < hi:
+            return Hyper(-d0 / d1, lo, hi, n0 / d1)
+        ends = tuple((x, (n1 * x + n0) / (d1 * x + d0)) for x in (lo, hi))
+        return PLine(ends) if lo < hi else Point(*ends[0])
 
 
 def _line(dom: Span, m: Fraction, q: Fraction) -> RationalGraph:
@@ -112,9 +127,14 @@ class _Piece:
             return y, y
         return None
 
-    def shadow(self, lo: Fraction, hi: Optional[Fraction]) -> List[Span]:
+    def shadow(self, lo: Optional[Fraction], hi: Optional[Fraction]) -> List[Span]:
         """The x where the piece meets the band lo <= y <= hi, off its graphs."""
         return [s for s in (g.shadow(lo, hi) for g in self.graphs()) if s is not None]
+
+    def clipped(self, ylo: Optional[Fraction], yhi: Optional[Fraction]) -> List[Piece]:
+        """The piece cut to the band ylo <= y <= yhi: each graph over its
+        shadow."""
+        return [g.piece(s) for g in self.graphs() if (s := g.shadow(ylo, yhi)) is not None]
 
 
 @dataclass(frozen=True)
@@ -135,11 +155,6 @@ class Point(_Piece):
 
     def y_interval(self, x: Fraction) -> Optional[Tuple[Fraction, Fraction]]:
         return (self.y, self.y) if x == self.x else None
-
-    def clipped(self, ylo: Optional[Fraction], yhi: Optional[Fraction]) -> List[Piece]:
-        if (ylo is None or self.y >= ylo) and (yhi is None or self.y <= yhi):
-            return [self]
-        return []
 
     def distance(self, px: Fraction, py: Fraction) -> float:
         return math.sqrt(float(_point_distance_sq(px, py, self.x, self.y)))
@@ -180,9 +195,10 @@ class Box(_Piece):
     def y_interval(self, x: Fraction) -> Optional[Tuple[Fraction, Fraction]]:
         return (self.y0, self.y1) if self.x0 <= x <= self.x1 else None
 
-    def shadow(self, lo: Fraction, hi: Optional[Fraction]) -> List[Span]:
+    def shadow(self, lo: Optional[Fraction], hi: Optional[Fraction]) -> List[Span]:
+        bottom = self.y0 if lo is None else max(self.y0, lo)
         top = self.y1 if hi is None else min(self.y1, hi)
-        return [self.domain()] if max(self.y0, lo) <= top else []
+        return [self.domain()] if bottom <= top else []
 
     def clipped(self, ylo: Optional[Fraction], yhi: Optional[Fraction]) -> List[Piece]:
         ny0 = self.y0 if ylo is None else max(self.y0, ylo)
@@ -265,12 +281,6 @@ class PLine(_Piece):
             if xa <= x <= xb:
                 return ya + (yb - ya) * (x - xa) / (xb - xa)
         raise ValueError(f"x={x} outside polyline domain")
-
-    def clipped(self, ylo: Optional[Fraction], yhi: Optional[Fraction]) -> List[Piece]:
-        out: List[Piece] = []
-        for (xa, ya), (xb, yb) in self.segments():
-            out.extend(_clip_segment(xa, ya, xb, yb, ylo, yhi))
-        return out
 
     def distance(self, px: Fraction, py: Fraction) -> float:
         best = min(
@@ -388,61 +398,6 @@ class Hyper(_Piece):
         if self.excluded_pole is None:
             return 0
         return self.side if self.coef > 0 else -self.side
-
-    def closed_y_range(self) -> Tuple[Optional[Fraction], Optional[Fraction]]:
-        """(lo, hi) of the y image; None marks an infinite side."""
-        ys = []
-        if self.x0 != self.pole:
-            ys.append(self.y_at(self.x0))
-        if self.x1 != self.pole:
-            ys.append(self.y_at(self.x1))
-        if self.excluded_pole is None:
-            return min(ys), max(ys)
-        if self.divergence_sign() > 0:
-            return min(ys), None
-        return None, max(ys)
-
-    def clipped(self, ylo: Optional[Fraction], yhi: Optional[Fraction]) -> List[Piece]:
-        """Exact band clipping via the monotone inverse x = p + c/y."""
-        img_lo, img_hi = self.closed_y_range()
-        lo = img_lo if ylo is None else (ylo if img_lo is None else max(img_lo, ylo))
-        hi = img_hi if yhi is None else (yhi if img_hi is None else min(img_hi, yhi))
-        # lo/hi None means that side stays unbounded (only possible when the
-        # corresponding band side is None).
-        if lo is not None and hi is not None and lo > hi:
-            return []
-        # y never takes the value 0 on an arc; drop a bound of the wrong sign.
-        c = self.coef
-        if (c > 0) == (self.side > 0):
-            if hi is not None and hi <= 0:
-                return []
-            if lo is not None and lo <= 0:
-                lo = None  # branch already bounded below by its own range
-        else:
-            if lo is not None and lo >= 0:
-                return []
-            if hi is not None and hi >= 0:
-                hi = None
-        xs: List[Fraction] = []
-        unbounded = False
-        for bound in (lo, hi):
-            if bound is None:
-                unbounded = True
-            else:
-                xs.append(self.pole + c / bound)
-        if unbounded:
-            # One end still diverges: it reaches toward the pole endpoint.
-            xs.append(self.pole)
-        na, nb = min(xs), max(xs)
-        na = max(na, self.x0)
-        nb = min(nb, self.x1)
-        if na > nb:
-            return []
-        if na == nb:
-            if na == self.pole:
-                return []
-            return [Point(na, self.y_at(na))]
-        return [Hyper(self.pole, na, nb, c)]
 
     def distance(self, px: Fraction, py: Fraction) -> float:
         """Least distance over the arc's finite ends and the stationary points
@@ -629,8 +584,8 @@ class TargetSet:
         """Exact projection onto the x axis."""
         return XSet(p.domain() for p in self.pieces)
 
-    def shadow(self, lo: Fraction, hi: Optional[Fraction]) -> XSet:
-        """Exact x-projection of the band lo <= y <= hi (no cap when hi is None)."""
+    def shadow(self, lo: Optional[Fraction], hi: Optional[Fraction]) -> XSet:
+        """Exact x-projection of the band lo <= y <= hi (None: unbounded side)."""
         return XSet(s for piece in self.pieces for s in piece.shadow(lo, hi))
 
     # -- clipping --------------------------------------------------------
@@ -676,40 +631,8 @@ class TargetSet:
 
 
 # ---------------------------------------------------------------------------
-# Clipping and distance helpers
+# Distance helpers
 # ---------------------------------------------------------------------------
-
-
-def _clip_segment(xa: Fraction, ya: Fraction, xb: Fraction, yb: Fraction,
-                  ylo: Optional[Fraction], yhi: Optional[Fraction]) -> List[Piece]:
-    """Clip one linear segment to a horizontal band; exact."""
-    # Parametrize y(t) = ya + t*(yb - ya) on t in [0, 1]; the admissible
-    # t-set is an intersection of half-planes, hence an interval.
-    t0, t1 = Fraction(0), Fraction(1)
-    dy = yb - ya
-    for bound, keep_above in ((ylo, True), (yhi, False)):
-        if bound is None:
-            continue
-        if dy == 0:
-            ok = ya >= bound if keep_above else ya <= bound
-            if not ok:
-                return []
-            continue
-        t_cross = (bound - ya) / dy
-        # y increases with t iff dy > 0.
-        if (dy > 0) == keep_above:
-            t0 = max(t0, t_cross)
-        else:
-            t1 = min(t1, t_cross)
-    if t0 > t1:
-        return []
-    nxa = xa + t0 * (xb - xa)
-    nxb = xa + t1 * (xb - xa)
-    nya = ya + t0 * dy
-    nyb = ya + t1 * dy
-    if nxa == nxb:
-        return [Point(nxa, nya)]
-    return [PLine(((nxa, nya), (nxb, nyb)))]
 
 
 def _sq(v: Fraction) -> Fraction:

@@ -52,12 +52,16 @@ class ScheduleInfeasibleError(Exception):
 # boundary frequently lands exactly on the excluded point otherwise).
 _SHRINK = Fraction((1 << 20) - 1, 1 << 20)
 
+# Float slack of the strip width checks.
+_WIDTH_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class EpsilonSchedule:
     depth: int
     columns: Tuple[Fraction, ...]
     kinds: Tuple[str, ...]                 # 'A' | 'C' | 'B' per column
+    values: Tuple[Fraction, ...]           # f at each column, exact
     eps: Tuple[Tuple[Fraction, ...], ...]  # [column][level-1]
     sep_index: Dict[int, int]              # column index -> separation level
 
@@ -83,15 +87,13 @@ class StripFamily:
 # ---------------------------------------------------------------------------
 
 
-def epsilon_schedule(f: SynthFunction, centers: Sequence[RatLike],
-                     depth: Optional[int] = None) -> EpsilonSchedule:
-    """Choose legal ball radii for every center and level.
+def epsilon_schedule(f: SynthFunction, centers: Sequence[RatLike]) -> EpsilonSchedule:
+    """Choose legal ball radii for every center and level up to f's depth.
 
     Centers are completed with all net points and empty-slice points; the
     caller supplies at least the verification grid.
     """
-    if depth is None:
-        depth = f.depth
+    depth = f.depth
     col_set = {rat(c) for c in centers}
     col_set.update(f.a_values.keys())
     col_set.update(f.c_values.keys())
@@ -103,14 +105,13 @@ def epsilon_schedule(f: SynthFunction, centers: Sequence[RatLike],
     unbounded = not f.regime.bounded
     c_first = list(f.c_points)[:depth] if unbounded else []
     d_levels = f.analysis.d_levels(depth) if f.regime.baire1 else []
-    w_parts: List[Tuple[int, Span]] = []
-    if unbounded and f.levels is not None:
-        w_parts = list(f.levels.W[:depth])
+    w_parts = f.analysis.w_parts(depth)[:depth] if unbounded else []
     pieces = [(p.domain(), p) for p in f.target.pieces]
 
     a_rank = {x: i + 1 for i, x in enumerate(a_enum)}
     c_rank = {c: i + 1 for i, c in enumerate(f.c_points)}
 
+    values: List[Fraction] = []
     eps_rows: List[Tuple[Fraction, ...]] = []
     sep_index: Dict[int, int] = {}
 
@@ -120,11 +121,13 @@ def epsilon_schedule(f: SynthFunction, centers: Sequence[RatLike],
             sep_index[idx] = a_rank[x]
         elif kind == "C":
             sep_index[idx] = c_rank[x]
-        if kind == "B":
+        else:
             fx = f.backbone_value(x)
             kx = level_index(f.target, x) if unbounded else None
             near = pieces
             v_near = f.analysis.v_part(kx).spans if unbounded else (Span(ZERO, ONE),)
+        # Net and enumeration values are lookups; the backbone value is fx.
+        values.append(fx if kind == "B" else f.evaluate(x))
         row: List[Fraction] = []
         prev: Optional[Fraction] = None
         for n in range(1, depth + 1):
@@ -166,7 +169,7 @@ def epsilon_schedule(f: SynthFunction, centers: Sequence[RatLike],
             prev = bound
         eps_rows.append(tuple(row))
 
-    return EpsilonSchedule(depth, columns, kinds, tuple(eps_rows), sep_index)
+    return EpsilonSchedule(depth, columns, kinds, tuple(values), tuple(eps_rows), sep_index)
 
 
 def _overlap_bound(near: Sequence[Tuple[Span, Piece]], v_near: Sequence[Span], x: Fraction,
@@ -230,9 +233,9 @@ def build_strip(sched: EpsilonSchedule, n: int,
     return StripLevel(n, lo, hi, cnt)
 
 
-def build_strip_family(f: SynthFunction, sched: EpsilonSchedule) -> StripFamily:
+def build_strip_family(sched: EpsilonSchedule) -> StripFamily:
     col_floats = np.array([float(x) for x in sched.columns])
-    f_floats = np.array([float(f.evaluate(x)) for x in sched.columns])
+    f_floats = np.array([float(v) for v in sched.values])
     levels = tuple(
         build_strip(sched, n, col_floats, f_floats)
         for n in range(1, sched.depth + 1)
@@ -279,8 +282,7 @@ class StripReport:
         return out
 
 
-def verify_strips(family: StripFamily, f: SynthFunction,
-                  tol: float = 1e-9) -> StripReport:
+def verify_strips(family: StripFamily, f: SynthFunction) -> StripReport:
     """Check nesting, coverage and column collapse of a strip family.
 
     Collapse is asserted at net and empty-slice columns once the level has
@@ -313,7 +315,7 @@ def verify_strips(family: StripFamily, f: SynthFunction,
             )
         coverage_ok = bool(np.all((level.lo < fv) & (fv < level.hi)))
         widths = level.hi - level.lo
-        bound = 2.0 / n + tol
+        bound = 2.0 / n + _WIDTH_TOL
 
         def class_stats(kind: str) -> Tuple[float, bool, bool]:
             sel = [
@@ -342,7 +344,7 @@ def verify_strips(family: StripFamily, f: SynthFunction,
             osc = float(window.max() - window.min()) if window.size else 0.0
             w = float(widths[i])
             max_b = max(max_b, w)
-            if w > 2.0 / n + 2.0 * osc + tol:
+            if w > 2.0 / n + 2.0 * osc + _WIDTH_TOL:
                 backbone_ok = False
         single_ok = a_single and c_single
         level_ok = (nesting_ok and coverage_ok and a_ok and c_ok

@@ -7,8 +7,6 @@ graph accumulates exactly on the target:
   points within 1/n of T_n = T intersected with the band |y| <= n, whose
   1/n-balls cover T_n, with all x coordinates pairwise distinct across
   levels and avoiding a prescribed interval-free set;
-* level sets U_n = {x : the slice meets [-n, n]}, their differences V_n and
-  an enumeration W of closed parts of the V_n (unbounded regimes);
 * a backbone: max of the slice (bounded regimes) or the largest slice value
   whose magnitude does not exceed the minimal admissible level n_x
   (unbounded regimes);
@@ -31,7 +29,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .conditions import Regime, TargetAnalysis, Verdict
 from .geometry import EmptySliceError, Slider, TargetSet
-from .intervals import ONE, ZERO, RatLike, SliceSet, Span, XSet, rat
+from .intervals import ONE, ZERO, RatLike, SliceSet, XSet, rat
 
 
 class RegimeUnsatisfiedError(Exception):
@@ -196,64 +194,6 @@ def lemma31_net(target: TargetSet, depth: int, avoid: XSet = XSet.empty()) -> Co
 
 
 # ---------------------------------------------------------------------------
-# Level sets for the unbounded backbone
-# ---------------------------------------------------------------------------
-
-
-_W_RESOLUTION = Fraction(1, 4096)
-_W_MAX_PARTS = 14
-
-
-@dataclass(frozen=True)
-class LevelSets:
-    """The enumeration W of closed parts of the level parts V_1..V_depth;
-    U_n and V_n themselves are read from ``TargetAnalysis``."""
-
-    depth: int
-    W: Tuple[Tuple[int, Span], ...]  # (level, closed part), enumeration order
-
-
-def _closed_parts(span: Span) -> List[Span]:
-    """Decompose one span of a V_n into nested closed parts.
-
-    Closed spans are their own part. A half-open or open span is written as
-    an increasing union of closed subintervals whose cut approaches the
-    open end geometrically; the sequence is truncated once the remaining
-    sliver is below a fixed resolution.
-    """
-    if not span.lo_open and not span.hi_open:
-        return [span]
-    parts: List[Span] = []
-    w = span.width
-    shrink = w / 2
-    for _ in range(_W_MAX_PARTS):
-        lo = span.lo + shrink if span.lo_open else span.lo
-        hi = span.hi - shrink if span.hi_open else span.hi
-        if lo <= hi:
-            parts.append(Span(lo, hi))
-        if shrink <= _W_RESOLUTION:
-            break
-        shrink /= 2
-    return parts
-
-
-def u_sets(analysis: TargetAnalysis, depth: int) -> LevelSets:
-    """Enumerate closed parts of the exact level parts V_n = U_n - U_{n-1}
-    (U_n = {x : slice meets [-n, n]}), ordered by level and then left
-    endpoint, reading U_n and V_n from the target's analysis."""
-    if depth < 1:
-        raise ValueError("depth must be positive")
-    w_list: List[Tuple[int, Span]] = []
-    for n in range(1, depth + 1):
-        parts: List[Span] = []
-        for span in analysis.v_part(n).spans:
-            parts.extend(_closed_parts(span))
-        parts.sort(key=lambda s: (s.lo, s.hi))
-        w_list.extend((n, part) for part in parts)
-    return LevelSets(depth, tuple(w_list))
-
-
-# ---------------------------------------------------------------------------
 # Backbones
 # ---------------------------------------------------------------------------
 
@@ -335,7 +275,6 @@ class SynthFunction:
     approx: CountableApprox
     c_points: Tuple[Fraction, ...]
     c_values: Dict[Fraction, Fraction]
-    levels: Optional[LevelSets]
     signed: bool
     depth: int
     a_values: Dict[Fraction, Fraction] = field(repr=False, default_factory=dict)
@@ -399,7 +338,6 @@ def synthesize(target: TargetSet, regime: Regime, depth: int = 10,
         avoid = avoid | analysis.extended_d_set
 
     approx = lemma31_net(target, depth, avoid)
-    levels = None if regime.bounded else u_sets(analysis, depth)
     c_values = {} if regime.bounded else f_on_c(c_points, target, signed)
 
     return SynthFunction(
@@ -409,7 +347,6 @@ def synthesize(target: TargetSet, regime: Regime, depth: int = 10,
         approx=approx,
         c_points=tuple(c_points),
         c_values=c_values,
-        levels=levels,
         signed=signed,
         depth=depth,
         a_values=approx.a_values(),

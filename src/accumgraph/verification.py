@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -34,8 +34,8 @@ from .synthesis import SynthFunction
 # ---------------------------------------------------------------------------
 
 
-def sample_graph(f: SynthFunction, pitch: RatLike = Fraction(1, 1024),
-                 depth: Optional[int] = None) -> List[Tuple[Fraction, Fraction]]:
+def sample_graph(f: SynthFunction,
+                 pitch: RatLike = Fraction(1, 1024)) -> List[Tuple[Fraction, Fraction]]:
     """Graph samples on the uniform grid plus all net and empty-slice points.
 
     Deduplicated by x; the function is single-valued so collisions are
@@ -60,13 +60,10 @@ def sample_graph(f: SynthFunction, pitch: RatLike = Fraction(1, 1024),
 class AccumulationEstimate:
     candidates: Tuple[Tuple[float, float], ...]
     eps: float
-    min_count: int
-    depth: int
 
 
 def accumulation_estimate(points: Sequence[Tuple[Fraction, Fraction]],
-                          eps: float, min_count: int = 3,
-                          depth: int = 0) -> AccumulationEstimate:
+                          eps: float, min_count: int = 3) -> AccumulationEstimate:
     """Cluster graph samples on an eps-grid; cells with at least min_count
     distinct-x samples become candidates (represented by cell centers)."""
     if eps <= 0:
@@ -82,7 +79,7 @@ def accumulation_estimate(points: Sequence[Tuple[Fraction, Fraction]],
         for (ix, iy), xs in sorted(cells.items())
         if len(xs) >= min_count
     ]
-    return AccumulationEstimate(tuple(candidates), eps, min_count, depth)
+    return AccumulationEstimate(tuple(candidates), eps)
 
 
 # ---------------------------------------------------------------------------
@@ -99,18 +96,15 @@ def probe_points(target: TargetSet, pitch: float) -> np.ndarray:
 
 
 def hausdorff_to_target(est: AccumulationEstimate, target: TargetSet,
-                        y_cap: float,
-                        probe_pitch: Optional[float] = None) -> Tuple[float, float]:
+                        y_cap: float) -> Tuple[float, float]:
     """(forward, backward) farthest-nearest distances within |y| <= y_cap.
 
     Forward: candidates whose cells overlap the band against the target.
-    Backward: a fine probe net of the banded target against the candidates;
+    Backward: probes at pitch eps/2 on the banded target against the candidates;
     infinity when the target part is nonempty but no candidate exists.
     """
     if y_cap <= 0:
         raise ValueError("y_cap must be positive")
-    if probe_pitch is None:
-        probe_pitch = est.eps / 2
     cap = Fraction(y_cap)
     banded = target.clipped(-cap, cap)
 
@@ -122,7 +116,7 @@ def hausdorff_to_target(est: AccumulationEstimate, target: TargetSet,
         d = target.distance_to((rat(cand[0]), rat(cand[1])))
         d_forward = max(d_forward, d)
 
-    probes = probe_points(banded, probe_pitch)
+    probes = probe_points(banded, est.eps / 2)
     if probes.shape[0] == 0:
         return d_forward, 0.0
     if not cands:
@@ -195,25 +189,23 @@ class ClosureDirectionReport:
         return "PASS" if self.passed else "FAIL"
 
 
-def closure_direction_check(f: SynthFunction,
-                            cluster_radius: Optional[float] = None,
-                            min_neighbors: int = 3) -> ClosureDirectionReport:
+def closure_direction_check(f: SynthFunction) -> ClosureDirectionReport:
     """Compare divergence directions of the enumeration values against the
     extended closure at clustering points of the empty-slice set.
 
-    A point of C with at least ``min_neighbors`` other points of C within
-    the cluster radius stands in for an accumulation point of C; the signs
-    of the large enumeration values nearby must all be divergence
-    directions of the extended closure there.
+    A point of C with at least three other points of C within 3/depth
+    stands in for an accumulation point of C; the signs of the large
+    enumeration values nearby must all be divergence directions of the
+    extended closure there.
     """
     if f.regime.bounded:
         return ClosureDirectionReport((), True, True)
-    radius = cluster_radius if cluster_radius is not None else 3.0 / f.depth
+    radius = 3.0 / f.depth
     c_points = list(f.c_points)
     checked: List[ClusterDirection] = []
     for c in c_points:
         near = [d for d in c_points if d != c and abs(float(d - c)) <= radius]
-        if len(near) < min_neighbors:
+        if len(near) < 3:
             continue
         signs = sorted({
             1 if f.c_values[d] > 0 else -1

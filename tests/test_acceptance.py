@@ -276,12 +276,12 @@ def test_criterion_4_strip_certificates(synths):
     for name, regime, signed in STRIP_CASES:
         f = synths[(name, regime, signed)]
         try:
-            sched = epsilon_schedule(f, grid, depth=DEPTH)
+            sched = epsilon_schedule(f, grid)
         except Exception as exc:  # ScheduleInfeasible must never fire
             failures.append(f"{name}: schedule failed: {exc}")
             continue
-        family = build_strip_family(f, sched)
-        report = verify_strips(family, f, tol=1e-9)
+        family = build_strip_family(sched)
+        report = verify_strips(family, f)
         for lvl in report.levels:
             if not lvl.nesting_ok:
                 failures.append(f"{name} n={lvl.n}: nesting")
@@ -312,7 +312,7 @@ def estimates(synths):
         points = sample_graph(f, F(1, GRID))
         out[(name, signed)] = (
             f,
-            accumulation_estimate(points, EPS, min_count=3, depth=DEPTH),
+            accumulation_estimate(points, EPS, min_count=3),
             points,
         )
     return out

@@ -270,21 +270,56 @@ def _band_edges(piece):
     return [piece.y_at(x) for x in (piece.x0, piece.x1) if x != piece.pole]
 
 
+def _piece_ends(piece):
+    """The piece's end x, and a polyline's vertex x."""
+    if isinstance(piece, PLine):
+        return [x for x, _ in piece.vertices]
+    dom = piece.domain()
+    return [dom.lo, dom.hi]
+
+
+def _band_cut(intervals, lo, hi):
+    """Slice intervals cut to the band lo <= y <= hi (None: no bound)."""
+    cut = [(a if lo is None else max(a, lo), b if hi is None else min(b, hi))
+           for a, b in intervals]
+    return tuple((a, b) for a, b in cut if a <= b)
+
+
+def _assert_band_membership(t, lo, hi, grid):
+    """The shadow holds x exactly when the slice at x meets the band, and
+    the clipped target's slice is the slice cut to the band, at every shadow
+    end, piece end or vertex, the midpoints between them and the x of
+    ``grid``."""
+    shadow, clipped = t.shadow(lo, hi), t.clipped(lo, hi)
+    marks = sorted({e for s in shadow.spans for e in (s.lo, s.hi)}
+                   | {e for piece in t.pieces for e in _piece_ends(piece)})
+    mids = [(a + b) / 2 for a, b in zip(marks, marks[1:])]
+    for x in set(marks + mids + grid):
+        cut = _band_cut(t.slice_at(x), lo, hi)
+        assert shadow.contains(x) == bool(cut), (t, lo, hi, x)
+        assert clipped.slice_at(x).intervals == cut, (t, lo, hi, x)
+
+
 def test_shadow_matches_clipping():
-    """A band shadow is the x-projection of the band-clipped piece, with the
-    open pole end of an arc kept open."""
+    """Band shadows and band clips against exact membership: the slice of
+    the unclipped target, which never goes through the rational graphs.
+    Each single-piece band also checks every 64th x of the grid k/256, at a
+    rotating offset, so the bands share the grid between them."""
     rng = random.Random(20260606)
+    bands = 0
     for _ in range(150):
         piece = _random_band_piece(rng)
+        t = TargetSet((piece,))
         levels = _band_edges(piece) + [F(0), F(rng.randint(-40, 40), 8), F(-100), F(100)]
-        for lo in levels:
+        for lo in levels + [None]:
             for hi in levels + [None]:
-                want = XSet(q.domain() for q in piece.clipped(lo, hi))
-                assert XSet(piece.shadow(lo, hi)) == want, (piece, lo, hi)
+                grid = [F(k, 256) for k in range(bands % 64, 257, 64)]
+                _assert_band_membership(t, lo, hi, grid)
+                bands += 1
     pieces = tuple(_random_band_piece(rng) for _ in range(6))
     t = TargetSet(pieces)
-    for lo, hi in ((F(-1), F(1)), (F(1, 2), None), (F(-3), F(-2))):
-        assert t.shadow(lo, hi) == t.clipped(lo, hi).x_projection()
+    for lo, hi in ((F(-1), F(1)), (F(1, 2), None), (F(-3), F(-2)), (None, F(0))):
+        _assert_band_membership(t, lo, hi, [F(k, 256) for k in range(257)])
 
 
 def test_shadow_keeps_open_pole_end():

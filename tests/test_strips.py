@@ -100,7 +100,7 @@ def test_schedule_sect6_w_separation():
     assert_schedule_legal(f, sched, sample_stride=17)
     # Backbone radii never reach a foreign enumerated level part: compare
     # against a direct minimal-distance scan over the enumeration.
-    w_parts = list(f.levels.W)
+    w_parts = f.analysis.w_parts(depth)
     for i, x in enumerate(sched.columns):
         if sched.kinds[i] != "B":
             continue
@@ -144,7 +144,7 @@ def test_pipeline_analyses_target_once(demo, monkeypatch):
     depth = 3
     f = synthesize(demo_set(demo, depth), Regime.B1, depth=depth)
     sched = epsilon_schedule(f, small_grid(16))
-    assert verify_strips(build_strip_family(f, sched), f).passed
+    assert verify_strips(build_strip_family(sched), f).passed
     assert len(pair_builds) == 1
     assert set(u_builds.values()) == {1}
     assert set(range(1, depth + 1)) <= set(u_builds)
@@ -181,7 +181,7 @@ def reference_eps(f, centers):
     a_first = f.approx.a_enumeration[:depth]
     c_first = list(f.c_points)[:depth] if unbounded else []
     d_levels = f.analysis.d_levels(depth) if f.regime.baire1 else []
-    w_parts = list(f.levels.W[:depth]) if unbounded else []
+    w_parts = f.analysis.w_parts(depth)[:depth] if unbounded else []
 
     def u(k):
         return f.target.clipped(F(-k), F(k)).x_projection()
@@ -281,6 +281,7 @@ def test_chord_formula_single_ball():
         depth=1,
         columns=(center, offset),
         kinds=("B", "B"),
+        values=(f(center), f(offset)),
         eps=((F(1, 4),), (F(1, 1000000),)),
         sep_index={},
     )
@@ -299,7 +300,7 @@ def test_sect6_c_column_single_chord():
     f = synthesize(demo_set("sect6", depth), Regime.B1, depth=depth,
                    c_order=sect6_c_order(depth))
     sched = epsilon_schedule(f, small_grid())
-    family = build_strip_family(f, sched)
+    family = build_strip_family(sched)
     col_index = {x: i for i, x in enumerate(sched.columns)}
     for k, c in enumerate(f.c_points, start=1):
         i = col_index[c]
@@ -315,7 +316,7 @@ def test_sect6_signed_column_zero_collapses():
     f = synthesize(demo_set("sect6", depth), Regime.B1, depth=depth,
                    signed=True, c_order=sect6_c_order(depth))
     sched = epsilon_schedule(f, small_grid(128))
-    family = build_strip_family(f, sched)
+    family = build_strip_family(sched)
     i = list(sched.columns).index(F(0))
     last = family.levels[-1]
     assert last.hi[i] - last.lo[i] <= 2 / depth + 1e-9
@@ -325,7 +326,7 @@ def test_sect6_signed_column_zero_collapses():
 def test_constant_all_columns_collapse():
     f = synthesize(demo_set("constant"), Regime.B1_BOUNDED, depth=8)
     sched = epsilon_schedule(f, small_grid())
-    family = build_strip_family(f, sched)
+    family = build_strip_family(sched)
     for level in family.levels:
         widths = level.hi - level.lo
         assert widths.max() <= 2 / level.n + 1e-9
@@ -334,7 +335,7 @@ def test_constant_all_columns_collapse():
 def test_family_nesting_and_coverage_square():
     f = synthesize(demo_set("square"), Regime.B2_BOUNDED, depth=8)
     sched = epsilon_schedule(f, small_grid())
-    family = build_strip_family(f, sched)
+    family = build_strip_family(sched)
     report = verify_strips(family, f)
     assert report.passed
     # The multi-valued column 1/2 keeps a wide strip but stays nested.
@@ -350,7 +351,7 @@ def test_family_nesting_and_coverage_square():
 def test_report_lines_format():
     f = synthesize(demo_set("constant"), Regime.B2, depth=3)
     sched = epsilon_schedule(f, small_grid(64))
-    family = build_strip_family(f, sched)
+    family = build_strip_family(sched)
     report = verify_strips(family, f)
     lines = report.lines()
     assert lines[0].startswith("STRIP n=1 nesting=OK coverage=OK max_width_A=")

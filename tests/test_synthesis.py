@@ -17,7 +17,6 @@ from accumgraph.synthesis import (
     lemma31_net,
     level_index,
     synthesize,
-    u_sets,
 )
 
 
@@ -224,12 +223,11 @@ def test_u_sets_hyperbola():
 
 def test_u_sets_square():
     analysis = TargetAnalysis(demo_set("square"))
-    L = u_sets(analysis, 3)
     U, V = level_sets(analysis, 3)
     assert U[0] == XSet.full()
     assert V[0] == XSet.full()
     assert V[1].is_empty and V[2].is_empty
-    assert [n for n, _ in L.W] == [1]
+    assert [n for n, _ in analysis.w_parts(3)] == [1]
 
 
 def test_u_sets_sect6_matches_grid_oracle():
@@ -248,7 +246,7 @@ def test_u_sets_sect6_matches_grid_oracle():
 def test_u_sets_structure():
     t = demo_set("sect6", 6)
     analysis = TargetAnalysis(t)
-    L = u_sets(analysis, 6)
+    W = analysis.w_parts(6)
     U, V = level_sets(analysis, 6)
     proj = t.x_projection()
     for a, b in zip(U, U[1:]):
@@ -262,10 +260,10 @@ def test_u_sets_structure():
         acc = acc | v
     assert acc == U[-1]
     # W parts are closed subsets of their level's V.
-    for n, part in L.W:
+    for n, part in W:
         assert XSet((part,)).is_subset_of(V[n - 1])
     # Enumeration ordered by level then left endpoint.
-    keys = [(n, part.lo, part.hi) for n, part in L.W]
+    keys = [(n, part.lo, part.hi) for n, part in W]
     assert keys == sorted(keys)
 
 

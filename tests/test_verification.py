@@ -1,13 +1,17 @@
 """Graph sampling, accumulation estimation, Hausdorff, and direction checks."""
 
+import hashlib
+import inspect
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from accumgraph import geometry
 from accumgraph.conditions import Regime
 from accumgraph.demos import demo_set, sect6_c_order
-from accumgraph.geometry import Point, TargetSet
+from accumgraph.geometry import Box, Hyper, PLine, Point, TargetSet
 from accumgraph.synthesis import synthesize
 from accumgraph.verification import (
     AccumulationEstimate,
@@ -104,14 +108,14 @@ def test_estimate_validates_inputs():
 
 
 def test_hausdorff_forward_single_outlier():
-    est = AccumulationEstimate(((0.5, 5.0),), 0.25, 2, 4)
+    est = AccumulationEstimate(((0.5, 5.0),), 0.25)
     t = TargetSet((Point(F(1, 2), 0),))
     d_fwd, _ = hausdorff_to_target(est, t, y_cap=10.0)
     assert d_fwd == pytest.approx(5.0)
 
 
 def test_hausdorff_empty_estimate_is_infinite_backward():
-    est = AccumulationEstimate((), 0.25, 2, 4)
+    est = AccumulationEstimate((), 0.25)
     t = TargetSet((Point(F(1, 2), 0),))
     d_fwd, d_bwd = hausdorff_to_target(est, t, y_cap=1.0)
     assert d_fwd == 0.0
@@ -146,6 +150,70 @@ def test_probe_points_cover_band():
     assert probes.shape[0] > 100
     for x, y in probes[:: max(1, probes.shape[0] // 50)]:
         assert abs(y - 1.0 / x) < 1e-6
+
+
+def _random_target(seed):
+    """Two to four pieces of random kinds crossing the band |y| <= 5; arcs
+    get a left, right or outside pole and a coefficient of either sign."""
+    rng = random.Random(seed)
+    pieces = []
+    for _ in range(rng.randint(2, 4)):
+        kind = rng.choice(["point", "box", "pline", "hyper"])
+        xs = sorted(F(i, 16) for i in rng.sample(range(17), rng.randint(2, 4)))
+        y = F(rng.randint(-48, 48), 8)
+        if kind == "point":
+            pieces.append(Point(xs[0], y))
+        elif kind == "box":
+            pieces.append(Box(xs[0], xs[-1], y, y + F(rng.randint(0, 8), 8)))
+        elif kind == "pline":
+            pieces.append(PLine(tuple((x, F(rng.randint(-56, 56), 8)) for x in xs)))
+        else:
+            a, b = xs[0], xs[-1]
+            pole = rng.choice([a, b, a - F(rng.randint(1, 8), 16), b + F(rng.randint(1, 8), 16)])
+            coef = rng.choice([-1, 1]) * F(rng.randint(1, 16), rng.randint(1, 4))
+            pieces.append(Hyper(pole, a, b, coef))
+    return TargetSet(tuple(pieces))
+
+
+def _banded_probe_digest(target):
+    probes = probe_points(target.clipped(F(-5), F(5)), 1 / 256)
+    return hashlib.sha256(probes.tobytes()).hexdigest()[:16]
+
+
+# Recorded from the per-kind band clippers that the graph-over-shadow rule
+# replaced: the probes of every clipped target must stay bitwise equal.
+BANDED_PROBE_DIGESTS = {
+    "constant": "53c5191031db81d7",
+    "square": "89c693d2855ecb53",
+    "hyperbola": "202a6e7c8c55917a",
+    "sect6": "da82550d941bd20a",
+    "random": [
+        "3a0f184dcb59ff31", "7374c0dee73695f1", "d17ca6eac1d757d6", "5e4a3bc6bd70cdcb",
+        "8f49c456f0778d7a", "b92941a0f70041da", "d07ae9d39a941c31", "64cd77e25c16ef1b",
+        "7b70d47dd37737c1", "7a345ac6a3096653", "7fcc3c144b75e585", "7f7525deb399b8fa",
+        "a30b81835d3365ed", "149c99e7fcc33ab6", "d189c9b230047fc4", "d3e7ddba0fd116c8",
+        "f955343a15b81b5b", "9670689d1e4eae67", "2ad94cecd40e73d8", "071a9a74d113258d",
+    ],
+}
+
+
+@pytest.mark.parametrize("demo", ["constant", "square", "hyperbola", "sect6"])
+def test_banded_probes_pinned_demos(demo):
+    assert _banded_probe_digest(demo_set(demo, 10)) == BANDED_PROBE_DIGESTS[demo]
+
+
+def test_banded_probes_pinned_random_targets():
+    got = [_banded_probe_digest(_random_target(seed)) for seed in range(20)]
+    assert got == BANDED_PROBE_DIGESTS["random"]
+
+
+def test_clipping_has_one_rule():
+    """Band clipping is each graph over its shadow, defined once on the
+    piece base; a box clips its own edges and a target loops over pieces."""
+    owners = {name for name, cls in vars(geometry).items()
+              if inspect.isclass(cls) and cls.__module__ == geometry.__name__
+              and "clipped" in vars(cls)}
+    assert owners == {"_Piece", "Box", "TargetSet"}
 
 
 # ---------------------------------------------------------------------------
