@@ -176,17 +176,25 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer no smaller than ``low``."""
-    def parse(text: str) -> int:
+def _checked(cast, ok, need: str):
+    """argparse type: a ``cast`` value for which ``ok`` holds."""
+    def parse(text: str):
         try:
-            value = int(text)
+            value = cast(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+            raise argparse.ArgumentTypeError(f"invalid {cast.__name__} value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {value}")
         return value
     return parse
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+    return _checked(int, lambda value: value >= low, f"at least {low}")
+
+
+_finite_positive = _checked(float, lambda value: 0.0 < value < float("inf"), "finite and positive")
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -238,11 +246,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = subs.add_parser("verify", help="verify the accumulation set")
     p_verify.add_argument("target")
     _add_common(p_verify)
-    p_verify.add_argument("--eps", type=float, default=None,
+    p_verify.add_argument("--eps", type=_finite_positive, default=None,
                           help="clustering cell size (default 2/grid)")
     p_verify.add_argument("--min-count", type=_int_at_least(2), default=3,
                           help="distinct-x samples per candidate cell (default 3)")
-    p_verify.add_argument("--ycap", type=float, default=None,
+    p_verify.add_argument("--ycap", type=_finite_positive, default=None,
                           help="y band for the Hausdorff comparison (default depth/2)")
     p_verify.set_defaults(func=_cmd_verify)
 

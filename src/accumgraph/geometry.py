@@ -5,10 +5,11 @@ piecewise-linear graphs, and hyperbola arcs y = c/(x - p). Every piece is a
 closed subset of [0,1] x R (a hyperbola arc is closed because |y| diverges
 at an excluded pole endpoint), so any finite union of pieces is closed.
 
-Each piece kind carries its own behaviour: the y-interval above an x, point
-distance, the single-valued rational graphs the target analysis compares,
-the float probe net and the Lemma 3.1 net samples. A ``TargetSet`` only
-loops over its pieces.
+Each piece kind carries its own behaviour: point distance, the
+single-valued rational graphs the target analysis compares, the float probe
+net and the Lemma 3.1 net samples. A ``TargetSet`` answers slices and
+nearest-piece distance from one x-sorted index of its pieces' graph ends,
+built once: one ``bisect`` finds the graphs alive at x.
 
 Where a piece meets a horizontal band is read off its rational graphs: each
 is monotone, so its band shadow is one sub-span, and band clipping is each
@@ -22,7 +23,9 @@ distance uses floating point.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
@@ -48,6 +51,12 @@ class RationalGraph:
     num: Tuple[Fraction, Fraction]
     den: Tuple[Fraction, Fraction]
     den_sign: int
+
+    def y_at(self, x: Fraction) -> Fraction:
+        """The graph's y at x in its domain; a line's denominator is 1."""
+        (n1, n0), (d1, d0) = self.num, self.den
+        y = n1 * x + n0
+        return y if d1 == 0 else y / (d1 * x + d0)
 
     def shadow(self, lo: Optional[Fraction], hi: Optional[Fraction]) -> Optional[Span]:
         """The x of ``dom`` where lo <= y <= hi (None: no bound on that side).
@@ -75,11 +84,11 @@ class RationalGraph:
     def piece(self, span: Span) -> Piece:
         """The graph over a sub-span of ``dom`` as a piece: a point when the
         span is degenerate, else a segment (d1 = 0) or an arc (n1 = 0)."""
-        (n1, n0), (d1, d0) = self.num, self.den
+        (_, n0), (d1, d0) = self.num, self.den
         lo, hi = span.lo, span.hi
         if d1 != 0 and lo < hi:
             return Hyper(-d0 / d1, lo, hi, n0 / d1)
-        ends = tuple((x, (n1 * x + n0) / (d1 * x + d0)) for x in (lo, hi))
+        ends = tuple((x, self.y_at(x)) for x in (lo, hi))
         return PLine(ends) if lo < hi else Point(*ends[0])
 
 
@@ -114,18 +123,15 @@ def _dyadic_nodes(lo: Fraction, hi: Fraction, pitch: Fraction) -> List[Fraction]
 
 
 class _Piece:
-    """Defaults of the piece kinds: no excluded pole, and the slice of a
-    graph y_at over its domain (points and boxes slice on their own)."""
+    """Defaults of the piece kinds: no excluded pole, and each graph its own
+    band (a box's band spans its edges)."""
 
     # Only an arc can leave an endpoint out of its domain.
     excluded_pole: Optional[Fraction] = None
 
-    def y_interval(self, x: Fraction) -> Optional[Tuple[Fraction, Fraction]]:
-        """The closed y-interval of the piece above x; None if it misses x."""
-        if self.domain().contains(x):
-            y = self.y_at(x)
-            return y, y
-        return None
+    def bands(self) -> List[Tuple[RationalGraph, RationalGraph]]:
+        """(lower, upper) graphs whose closed y-range above x is the slice."""
+        return [(g, g) for g in self.graphs()]
 
     def shadow(self, lo: Optional[Fraction], hi: Optional[Fraction]) -> List[Span]:
         """The x where the piece meets the band lo <= y <= hi, off its graphs."""
@@ -153,17 +159,14 @@ class Point(_Piece):
     def domain(self) -> Span:
         return Span(self.x, self.x)
 
-    def y_interval(self, x: Fraction) -> Optional[Tuple[Fraction, Fraction]]:
-        return (self.y, self.y) if x == self.x else None
-
     def distance(self, px: Fraction, py: Fraction) -> float:
         return math.sqrt(float(_point_distance_sq(px, py, self.x, self.y)))
 
     def graphs(self) -> List[RationalGraph]:
         return [_line(self.domain(), ZERO, self.y)]
 
-    def probes(self, pitch: float) -> List[Tuple[float, float]]:
-        return [(float(self.x), float(self.y))]
+    def probes(self, pitch: float) -> np.ndarray:
+        return np.array([(float(self.x), float(self.y))])
 
     def net_samples(self, n: int, grid_pitch: Fraction,
                     curve_spacing: Fraction) -> List[NetSample]:
@@ -192,9 +195,6 @@ class Box(_Piece):
     def domain(self) -> Span:
         return Span(self.x0, self.x1)
 
-    def y_interval(self, x: Fraction) -> Optional[Tuple[Fraction, Fraction]]:
-        return (self.y0, self.y1) if self.x0 <= x <= self.x1 else None
-
     def shadow(self, lo: Optional[Fraction], hi: Optional[Fraction]) -> List[Span]:
         bottom = self.y0 if lo is None else max(self.y0, lo)
         top = self.y1 if hi is None else min(self.y1, hi)
@@ -220,13 +220,18 @@ class Box(_Piece):
             out.append(_line(dom, ZERO, self.y1))
         return out
 
-    def probes(self, pitch: float) -> List[Tuple[float, float]]:
+    def bands(self) -> List[Tuple[RationalGraph, RationalGraph]]:
+        edges = self.graphs()
+        return [(edges[0], edges[-1])]
+
+    def probes(self, pitch: float) -> np.ndarray:
         x0, x1 = float(self.x0), float(self.x1)
         y0, y1 = float(self.y0), float(self.y1)
         nx = max(1, math.ceil((x1 - x0) / pitch))
         ny = max(1, math.ceil((y1 - y0) / pitch))
-        return [(x0 + (x1 - x0) * i / nx, y0 + (y1 - y0) * j / ny)
-                for i in range(nx + 1) for j in range(ny + 1)]
+        xs = x0 + (x1 - x0) * np.arange(nx + 1) / nx
+        ys = y0 + (y1 - y0) * np.arange(ny + 1) / ny
+        return np.column_stack((np.repeat(xs, ny + 1), np.tile(ys, nx + 1)))
 
     def net_samples(self, n: int, grid_pitch: Fraction,
                     curve_spacing: Fraction) -> List[NetSample]:
@@ -276,12 +281,6 @@ class PLine(_Piece):
     def segments(self) -> Iterable[Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]]:
         return zip(self.vertices, self.vertices[1:])
 
-    def y_at(self, x: Fraction) -> Fraction:
-        for (xa, ya), (xb, yb) in self.segments():
-            if xa <= x <= xb:
-                return ya + (yb - ya) * (x - xa) / (xb - xa)
-        raise ValueError(f"x={x} outside polyline domain")
-
     def distance(self, px: Fraction, py: Fraction) -> float:
         best = min(
             _segment_distance_sq(px, py, xa, ya, xb, yb)
@@ -296,15 +295,14 @@ class PLine(_Piece):
             out.append(_line(Span(xa, xb), m, ya - m * xa))
         return out
 
-    def probes(self, pitch: float) -> List[Tuple[float, float]]:
-        out: List[Tuple[float, float]] = []
+    def probes(self, pitch: float) -> np.ndarray:
+        out = []
         for (xa, ya), (xb, yb) in self.segments():
             ax, ay, bx, by = float(xa), float(ya), float(xb), float(yb)
             steps = max(1, math.ceil(math.hypot(bx - ax, by - ay) / pitch))
-            for i in range(steps + 1):
-                t = i / steps
-                out.append((ax + t * (bx - ax), ay + t * (by - ay)))
-        return out
+            t = np.arange(steps + 1) / steps
+            out.append(np.column_stack((ax + t * (bx - ax), ay + t * (by - ay))))
+        return np.concatenate(out)
 
     def net_samples(self, n: int, grid_pitch: Fraction,
                     curve_spacing: Fraction) -> List[NetSample]:
@@ -323,7 +321,7 @@ class PLine(_Piece):
         dy = yb - ya
 
         def slider(x2: Fraction) -> Optional[Fraction]:
-            return self.y_at(x2) if xa <= x2 <= xb else None
+            return ya + dy * (x2 - xa) / (xb - xa) if xa <= x2 <= xb else None
 
         ts = [Fraction(i, m) for i in range(m + 1)]
         # Band crossings, exact.
@@ -438,7 +436,7 @@ class Hyper(_Piece):
     def graphs(self) -> List[RationalGraph]:
         return [RationalGraph(self.domain(), (ZERO, self.coef), (ONE, -self.pole), self.side)]
 
-    def probes(self, pitch: float) -> List[Tuple[float, float]]:
+    def probes(self, pitch: float) -> np.ndarray:
         p, c = float(self.pole), float(self.coef)
         x0, x1 = float(self.x0), float(self.x1)
         tiny = max(1e-12, 1e-9 * (x1 - x0))
@@ -454,7 +452,7 @@ class Hyper(_Piece):
             slope = abs(c) / (x - p) ** 2
             x += max(pitch / (1.0 + slope), tiny)
         out.append((x1, c / (x1 - p)))
-        return out
+        return np.array(out)
 
     def net_samples(self, n: int, grid_pitch: Fraction,
                     curve_spacing: Fraction) -> List[NetSample]:
@@ -556,17 +554,33 @@ class TargetSet:
 
     # -- slicing -------------------------------------------------------
 
+    @cached_property
+    def _index(self) -> Tuple[List[Fraction], List[list], List[Tuple[float, float]]]:
+        """The x-sorted index: the distinct ends of every graph span; the
+        bands alive in each slot, slot 2k + 1 at end k and slot 2k on the
+        open cell before it (slots 0 and 2 len(ends) lie outside every
+        piece); and each piece's domain ends as floats, for its x-gap."""
+        bands = [band for piece in self.pieces for band in piece.bands()]
+        ends = sorted({e for g, _ in bands for e in (g.dom.lo, g.dom.hi)})
+        alive: List[list] = [[] for _ in range(2 * len(ends) + 1)]
+        for band in bands:
+            dom = band[0].dom
+            # An open pole end is the one end a band can miss.
+            for slot in range(2 * bisect_left(ends, dom.lo) + 1, 2 * bisect_left(ends, dom.hi) + 2):
+                if slot % 2 == 0 or dom.contains(ends[slot // 2]):
+                    alive[slot].append(band)
+        domains = [piece.domain() for piece in self.pieces]
+        return ends, alive, [(float(d.lo), float(d.hi)) for d in domains]
+
     def slice_at(self, x: RatLike) -> SliceSet:
         """Exact vertical slice: the set of y with (x, y) in the union."""
         x = rat(x)
         if not ZERO <= x <= ONE:
             raise ValueError(f"slice x={x} outside [0, 1]")
-        intervals: List[Tuple[Fraction, Fraction]] = []
-        for piece in self.pieces:
-            interval = piece.y_interval(x)
-            if interval is not None:
-                intervals.append(interval)
-        return SliceSet(intervals)
+        ends, alive, _ = self._index
+        i = bisect_left(ends, x)
+        bands = alive[2 * i + (i < len(ends) and ends[i] == x)]
+        return SliceSet((y := lo.y_at(x), y if hi is lo else hi.y_at(x)) for lo, hi in bands)
 
     def extended_slice_at(self, x: RatLike) -> ExtendedSlice:
         """Slice of the closure in [0,1] x extended reals.
@@ -609,15 +623,19 @@ class TargetSet:
         Exact (returns 0.0 precisely on membership) for points, boxes and
         polylines; an arc takes the least of its finite ends and the float
         stationary points of the squared distance (see ``Hyper.distance``).
+
+        Pieces are visited by their x-gap, a lower bound on their distance,
+        until a gap exceeds the best distance by 1e-9, relative and absolute:
+        far above the rounding of the float gaps and piece distances, so no
+        skipped piece could have lowered the float minimum.
         """
-        if self.is_empty:
-            return math.inf
         px, py = rat(p[0]), rat(p[1])
-        best = math.inf
-        for piece in self.pieces:
-            d = piece.distance(px, py)
-            if d < best:
-                best = d
+        fx, best = float(px), math.inf
+        gaps = sorted((max(lo - fx, 0.0, fx - hi), k) for k, (lo, hi) in enumerate(self._index[2]))
+        for gap, k in gaps:
+            if gap > best + 1e-9 * (1.0 + best):
+                break
+            best = min(best, self.pieces[k].distance(px, py))
             if best == 0.0:
                 return 0.0
         return best

@@ -15,7 +15,9 @@ algebra.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Tuple, Union
 
@@ -143,7 +145,8 @@ def _intersect(a: Span, b: Span) -> Optional[Span]:
 class XSet:
     """Finite union of subintervals of [0, 1], normalized and exact."""
 
-    __slots__ = ("spans",)
+    # __dict__ holds the cached span starts.
+    __slots__ = ("spans", "__dict__")
 
     def __init__(self, spans: Iterable[Span] = ()) -> None:
         items = sorted(spans, key=lambda s: (s.lo, s.lo_open, s.hi, s.hi_open))
@@ -200,9 +203,16 @@ class XSet:
     def __iter__(self) -> Iterator[Span]:
         return iter(self.spans)
 
+    @cached_property
+    def _starts(self) -> Tuple[Fraction, ...]:
+        return tuple(s.lo for s in self.spans)
+
     def contains(self, x: RatLike) -> bool:
+        """Spans are sorted and disjoint: only the last one starting at or
+        before x can hold it."""
         x = rat(x)
-        return any(s.contains(x) for s in self.spans)
+        i = bisect_right(self._starts, x)
+        return i > 0 and self.spans[i - 1].contains(x)
 
     def contains_interval(self) -> bool:
         """True when some span has nonempty interior."""

@@ -89,10 +89,61 @@ def accumulation_estimate(points: Sequence[Tuple[Fraction, Fraction]],
 
 def probe_points(target: TargetSet, pitch: float) -> np.ndarray:
     """Float probe net over the target's pieces at roughly the given pitch."""
-    probes = [probe for piece in target.pieces for probe in piece.probes(pitch)]
-    if not probes:
+    if target.is_empty:
         return np.empty((0, 2))
-    return np.array(probes)
+    return np.concatenate([piece.probes(pitch) for piece in target.pieces])
+
+
+# Elements of one probe x candidate distance array.
+_CHUNK = 1 << 18
+
+
+def _nearest(points: np.ndarray, cands: np.ndarray) -> np.ndarray:
+    """Each point's float distance to its nearest candidate, in row chunks."""
+    rows = max(1, _CHUNK // cands.shape[0])
+    out = np.empty(points.shape[0])
+    for start in range(0, points.shape[0], rows):
+        block = points[start:start + rows]
+        dx = block[:, 0:1] - cands[None, :, 0]
+        dy = block[:, 1:2] - cands[None, :, 1]
+        out[start:start + rows] = np.sqrt(dx * dx + dy * dy).min(axis=1)
+    return out
+
+
+def _backward(probes: np.ndarray, cands: np.ndarray, side: float) -> float:
+    """max over probes of the distance to the nearest candidate, equal to
+    the dense sweep bit for bit.
+
+    Probes are grouped into blocks of the given side. A block's bound U is
+    the least distance from a candidate to the block's farthest bounding-box
+    corner; blocks are visited by falling U until U is at most the running
+    maximum, and inside a block only candidates with bounding-box gap at most
+    U are compared. Float subtraction, squaring, addition and sqrt are
+    monotone, so both bounds hold for the rounded distances too.
+    """
+    keys = np.floor(probes / side)
+    order = np.lexsort((keys[:, 1], keys[:, 0]))
+    probes, keys = probes[order], keys[order]
+    starts = np.flatnonzero(np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)])
+    lo = np.minimum.reduceat(probes, starts)
+    hi = np.maximum.reduceat(probes, starts)
+    cx, cy = cands[:, 0], cands[:, 1]
+    bound = np.empty(starts.shape[0])
+    rows = max(1, _CHUNK // cands.shape[0])
+    for s in range(0, starts.shape[0], rows):
+        fx = np.maximum(np.abs(lo[s:s + rows, 0:1] - cx), np.abs(hi[s:s + rows, 0:1] - cx))
+        fy = np.maximum(np.abs(lo[s:s + rows, 1:2] - cy), np.abs(hi[s:s + rows, 1:2] - cy))
+        bound[s:s + rows] = np.sqrt(fx * fx + fy * fy).min(axis=1)
+    ends = np.r_[starts[1:], probes.shape[0]]
+    best = 0.0
+    for b in np.argsort(-bound, kind="stable"):
+        if bound[b] <= best:
+            break
+        gx = np.maximum(np.maximum(lo[b, 0] - cx, 0.0), cx - hi[b, 0])
+        gy = np.maximum(np.maximum(lo[b, 1] - cy, 0.0), cy - hi[b, 1])
+        near = cands[np.sqrt(gx * gx + gy * gy) <= bound[b]]
+        best = max(best, float(_nearest(probes[starts[b]:ends[b]], near).max()))
+    return best
 
 
 def hausdorff_to_target(est: AccumulationEstimate, target: TargetSet,
@@ -100,8 +151,9 @@ def hausdorff_to_target(est: AccumulationEstimate, target: TargetSet,
     """(forward, backward) farthest-nearest distances within |y| <= y_cap.
 
     Forward: candidates whose cells overlap the band against the target.
-    Backward: probes at pitch eps/2 on the banded target against the candidates;
-    infinity when the target part is nonempty but no candidate exists.
+    Backward: probes at pitch eps/2 on the banded target against the
+    candidates, in probe blocks of side 8 eps (see ``_backward``); infinity
+    when the target part is nonempty but no candidate exists.
     """
     if y_cap <= 0:
         raise ValueError("y_cap must be positive")
@@ -121,16 +173,7 @@ def hausdorff_to_target(est: AccumulationEstimate, target: TargetSet,
         return d_forward, 0.0
     if not cands:
         return d_forward, math.inf
-    cand_arr = np.array(cands)
-    d_backward = 0.0
-    chunk = 2048
-    for start in range(0, probes.shape[0], chunk):
-        block = probes[start:start + chunk]
-        dx = block[:, 0:1] - cand_arr[None, :, 0]
-        dy = block[:, 1:2] - cand_arr[None, :, 1]
-        nearest = np.sqrt(dx * dx + dy * dy).min(axis=1)
-        d_backward = max(d_backward, float(nearest.max()))
-    return d_forward, d_backward
+    return d_forward, _backward(probes, np.array(cands), 8 * est.eps)
 
 
 # ---------------------------------------------------------------------------

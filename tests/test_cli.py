@@ -131,8 +131,15 @@ def test_unknown_regime_rejected(capsys, monkeypatch):
     ["synth", "constant", "--regime", "b1", "--grid", "ten"],
     ["check", "{dir}", "--regime", "b1"],
     ["synth", "constant", "--regime", "b1", "--precision", "-1"],
+    ["verify", "constant", "--regime", "b1", "--eps", "inf"],
+    ["verify", "constant", "--regime", "b1", "--eps", "nan"],
+    ["verify", "constant", "--regime", "b1", "--eps", "0"],
+    ["verify", "constant", "--regime", "b1", "--ycap", "inf"],
+    ["verify", "constant", "--regime", "b1", "--ycap", "nan"],
+    ["verify", "constant", "--regime", "b1", "--ycap", "-1"],
 ], ids=["grid-0", "depth-0", "depth-negative", "demo-depth-0", "min-count-1",
-        "grid-not-int", "target-is-directory", "precision-negative"])
+        "grid-not-int", "target-is-directory", "precision-negative",
+        "eps-inf", "eps-nan", "eps-zero", "ycap-inf", "ycap-nan", "ycap-negative"])
 def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):
     argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
     try:

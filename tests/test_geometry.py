@@ -8,14 +8,16 @@ code paths.
 import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from accumgraph.demos import demo_set, sect6_pole_points
-from accumgraph.geometry import Box, Hyper, PLine, Point, TargetSet
-from accumgraph.intervals import XSet
+from accumgraph.fileio import parse_target_text
+from accumgraph.geometry import Box, ExtendedSlice, Hyper, PLine, Point, TargetSet
+from accumgraph.intervals import SliceSet, XSet
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +328,119 @@ def test_shadow_keeps_open_pole_end():
     arc = Hyper(0, 0, 1, 1)
     assert XSet(arc.shadow(F(2), None)) == XSet.interval(0, F(1, 2), lo_open=True)
     assert XSet(arc.shadow(F(1), F(4))) == XSet.closed(F(1, 4), 1)
+
+
+# ---------------------------------------------------------------------------
+# The x-sorted index against the per-piece loop
+# ---------------------------------------------------------------------------
+
+
+def _reference_interval(piece, x):
+    """The closed y-interval of one piece above x, or None: the per-piece
+    loop that slices went through before the index."""
+    if isinstance(piece, Point):
+        return (piece.y, piece.y) if x == piece.x else None
+    if isinstance(piece, Box):
+        return (piece.y0, piece.y1) if piece.x0 <= x <= piece.x1 else None
+    if not piece.domain().contains(x):
+        return None
+    if isinstance(piece, Hyper):
+        y = piece.y_at(x)
+        return y, y
+    for (xa, ya), (xb, yb) in piece.segments():
+        if xa <= x <= xb:
+            y = ya + (yb - ya) * (x - xa) / (xb - xa)
+            return y, y
+
+
+def _reference_slice(t, x):
+    return SliceSet(iv for piece in t.pieces if (iv := _reference_interval(piece, x)) is not None)
+
+
+def _reference_extended_slice(t, x):
+    signs = {p.divergence_sign() for p in t.pieces if p.excluded_pole == x}
+    return ExtendedSlice(_reference_slice(t, x), 1 in signs, -1 in signs)
+
+
+def _random_index_target(rng):
+    """Random pieces of every kind, plus a flat box and points on polyline
+    vertices (on the polyline and off it)."""
+    pieces = [_random_band_piece(rng) for _ in range(rng.randint(1, 6))]
+    for piece in list(pieces):
+        if isinstance(piece, PLine):
+            vx, vy = rng.choice(piece.vertices)
+            pieces.append(Point(vx, rng.choice([vy, vy + 1])))
+    a, b = sorted(F(rng.randint(0, 16), 16) for _ in range(2))
+    y = F(rng.randint(-24, 24), 8)
+    pieces.append(Box(a, b, y, y))
+    rng.shuffle(pieces)
+    return TargetSet(tuple(pieces))
+
+
+def _index_targets():
+    rng = random.Random(20261018)
+    mixed = Path(__file__).with_name("mixed_target.txt").read_text(encoding="utf-8")
+    return ([_random_index_target(rng) for _ in range(40)]
+            + [parse_target_text(mixed), demo_set("sect6", 20)])
+
+
+def _index_marks(t):
+    """Every index end (open pole ends included), the midpoints between
+    consecutive ends, every k/256 and, where there is one, an x outside
+    every piece."""
+    ends = list(t._index[0])
+    marks = set(ends) | {(a + b) / 2 for a, b in zip(ends, ends[1:])}
+    marks |= {F(k, 256) for k in range(257)}
+    gaps = t.x_projection().complement().spans
+    if gaps:
+        marks.add((gaps[0].lo + gaps[0].hi) / 2)
+    return sorted(marks)
+
+
+def test_index_slices_match_per_piece_loop():
+    outside = 0
+    for t in _index_targets():
+        for x in _index_marks(t):
+            ref = _reference_extended_slice(t, x)
+            assert t.slice_at(x).intervals == ref.finite.intervals, (t, x)
+            assert t.extended_slice_at(x) == ref, (t, x)
+            outside += ref.finite.is_empty
+    assert outside > 0
+
+
+def test_index_keeps_open_pole_ends_out():
+    t = TargetSet((Hyper(0, 0, F(1, 2), 1), Hyper(1, F(1, 2), 1, 1)))
+    assert t._index[0] == [0, F(1, 2), 1]
+    assert t.slice_at(0).is_empty and t.slice_at(1).is_empty
+    assert t.slice_at(F(1, 2)).intervals == ((F(-2), F(-2)), (F(2), F(2)))
+
+
+def _far_and_near_points(t, rng):
+    """Rational points on the pieces, near open pole ends and far away."""
+    points = []
+    for _ in range(6):
+        x = F(rng.randint(0, 256), 256)
+        values = _reference_slice(t, x)
+        if values:
+            a, b = rng.choice(values.intervals)
+            points.append((x, rng.choice([a, b, (a + b) / 2])))
+        points.append((x, F(rng.randint(-800, 800), 8)))
+        points.append((x, F(rng.choice([-1, 1]) * 1000)))
+    for pole, sign in t.excluded_poles:
+        for dx in (F(1, 1000), F(-1, 1000), F(1, 10**7)):
+            if 0 <= pole + dx <= 1:
+                points.append((pole + dx, sign * F(rng.randint(1, 2000), 4)))
+    return points
+
+
+def test_pruned_distance_is_bit_identical():
+    rng = random.Random(4242)
+    for t in _index_targets():
+        for px, py in _far_and_near_points(t, rng):
+            full = min(piece.distance(px, py) for piece in t.pieces)
+            assert t.distance_to((px, py)) == full, (t, px, py)
+            if _reference_slice(t, px).contains(py):
+                assert t.distance_to((px, py)) == 0.0
 
 
 def test_is_bounded():

@@ -216,6 +216,24 @@ def test_clipping_has_one_rule():
     assert owners == {"_Piece", "Box", "TargetSet"}
 
 
+def test_slices_read_the_index(monkeypatch):
+    """Once the first slice has built the x-sorted index, slices rebuild no
+    piece domain, and no piece kind slices on its own."""
+    t = demo_set("sect6", 20)
+    t.slice_at(F(1, 2))
+
+    def no_domain(self):
+        raise AssertionError(f"slice_at rebuilt the domain of {self}")
+
+    for cls in (Point, Box, PLine, Hyper):
+        monkeypatch.setattr(cls, "domain", no_domain)
+    for k in range(257):
+        t.slice_at(F(k, 256))
+    owners = {name for name, cls in vars(geometry).items()
+              if inspect.isclass(cls) and "y_interval" in vars(cls)}
+    assert not owners
+
+
 # ---------------------------------------------------------------------------
 # Far-point budget
 # ---------------------------------------------------------------------------
