@@ -15,6 +15,7 @@ algebra.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -219,11 +220,7 @@ class XSet:
         return any(s.lo < s.hi for s in self.spans)
 
     def widest_interval(self) -> Optional[Span]:
-        best: Optional[Span] = None
-        for s in self.spans:
-            if s.lo < s.hi and (best is None or s.width > best.width):
-                best = s
-        return best
+        return max((s for s in self.spans if s.lo < s.hi), key=lambda s: s.width, default=None)
 
     def isolated_points(self) -> list[Fraction]:
         return [s.lo for s in self.spans if s.is_point]
@@ -353,34 +350,17 @@ class SliceSet:
 
     def is_multivalued(self) -> bool:
         """True when the set has more than one point."""
-        if len(self.intervals) > 1:
-            return True
-        if not self.intervals:
-            return False
-        a, b = self.intervals[0]
-        return a < b
+        return len(self.intervals) > 1 or any(a < b for a, b in self.intervals)
 
     def min_abs(self) -> Fraction:
         """Minimum of |y| over the set; undefined when empty."""
         if not self.intervals:
             raise ValueError("empty slice has no min_abs")
-        best: Optional[Fraction] = None
-        for a, b in self.intervals:
-            if a <= ZERO <= b:
-                return ZERO
-            cand = min(abs(a), abs(b))
-            if best is None or cand < best:
-                best = cand
-        assert best is not None
-        return best
+        return min(ZERO if a <= ZERO <= b else min(abs(a), abs(b)) for a, b in self.intervals)
 
     def clipped(self, lo: Fraction, hi: Fraction) -> "SliceSet":
-        out = []
-        for a, b in self.intervals:
-            na, nb = max(a, lo), min(b, hi)
-            if na <= nb:
-                out.append((na, nb))
-        return SliceSet(out)
+        return SliceSet((max(a, lo), min(b, hi)) for a, b in self.intervals
+                        if max(a, lo) <= min(b, hi))
 
     def union(self, other: "SliceSet") -> "SliceSet":
         return SliceSet(self.intervals + other.intervals)
@@ -411,17 +391,5 @@ def rational_sqrt(value: Fraction) -> Optional[Fraction]:
     if value == 0:
         return ZERO
     num, den = value.numerator, value.denominator
-    rn = _isqrt_exact(num)
-    if rn is None:
-        return None
-    rd = _isqrt_exact(den)
-    if rd is None:
-        return None
-    return Fraction(rn, rd)
-
-
-def _isqrt_exact(n: int) -> Optional[int]:
-    import math
-
-    r = math.isqrt(n)
-    return r if r * r == n else None
+    rn, rd = math.isqrt(num), math.isqrt(den)
+    return Fraction(rn, rd) if rn * rn == num and rd * rd == den else None

@@ -1,12 +1,13 @@
 """Numerical verification that the synthesized graph accumulates on the target.
 
 The graph is sampled on a uniform grid plus every net and empty-slice
-point; accumulation-point candidates are cells of an eps-grid holding at
-least ``min_count`` samples with pairwise distinct x (an accumulation point
-needs infinitely many distinct graph points nearby, and distinct x is the
-finite proxy). Candidate quality is measured by a two-sided Hausdorff
-comparison against the target restricted to a y band, since depth
-truncation cuts the target's far reaches.
+point; accumulation-point candidates are cells of an eps-grid holding a
+core sample, one with at least ``min_count`` samples of pairwise distinct x
+within Chebyshev radius eps (an accumulation point needs infinitely many
+distinct graph points nearby, and distinct x is the finite proxy).
+Candidate quality is measured by a two-sided Hausdorff comparison against
+the target restricted to a y band, since depth truncation cuts the
+target's far reaches.
 
 Two structural checks accompany the estimate: the far-point budget (only
 finitely many graph points sit farther than eps from the target, bounded by
@@ -64,20 +65,35 @@ class AccumulationEstimate:
 
 def accumulation_estimate(points: Sequence[Tuple[Fraction, Fraction]],
                           eps: float, min_count: int = 3) -> AccumulationEstimate:
-    """Cluster graph samples on an eps-grid; cells with at least min_count
-    distinct-x samples become candidates (represented by cell centers)."""
+    """Cluster graph samples on an eps-grid; a cell holding a core sample
+    becomes a candidate (represented by its center).
+
+    A core sample has at least min_count distinct-x samples, itself
+    included, within Chebyshev radius eps (the DBSCAN core-point test);
+    they all lie in the 3 x 3 block of cells around its own, so the test
+    does not depend on where the grid's edges fall. A cell holding
+    min_count distinct-x samples is kept outright: each of them is core.
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
     if min_count < 2:
         raise ValueError("min_count must be at least 2")
-    cells: Dict[Tuple[int, int], set] = {}
+    cells: Dict[Tuple[int, int], List[Tuple[float, float, Fraction]]] = {}
     for x, y in points:
-        key = (math.floor(float(x) / eps), math.floor(float(y) / eps))
-        cells.setdefault(key, set()).add(x)
+        fx, fy = float(x), float(y)
+        cells.setdefault((math.floor(fx / eps), math.floor(fy / eps)), []).append((fx, fy, x))
+
+    def core(ix: int, iy: int, fx: float, fy: float) -> bool:
+        near = {x for jx in (ix - 1, ix, ix + 1) for jy in (iy - 1, iy, iy + 1)
+                for gx, gy, x in cells.get((jx, jy), ())
+                if abs(gx - fx) <= eps and abs(gy - fy) <= eps}
+        return len(near) >= min_count
+
     candidates = [
         ((ix + 0.5) * eps, (iy + 0.5) * eps)
-        for (ix, iy), xs in sorted(cells.items())
-        if len(xs) >= min_count
+        for (ix, iy), samples in sorted(cells.items())
+        if len({x for _, _, x in samples}) >= min_count
+        or any(core(ix, iy, fx, fy) for fx, fy, _ in samples)
     ]
     return AccumulationEstimate(tuple(candidates), eps)
 
@@ -121,19 +137,24 @@ def _backward(probes: np.ndarray, cands: np.ndarray, side: float) -> float:
     U are compared. Float subtraction, squaring, addition and sqrt are
     monotone, so both bounds hold for the rounded distances too.
     """
-    keys = np.floor(probes / side)
-    order = np.lexsort((keys[:, 1], keys[:, 0]))
-    probes, keys = probes[order], keys[order]
-    starts = np.flatnonzero(np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)])
+    # Any grouping keeps the result exact (the bounds hold for any probe
+    # set); square blocks only make them tight.
+    cell = np.floor(probes / side).astype(np.int64)
+    cell -= cell.min(axis=0)
+    key = cell[:, 0] * (cell[:, 1].max() + 1) + cell[:, 1]
+    order = np.argsort(key, kind="stable")
+    probes, key = probes[order], key[order]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
     lo = np.minimum.reduceat(probes, starts)
     hi = np.maximum.reduceat(probes, starts)
     cx, cy = cands[:, 0], cands[:, 1]
     bound = np.empty(starts.shape[0])
     rows = max(1, _CHUNK // cands.shape[0])
     for s in range(0, starts.shape[0], rows):
-        fx = np.maximum(np.abs(lo[s:s + rows, 0:1] - cx), np.abs(hi[s:s + rows, 0:1] - cx))
-        fy = np.maximum(np.abs(lo[s:s + rows, 1:2] - cy), np.abs(hi[s:s + rows, 1:2] - cy))
-        bound[s:s + rows] = np.sqrt(fx * fx + fy * fy).min(axis=1)
+        # The farthest corner's offsets: -fl(a - b) == fl(b - a).
+        fx = np.maximum(hi[s:s + rows, 0:1] - cx, cx - lo[s:s + rows, 0:1])
+        fy = np.maximum(hi[s:s + rows, 1:2] - cy, cy - lo[s:s + rows, 1:2])
+        bound[s:s + rows] = np.sqrt((fx * fx + fy * fy).min(axis=1))
     ends = np.r_[starts[1:], probes.shape[0]]
     best = 0.0
     for b in np.argsort(-bound, kind="stable"):
@@ -163,10 +184,7 @@ def hausdorff_to_target(est: AccumulationEstimate, target: TargetSet,
     # A cell overlapping the band may hold target points at |y| = y_cap even
     # when its centre lies outside.
     cands = [(cx, cy) for cx, cy in est.candidates if abs(cy) - est.eps / 2 <= y_cap]
-    d_forward = 0.0
-    for cand in cands:
-        d = target.distance_to((rat(cand[0]), rat(cand[1])))
-        d_forward = max(d_forward, d)
+    d_forward = max((target.distance_to((rat(cx), rat(cy))) for cx, cy in cands), default=0.0)
 
     probes = probe_points(banded, est.eps / 2)
     if probes.shape[0] == 0:

@@ -101,35 +101,35 @@ GOLDEN = {
     "synth constant --regime b2-bounded --depth 4 --grid 64":
         "564f4853435554e62ffec97ba4fc2af0ad7fdd3a22c786a7691f4b0384094498",
     "verify constant --regime b2-bounded --depth 4 --grid 64":
-        "162fff20a876169015133930b5e315fede2d76e5564d301a9e79c2728188928b",
+        "e310449b5fc5e93c509ba84c068bf6a77d7dfdb1d15af30a45538fea8d4b84f0",
     "synth constant --regime b2 --depth 4 --grid 64":
         "564f4853435554e62ffec97ba4fc2af0ad7fdd3a22c786a7691f4b0384094498",
     "verify constant --regime b2 --depth 4 --grid 64":
-        "162fff20a876169015133930b5e315fede2d76e5564d301a9e79c2728188928b",
+        "e310449b5fc5e93c509ba84c068bf6a77d7dfdb1d15af30a45538fea8d4b84f0",
     "synth constant --regime b1-bounded --depth 4 --grid 64":
         "564f4853435554e62ffec97ba4fc2af0ad7fdd3a22c786a7691f4b0384094498",
     "verify constant --regime b1-bounded --depth 4 --grid 64":
-        "162fff20a876169015133930b5e315fede2d76e5564d301a9e79c2728188928b",
+        "e310449b5fc5e93c509ba84c068bf6a77d7dfdb1d15af30a45538fea8d4b84f0",
     "synth constant --regime b1 --depth 4 --grid 64":
         "564f4853435554e62ffec97ba4fc2af0ad7fdd3a22c786a7691f4b0384094498",
     "verify constant --regime b1 --depth 4 --grid 64":
-        "162fff20a876169015133930b5e315fede2d76e5564d301a9e79c2728188928b",
+        "e310449b5fc5e93c509ba84c068bf6a77d7dfdb1d15af30a45538fea8d4b84f0",
     "synth square --regime b2-bounded --depth 4 --grid 64":
         "f4754bbda93a29e0a224f1b8fad97fafb9cf0b1432cda22d440e8ab0eaae24b9",
     "verify square --regime b2-bounded --depth 4 --grid 64":
-        "5a0c1fc3d8d82d7de5b1a6cb2b027b74e565e71424bf618f27e1e9988f6453b2",
+        "86570626b85f2ed9d009e93780b76355d9ce660cb5957bc06990173827746620",
     "synth square --regime b2 --depth 4 --grid 64":
         "f4754bbda93a29e0a224f1b8fad97fafb9cf0b1432cda22d440e8ab0eaae24b9",
     "verify square --regime b2 --depth 4 --grid 64":
-        "5a0c1fc3d8d82d7de5b1a6cb2b027b74e565e71424bf618f27e1e9988f6453b2",
+        "86570626b85f2ed9d009e93780b76355d9ce660cb5957bc06990173827746620",
     "synth hyperbola --regime b2 --depth 4 --grid 64":
         "afb0af37647f4d1864ef781cd9bf8c720192489c01067a8ac4c0173dec3b2d34",
     "verify hyperbola --regime b2 --depth 4 --grid 64":
-        "28232ad9e4ffbb9abbd8cedff6f91511652116ac2dd4894f28d9591e8051ad72",
+        "15e3008397341b638026c510ee8ef4d7c1d1f5ab27493e9c9199a3805a9d48d3",
     "synth hyperbola --regime b1 --depth 4 --grid 64":
         "afb0af37647f4d1864ef781cd9bf8c720192489c01067a8ac4c0173dec3b2d34",
     "verify hyperbola --regime b1 --depth 4 --grid 64":
-        "28232ad9e4ffbb9abbd8cedff6f91511652116ac2dd4894f28d9591e8051ad72",
+        "15e3008397341b638026c510ee8ef4d7c1d1f5ab27493e9c9199a3805a9d48d3",
     "synth sect6 --regime b2 --depth 4 --grid 64":
         "57fb12938f1a0ecbfb3841b9bc8ca9df612fd5bb8329917d48670d6fc8c23f89",
     "verify sect6 --regime b2 --depth 4 --grid 64":
@@ -153,11 +153,11 @@ GOLDEN = {
     "synth mixed_target.txt --regime b2 --depth 4 --grid 64":
         "7b0de8fa3de71f3ab56c492b78aa5bb5f7fb2871723513998c922a79ce19e501",
     "verify mixed_target.txt --regime b2 --depth 4 --grid 64":
-        "57c811fae1a3b283291b464251f4549c0deec514d6b7223a44ec06943b0d3ab2",
+        "fbba2b604f7d4714d14dccc5363c1d188331012b0c16d6cfe61aef806b7c0246",
     "synth mixed_target.txt --regime b1 --depth 4 --grid 64":
         "99c230ffaa81cd48b0e47dae8670b87f95e4d593fca8a9b04623adb367a9ae55",
     "verify mixed_target.txt --regime b1 --depth 4 --grid 64":
-        "47c35083a832652412ca9f7ba020dfb23c6d73f563b966795ce3383721dff06b",
+        "887a1a21ca9126ddcfcf55bf375d441ddc3cb6097682232f6bccf81f7c01f35a",
     "strips mixed_target.txt --regime b1 --depth 4 --grid 64":
         "13984ba09c1fa8fa58711f10b91d30201d82f7bcfbd2609142f79d4b9bf22d7e",
 }

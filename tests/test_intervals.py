@@ -102,6 +102,15 @@ def test_union_intersection_membership(a, b, x):
 
 
 @settings(max_examples=200, deadline=None)
+@given(xsets, probe_points)
+def test_contains_matches_span_scan(s, x):
+    """The bisect over span starts agrees with asking every span, at span
+    ends too."""
+    for p in [x] + [e for span in s.spans for e in (span.lo, span.hi)]:
+        assert s.contains(p) == any(span.contains(p) for span in s.spans)
+
+
+@settings(max_examples=200, deadline=None)
 @given(xsets)
 def test_double_complement(s):
     assert s.complement().complement() == s

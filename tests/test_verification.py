@@ -1,15 +1,23 @@
 """Graph sampling, accumulation estimation, Hausdorff, and direction checks."""
 
+import contextlib
 import hashlib
 import inspect
+import io
 import math
 import random
 from fractions import Fraction as F
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from accumgraph import geometry
-from accumgraph.conditions import Regime
+from accumgraph import geometry, verification
+from accumgraph.cli import EXIT_OK, main
+from accumgraph.conditions import Regime, check_regime
+from accumgraph.fileio import parse_target_text
 from accumgraph.demos import demo_set, sect6_c_order
 from accumgraph.geometry import Box, Hyper, PLine, Point, TargetSet
 from accumgraph.synthesis import synthesize
@@ -93,6 +101,42 @@ def test_estimate_determinism():
     a = accumulation_estimate(pts, 1 / 64, min_count=3)
     b = accumulation_estimate(list(pts), 1 / 64, min_count=3)
     assert a.candidates == b.candidates
+
+
+def test_edge_split_cluster_is_a_candidate():
+    """Four distinct-x samples straddling a cell edge split 2 + 2; each is
+    within eps of the other three, so both cells hold core samples."""
+    eps = 0.25
+    pts = [(F(k, 64), F(1, 4) + F(1 if k % 2 else -1, 64)) for k in range(1, 5)]
+    old = {}
+    for x, y in pts:
+        old.setdefault((math.floor(float(x) / eps), math.floor(float(y) / eps)), set()).add(x)
+    assert max(len(xs) for xs in old.values()) == 2
+    est = accumulation_estimate(pts, eps, min_count=3)
+    assert est.candidates == ((0.125, 0.125), (0.125, 0.375))
+
+
+def _cell_rule(points, eps, min_count):
+    """The former candidate rule: cells holding min_count distinct x."""
+    cells = {}
+    for x, y in points:
+        cells.setdefault((math.floor(float(x) / eps), math.floor(float(y) / eps)), set()).add(x)
+    return {((ix + 0.5) * eps, (iy + 0.5) * eps)
+            for (ix, iy), xs in cells.items() if len(xs) >= min_count}
+
+
+def test_core_rule_keeps_every_cell_rule_candidate():
+    rng = random.Random(7)
+    grown = 0
+    for _ in range(40):
+        pts = [(F(rng.randint(0, 200), 200), F(rng.randint(-60, 60), 40))
+               for _ in range(rng.randint(5, 300))]
+        eps, min_count = rng.choice([0.03, 0.1, 1 / 16]), rng.randint(2, 4)
+        old = _cell_rule(pts, eps, min_count)
+        new = set(accumulation_estimate(pts, eps, min_count).candidates)
+        assert old <= new
+        grown += len(new - old)
+    assert grown > 0
 
 
 def test_estimate_validates_inputs():
@@ -216,6 +260,38 @@ def test_clipping_has_one_rule():
     assert owners == {"_Piece", "Box", "TargetSet"}
 
 
+def _dense_backward(probes, cands):
+    """The former probes x candidates sweep, 2048 probes at a time."""
+    best = 0.0
+    for start in range(0, probes.shape[0], 2048):
+        block = probes[start:start + 2048]
+        dx = block[:, 0:1] - cands[None, :, 0]
+        dy = block[:, 1:2] - cands[None, :, 1]
+        best = max(best, float(np.sqrt(dx * dx + dy * dy).min(axis=1).max()))
+    return best
+
+
+def test_block_bounded_backward_is_bit_identical(monkeypatch):
+    rng = np.random.default_rng(20261018)
+    cases = []
+    for _ in range(60):
+        probes = rng.random((int(rng.integers(1, 2000)), 2)) * rng.choice([0.05, 1.0, 8.0])
+        cands = rng.random((int(rng.integers(1, 300)), 2)) * 2.0 - 0.5
+        cases.append((probes, cands))
+    # Ties: probes and candidates on one coarse lattice.
+    lattice = rng.integers(0, 32, (1500, 2)) / 32
+    cases.append((lattice[:1000], lattice[1000:]))
+    cases.append((lattice, lattice[:1]))  # a single candidate
+    cases.append((lattice, np.array([[40.0, -30.0], [41.0, 50.0]])))  # far outside
+    cases.append((lattice[:1], rng.random((50, 2))))  # a single probe
+    for probes, cands in cases:
+        for side in (0.01, 1 / 16, 3.0):
+            assert verification._backward(probes, cands, side) == _dense_backward(probes, cands)
+    monkeypatch.setattr(verification, "_CHUNK", 64)  # many chunks per array
+    for probes, cands in cases[-6:]:
+        assert verification._backward(probes, cands, 1 / 16) == _dense_backward(probes, cands)
+
+
 def test_slices_read_the_index(monkeypatch):
     """Once the first slice has built the x-sorted index, slices rebuild no
     piece domain, and no piece kind slices on its own."""
@@ -298,3 +374,118 @@ def test_closure_direction_vacuous_without_clusters():
 def test_closure_direction_bounded_is_vacuous():
     f = synthesize(demo_set("square"), Regime.B2_BOUNDED, depth=4)
     assert closure_direction_check(f).vacuous
+
+
+# ---------------------------------------------------------------------------
+# End-to-end verdicts
+# ---------------------------------------------------------------------------
+
+
+FUZZ_FLAGS = ["--depth", "6", "--grid", "128"]
+
+
+def _run(argv, text):
+    with mock.patch("sys.stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def _passing_regimes(text):
+    t = parse_target_text(text)
+    return [r for r in Regime if check_regime(t, r).passed]
+
+
+# Random small targets whose verify used to FAIL falsely: a cluster on a
+# cell edge (54), a steep arc (24), and plines and points crossing cell
+# corners (44, 81).
+REGRESSION_TARGETS = {
+    "arc-steep": "hyper 1/2 1/6 1/2 2\npline 0:0 1:-3\n",
+    "points-on-pline": ("pline 3/4:0 5/6:1\npoint 3/4 3\npoint 7/12 -2\npoint 1/3 1\n"
+                        "pline 0:-1 3/4:0 1:3\n"),
+    "edge-split": "point 1/4 -1\npline 0:-2 1/12:-3 1:-3\n",
+    "crossing-plines": "pline 5/12:3 3/4:-1\npline 5/12:-3 2/3:1 11/12:-3\npline 0:-3 2/3:0 1:-2\n",
+}
+
+
+@pytest.mark.parametrize("name", REGRESSION_TARGETS)
+def test_former_false_fails_verify(name):
+    text = REGRESSION_TARGETS[name]
+    regimes = _passing_regimes(text)
+    assert regimes
+    for regime in regimes:
+        code, out = _run(["verify", "-", "--regime", regime.value, *FUZZ_FLAGS], text)
+        assert code == EXIT_OK, (regime, out)
+
+
+def _piece_text(kind, draw):
+    twelfth = st.integers(0, 12).map(lambda i: F(i, 12))
+    level = st.integers(-3, 3)
+    if kind == "point":
+        return f"point {draw(twelfth)} {draw(level)}"
+    if kind == "box":
+        a, b = sorted((draw(twelfth), draw(twelfth)))
+        y0, y1 = sorted((draw(level), draw(level)))
+        return f"box {a} {b} {y0} {y1}"
+    if kind == "pline":
+        xs = draw(st.lists(twelfth, min_size=2, max_size=3, unique=True))
+        return "pline " + " ".join(f"{x}:{draw(level)}" for x in sorted(xs))
+    a = draw(st.integers(0, 11))
+    b = draw(st.integers(a + 1, 12))
+    pole = draw(st.sampled_from([a, b, a - 2, b + 2]))
+    coef = draw(st.sampled_from([-1, 1, 2]))
+    return f"hyper {F(pole, 12)} {F(a, 12)} {F(b, 12)} {coef}"
+
+
+@st.composite
+def small_targets(draw):
+    """One to three pieces on a 1/12 x-grid with |y| <= 3, plus a pline
+    covering [0, 1]."""
+    kinds = draw(st.lists(st.sampled_from(["point", "box", "pline", "hyper"]),
+                          min_size=1, max_size=3))
+    lines = [_piece_text(kind, draw) for kind in kinds]
+    lines.append(f"pline 0:{draw(st.integers(-3, 3))} 1:{draw(st.integers(-3, 3))}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(small_targets())
+def test_every_passing_regime_verifies(text):
+    for regime in _passing_regimes(text):
+        code, out = _run(["verify", "-", "--regime", regime.value, *FUZZ_FLAGS], text)
+        assert code == EXIT_OK, (text, regime, out)
+
+
+def _far_box(t, clearance):
+    """A box of side 1/12 inside |y| <= 2 whose every point is farther than
+    ``clearance`` from the target, or None."""
+    for i in range(12):
+        for j in range(-24, 24):
+            box = Box(F(i, 12), F(i + 1, 12), F(j, 12), F(j + 1, 12))
+            if t.distance_to((F(2 * i + 1, 24), F(2 * j + 1, 24))) > clearance + 0.06:
+                return box
+    return None
+
+
+def test_far_component_fails_backward():
+    """Hausdorff against T plus a box far from T must fail: the candidates
+    of a witness for T stay near T."""
+    rng = random.Random(5)
+    checked = 0
+    for _ in range(30):
+        cover = PLine(((0, rng.randint(-3, 3)), (1, rng.randint(-3, 3))))
+        t = TargetSet(_random_target(rng.randrange(10**6)).pieces + (cover,))
+        depth, eps = 6, 2 / 128
+        bound = 2 * eps + 1 / depth
+        box = _far_box(t, 2 * bound)
+        if box is None:
+            continue
+        for regime in Regime:
+            if not check_regime(t, regime).passed:
+                continue
+            f = synthesize(t, regime, depth=depth)
+            est = accumulation_estimate(sample_graph(f, F(1, 128)), eps)
+            _, d_bwd = hausdorff_to_target(est, TargetSet(t.pieces + (box,)), depth / 2)
+            assert d_bwd > bound, (t, regime, box)
+            checked += 1
+    assert checked >= 40
