@@ -129,6 +129,10 @@ class _Piece:
     # Only an arc can leave an endpoint out of its domain.
     excluded_pole: Optional[Fraction] = None
 
+    def graphs(self) -> List[RationalGraph]:
+        """The piece's single-valued rational graphs, built once and shared."""
+        return self._graphs
+
     def bands(self) -> List[Tuple[RationalGraph, RationalGraph]]:
         """(lower, upper) graphs whose closed y-range above x is the slice."""
         return [(g, g) for g in self.graphs()]
@@ -162,7 +166,8 @@ class Point(_Piece):
     def distance(self, px: Fraction, py: Fraction) -> float:
         return math.sqrt(float(_point_distance_sq(px, py, self.x, self.y)))
 
-    def graphs(self) -> List[RationalGraph]:
+    @cached_property
+    def _graphs(self) -> List[RationalGraph]:
         return [_line(self.domain(), ZERO, self.y)]
 
     def probes(self, pitch: float) -> np.ndarray:
@@ -212,7 +217,8 @@ class Box(_Piece):
         dy = max(self.y0 - py, ZERO, py - self.y1)
         return math.sqrt(float(_sq(dx) + _sq(dy)))
 
-    def graphs(self) -> List[RationalGraph]:
+    @cached_property
+    def _graphs(self) -> List[RationalGraph]:
         """The bottom and top edges; a flat box has one."""
         dom = self.domain()
         out = [_line(dom, ZERO, self.y0)]
@@ -288,7 +294,8 @@ class PLine(_Piece):
         )
         return math.sqrt(float(best))
 
-    def graphs(self) -> List[RationalGraph]:
+    @cached_property
+    def _graphs(self) -> List[RationalGraph]:
         out = []
         for (xa, ya), (xb, yb) in self.segments():
             m = (yb - ya) / (xb - xa)
@@ -433,7 +440,8 @@ class Hyper(_Piece):
         return math.sqrt(min((a - u) ** 2 + (b - c / u) ** 2
                              for u in candidates if u != 0.0))
 
-    def graphs(self) -> List[RationalGraph]:
+    @cached_property
+    def _graphs(self) -> List[RationalGraph]:
         return [RationalGraph(self.domain(), (ZERO, self.coef), (ONE, -self.pole), self.side)]
 
     def probes(self, pitch: float) -> np.ndarray:
@@ -555,11 +563,11 @@ class TargetSet:
     # -- slicing -------------------------------------------------------
 
     @cached_property
-    def _index(self) -> Tuple[List[Fraction], List[list], List[Tuple[float, float]]]:
+    def _index(self) -> Tuple[List[Fraction], List[list], List[Tuple[float, ...]]]:
         """The x-sorted index: the distinct ends of every graph span; the
         bands alive in each slot, slot 2k + 1 at end k and slot 2k on the
         open cell before it (slots 0 and 2 len(ends) lie outside every
-        piece); and each piece's domain ends as floats, for its x-gap."""
+        piece); and each piece's x- and y-range as floats, for its gap."""
         bands = [band for piece in self.pieces for band in piece.bands()]
         ends = sorted({e for g, _ in bands for e in (g.dom.lo, g.dom.hi)})
         alive: List[list] = [[] for _ in range(2 * len(ends) + 1)]
@@ -569,8 +577,7 @@ class TargetSet:
             for slot in range(2 * bisect_left(ends, dom.lo) + 1, 2 * bisect_left(ends, dom.hi) + 2):
                 if slot % 2 == 0 or dom.contains(ends[slot // 2]):
                     alive[slot].append(band)
-        domains = [piece.domain() for piece in self.pieces]
-        return ends, alive, [(float(d.lo), float(d.hi)) for d in domains]
+        return ends, alive, [_float_reach(piece) for piece in self.pieces]
 
     def slice_at(self, x: RatLike) -> SliceSet:
         """Exact vertical slice: the set of y with (x, y) in the union."""
@@ -624,14 +631,16 @@ class TargetSet:
         polylines; an arc takes the least of its finite ends and the float
         stationary points of the squared distance (see ``Hyper.distance``).
 
-        Pieces are visited by their x-gap, a lower bound on their distance,
-        until a gap exceeds the best distance by 1e-9, relative and absolute:
-        far above the rounding of the float gaps and piece distances, so no
-        skipped piece could have lowered the float minimum.
+        Pieces are visited by their gap, the larger of the x-gap to their
+        x-range and the y-gap to their y-range, a lower bound on their
+        distance, until a gap exceeds the best distance by 1e-9, relative
+        and absolute: far above the rounding of the float gaps and piece
+        distances, so no skipped piece could have lowered the float minimum.
         """
         px, py = rat(p[0]), rat(p[1])
-        fx, best = float(px), math.inf
-        gaps = sorted((max(lo - fx, 0.0, fx - hi), k) for k, (lo, hi) in enumerate(self._index[2]))
+        fx, fy, best = float(px), float(py), math.inf
+        gaps = sorted((max(x0 - fx, 0.0, fx - x1, y0 - fy, fy - y1), k)
+                      for k, (x0, x1, y0, y1) in enumerate(self._index[2]))
         for gap, k in gaps:
             if gap > best + 1e-9 * (1.0 + best):
                 break
@@ -651,6 +660,18 @@ class TargetSet:
 # ---------------------------------------------------------------------------
 # Distance helpers
 # ---------------------------------------------------------------------------
+
+
+def _float_reach(piece: Piece) -> Tuple[float, float, float, float]:
+    """The piece's x- and y-range as floats: its graphs are monotone, and an
+    open pole end makes one side infinite."""
+    dom = piece.domain()
+    ys = [float(g.y_at(e)) for g in piece.graphs()
+          for e in (g.dom.lo, g.dom.hi) if g.dom.contains(e)]
+    y0, y1 = min(ys), max(ys)
+    if piece.excluded_pole is not None:
+        y0, y1 = (y0, math.inf) if piece.divergence_sign() > 0 else (-math.inf, y1)
+    return float(dom.lo), float(dom.hi), y0, y1
 
 
 def _sq(v: Fraction) -> Fraction:

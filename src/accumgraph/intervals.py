@@ -183,10 +183,6 @@ class XSet:
         return cls(tuple(Span(rat(x), rat(x)) for x in xs))
 
     @classmethod
-    def closed(cls, lo: RatLike, hi: RatLike) -> "XSet":
-        return cls((Span(rat(lo), rat(hi)),))
-
-    @classmethod
     def interval(cls, lo: RatLike, hi: RatLike, lo_open: bool = False,
                  hi_open: bool = False) -> "XSet":
         span = _make_span(rat(lo), rat(hi), lo_open, hi_open)
@@ -272,9 +268,6 @@ class XSet:
 
     __sub__ = difference
 
-    def is_subset_of(self, other: "XSet") -> bool:
-        return (self - other).is_empty
-
     # -- plumbing -----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -313,11 +306,6 @@ class SliceSet:
     def empty(cls) -> "SliceSet":
         return cls(())
 
-    @classmethod
-    def single(cls, y: RatLike) -> "SliceSet":
-        y = rat(y)
-        return cls(((y, y),))
-
     @property
     def is_empty(self) -> bool:
         return not self.intervals
@@ -342,12 +330,6 @@ class SliceSet:
             raise ValueError("empty slice has no maximum")
         return self.intervals[-1][1]
 
-    def diameter(self) -> Fraction:
-        """Max minus min; zero for a single point, undefined when empty."""
-        if not self.intervals:
-            raise ValueError("empty slice has no diameter")
-        return self.max_value() - self.min_value()
-
     def is_multivalued(self) -> bool:
         """True when the set has more than one point."""
         return len(self.intervals) > 1 or any(a < b for a, b in self.intervals)
@@ -361,11 +343,6 @@ class SliceSet:
     def clipped(self, lo: Fraction, hi: Fraction) -> "SliceSet":
         return SliceSet((max(a, lo), min(b, hi)) for a, b in self.intervals
                         if max(a, lo) <= min(b, hi))
-
-    def union(self, other: "SliceSet") -> "SliceSet":
-        return SliceSet(self.intervals + other.intervals)
-
-    __or__ = union
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SliceSet):

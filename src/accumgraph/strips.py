@@ -18,23 +18,23 @@ radii obey, per level n:
   point r in the shadow (within the same level part) has
   f0(r) - f0(x) < 1/n.
 
-The overlap radius is computed exactly from monotone inverse images: each
-rational graph of a piece is monotone on its span, so the x where it meets
-the band {y >= f0(x) + 1/n} (capped at the level band in the unbounded case)
-is one sub-span, cut with one division per bound. The radius is the exact
-rational distance from the center to these shadows within the center's own
-level part, over the pieces nearer than the running bound only.
+Each radius is the least of its level's terms, shrunk, in exact rationals;
+floats only pick the binding term (see ``_Radii``). The overlap term comes
+from monotone inverse images: each rational graph of a piece is monotone on
+its span, so the x where it meets the band {y >= f0(x) + 1/n} (capped at the
+level band in the unbounded case) is one sub-span, cut with one division per
+bound, met with one span of the center's own level part.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import Piece
+from .geometry import RationalGraph
 from .intervals import ONE, ZERO, RatLike, Span, rat, span_intersection
 from .synthesis import SynthFunction, level_index
 
@@ -91,7 +91,8 @@ def epsilon_schedule(f: SynthFunction, centers: Sequence[RatLike]) -> EpsilonSch
     """Choose legal ball radii for every center and level up to f's depth.
 
     Centers are completed with all net points and empty-slice points; the
-    caller supplies at least the verification grid.
+    caller supplies at least the verification grid. Columns of one kind and
+    one level part share their float work (see ``_Radii``).
     """
     depth = f.depth
     col_set = {rat(c) for c in centers}
@@ -100,101 +101,225 @@ def epsilon_schedule(f: SynthFunction, centers: Sequence[RatLike]) -> EpsilonSch
     columns = tuple(sorted(col_set))
     kinds = tuple(f.classify(x) for x in columns)
 
-    a_enum = f.approx.a_enumeration
-    a_first = a_enum[:depth]
-    unbounded = not f.regime.bounded
-    c_first = list(f.c_points)[:depth] if unbounded else []
-    d_levels = f.analysis.d_levels(depth) if f.regime.baire1 else []
-    w_parts = f.analysis.w_parts(depth)[:depth] if unbounded else []
-    pieces = [(p.domain(), p) for p in f.target.pieces]
-
-    a_rank = {x: i + 1 for i, x in enumerate(a_enum)}
+    a_rank = {x: i + 1 for i, x in enumerate(f.approx.a_enumeration)}
     c_rank = {c: i + 1 for i, c in enumerate(f.c_points)}
 
     values: List[Fraction] = []
-    eps_rows: List[Tuple[Fraction, ...]] = []
     sep_index: Dict[int, int] = {}
-
+    groups: Dict[Tuple[str, Optional[int]], List[int]] = {}
     for idx, x in enumerate(columns):
         kind = kinds[idx]
+        kx: Optional[int] = None
         if kind == "A":
             sep_index[idx] = a_rank[x]
         elif kind == "C":
             sep_index[idx] = c_rank[x]
-        else:
-            fx = f.backbone_value(x)
-            kx = level_index(f.target, x) if unbounded else None
-            near = pieces
-            v_near = f.analysis.v_part(kx).spans if unbounded else (Span(ZERO, ONE),)
-        # Net and enumeration values are lookups; the backbone value is fx.
-        values.append(fx if kind == "B" else f.evaluate(x))
-        row: List[Fraction] = []
-        prev: Optional[Fraction] = None
-        for n in range(1, depth + 1):
-            bound = Fraction(1, n)
-            if prev is not None and prev < bound:
-                bound = prev
-            # A term first read at level m is at least that level's unshrunk
-            # bound, hence above prev: only level n's own terms can lower it.
-            i = n - 1
-            for points in (a_first, c_first):
-                if i < len(points) and points[i] != x and (gap := abs(x - points[i])) < bound:
-                    bound = gap
-            # Level n's separation set: D_n, or W_n unless it holds x.
-            sep: Optional[Fraction] = None
-            if kind == "A" and i < len(d_levels):
-                sep = d_levels[i].distance_to(x)
-                clash = "net point {x} touches diameter level set {n}"
-            elif kind == "B" and i < len(w_parts) and not w_parts[i][1].contains(x):
-                sep = w_parts[i][1].distance_to(x)
-                clash = "backbone center {x} touches a foreign level part"
-            if sep == 0:
-                raise ScheduleInfeasibleError(clash.format(x=x, n=n))
-            if sep is not None and sep < bound:
-                bound = sep
-            if kind == "B":
-                # What lies no nearer than the bound cannot lower it, and
-                # the bound only falls with n: the lists only shrink.
-                near = [(dom, p) for dom, p in near if dom.distance_to(x) < bound]
-                v_near = [v for v in v_near if v.distance_to(x) < bound]
-                over = _overlap_bound(near, v_near, x, fx, kx, n)
-                if over is not None and over < bound:
-                    bound = over
-            if bound <= 0:
-                raise ScheduleInfeasibleError(
-                    f"radius collapsed to {bound} at center {x}, level {n}"
-                )
-            bound *= _SHRINK
-            row.append(bound)
-            prev = bound
-        eps_rows.append(tuple(row))
+        elif not f.regime.bounded:
+            kx = level_index(f.target, x)
+        # Net and enumeration values are lookups; the backbone value is f0.
+        values.append(f.backbone_value(x) if kind == "B" else f.evaluate(x))
+        groups.setdefault((kind, kx), []).append(idx)
 
+    radii = _Radii(f)
+    eps_rows: List[Tuple[Fraction, ...]] = [()] * len(columns)
+    for (kind, kx), idxs in groups.items():
+        xs, fs = [columns[i] for i in idxs], [values[i] for i in idxs]
+        for idx, x, fx, (bounds, terms) in zip(idxs, xs, fs, radii.lower_bounds(kind, kx, xs, fs)):
+            eps_rows[idx] = radii.row(x, kind, fx, kx, bounds, terms)
     return EpsilonSchedule(depth, columns, kinds, tuple(values), tuple(eps_rows), sep_index)
 
 
-def _overlap_bound(near: Sequence[Tuple[Span, Piece]], v_near: Sequence[Span], x: Fraction,
-                   fx: Fraction, kx: Optional[int], n: int) -> Optional[Fraction]:
-    """Exact largest radius respecting f0(r) - f0(x) < 1/n on the shadow.
+# Float lower bounds: each is the float term less an allowance for its
+# rounding, far above the rounding it covers. x-quantities lie in [0, 1],
+# so an absolute 2^-48 covers them; each product of coefficients carries a
+# relative 2^-49. A lower bound above float(bound) * _ABOVE is above bound.
+_X_SLACK = 2.0 ** -48
+_REL = 2.0 ** -49
+_ABOVE = 1.0 + 2.0 ** -40
+# Elements of one float array of a chunk of columns.
+_CHUNK = 1 << 13
 
-    Offending points r are the inverse image of the band y >= f0(x) + 1/n
-    (capped at the level band |y| <= k_x in the unbounded regimes): the band
-    shadows of the pieces ``near`` the center, met with the spans ``v_near``
-    (the center's own level part, or [0, 1] in the bounded regimes). The
-    bound is the distance to the closure of that set, which never holds the
-    center, so the bound is positive.
+
+def _distance_bounds(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Lower bounds on the distances from x to the spans [lo, hi]."""
+    return np.maximum(np.maximum(lo - x, x - hi), 0.0) - _X_SLACK
+
+
+def _span_floats(spans: Sequence[Span]) -> Tuple[np.ndarray, np.ndarray]:
+    return np.array([float(s.lo) for s in spans]), np.array([float(s.hi) for s in spans])
+
+
+def _coefficients(graphs: Sequence[RationalGraph]) -> List[np.ndarray]:
+    """(n1, n0, d1, d0, den_sign) of each graph as floats and whether it is
+    flat (n1 = d1 = 0), shaped to broadcast over columns and levels."""
+    table = np.array([[*g.num, *g.den, g.den_sign] for g in graphs], dtype=float)
+    flat = np.array([g.num[0] == g.den[0] == 0 for g in graphs])
+    return [v[:, None, None] for v in (*table.T, flat)]
+
+
+def _side(coef: List[np.ndarray], theta: np.ndarray, theta_err: np.ndarray,
+          up: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Float bounds on the x of each graph where y >= theta (up = 1) or
+    y <= theta (up = -1), cut as ``RationalGraph.shadow`` cuts them at r = b/a,
+    a = n1 - theta d1, b = theta d0 - n0: whether it is surely empty (a flat
+    graph keeps all or nothing), a lower bound on its lower end and an upper
+    bound on its upper end, neither where the sign of a is not sure. The
+    errors of a, b and r follow from ``theta_err`` and each rounding."""
+    n1, n0, d1, d0, den_sign, flat = coef
+    sign = up * den_sign
+    a, b = n1 - theta * d1, theta * d0 - n0
+    a_err = _REL * (abs(n1) + abs(theta * d1)) + 2 * abs(d1) * theta_err
+    b_err = _REL * (abs(n0) + abs(theta * d0)) + 2 * abs(d0) * theta_err
+    sure = abs(a) > 4 * a_err
+    a = np.where(sure, a, 1.0)
+    r = b / a
+    r_err = 2 * (b_err + abs(r) * a_err) / abs(a) + _REL * abs(r)
+    lo_end = np.where(sure & (sign * a > 0), r - r_err, -np.inf)
+    hi_end = np.where(sure & (sign * a < 0), r + r_err, np.inf)
+    return flat & (sign * b > b_err), lo_end, hi_end
+
+
+class _Radii:
+    """The radii of one schedule: floats pick the binding term, exact
+    rationals compute only that one.
+
+    A column's terms at level n are the gaps to a_n and c_n (terms 0, 1),
+    its distance to D_n or W_n (term 2) and, at a backbone center, to each
+    overlap shadow met with a span of its level part (terms 3 on). Taken in
+    rising float lower bounds, a term is computed exactly only while its
+    bound is not above the least exact term so far: each radius is still
+    the least exact term of its level, 1/n and the previous radius.
+
+    The float tables are built once: the levels' points and spans, and per
+    band of the target the coefficients of its upper graph (for y >= theta_n)
+    and lower graph (for y <= k_x), its domain and its exact shadow.
     """
-    lo, hi = fx + Fraction(1, n), None
-    if kx is not None:
-        hi = Fraction(kx)
-        lo = max(lo, -hi)
-    spans = [span_intersection(shadow, v) for _, piece in near
-             for shadow in piece.shadow(lo, hi) for v in v_near]
-    d = min((s.distance_to(x) for s in spans if s is not None), default=None)
-    if d == 0:
-        raise ScheduleInfeasibleError(
-            f"overlap condition unsatisfiable at center {x}, level {n}"
-        )
-    return d
+
+    def __init__(self, f: SynthFunction):
+        depth, unbounded = f.depth, not f.regime.bounded
+        self.f, self.depth = f, depth
+        self.inv = [Fraction(1, n) for n in range(1, depth + 1)]
+        self.inv_f = 1.0 / np.arange(1, depth + 1)
+        self.a_first = f.approx.a_enumeration[:depth]
+        self.c_first = list(f.c_points)[:depth] if unbounded else []
+        self.d_levels = f.analysis.d_levels(depth) if f.regime.baire1 else []
+        self.w_parts = [w for _, w in f.analysis.w_parts(depth)[:depth]] if unbounded else []
+        # Per level, the float spans of terms 0 and 1, and of term 2 by kind.
+        self.gap_spans = [[_span_floats([Span(p, p)]) for p in points]
+                          for points in (self.a_first, self.c_first)]
+        self.sep_spans = {"A": [_span_floats(dn.spans) for dn in self.d_levels],
+                          "B": [_span_floats([w]) for w in self.w_parts], "C": []}
+        bands = [(piece, band) for piece in f.target.pieces for band in piece.bands()]
+        # A box's band is its bottom and top edge; its shadow is its own.
+        self.shadows: List[Callable[..., Optional[Span]]] = [
+            lower.shadow if lower is upper else lambda lo, hi, p=p: (p.shadow(lo, hi) or [None])[0]
+            for p, (lower, upper) in bands]
+        self.domain = _span_floats([lower.dom for _, (lower, _) in bands])
+        self.upper, self.lower = (_coefficients([band[k] for _, band in bands]) for k in (1, 0))
+        self._pairs: Dict[Optional[int], tuple] = {}
+
+    def pairs(self, kx: Optional[int]) -> tuple:
+        """The (band, span) pairs of V_kx ([0, 1] when kx is None) whose domains
+        may meet: band numbers, float bounds on the meeting, and the pairs."""
+        if kx not in self._pairs:
+            spans = self.f.analysis.v_part(kx).spans if kx is not None else (Span(ZERO, ONE),)
+            v_lo, v_hi = _span_floats(spans)
+            lo, hi = np.maximum.outer(v_lo, self.domain[0]), np.minimum.outer(v_hi, self.domain[1])
+            vs, es = np.nonzero(lo - hi <= _X_SLACK)
+            self._pairs[kx] = (es, lo[vs, es, None, None], hi[vs, es, None, None],
+                               [(e, spans[v]) for v, e in zip(vs.tolist(), es.tolist())])
+        return self._pairs[kx]
+
+    def lower_bounds(self, kind: str, kx: Optional[int], xs: Sequence[Fraction],
+                     fs: Sequence[Fraction]) -> Iterator[Tuple[List[List[float]], List[List[int]]]]:
+        """Per column of one kind and level part (f0 at each in ``fs``) and per
+        level, its terms' lower bounds in rising order up to the last at most
+        1/n, and their term numbers; in chunks of under _CHUNK elements."""
+        width = 3 + max(len(self.pairs(kx)[0]) if kind == "B" else 0, len(self.shadows))
+        step = max(1, _CHUNK // (width * self.depth))
+        for start in range(0, len(xs), step):
+            x = np.array([float(v) for v in xs[start:start + step]])[:, None]
+            lbs = np.full((len(x), self.depth, 3), np.inf)
+            for t, levels in enumerate((*self.gap_spans, self.sep_spans[kind])):
+                for i, (lo, hi) in enumerate(levels):
+                    if len(lo):
+                        lbs[:, i, t] = _distance_bounds(x, lo, hi).min(axis=1)
+            if kind == "B":
+                lbs = np.concatenate([lbs, self._overlap(x, fs[start:start + step], kx)], axis=2)
+            order = np.argsort(lbs, axis=2, kind="stable")
+            lbs = np.take_along_axis(lbs, order, axis=2)
+            keep = np.count_nonzero(lbs <= self.inv_f[:, None] * _ABOVE, axis=2).max(axis=1)
+            for c, k in enumerate(keep.tolist()):
+                yield lbs[c, :, :k].tolist(), order[c, :, :k].tolist()
+
+    def _overlap(self, x: np.ndarray, fs: Sequence[Fraction], kx: Optional[int]) -> np.ndarray:
+        """Lower bounds of the overlap terms, shape (column, level, pair)."""
+        es, p_lo, p_hi, _ = self.pairs(kx)
+        fx = np.array([float(v) for v in fs])[:, None]
+        theta = fx + self.inv_f if kx is None else np.maximum(fx + self.inv_f, -float(kx))
+        empty, lo, hi = _side(self.upper, theta, _REL * (abs(fx) + 1), 1)
+        if kx is not None:
+            cap = _side(self.lower, np.float64(kx), _REL * kx, -1)
+            empty, lo, hi = empty | cap[0], np.maximum(lo, cap[1]), np.minimum(hi, cap[2])
+        lo, hi = np.maximum(lo[es], p_lo), np.minimum(hi[es], p_hi)
+        over = np.where(empty[es] | (lo - hi > _X_SLACK), np.inf, _distance_bounds(x, lo, hi))
+        return np.moveaxis(over, 0, 2)
+
+    def row(self, x: Fraction, kind: str, fx: Fraction, kx: Optional[int],
+            bounds: List[List[float]], terms: List[List[int]]) -> Tuple[Fraction, ...]:
+        """The exact radii of one column (f0(x) = fx at a backbone center)
+        from the lower bounds and term numbers of each level."""
+        row: List[Fraction] = []
+        prev: Optional[Fraction] = None
+        for i, inv in enumerate(self.inv):
+            n = i + 1
+            # A term first read at level m is at least that level's unshrunk
+            # bound, hence above prev: only level n's own terms can lower it.
+            bound = prev if prev is not None and prev < inv else inv
+            limit = float(bound) * _ABOVE
+            band: Optional[Tuple[Fraction, Optional[Fraction]]] = None
+            shadows: Dict[int, Optional[Span]] = {}
+            for lower, j in zip(bounds[i], terms[i]):
+                if lower > limit:
+                    break
+                if j < 2:
+                    point = (self.a_first, self.c_first)[j][i]
+                    term = abs(x - point) if point != x else None
+                elif j == 2:
+                    # Level n's separation set: D_n, or W_n unless it holds x.
+                    if kind == "A":
+                        term = self.d_levels[i].distance_to(x)
+                        clash = "net point {x} touches diameter level set {n}"
+                    else:
+                        w = self.w_parts[i]
+                        term = None if w.contains(x) else w.distance_to(x)
+                        clash = "backbone center {x} touches a foreign level part"
+                    if term == 0:
+                        raise ScheduleInfeasibleError(clash.format(x=x, n=n))
+                else:
+                    # Offending r: f0(r) >= f0(x) + 1/n (and <= k_x), on one
+                    # band of the target, in one span of the level part.
+                    e, v = self.pairs(kx)[3][j - 3]
+                    if band is None:
+                        cap = None if kx is None else Fraction(kx)
+                        band = (fx + inv if cap is None else max(fx + inv, -cap)), cap
+                    if e not in shadows:
+                        shadows[e] = self.shadows[e](*band)
+                    cut = span_intersection(shadows[e], v) if shadows[e] else None
+                    term = cut.distance_to(x) if cut else None
+                    if term == 0:
+                        raise ScheduleInfeasibleError(
+                            f"overlap condition unsatisfiable at center {x}, level {n}")
+                if term is not None and term < bound:
+                    bound = term
+                    limit = float(bound) * _ABOVE
+            if bound <= 0:
+                raise ScheduleInfeasibleError(
+                    f"radius collapsed to {bound} at center {x}, level {n}")
+            bound *= _SHRINK
+            row.append(bound)
+            prev = bound
+        return tuple(row)
 
 
 # ---------------------------------------------------------------------------

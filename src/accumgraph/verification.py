@@ -81,6 +81,8 @@ def accumulation_estimate(points: Sequence[Tuple[Fraction, Fraction]],
     cells: Dict[Tuple[int, int], List[Tuple[float, float, Fraction]]] = {}
     for x, y in points:
         fx, fy = float(x), float(y)
+        if not math.isfinite(fx / eps) or not math.isfinite(fy / eps):
+            raise ValueError(f"eps={eps:g} is too small to grid a sample at ({fx:g}, {fy:g})")
         cells.setdefault((math.floor(fx / eps), math.floor(fy / eps)), []).append((fx, fy, x))
 
     def core(ix: int, iy: int, fx: float, fy: float) -> bool:
@@ -108,6 +110,27 @@ def probe_points(target: TargetSet, pitch: float) -> np.ndarray:
     if target.is_empty:
         return np.empty((0, 2))
     return np.concatenate([piece.probes(pitch) for piece in target.pieces])
+
+
+# The most probes one backward distance may take: 32 times the most a demo
+# takes (the unit square at the default eps, 1025^2 probes).
+_PROBE_BUDGET = 1 << 25
+
+
+def _probe_count(target: TargetSet, pitch: float) -> float:
+    """About as many probes as ``probe_points`` makes, without making any:
+    a box's grid, and each graph's width plus y-travel (its ends are finite
+    and it is monotone) over the pitch."""
+    total = 0.0
+    for piece in target.pieces:
+        for lower, upper in piece.bands():
+            lo, hi = lower.dom.lo, lower.dom.hi
+            width = float(hi - lo) / pitch + 2
+            if lower is upper:
+                total += width + abs(float(upper.y_at(hi) - upper.y_at(lo))) / pitch
+            else:
+                total += width * (float(upper.y_at(lo) - lower.y_at(lo)) / pitch + 2)
+    return total
 
 
 # Elements of one probe x candidate distance array.
@@ -174,12 +197,16 @@ def hausdorff_to_target(est: AccumulationEstimate, target: TargetSet,
     Forward: candidates whose cells overlap the band against the target.
     Backward: probes at pitch eps/2 on the banded target against the
     candidates, in probe blocks of side 8 eps (see ``_backward``); infinity
-    when the target part is nonempty but no candidate exists.
+    when the target part is nonempty but no candidate exists. An eps needing
+    more probes than a fixed budget is a ValueError, before any is built.
     """
     if y_cap <= 0:
         raise ValueError("y_cap must be positive")
     cap = Fraction(y_cap)
     banded = target.clipped(-cap, cap)
+    if (count := _probe_count(banded, est.eps / 2)) > _PROBE_BUDGET:
+        raise ValueError(f"eps={est.eps:g} needs about {count:.3g} target probes,"
+                         f" over the budget of {_PROBE_BUDGET}; use a larger eps")
 
     # A cell overlapping the band may hold target points at |y| = y_cap even
     # when its centre lies outside.

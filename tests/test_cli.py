@@ -2,6 +2,7 @@
 
 import io
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -151,6 +152,21 @@ def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):
     assert out == ""
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("eps", ["1e-300", "1e-310"])
+def test_tiny_eps_is_refused_at_once(eps, capsys):
+    """A tiny eps would need more probes of the target than any run can
+    hold (and more cells than a float can index): exit 2, one line, at
+    once."""
+    start = time.perf_counter()
+    code = main(["verify", "square", "--regime", "b2-bounded", "--eps", eps])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert elapsed < 2.0
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 def test_verify_target_on_band_edge_passes(capsys, monkeypatch):

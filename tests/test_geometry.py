@@ -114,7 +114,7 @@ def test_slice_monotone_under_union():
     t2 = TargetSet((Point(F(1, 2), 3),))
     both = TargetSet(t1.pieces + t2.pieces)
     x = F(1, 2)
-    assert both.slice_at(x) == t1.slice_at(x) | t2.slice_at(x)
+    assert both.slice_at(x) == SliceSet(t1.slice_at(x).intervals + t2.slice_at(x).intervals)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +236,7 @@ def test_clip_preserves_excluded_pole():
     t = TargetSet((Hyper(0, 0, 1, 1),))
     half = t.clipped(None, F(10))
     # The pole side is cut off at y = 10, i.e. x = 1/10.
-    assert half.x_projection() == XSet.closed(F(1, 10), 1)
+    assert half.x_projection() == XSet.interval(F(1, 10), 1)
     unbounded_side = t.clipped(F(1), None)
     assert unbounded_side.x_projection() == XSet.interval(0, 1, lo_open=True)
 
@@ -327,7 +327,7 @@ def test_shadow_matches_clipping():
 def test_shadow_keeps_open_pole_end():
     arc = Hyper(0, 0, 1, 1)
     assert XSet(arc.shadow(F(2), None)) == XSet.interval(0, F(1, 2), lo_open=True)
-    assert XSet(arc.shadow(F(1), F(4))) == XSet.closed(F(1, 4), 1)
+    assert XSet(arc.shadow(F(1), F(4))) == XSet.interval(F(1, 4), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +441,36 @@ def test_pruned_distance_is_bit_identical():
             assert t.distance_to((px, py)) == full, (t, px, py)
             if _reference_slice(t, px).contains(py):
                 assert t.distance_to((px, py)) == 0.0
+
+
+def test_distance_above_sect6_visits_few_arcs(monkeypatch):
+    """A point far above the target is bounded by the pieces' y-ranges too:
+    every sect6 arc lies below y = -4, and only the two arcs reaching -4
+    are nearer than the next y-gap."""
+    t = demo_set("sect6", 10)
+    distance = Hyper.distance
+    visited = []
+
+    def counted(self, px, py):
+        visited.append(self)
+        return distance(self, px, py)
+
+    monkeypatch.setattr(Hyper, "distance", counted)
+    p = (F(3, 10), F(3))
+    got = t.distance_to(p)
+    assert len(visited) <= 3
+    assert got == min(distance(piece, *p) for piece in t.pieces)
+
+
+@pytest.mark.parametrize("piece", [
+    Point(F(1, 2), 1), Box(0, F(1, 2), 0, 1), Box(0, 1, 2, 2),
+    PLine(((0, 0), (F(1, 2), 1), (1, 0))), Hyper(0, 0, 1, 1),
+], ids=["point", "box", "flat-box", "pline", "arc"])
+def test_graphs_are_built_once(piece):
+    """Every caller of a piece's graphs (the radius schedule, the pairwise
+    analysis, shadows, clipping) shares one list, built once."""
+    assert piece.graphs() is piece.graphs()
+    assert all(g in piece.graphs() for band in piece.bands() for g in band)
 
 
 def test_is_bounded():

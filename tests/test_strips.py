@@ -221,10 +221,11 @@ def test_schedule_matches_reference_demos(demo):
     assert epsilon_schedule(f, grid).eps == reference_eps(f, grid)
 
 
-def _graph_target(rng):
+def _graph_target(rng, poles_at_ends=False):
     """Graphs over consecutive x-ranges of [0, 1] (polylines and arcs with
-    a left, right or outside pole), plus points and vertical segments: the
-    multi-valued set stays finite, so the Baire-1 regimes can pass."""
+    a left, right or outside pole, or at a span end only), plus points and
+    vertical segments: the multi-valued set stays finite, so the Baire-1
+    regimes can pass."""
     cuts = [F(i, 16) for i in sorted(rng.sample(range(1, 16), rng.randint(0, 3)))]
     ends = [F(0)] + cuts + [F(1)]
     y = lambda: F(rng.randint(-24, 24), 8)
@@ -236,7 +237,7 @@ def _graph_target(rng):
             pieces.append(PLine(tuple((x, y()) for x in [a, *inner, b])))
         else:
             coef = rng.choice([-1, 1]) * F(rng.randint(1, 8), 8)
-            pole = rng.choice([a, b, a - F(1, 16), b + F(1, 16)])
+            pole = rng.choice([a, b] if poles_at_ends else [a, b, a - F(1, 16), b + F(1, 16)])
             pieces.append(Hyper(pole, a, b, coef))
     for _ in range(rng.randint(0, 2)):
         x = F(rng.randint(0, 16), 16)
@@ -256,6 +257,92 @@ def test_schedule_matches_reference_random_targets():
         f = synthesize(target, regime, depth=4)
         grid = small_grid(32)
         assert epsilon_schedule(f, grid).eps == reference_eps(f, grid), target
+
+
+def test_schedule_matches_reference_unbounded_random_targets():
+    """Targets whose arcs all have their pole at a span end, in both
+    unbounded regimes: the overlap band is capped at k_x there, and the
+    level parts V_k split into many spans."""
+    rng = random.Random(20261018)
+    cases = 0
+    while cases < 12:
+        target = _graph_target(rng, poles_at_ends=True)
+        if target.is_bounded():
+            continue
+        for regime in (Regime.B1, Regime.B2):
+            if check_regime(target, regime).passed:
+                cases += 1
+                f = synthesize(target, regime, depth=4)
+                grid = small_grid(32)
+                assert epsilon_schedule(f, grid).eps == reference_eps(f, grid), (target, regime)
+
+
+# The tie cases: a base segment y = 0 on [0, 1], so f0 = 0 at the center
+# 1/3 (no net point), with pieces whose overlap shadows lie at distance
+# 1/16 from it, below every gap to a_1..a_3.
+_BASE = PLine(((0, 0), (1, 0)))
+_C, _D = F(1, 3), F(1, 16)
+_TINY = F(1, 2 ** 60)
+
+
+def _assert_radius(target, regime, x, level, radius):
+    """The schedule equals the reference rule at every column, and the
+    radius at backbone center x and the given level is the chosen term."""
+    f = synthesize(target, regime, depth=3)
+    assert f.classify(x) == "B"
+    grid = sorted({*small_grid(64), x})
+    sched = epsilon_schedule(f, grid)
+    assert sched.eps == reference_eps(f, grid)
+    assert sched.eps[sched.columns.index(x)][level - 1] == radius * _SHRINK
+
+
+@pytest.mark.parametrize("near", [F(0), _TINY, -_TINY], ids=["tie", "farther", "nearer"])
+@pytest.mark.parametrize("shape", ["boxes", "segments", "arcs"])
+def test_filter_keeps_equidistant_shadows(shape, near):
+    """One shadow on each side of the center at distance 1/16, the right
+    one moved by 2^-60, below float resolution: the float bounds cannot
+    tell them apart, so both are computed and the nearer gives the radius."""
+    c, d = _C, _D
+    if shape == "boxes":
+        pieces = (Box(c - 2 * d, c - d, 0, 1), Box(c + d + near, c + 2 * d, 0, 1))
+    elif shape == "segments":
+        # y >= 1 up to c - d on the left and from c + d + near on the right.
+        pieces = (PLine(((c - 2 * d, 2), (c - d, 1), (c - d / 2, 0))),
+                  PLine(((c + d / 2, 0), (c + d + near, 1), (c + 2 * d, 2))))
+    else:
+        # Poles at the outer ends; y = 1 at c - d and at c + d + near.
+        q = c + 2 * d + near
+        pieces = (Hyper(c - 2 * d, c - 2 * d, c - d / 2, d), Hyper(q, c + d / 2, q, -d))
+    regime = Regime.B2 if shape == "arcs" else Regime.B2_BOUNDED
+    _assert_radius(TargetSet((_BASE, *pieces)), regime, c, 1, d + min(near, 0))
+
+
+def test_filter_keeps_gap_equal_to_shadow_distance():
+    """The gap to a_1 equals the overlap distance at level 1: the center is
+    halfway between a_1 and the left end of a box's shadow."""
+    e = F(2, 3)
+    target = TargetSet((_BASE, Box(e, F(7, 8), 0, 1)))
+    a_1 = synthesize(target, Regime.B2_BOUNDED, depth=3).approx.a_enumeration[0]
+    assert a_1 < e
+    x = (a_1 + e) / 2
+    _assert_radius(target, Regime.B2_BOUNDED, x, 1, e - x)
+
+
+@pytest.mark.parametrize("slope", [F(0), -_TINY], ids=["flat", "nearly-flat"])
+@pytest.mark.parametrize("regime", [Regime.B2_BOUNDED, Regime.B2])
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_filter_keeps_flat_shadow_at_band_edge(regime, level, slope):
+    """A segment at height theta_n = f0 + 1/n (and, at n = 1 in the
+    unbounded regime, at the cap k_x = 1 too) at x = 1/3 - 1/16, flat or
+    falling by 2^-60: its float test is a tie, and for the falling one the
+    float root of y = theta_n is off by far more than the shadow's width, so
+    only its error bound keeps the shadow."""
+    c, d, h = _C, _D, F(1, level)
+    if slope:
+        piece = PLine(((c - 2 * d, h - slope * d), (c - d / 2, h + slope * d / 2)))
+    else:
+        piece = PLine(((c - 2 * d, h), (c - d, h)))
+    _assert_radius(TargetSet((_BASE, piece)), regime, c, level, d)
 
 
 def test_schedule_completes_columns():

@@ -136,7 +136,7 @@ def test_net_avoid_respected():
 
 def test_net_rejects_interval_avoid():
     with pytest.raises(ValueError):
-        lemma31_net(demo_set("constant"), 2, avoid=XSet.closed(0, F(1, 2)))
+        lemma31_net(demo_set("constant"), 2, avoid=XSet.interval(0, F(1, 2)))
 
 
 def test_net_rejects_empty_target():
@@ -216,7 +216,7 @@ def level_sets(analysis, depth):
 def test_u_sets_hyperbola():
     U, V = level_sets(TargetAnalysis(demo_set("hyperbola")), 5)
     for n in range(1, 6):
-        assert U[n - 1] == XSet.closed(F(1, n), 1), f"n={n}"
+        assert U[n - 1] == XSet.interval(F(1, n), 1), f"n={n}"
     assert V[0] == XSet.point(1)
     assert V[1] == XSet.interval(F(1, 2), 1, hi_open=True)
 
@@ -250,9 +250,9 @@ def test_u_sets_structure():
     U, V = level_sets(analysis, 6)
     proj = t.x_projection()
     for a, b in zip(U, U[1:]):
-        assert a.is_subset_of(b)
+        assert (a - b).is_empty
     for u in U:
-        assert u.is_subset_of(proj)
+        assert (u - proj).is_empty
     # V partition: union of V equals U_depth; parts disjoint.
     acc = XSet.empty()
     for v in V:
@@ -261,7 +261,7 @@ def test_u_sets_structure():
     assert acc == U[-1]
     # W parts are closed subsets of their level's V.
     for n, part in W:
-        assert XSet((part,)).is_subset_of(V[n - 1])
+        assert (XSet((part,)) - V[n - 1]).is_empty
     # Enumeration ordered by level then left endpoint.
     keys = [(n, part.lo, part.hi) for n, part in W]
     assert keys == sorted(keys)
