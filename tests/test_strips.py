@@ -246,35 +246,26 @@ def _graph_target(rng, poles_at_ends=False):
 
 
 def test_schedule_matches_reference_random_targets():
-    rng = random.Random(20260607)
-    cases = 0
-    while cases < 20:
-        target = _graph_target(rng)
-        regime = Regime.B1_BOUNDED if target.is_bounded() else Regime.B1
-        if not check_regime(target, regime).passed:
-            continue
-        cases += 1
-        f = synthesize(target, regime, depth=4)
-        grid = small_grid(32)
-        assert epsilon_schedule(f, grid).eps == reference_eps(f, grid), target
-
-
-def test_schedule_matches_reference_unbounded_random_targets():
-    """Targets whose arcs all have their pole at a span end, in both
+    """Random graph targets in the regime their boundedness allows, then
+    unbounded ones whose arcs all have their pole at a span end, in both
     unbounded regimes: the overlap band is capped at k_x there, and the
     level parts V_k split into many spans."""
+    rng = random.Random(20260607)
+    cases = []
+    while len(cases) < 20:
+        target = _graph_target(rng)
+        regime = Regime.B1_BOUNDED if target.is_bounded() else Regime.B1
+        if check_regime(target, regime).passed:
+            cases.append((target, regime))
     rng = random.Random(20261018)
-    cases = 0
-    while cases < 12:
+    while len(cases) < 32:
         target = _graph_target(rng, poles_at_ends=True)
-        if target.is_bounded():
-            continue
-        for regime in (Regime.B1, Regime.B2):
-            if check_regime(target, regime).passed:
-                cases += 1
-                f = synthesize(target, regime, depth=4)
-                grid = small_grid(32)
-                assert epsilon_schedule(f, grid).eps == reference_eps(f, grid), (target, regime)
+        if not target.is_bounded():
+            cases += [(target, r) for r in (Regime.B1, Regime.B2) if check_regime(target, r).passed]
+    grid = small_grid(32)
+    for target, regime in cases:
+        f = synthesize(target, regime, depth=4)
+        assert epsilon_schedule(f, grid).eps == reference_eps(f, grid), (target, regime)
 
 
 # The tie cases: a base segment y = 0 on [0, 1], so f0 = 0 at the center
