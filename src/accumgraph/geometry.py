@@ -7,9 +7,12 @@ at an excluded pole endpoint), so any finite union of pieces is closed.
 
 Each piece kind carries its own behaviour: point distance, the
 single-valued rational graphs the target analysis compares, the float probe
-net and the Lemma 3.1 net samples. A ``TargetSet`` answers slices and
-nearest-piece distance from one x-sorted index of its pieces' graph ends,
-built once: one ``bisect`` finds the graphs alive at x.
+net and the Lemma 3.1 net samples. Each net sample carries the graph it
+lies on (a box row is a flat line), and slides along it. A ``TargetSet``
+answers slices and nearest-piece distance from one x-sorted index of its
+pieces' graph ends, built once: one ``bisect`` finds the bands alive at x,
+and each slice question (membership, the slice max, n_x) is one reduction
+over their y-ranges.
 
 Where a piece meets a horizontal band is read off its rational graphs: each
 is monotone, so its band shadow is one sub-span, and band clipping is each
@@ -27,7 +30,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -96,10 +99,9 @@ def _line(dom: Span, m: Fraction, q: Fraction) -> RationalGraph:
     return RationalGraph(dom, (m, q), (ZERO, ONE), 1)
 
 
-# A net sample: (x, y, slider). The slider moves the sample along its piece
-# to a nearby x2, giving the y there, or None where the piece does not reach.
-Slider = Optional[Callable[[Fraction], Optional[Fraction]]]
-NetSample = Tuple[Fraction, Fraction, Slider]
+# A net sample: (x, y, graph). The sample slides along its piece's graph to
+# a nearby x2 in the graph's domain; a point has no graph and stays put.
+NetSample = Tuple[Fraction, Fraction, Optional[RationalGraph]]
 
 
 def _dyadic_nodes(lo: Fraction, hi: Fraction, pitch: Fraction) -> List[Fraction]:
@@ -251,13 +253,11 @@ class Box(_Piece):
             if self.y0 < edge < self.y1 and edge not in rows:
                 rows.append(edge)
         rows.sort()
+        dom = self.domain()
         out: List[NetSample] = []
         for y in rows:
-            def slider(x2: Fraction, y=y) -> Optional[Fraction]:
-                return y if self.x0 <= x2 <= self.x1 else None
-
-            for x in xs:
-                out.append((x, y, slider))
+            row = _line(dom, ZERO, y)
+            out.extend((x, y, row) for x in xs)
         return out
 
 
@@ -313,36 +313,26 @@ class PLine(_Piece):
 
     def net_samples(self, n: int, grid_pitch: Fraction,
                     curve_spacing: Fraction) -> List[NetSample]:
-        out: List[NetSample] = []
-        for (xa, ya), (xb, yb) in self.segments():
-            out.extend(self._segment_samples(xa, ya, xb, yb, n, curve_spacing))
-        return out
-
-    def _segment_samples(self, xa: Fraction, ya: Fraction, xb: Fraction,
-                         yb: Fraction, n: int, spacing: Fraction) -> List[NetSample]:
-        manhattan = abs(xb - xa) + abs(yb - ya)
-        m = 1
-        while manhattan / m > spacing:
-            m *= 2
         band_lo, band_hi = Fraction(-n), Fraction(n)
-        dy = yb - ya
-
-        def slider(x2: Fraction) -> Optional[Fraction]:
-            return ya + dy * (x2 - xa) / (xb - xa) if xa <= x2 <= xb else None
-
-        ts = [Fraction(i, m) for i in range(m + 1)]
-        # Band crossings, exact.
-        if dy != 0:
-            for edge in (band_lo, band_hi):
-                t = (edge - ya) / dy
-                if ZERO < t < ONE and t not in ts:
-                    ts.append(t)
-        ts.sort()
         out: List[NetSample] = []
-        for t in ts:
-            y = ya + t * dy
-            if band_lo <= y <= band_hi:
-                out.append((xa + t * (xb - xa), y, slider))
+        for ((xa, ya), (xb, yb)), graph in zip(self.segments(), self.graphs()):
+            manhattan = abs(xb - xa) + abs(yb - ya)
+            m = 1
+            while manhattan / m > curve_spacing:
+                m *= 2
+            dy = yb - ya
+            ts = [Fraction(i, m) for i in range(m + 1)]
+            # Band crossings, exact.
+            if dy != 0:
+                for edge in (band_lo, band_hi):
+                    t = (edge - ya) / dy
+                    if ZERO < t < ONE and t not in ts:
+                        ts.append(t)
+            ts.sort()
+            for t in ts:
+                y = ya + t * dy
+                if band_lo <= y <= band_hi:
+                    out.append((xa + t * (xb - xa), y, graph))
         return out
 
 
@@ -505,11 +495,7 @@ class Hyper(_Piece):
             x_cross = pole + c / edge
             if dom.contains(x_cross):
                 nodes.setdefault(x_cross, y_at(x_cross))
-
-        def slider(x2: Fraction) -> Optional[Fraction]:
-            return y_at(x2) if dom.contains(x2) else None
-
-        return [(x, nodes[x], slider) for x in sorted(nodes)]
+        return [(x, nodes[x], self.graphs()[0]) for x in sorted(nodes)]
 
 
 Piece = Union[Point, Box, PLine, Hyper]
@@ -556,10 +542,6 @@ class TargetSet:
         return [(p.excluded_pole, p.divergence_sign())
                 for p in self.pieces if p.excluded_pole is not None]
 
-    def is_bounded(self) -> bool:
-        """Bounded iff no arc has an excluded pole endpoint."""
-        return not self.excluded_poles
-
     # -- slicing -------------------------------------------------------
 
     @cached_property
@@ -579,15 +561,21 @@ class TargetSet:
                     alive[slot].append(band)
         return ends, alive, [_float_reach(piece) for piece in self.pieces]
 
-    def slice_at(self, x: RatLike) -> SliceSet:
-        """Exact vertical slice: the set of y with (x, y) in the union."""
+    def bands_at(self, x: RatLike) -> List[Tuple[Fraction, Fraction]]:
+        """The closed y-range (lo, hi) of each band alive at x, unsorted and
+        unmerged: their union is the slice at x."""
         x = rat(x)
         if not ZERO <= x <= ONE:
             raise ValueError(f"slice x={x} outside [0, 1]")
         ends, alive, _ = self._index
         i = bisect_left(ends, x)
         bands = alive[2 * i + (i < len(ends) and ends[i] == x)]
-        return SliceSet((y := lo.y_at(x), y if hi is lo else hi.y_at(x)) for lo, hi in bands)
+        return [(y := lo.y_at(x), y if hi is lo else hi.y_at(x)) for lo, hi in bands]
+
+    def slice_at(self, x: RatLike) -> SliceSet:
+        """Exact vertical slice, sorted and merged: the set of y with (x, y)
+        in the union."""
+        return SliceSet(self.bands_at(x))
 
     def extended_slice_at(self, x: RatLike) -> ExtendedSlice:
         """Slice of the closure in [0,1] x extended reals.
@@ -654,7 +642,7 @@ class TargetSet:
         px, py = rat(p[0]), rat(p[1])
         if not ZERO <= px <= ONE:
             return False
-        return self.slice_at(px).contains(py)
+        return any(lo <= py <= hi for lo, hi in self.bands_at(px))
 
 
 # ---------------------------------------------------------------------------

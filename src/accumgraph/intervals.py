@@ -7,7 +7,10 @@ Two representations are used throughout the package:
   Supports exact union, intersection, complement and difference within
   [0, 1].
 * ``SliceSet`` -- a finite union of closed intervals on a vertical line,
-  used for the values a target set takes above a single x.
+  sorted and merged: the normalized slice of a target set above one x. The
+  slice questions of synthesis (membership, the slice max, n_x) do not
+  build it; each is one reduction over the unmerged band ranges that
+  ``TargetSet.bands_at`` returns.
 
 All endpoints are ``fractions.Fraction``; no floating point enters the set
 algebra.
@@ -302,10 +305,6 @@ class SliceSet:
                 merged.append((a, b))
         object.__setattr__(self, "intervals", tuple(merged))
 
-    @classmethod
-    def empty(cls) -> "SliceSet":
-        return cls(())
-
     @property
     def is_empty(self) -> bool:
         return not self.intervals
@@ -316,33 +315,9 @@ class SliceSet:
     def __iter__(self) -> Iterator[Tuple[Fraction, Fraction]]:
         return iter(self.intervals)
 
-    def contains(self, y: RatLike) -> bool:
-        y = rat(y)
-        return any(a <= y <= b for a, b in self.intervals)
-
-    def min_value(self) -> Fraction:
-        if not self.intervals:
-            raise ValueError("empty slice has no minimum")
-        return self.intervals[0][0]
-
-    def max_value(self) -> Fraction:
-        if not self.intervals:
-            raise ValueError("empty slice has no maximum")
-        return self.intervals[-1][1]
-
     def is_multivalued(self) -> bool:
         """True when the set has more than one point."""
         return len(self.intervals) > 1 or any(a < b for a, b in self.intervals)
-
-    def min_abs(self) -> Fraction:
-        """Minimum of |y| over the set; undefined when empty."""
-        if not self.intervals:
-            raise ValueError("empty slice has no min_abs")
-        return min(ZERO if a <= ZERO <= b else min(abs(a), abs(b)) for a, b in self.intervals)
-
-    def clipped(self, lo: Fraction, hi: Fraction) -> "SliceSet":
-        return SliceSet((max(a, lo), min(b, hi)) for a, b in self.intervals
-                        if max(a, lo) <= min(b, hi))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SliceSet):

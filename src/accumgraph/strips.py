@@ -36,7 +36,7 @@ import numpy as np
 
 from .geometry import RationalGraph
 from .intervals import ONE, ZERO, RatLike, Span, rat, span_intersection
-from .synthesis import SynthFunction, level_index
+from .synthesis import SynthFunction
 
 
 class ScheduleInfeasibleError(Exception):
@@ -109,15 +109,14 @@ def epsilon_schedule(f: SynthFunction, centers: Sequence[RatLike]) -> EpsilonSch
     groups: Dict[Tuple[str, Optional[int]], List[int]] = {}
     for idx, x in enumerate(columns):
         kind = kinds[idx]
-        kx: Optional[int] = None
         if kind == "A":
             sep_index[idx] = a_rank[x]
         elif kind == "C":
             sep_index[idx] = c_rank[x]
-        elif not f.regime.bounded:
-            kx = level_index(f.target, x)
-        # Net and enumeration values are lookups; the backbone value is f0.
-        values.append(f.backbone_value(x) if kind == "B" else f.evaluate(x))
+        # Net and enumeration values are lookups; the backbone gives f0 and,
+        # in the unbounded regimes, n_x off one slice.
+        fx, kx = f.backbone(x) if kind == "B" else (f.evaluate(x), None)
+        values.append(fx)
         groups.setdefault((kind, kx), []).append(idx)
 
     radii = _Radii(f)

@@ -28,8 +28,8 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .conditions import Regime, TargetAnalysis, Verdict
-from .geometry import EmptySliceError, Slider, TargetSet
-from .intervals import ONE, ZERO, RatLike, SliceSet, XSet, rat
+from .geometry import EmptySliceError, RationalGraph, TargetSet
+from .intervals import ONE, ZERO, RatLike, XSet, rat
 
 
 class RegimeUnsatisfiedError(Exception):
@@ -57,7 +57,6 @@ class NetPlacementError(Exception):
 class NetLevel:
     n: int
     points: Tuple[Tuple[Fraction, Fraction], ...]
-    xs: Tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -70,7 +69,7 @@ class CountableApprox:
         """All net x coordinates in construction order: a_1, a_2, ..."""
         out: List[Fraction] = []
         for level in self.levels:
-            out.extend(level.xs)
+            out.extend(x for x, _ in level.points)
         return out
 
     def a_values(self) -> Dict[Fraction, Fraction]:
@@ -110,11 +109,11 @@ class _Placer:
     """Assigns final x coordinates: pairwise distinct, off the avoid set.
 
     A sample prefers to stay where it is; on a collision it slides by a
-    small offset, positive side first, staying on its piece when the piece
-    is a graph locally. Offsets are capped both by 1/(16 n j) at global
-    index j (well under the 1/(4 n j) budget) and by an absolute 2^-12, so
-    collocated samples from different levels stay inside one clustering
-    cell after separation.
+    small offset, positive side first: along its graph where the graph's
+    domain holds the new x, and level otherwise. Offsets are capped both
+    by 1/(16 n j) at global index j (well under the 1/(4 n j) budget) and
+    by an absolute 2^-12, so collocated samples from different levels stay
+    inside one clustering cell after separation.
     """
 
     _ABS_CAP = Fraction(1, 4096)
@@ -124,7 +123,8 @@ class _Placer:
         self.used: set[Fraction] = set()
         self.index = 0
 
-    def place(self, x: Fraction, y: Fraction, n: int, slider: Slider) -> Tuple[Fraction, Fraction]:
+    def place(self, x: Fraction, y: Fraction, n: int,
+              graph: Optional[RationalGraph]) -> Tuple[Fraction, Fraction]:
         self.index += 1
         scale = min(Fraction(1, 16 * n * self.index), self._ABS_CAP)
         dmax_sq = min(Fraction(1, 16 * n), Fraction(1, 1024)) ** 2
@@ -140,11 +140,9 @@ class _Placer:
             if x2 in self.used or self.avoid.contains(x2):
                 continue
             y2 = y
-            if delta != 0 and slider is not None:
-                slid = slider(x2)
-                if slid is not None:
-                    y2 = slid
             if delta != 0:
+                if graph is not None and graph.dom.contains(x2):
+                    y2 = graph.y_at(x2)
                 if (x2 - x) ** 2 + (y2 - y) ** 2 > dmax_sq:
                     continue
             self.used.add(x2)
@@ -182,14 +180,11 @@ def lemma31_net(target: TargetSet, depth: int, avoid: XSet = XSet.empty()) -> Co
     levels: List[NetLevel] = []
     for n in range(1, depth + 1):
         points: List[Tuple[Fraction, Fraction]] = []
-        xs: List[Fraction] = []
         grid_pitch, curve_spacing = _grid_pitch(n), _curve_spacing(n)
         for piece in target.pieces:
-            for x, y, slider in piece.net_samples(n, grid_pitch, curve_spacing):
-                x2, y2 = placer.place(x, y, n, slider)
-                points.append((x2, y2))
-                xs.append(x2)
-        levels.append(NetLevel(n, tuple(points), tuple(xs)))
+            for x, y, graph in piece.net_samples(n, grid_pitch, curve_spacing):
+                points.append(placer.place(x, y, n, graph))
+        levels.append(NetLevel(n, tuple(points)))
     return CountableApprox(tuple(levels), depth)
 
 
@@ -200,19 +195,24 @@ def lemma31_net(target: TargetSet, depth: int, avoid: XSet = XSet.empty()) -> Co
 
 def f0_bounded(target: TargetSet, x: RatLike) -> Fraction:
     """Max of the slice at x; raises EmptySliceError on an empty slice."""
-    values = target.slice_at(x)
-    if values.is_empty:
+    bands = target.bands_at(x)
+    if not bands:
         raise EmptySliceError(f"empty slice at x={x}")
-    return values.max_value()
+    return max(hi for _, hi in bands)
 
 
-def _leveled_slice(target: TargetSet, x: RatLike) -> Tuple[SliceSet, int]:
-    """The slice at x and n_x = max(1, ceil(min |y| over the slice))."""
-    values = target.slice_at(x)
-    if values.is_empty:
+def _leveled_max(target: TargetSet, x: RatLike) -> Tuple[Fraction, int]:
+    """(f0, n_x) at x in the unbounded regimes, off one slice.
+
+    n_x = max(1, ceil(min |y| over the slice)), where a band holding 0
+    counts 0; f0 is the largest slice value of magnitude at most n_x."""
+    bands = target.bands_at(x)
+    if not bands:
         raise EmptySliceError(f"empty slice at x={x}")
-    m = values.min_abs()
-    return values, max(1, -((-m.numerator) // m.denominator))  # ceil
+    m = min(ZERO if lo <= ZERO <= hi else min(abs(lo), abs(hi)) for lo, hi in bands)
+    n = max(1, -((-m.numerator) // m.denominator))  # ceil
+    cap = Fraction(n)
+    return max(min(hi, cap) for lo, hi in bands if lo <= cap and hi >= -cap), n
 
 
 def level_index(target: TargetSet, x: RatLike) -> int:
@@ -221,13 +221,12 @@ def level_index(target: TargetSet, x: RatLike) -> int:
     Computed directly as max(1, ceil(min |y| over the slice)), which agrees
     with membership in the level sets U_n without any depth truncation.
     """
-    return _leveled_slice(target, x)[1]
+    return _leveled_max(target, x)[1]
 
 
 def f0_unbounded(target: TargetSet, x: RatLike) -> Fraction:
     """Largest slice value whose magnitude does not exceed n_x."""
-    values, n = _leveled_slice(target, x)
-    return values.clipped(Fraction(-n), Fraction(n)).max_value()
+    return _leveled_max(target, x)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +286,11 @@ class SynthFunction:
             return "C"
         return "B"
 
-    def backbone_value(self, x: RatLike) -> Fraction:
+    def backbone(self, x: RatLike) -> Tuple[Fraction, Optional[int]]:
+        """f0(x), with n_x in the unbounded regimes (None in the bounded)."""
         if self.regime.bounded:
-            return f0_bounded(self.target, x)
-        return f0_unbounded(self.target, x)
+            return f0_bounded(self.target, x), None
+        return _leveled_max(self.target, x)
 
     def evaluate(self, x: RatLike) -> Fraction:
         x = rat(x)
@@ -302,7 +302,7 @@ class SynthFunction:
         hit = self.c_values.get(x)
         if hit is not None:
             return hit
-        return self.backbone_value(x)
+        return self.backbone(x)[0]
 
     def __call__(self, x: RatLike) -> Fraction:
         return self.evaluate(x)

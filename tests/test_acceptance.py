@@ -250,7 +250,7 @@ def test_criterion_3_backbone_laws(synths):
             if x in special:
                 continue
             y = f(x)
-            if not f.target.slice_at(x).contains(y):
+            if not f.target.contains_point((x, y)):
                 failures.append(f"{name}/{regime.value}: ({x}, {y}) off target")
                 break
             if not regime.bounded:

@@ -16,8 +16,17 @@ from hypothesis import strategies as st
 
 from accumgraph.demos import demo_set, sect6_pole_points
 from accumgraph.fileio import parse_target_text
-from accumgraph.geometry import Box, ExtendedSlice, Hyper, PLine, Point, TargetSet
+from accumgraph.geometry import (
+    Box,
+    EmptySliceError,
+    ExtendedSlice,
+    Hyper,
+    PLine,
+    Point,
+    TargetSet,
+)
 from accumgraph.intervals import SliceSet, XSet
+from accumgraph.synthesis import f0_bounded, f0_unbounded, level_index
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +161,8 @@ def test_extended_contains_plain_slice():
     for x in (F(1, 4), F(5, 12), F(2, 3)):
         ext = t.extended_slice_at(x)
         for a, b in t.slice_at(x):
-            assert ext.finite.contains(a) and ext.finite.contains(b)
+            assert ext.finite.intervals[0][0] <= a <= b <= ext.finite.intervals[-1][1]
+            assert any(lo <= a and b <= hi for lo, hi in ext.finite)
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +418,34 @@ def test_index_slices_match_per_piece_loop():
     assert outside > 0
 
 
+def test_band_reads_match_the_normalized_slice():
+    """Each slice question, answered by one reduction over the unmerged band
+    ranges, equals the old answer read off the sorted, merged slice."""
+    for t in _index_targets():
+        for x in _index_marks(t):
+            ref = _reference_extended_slice(t, x)
+            iv = ref.finite.intervals
+            ys = {F(0)} | {y for a, b in iv for y in (a - F(1, 1000), a, b, b + F(1, 1000))}
+            for y in ys:
+                assert t.contains_point((x, y)) == any(a <= y <= b for a, b in iv), (t, x, y)
+            count = (not ref.finite.is_empty) + ref.plus_inf + ref.minus_inf
+            multi = len(iv) > 1 or any(a < b for a, b in iv) or count > 1
+            assert t.extended_slice_at(x).count_exceeds_one() == multi, (t, x)
+            if not iv:
+                for read in (f0_bounded, level_index, f0_unbounded):
+                    with pytest.raises(EmptySliceError):
+                        read(t, x)
+                continue
+            assert f0_bounded(t, x) == iv[-1][1], (t, x)
+            # min_abs, then the slice clipped to |y| <= n_x and its max.
+            m = min(F(0) if a <= 0 <= b else min(abs(a), abs(b)) for a, b in iv)
+            n = max(1, math.ceil(m))
+            clipped = [(max(a, -n), min(b, n)) for a, b in iv if max(a, -n) <= min(b, n)]
+            assert level_index(t, x) == n, (t, x)
+            got = f0_unbounded(t, x)
+            assert got == clipped[-1][1] and isinstance(got, F), (t, x)
+
+
 def test_index_keeps_open_pole_ends_out():
     t = TargetSet((Hyper(0, 0, F(1, 2), 1), Hyper(1, F(1, 2), 1, 1)))
     assert t._index[0] == [0, F(1, 2), 1]
@@ -439,7 +477,7 @@ def test_pruned_distance_is_bit_identical():
         for px, py in _far_and_near_points(t, rng):
             full = min(piece.distance(px, py) for piece in t.pieces)
             assert t.distance_to((px, py)) == full, (t, px, py)
-            if _reference_slice(t, px).contains(py):
+            if any(a <= py <= b for a, b in _reference_slice(t, px)):
                 assert t.distance_to((px, py)) == 0.0
 
 
@@ -474,9 +512,9 @@ def test_graphs_are_built_once(piece):
 
 
 def test_is_bounded():
-    assert TargetSet((Box(0, 1, 0, 1),)).is_bounded()
-    assert not demo_set("hyperbola").is_bounded()
-    assert TargetSet((Hyper(F(1, 2), F(5, 8), F(7, 8), 1),)).is_bounded()
+    assert not TargetSet((Box(0, 1, 0, 1),)).excluded_poles
+    assert demo_set("hyperbola").excluded_poles
+    assert not TargetSet((Hyper(F(1, 2), F(5, 8), F(7, 8), 1),)).excluded_poles
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
-"""Every module-level import of the package is used by its module.
+"""Every import and every definition of the package is used.
 
 No linter is a dependency, so this parses each module with ``ast``: a name
 bound by a module-level import must be read somewhere in the module, or be
-re-exported through ``__all__``.
+re-exported through ``__all__``; a function, method or class must be read
+somewhere in the package outside its own body, or be listed in ``__all__``.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -44,3 +46,47 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def uncalled_definitions(sources):
+    """(module, name) of each function, method or class that no code outside
+    its own body reads, as a name or an attribute, and that no ``__all__``
+    lists. Dunders are exempt: the language calls them."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+
+    def reads(tree):
+        return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                       for node in ast.walk(tree)
+                       if isinstance(node, (ast.Name, ast.Attribute)))
+
+    everywhere = sum((reads(tree) for tree in trees.values()), Counter())
+    exported = {node.value for tree in trees.values() for stmt in tree.body
+                if isinstance(stmt, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+                for node in ast.walk(stmt.value) if isinstance(node, ast.Constant)}
+    out = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if (name.startswith("__") and name.endswith("__")) or name in exported:
+                continue
+            if everywhere[name] - reads(node)[name] <= 0:
+                out.append((module, name))
+    return sorted(out)
+
+
+def test_detects_an_uncalled_definition():
+    sources = {
+        "a": '__all__ = ["api"]\ndef api():\n    return helper()\n'
+             'def helper():\n    return 1\ndef loop(n):\n    return loop(n - 1)\n'
+             'class K:\n    def __init__(self):\n        pass\n    def m(self):\n        pass\n',
+        "b": 'from a import K\nK().m()\n',
+    }
+    assert uncalled_definitions(sources) == [("a", "loop")]
+
+
+def test_every_definition_has_a_src_caller():
+    """Code with no caller outside its own test is deleted or given one."""
+    assert uncalled_definitions({path.name: path.read_text() for path in MODULES}) == []

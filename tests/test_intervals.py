@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from accumgraph.geometry import Box, EmptySliceError, Point, TargetSet
 from accumgraph.intervals import (
     SliceSet,
     Span,
@@ -14,6 +15,7 @@ from accumgraph.intervals import (
     rational_sqrt,
     span_intersection,
 )
+from accumgraph.synthesis import f0_bounded, level_index
 
 # -- strategies -------------------------------------------------------------
 
@@ -159,39 +161,43 @@ def test_widest_interval():
 def test_slice_set_merge_and_queries():
     s = SliceSet([(F(0), F(1)), (F(1), F(2)), (F(3), F(3))])
     assert s.intervals == ((F(0), F(2)), (F(3), F(3)))
-    assert s.min_value() == 0
-    assert s.max_value() == 3
-    assert s.max_value() - s.min_value() == 3
+    assert s.intervals[0][0] == 0
+    assert s.intervals[-1][1] == 3
+    assert s.intervals[-1][1] - s.intervals[0][0] == 3
     assert s.is_multivalued()
-    assert s.contains(F(3, 2))
-    assert not s.contains(F(5, 2))
+    t = TargetSet((Box(0, 1, 0, 1), Box(0, 1, 1, 2), Point(0, 3)))
+    assert t.slice_at(0) == s
+    assert t.contains_point((0, F(3, 2)))
+    assert not t.contains_point((0, F(5, 2)))
 
 
 def test_slice_set_min_abs():
-    assert SliceSet([(F(-3), F(-2))]).min_abs() == 2
-    assert SliceSet([(F(-1), F(2))]).min_abs() == 0
-    assert SliceSet([(F(5), F(5))]).min_abs() == 5
+    # n_x = max(1, ceil(min |y|)) on a one-box target: min |y| is 2, 0 and 5.
+    assert level_index(TargetSet((Box(0, 1, -3, -2),)), F(1, 2)) == 2
+    assert level_index(TargetSet((Box(0, 1, -1, 2),)), F(1, 2)) == 1
+    assert level_index(TargetSet((Box(0, 1, 5, 5),)), F(1, 2)) == 5
 
 
 def test_slice_set_clipped():
-    s = SliceSet([(F(-4), F(-2)), (F(1), F(3))])
-    assert s.clipped(F(-3), F(2)).intervals == ((F(-3), F(-2)), (F(1), F(2)))
-    assert s.clipped(F(10), F(11)).is_empty
+    t = TargetSet((Box(0, 1, -4, -2), Box(0, 1, 1, 3)))
+    assert t.clipped(F(-3), F(2)).slice_at(0).intervals == ((F(-3), F(-2)), (F(1), F(2)))
+    assert t.clipped(F(10), F(11)).slice_at(0).is_empty
 
 
 def test_slice_set_empty_queries():
-    s = SliceSet.empty()
-    assert s.is_empty
-    with pytest.raises(ValueError):
-        s.max_value()
-    with pytest.raises(ValueError):
-        s.min_abs()
+    assert SliceSet().is_empty
+    t = TargetSet((Point(0, 1),))
+    assert t.slice_at(1).is_empty
+    with pytest.raises(EmptySliceError):
+        f0_bounded(t, 1)
+    with pytest.raises(EmptySliceError):
+        level_index(t, 1)
 
 
 def test_singleton_slice():
     s = SliceSet([(F(-12), F(-12))])
     assert not s.is_multivalued()
-    assert s.max_value() - s.min_value() == 0
+    assert s.intervals[-1][1] - s.intervals[0][0] == 0
 
 
 # -- rational square roots ---------------------------------------------------

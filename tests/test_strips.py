@@ -62,7 +62,7 @@ def assert_schedule_legal(f, sched, sample_stride=37):
 def _assert_overlap(f, x, e, n, sched):
     """f0(r) - f0(x) < 1/n for sampled backbone r in the shadow (same level
     part in the unbounded regimes)."""
-    fx = f.backbone_value(x)
+    fx = f.backbone(x)[0]
     unbounded = not f.regime.bounded
     kx = level_index(f.target, x) if unbounded else None
     for r in sched.columns:
@@ -70,7 +70,7 @@ def _assert_overlap(f, x, e, n, sched):
             continue
         if unbounded and level_index(f.target, r) != kx:
             continue
-        assert f.backbone_value(r) - fx < F(1, n), (
+        assert f.backbone(r)[0] - fx < F(1, n), (
             f"overlap violated at center {x}, r={r}, n={n}"
         )
 
@@ -197,7 +197,7 @@ def reference_eps(f, centers):
                 terms += [dn.distance_to(x) for dn in d_levels[:n] if not dn.is_empty]
             if kind == "B":
                 terms += [part.distance_to(x) for _, part in w_parts[:n] if not part.contains(x)]
-                theta = f.backbone_value(x) + F(1, n)
+                theta = f.backbone(x)[0] + F(1, n)
                 if unbounded:
                     k = level_index(f.target, x)
                     v_k = u(k) - u(k - 1) if k > 1 else u(1)
@@ -254,13 +254,13 @@ def test_schedule_matches_reference_random_targets():
     cases = []
     while len(cases) < 20:
         target = _graph_target(rng)
-        regime = Regime.B1_BOUNDED if target.is_bounded() else Regime.B1
+        regime = Regime.B1 if target.excluded_poles else Regime.B1_BOUNDED
         if check_regime(target, regime).passed:
             cases.append((target, regime))
     rng = random.Random(20261018)
     while len(cases) < 32:
         target = _graph_target(rng, poles_at_ends=True)
-        if not target.is_bounded():
+        if target.excluded_poles:
             cases += [(target, r) for r in (Regime.B1, Regime.B2) if check_regime(target, r).passed]
     grid = small_grid(32)
     for target, regime in cases:

@@ -11,6 +11,7 @@ from accumgraph.geometry import Box, EmptySliceError, Hyper, PLine, Point, Targe
 from accumgraph.intervals import XSet
 from accumgraph.synthesis import (
     RegimeUnsatisfiedError,
+    _Placer,
     f0_bounded,
     f0_unbounded,
     f_on_c,
@@ -160,6 +161,52 @@ def test_net_collocation_across_levels():
             assert nearest <= 2e-3, f"level {n} point ({x}, {y}) not revisited"
 
 
+def _slid(x, y, graph, taken=()):
+    """Place (x, y) at level 1 once x and ``taken`` are used, so it slides."""
+    placer = _Placer(XSet.empty())
+    placer.used |= {x, *taken}
+    return placer.place(x, y, 1, graph)
+
+
+def _sample(piece, x, graph_ends_at=None):
+    """The level-1 net sample of ``piece`` at x, with its graph."""
+    for sx, sy, graph in piece.net_samples(1, F(1, 2), F(1, 2)):
+        if sx == x and (graph_ends_at is None or graph.dom.hi == graph_ends_at):
+            return sx, sy, graph
+    raise AssertionError(f"no sample at x={x}")
+
+
+def test_placer_slides_along_the_sample_graph():
+    """A sliding net sample takes its graph's y where the graph's domain
+    holds the new x, and keeps its y beyond the domain."""
+    step = _Placer._ABS_CAP  # the first offset at level 1
+    # A box row: a flat line over the box's x-range.
+    x, y, row = _sample(Box(0, F(1, 2), 0, 1), 0)
+    assert row.dom.contains(step)
+    assert _slid(x, y, row) == (step, row.y_at(step))
+    x, y, row = _sample(Box(0, F(1, 2), 0, 1), F(1, 2))
+    assert not row.dom.contains(x + step)
+    assert _slid(x, y, row) == (x + step, y)
+    # The end of a polyline's first segment: beyond it the next segment
+    # rises, but the sample keeps its y; back inside it follows the segment.
+    pline = PLine(((0, 0), (F(1, 2), F(1, 4)), (1, F(1, 2))))
+    x, y, seg = _sample(pline, F(1, 2), graph_ends_at=F(1, 2))
+    assert _slid(x, y, seg) == (x + step, y)
+    assert _slid(x, y, seg, taken={x + step}) == (x - step, seg.y_at(x - step))
+    assert seg.y_at(x - step) != y
+    # An arc beside its open pole end 0: the slide right leaves the 1/16n
+    # displacement cap, and the pole itself is outside the domain.
+    arc = Hyper(0, 0, 1, 1)
+    graph = _sample(arc, 1)[2]
+    assert graph is arc.graphs()[0]
+    assert _slid(step, 1 / step, graph) == (0, 1 / step)
+    x2, y2 = _slid(F(1, 2), F(2), graph)
+    assert x2 != F(1, 2) and y2 == graph.y_at(x2)
+    # A point has no graph and stays level.
+    assert _sample(Point(F(1, 4), 1), F(1, 4))[2] is None
+    assert _slid(F(1, 4), F(1), None) == (F(1, 4) + step, 1)
+
+
 # ---------------------------------------------------------------------------
 # Backbones
 # ---------------------------------------------------------------------------
@@ -199,7 +246,7 @@ def test_f0_unbounded_level_inequality():
             assert 0 <= abs(v) <= 1
         else:
             assert n - 1 < abs(v) <= n
-        assert t.slice_at(x).contains(v)
+        assert t.contains_point((x, v))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,8 @@ from accumgraph.conditions import Regime, check_regime
 from accumgraph.fileio import parse_target_text
 from accumgraph.demos import demo_set, sect6_c_order
 from accumgraph.geometry import Box, Hyper, PLine, Point, TargetSet
+from accumgraph.intervals import SliceSet
+from accumgraph.strips import epsilon_schedule
 from accumgraph.synthesis import synthesize
 from accumgraph.verification import (
     AccumulationEstimate,
@@ -308,6 +310,21 @@ def test_slices_read_the_index(monkeypatch):
     owners = {name for name, cls in vars(geometry).items()
               if inspect.isclass(cls) and "y_interval" in vars(cls)}
     assert not owners
+
+
+@pytest.mark.parametrize("name, regime", [("sect6", Regime.B2), ("square", Regime.B2_BOUNDED)])
+def test_pipeline_builds_no_slice_set(monkeypatch, name, regime):
+    """Synthesis, the radius schedule and the far-point budget answer every
+    slice question off the band ranges: none sorts and merges a slice."""
+
+    def no_slice_set(self, intervals=()):
+        raise AssertionError("a normalized slice was built")
+
+    monkeypatch.setattr(SliceSet, "__init__", no_slice_set)
+    f = synthesize(demo_set(name, 10), regime, depth=6)
+    grid = [F(i, 64) for i in range(65)]
+    assert len(epsilon_schedule(f, grid).columns) >= len(grid)
+    assert remark31_check(sample_graph(f, F(1, 64)), f, 0.5).passed
 
 
 # ---------------------------------------------------------------------------
