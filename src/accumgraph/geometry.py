@@ -58,8 +58,8 @@ class RationalGraph:
     def y_at(self, x: Fraction) -> Fraction:
         """The graph's y at x in its domain; a line's denominator is 1."""
         (n1, n0), (d1, d0) = self.num, self.den
-        y = n1 * x + n0
-        return y if d1 == 0 else y / (d1 * x + d0)
+        y = n1 * x + n0 if n1 else n0
+        return y / (d1 * x + d0) if d1 else y
 
     def shadow(self, lo: Optional[Fraction], hi: Optional[Fraction]) -> Optional[Span]:
         """The x of ``dom`` where lo <= y <= hi (None: no bound on that side).
@@ -380,8 +380,6 @@ class Hyper(_Piece):
         return Span(self.x0, self.x1)
 
     def y_at(self, x: Fraction) -> Fraction:
-        if x == self.pole:
-            raise ZeroDivisionError("arc evaluated at its pole")
         return self.coef / (x - self.pole)
 
     def divergence_sign(self) -> int:
@@ -454,48 +452,60 @@ class Hyper(_Piece):
 
     def net_samples(self, n: int, grid_pitch: Fraction,
                     curve_spacing: Fraction) -> List[NetSample]:
-        band = Fraction(n)
-        pole, c = self.pole, self.coef
-        y_at = self.y_at
+        """The in-band nodes of the dyadic bisection of [x0, x1] down to cells
+        whose width plus clamped y-rise is at most ``curve_spacing`` (or to
+        depth 64), without the cells beyond |y| <= n, plus the band crossing.
 
-        def clamped(x: Fraction) -> Fraction:
-            if x == pole:
-                return band if self.divergence_sign() > 0 else -band
-            return min(max(y_at(x), -band), band)
+        Node t of 0..2^64 lies at distance d0 + w t/2^64 from the pole: |y|
+        falls with t, so a node is in the band from t_in on, and a cell's
+        clamped rise grows up to the crossing and falls past it. So the cells
+        that split at one depth are one window, from the first cell not
+        beyond the band (or the next) to an end found by bisection, and the
+        nodes are the in-band nodes of the visited cells, each evaluated once."""
+        band, s, side, top = Fraction(n), curve_spacing, self.side, 1 << 64
+        near = self.x0 if side > 0 else self.x1
+        d0, w = abs(near - self.pole), self.x1 - self.x0
+        dx = side * w / top  # node t lies at near + t dx
+        cross = (abs(self.coef) / band - d0) * top / w  # the t where |y| = n
+        t_in = max(0, math.ceil(cross))
+        nodes: Dict[Union[int, Fraction], Tuple[Fraction, Fraction]] = {}
 
-        def in_band(x: Fraction) -> bool:
-            return x != pole and abs(y_at(x)) <= band
+        def node(t: Union[int, Fraction]) -> Tuple[Fraction, Fraction]:
+            """(x, y) at the in-band node t, evaluated once."""
+            if t not in nodes:
+                x = near + t * dx
+                nodes[t] = x, self.y_at(x)
+            return nodes[t]
 
-        nodes: Dict[Fraction, Fraction] = {}
+        def rise(t: int, step: int) -> Fraction:
+            """The drop of |y|, clamped to n, over the cell [t, t + step]."""
+            return (abs(node(t)[1]) if t >= t_in else band) - abs(node(t + step)[1])
 
-        def emit(x: Fraction) -> None:
-            if in_band(x):
-                nodes.setdefault(x, y_at(x))
-
-        def beyond_same_side(a: Fraction, b: Fraction) -> bool:
-            ca, cb = clamped(a), clamped(b)
-            return (abs(ca) == band and ca == cb
-                    and not in_band(a) and not in_band(b))
-
-        def rec(a: Fraction, b: Fraction, fuel: int) -> None:
-            if beyond_same_side(a, b):
-                return
-            if fuel == 0 or (b - a) + abs(clamped(b) - clamped(a)) <= curve_spacing:
-                emit(a)
-                emit(b)
-                return
-            mid = (a + b) / 2
-            rec(a, mid, fuel - 1)
-            rec(mid, b, fuel - 1)
-
-        rec(self.x0, self.x1, 64)
-        dom = self.domain()
-        # Exact band-crossing points: y = +-n at x = pole + c/(+-n).
-        for edge in (band, -band):
-            x_cross = pole + c / edge
-            if dom.contains(x_cross):
-                nodes.setdefault(x_cross, y_at(x_cross))
-        return [(x, nodes[x], self.graphs()[0]) for x in sorted(nodes)]
+        emitted = set()
+        lo = hi = 0
+        for k in range(65):
+            step, width = top >> k, w / (1 << k)
+            p = max(lo, -(-t_in // step) - 1)  # the first cell not beyond
+            if p > hi:
+                break
+            emitted.update(t for t in range(p * step, (hi + 1) * step + 1, step) if t >= t_in)
+            if k == 64:
+                break  # the depth limit: every cell stops
+            a, b = p + 1, hi + 1
+            while a < b:  # the rise falls past cell p: cells p + 1 .. a - 1 split
+                mid = (a + b) // 2
+                if width + rise(mid * step, step) > s:
+                    a = mid + 1
+                else:
+                    b = mid
+            first = p if width + rise(p * step, step) > s else p + 1
+            if first >= a:
+                break
+            lo, hi = 2 * first, 2 * a - 1
+        if 0 <= cross <= top:
+            emitted.add(cross)  # the band crossing, a node when cross = t_in
+        graph = self.graphs()[0]
+        return [(*node(t), graph) for t in sorted(emitted, reverse=side < 0)]
 
 
 Piece = Union[Point, Box, PLine, Hyper]

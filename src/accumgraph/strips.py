@@ -28,6 +28,7 @@ bound, met with one span of the center's own level part.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -406,6 +407,13 @@ class StripReport:
         return out
 
 
+def _own_chord_covers(eps: Fraction, f: float, lo: float, hi: float) -> bool:
+    """Whether f on an end of its float cross-section (lo, hi) is inside its
+    own chord: the end rounds onto f, and the exact eps > 0 decides."""
+    h = math.sqrt(float(eps) ** 2)  # the float half-chord at the column
+    return eps > 0 and (lo < f or f - h == lo) and (f < hi or f + h == hi)
+
+
 def verify_strips(family: StripFamily, f: SynthFunction) -> StripReport:
     """Check nesting, coverage and column collapse of a strip family.
 
@@ -437,7 +445,9 @@ def verify_strips(family: StripFamily, f: SynthFunction) -> StripReport:
             nesting_ok = bool(
                 np.all(level.lo >= prev.lo) and np.all(level.hi <= prev.hi)
             )
-        coverage_ok = bool(np.all((level.lo < fv) & (fv < level.hi)))
+        inside = (level.lo < fv) & (fv < level.hi)
+        coverage_ok = all(_own_chord_covers(sched.eps[i][n - 1], fv[i], level.lo[i], level.hi[i])
+                          for i in np.flatnonzero(~inside))
         widths = level.hi - level.lo
         bound = 2.0 / n + _WIDTH_TOL
 

@@ -14,18 +14,18 @@ graph accumulates exactly on the target:
   divergence direction of the extended closure when requested.
 
 Net sampling uses nested dyadic subdivision anchored on each piece, so a
-sample site of level n is revisited by every deeper level. This is the
-finite analogue of the defining property of the net (arbitrarily deep
-levels place points near every target point) and is what lets a
-cluster-based estimator recover two-dimensional and curved regions of the
-target from a truncated graph.
+sample site of level n is revisited by every deeper level: the finite
+analogue of the net's defining property, which lets a cluster-based
+estimator recover two-dimensional and curved regions of the target. An
+arc evaluates each node once. A sample keeps a new x (the fast path); a
+revisited one slides by offsets whose caps are integer denominators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .conditions import Regime, TargetAnalysis, Verdict
 from .geometry import EmptySliceError, RationalGraph, TargetSet
@@ -108,12 +108,13 @@ def _grid_pitch(n: int) -> Fraction:
 class _Placer:
     """Assigns final x coordinates: pairwise distinct, off the avoid set.
 
-    A sample prefers to stay where it is; on a collision it slides by a
-    small offset, positive side first: along its graph where the graph's
-    domain holds the new x, and level otherwise. Offsets are capped both
-    by 1/(16 n j) at global index j (well under the 1/(4 n j) budget) and
-    by an absolute 2^-12, so collocated samples from different levels stay
-    inside one clustering cell after separation.
+    A sample whose x is new and off the avoid set stays put (the fast path).
+    Otherwise it slides by +-1/q, positive side first, halving q after each
+    pair: along its graph where the graph's domain holds the new x, and
+    level otherwise. The first offset is the least of 1/(16 n j) at global
+    index j (well under the 1/(4 n j) budget) and 2^-12, so collocated
+    samples from different levels stay inside one clustering cell; the
+    displacement is at most min(1/(16 n), 2^-10). Both caps are integers.
     """
 
     _ABS_CAP = Fraction(1, 4096)
@@ -126,39 +127,28 @@ class _Placer:
     def place(self, x: Fraction, y: Fraction, n: int,
               graph: Optional[RationalGraph]) -> Tuple[Fraction, Fraction]:
         self.index += 1
-        scale = min(Fraction(1, 16 * n * self.index), self._ABS_CAP)
-        dmax_sq = min(Fraction(1, 16 * n), Fraction(1, 1024)) ** 2
-        attempts = 0
-        offset_iter = self._offsets(scale)
-        for delta in offset_iter:
-            attempts += 1
-            if attempts > 400:
-                break
-            x2 = x + delta
-            if not (ZERO <= x2 <= ONE):
+        if x not in self.used and ZERO <= x <= ONE and not self.avoid.contains(x):
+            self.used.add(x)
+            return x, y
+        q0, m = max(16 * n * self.index, self._ABS_CAP.denominator), max(16 * n, 1024)
+        num, den = x.numerator, x.denominator
+        for k in range(399):
+            # The offsets +1/q0, -1/q0, then half the step: q >= q0 >= m.
+            q = q0 << (k // 2)
+            top = num * q + (-den if k % 2 else den)
+            x2 = Fraction(top, den * q)
+            if not 0 <= top <= den * q or x2 in self.used or self.avoid.contains(x2):
                 continue
-            if x2 in self.used or self.avoid.contains(x2):
+            y2 = graph.y_at(x2) if graph is not None and graph.dom.contains(x2) else y
+            # The displacement test 1/q^2 + dy^2 > 1/m^2, in integers.
+            dy = y2 - y
+            if dy and (dy.numerator * q * m) ** 2 > dy.denominator ** 2 * (q * q - m * m):
                 continue
-            y2 = y
-            if delta != 0:
-                if graph is not None and graph.dom.contains(x2):
-                    y2 = graph.y_at(x2)
-                if (x2 - x) ** 2 + (y2 - y) ** 2 > dmax_sq:
-                    continue
             self.used.add(x2)
             return x2, y2
         raise NetPlacementError(
             f"could not place a net point near x={x} off the avoid set"
         )
-
-    @staticmethod
-    def _offsets(scale: Fraction) -> Iterable[Fraction]:
-        yield ZERO
-        step = scale
-        while True:
-            yield step
-            yield -step
-            step /= 2
 
 
 def lemma31_net(target: TargetSet, depth: int, avoid: XSet = XSet.empty()) -> CountableApprox:

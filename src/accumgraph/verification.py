@@ -284,31 +284,21 @@ def closure_direction_check(f: SynthFunction) -> ClosureDirectionReport:
     A point of C with at least three other points of C within 3/depth
     stands in for an accumulation point of C; the signs of the large
     enumeration values nearby must all be divergence directions of the
-    extended closure there.
+    extended closure there. The arcs diverging at those nearby points stand
+    in for the arcs that accumulate at it, so the closure directions are
+    those of the point and of its neighbours in C.
     """
     if f.regime.bounded:
         return ClosureDirectionReport((), True, True)
     radius = 3.0 / f.depth
-    c_points = list(f.c_points)
     checked: List[ClusterDirection] = []
-    for c in c_points:
-        near = [d for d in c_points if d != c and abs(float(d - c)) <= radius]
+    for c in f.c_points:
+        near = [d for d in f.c_points if d != c and abs(float(d - c)) <= radius]
         if len(near) < 3:
             continue
-        signs = sorted({
-            1 if f.c_values[d] > 0 else -1
-            for d in near
-            if abs(f.c_values[d]) >= 2
-        })
-        ext = f.target.extended_slice_at(c)
-        allowed = set()
-        if ext.plus_inf:
-            allowed.add(1)
-        if ext.minus_inf:
-            allowed.add(-1)
-        ok = all(s in allowed for s in signs)
-        closure_dirs = tuple(sorted(allowed))
-        checked.append(ClusterDirection(c, tuple(signs), closure_dirs, ok))
-    if not checked:
-        return ClosureDirectionReport((), True, True)
-    return ClosureDirectionReport(tuple(checked), all(c.passed for c in checked), False)
+        signs = {1 if f.c_values[d] > 0 else -1 for d in near if abs(f.c_values[d]) >= 2}
+        exts = [f.target.extended_slice_at(d) for d in [c, *near]]
+        allowed = {1 for e in exts if e.plus_inf} | {-1 for e in exts if e.minus_inf}
+        checked.append(ClusterDirection(c, tuple(sorted(signs)), tuple(sorted(allowed)),
+                                        signs <= allowed))
+    return ClosureDirectionReport(tuple(checked), all(c.passed for c in checked), not checked)

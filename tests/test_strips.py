@@ -1,14 +1,19 @@
 """Radius schedules and strip certificates."""
 
+import contextlib
+import io
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from accumgraph import conditions
+from accumgraph.cli import EXIT_OK, main
 from accumgraph.conditions import Regime, TargetAnalysis, check_regime
 from accumgraph.demos import demo_c_order, demo_set, sect6_c_order
 from accumgraph.geometry import Box, Hyper, PLine, Point, TargetSet
@@ -434,3 +439,52 @@ def test_report_lines_format():
     lines = report.lines()
     assert lines[0].startswith("STRIP n=1 nesting=OK coverage=OK max_width_A=")
     assert lines[-1] == "STRIPS PASS"
+
+
+# The backbone is 10^30 on [0, 1/2): every radius is at most 1, below half
+# an ulp of 10^30, so each float chord f +- hw there rounds onto f.
+_LARGE_BACKBONE = "box 0 1 1000000000000000000000000000000 1000000000000000000000000000001\nhyper 1 1/2 1 -1\n"
+
+
+def test_coverage_holds_at_large_backbone_values():
+    with mock.patch("sys.stdin", io.StringIO(_LARGE_BACKBONE)), \
+            contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(["strips", "-", "--regime", "b2", "--depth", "3", "--grid", "16"])
+    assert code == EXIT_OK, out.getvalue()
+    assert "coverage=FAIL" not in out.getvalue()
+
+
+def _two_balls(value, eps):
+    """A one-level family of two far-apart balls of radius eps, both at
+    height ``value``: each column is covered by its own chord alone."""
+    f = synthesize(TargetSet((Box(0, 1, value, value + 1),)), Regime.B2_BOUNDED, depth=1)
+    sched = EpsilonSchedule(depth=1, columns=(F(1, 4), F(3, 4)), kinds=("B", "B"),
+                            values=(F(value), F(value)), eps=((eps,), (eps,)), sep_index={})
+    return f, build_strip_family(sched)
+
+
+def _without_chord(family, i, lo=math.inf, hi=-math.inf):
+    """The family with column i's cross-section replaced by (lo, hi)."""
+    level = family.levels[0]
+    los, his = level.lo.copy(), level.hi.copy()
+    los[i], his[i] = lo, hi
+    return replace(family, levels=(replace(level, lo=los, hi=his),))
+
+
+@pytest.mark.parametrize("value", [0, 10**30], ids=["small", "large"])
+def test_coverage_fails_without_a_columns_chord(value):
+    f, family = _two_balls(value, F(1, 100))
+    assert verify_strips(family, f).levels[0].coverage_ok
+    assert not verify_strips(_without_chord(family, 0), f).levels[0].coverage_ok
+
+
+def test_coverage_of_a_rounded_chord_reads_the_exact_radius():
+    # At 10^30 the chord rounds onto f: a positive radius covers it, a zero
+    # radius does not. At 0 nothing rounds, so an end on f is a FAIL.
+    f, family = _two_balls(10**30, F(1, 100))
+    assert family.levels[0].lo[0] == family.f_floats[0]
+    assert verify_strips(family, f).levels[0].coverage_ok
+    f, family = _two_balls(10**30, F(0))
+    assert not verify_strips(family, f).levels[0].coverage_ok
+    f, family = _two_balls(0, F(1, 100))
+    assert not verify_strips(_without_chord(family, 1, lo=0.0, hi=0.01), f).levels[0].coverage_ok

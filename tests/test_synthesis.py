@@ -1,6 +1,8 @@
 """Net construction, level sets, backbones, and assembled functions."""
 
 import math
+import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -10,7 +12,10 @@ from accumgraph.demos import demo_set, sect6_c_order, sect6_pole_points
 from accumgraph.geometry import Box, EmptySliceError, Hyper, PLine, Point, TargetSet
 from accumgraph.intervals import XSet
 from accumgraph.synthesis import (
+    NetPlacementError,
     RegimeUnsatisfiedError,
+    _curve_spacing,
+    _grid_pitch,
     _Placer,
     f0_bounded,
     f0_unbounded,
@@ -205,6 +210,209 @@ def test_placer_slides_along_the_sample_graph():
     # A point has no graph and stays level.
     assert _sample(Point(F(1, 4), 1), F(1, 4))[2] is None
     assert _slid(F(1, 4), F(1), None) == (F(1, 4) + step, 1)
+
+
+# ---------------------------------------------------------------------------
+# The arc net and the placer against their former implementations
+# ---------------------------------------------------------------------------
+
+
+def reference_arc_nodes(arc, n, spacing):
+    """The arc's net nodes by the former recursion, and whether the depth
+    limit stopped a cell: bisect [x0, x1] until a cell's width plus its
+    clamped y-rise is at most ``spacing`` (or after 64 halvings), skip the
+    cells beyond the band |y| <= n on one side, and add the exact band
+    crossings."""
+    band, pole = F(n), arc.pole
+    nodes, fuel_bound = {}, []
+
+    def clamped(x):
+        if x == pole:
+            return band if arc.divergence_sign() > 0 else -band
+        return min(max(arc.y_at(x), -band), band)
+
+    def in_band(x):
+        return x != pole and abs(arc.y_at(x)) <= band
+
+    def rec(a, b, fuel):
+        ca, cb = clamped(a), clamped(b)
+        if abs(ca) == band and ca == cb and not in_band(a) and not in_band(b):
+            return
+        if fuel == 0 or (b - a) + abs(cb - ca) <= spacing:
+            if (b - a) + abs(cb - ca) > spacing:
+                fuel_bound.append((a, b))
+            for x in (a, b):
+                if in_band(x):
+                    nodes.setdefault(x, arc.y_at(x))
+            return
+        mid = (a + b) / 2
+        rec(a, mid, fuel - 1)
+        rec(mid, b, fuel - 1)
+
+    rec(arc.x0, arc.x1, 64)
+    for edge in (band, -band):
+        x = pole + arc.coef / edge
+        if arc.domain().contains(x):
+            nodes.setdefault(x, arc.y_at(x))
+    return [(x, nodes[x]) for x in sorted(nodes)], bool(fuel_bound)
+
+
+def _arc_nodes(arc, n):
+    return [(x, y) for x, y, _ in arc.net_samples(n, _grid_pitch(n), _curve_spacing(n))]
+
+
+@pytest.mark.parametrize("demo", ["constant", "square", "hyperbola", "sect6"])
+def test_arc_nodes_match_the_recursion_on_demos(demo):
+    for arc in demo_set(demo, 20).pieces:
+        if isinstance(arc, Hyper):
+            for n in range(1, 21):
+                assert _arc_nodes(arc, n) == reference_arc_nodes(arc, n, _curve_spacing(n))[0]
+
+
+def _random_arc(rng):
+    """An arc with its pole at its left end, its right end or outside it,
+    and a coefficient of either sign from far inside the band to so small
+    that the crossing is too steep for 64 halvings."""
+    den = rng.choice([12, 97, 1024, 10**6])
+    a, b = sorted(rng.sample(range(den + 1), 2))
+    x0, x1 = F(a, den), F(b, den)
+    where = rng.choice(["left", "right", "outside"])
+    if where == "outside":
+        gap = F(rng.randint(1, 60), 100)
+        pole = x0 - gap if rng.random() < 0.5 else x1 + gap
+    else:
+        pole = x0 if where == "left" else x1
+    scale = rng.choice([F(1), F(1, 1000), F(1, 10**22), F(1, 10**30)])
+    coef = rng.choice([1, -1]) * rng.randint(1, 40) * scale
+    return where, Hyper(pole, x0, x1, coef)
+
+
+def test_arc_nodes_match_the_recursion_on_random_arcs():
+    rng = random.Random(31)
+    seen = Counter()
+    for _ in range(200):
+        where, arc = _random_arc(rng)
+        n = rng.randint(1, 20)
+        want, fuel_bound = reference_arc_nodes(arc, n, _curve_spacing(n))
+        assert _arc_nodes(arc, n) == want, (arc, n)
+        shadow = arc.graphs()[0].shadow(F(-n), F(n))
+        band = "beyond" if shadow is None else "inside" if shadow == arc.domain() else "cut"
+        seen.update([where, band, arc.coef > 0, "fuel" if fuel_bound else "spacing"])
+    assert all(seen[k] for k in ("left", "right", "outside", "beyond", "inside", "cut",
+                                 True, False, "fuel", "spacing")), seen
+
+
+@pytest.mark.parametrize("arc", [
+    Hyper(0, 0, 1, 1), Hyper(1, F(1, 2), 1, -1), Hyper(F(-1, 4), 0, 1, F(1, 3)),
+    Hyper(F(1, 3), 0, F(1, 3), F(-7, 10**25)),
+], ids=["left-pole", "right-pole", "outside-pole", "depth-limit"])
+def test_arc_nodes_are_evaluated_once(arc, monkeypatch):
+    """Each net node of an arc costs one exact evaluation: no x is
+    evaluated twice, and no x that is not a node is evaluated."""
+    y_at = Hyper.y_at
+    calls = []
+
+    def counted(self, x):
+        calls.append(x)
+        return y_at(self, x)
+
+    monkeypatch.setattr(Hyper, "y_at", counted)
+    for n in (1, 4, 20):
+        calls.clear()
+        samples = arc.net_samples(n, _grid_pitch(n), _curve_spacing(n))
+        assert len(calls) == len(set(calls)) <= len(samples)
+        assert set(calls) <= {x for x, _, _ in samples}
+
+
+class ReferencePlacer:
+    """The former placer: each call builds its caps as Fractions and walks
+    a generator of 400 offsets 0, +s, -s, +s/2, -s/2, ..."""
+
+    def __init__(self, avoid):
+        self.avoid = avoid
+        self.used = set()
+        self.index = 0
+
+    def place(self, x, y, n, graph):
+        self.index += 1
+        scale = min(F(1, 16 * n * self.index), F(1, 4096))
+        dmax_sq = min(F(1, 16 * n), F(1, 1024)) ** 2
+        for attempts, delta in enumerate(self._offsets(scale), start=1):
+            if attempts > 400:
+                break
+            x2 = x + delta
+            if not (0 <= x2 <= 1):
+                continue
+            if x2 in self.used or self.avoid.contains(x2):
+                continue
+            y2 = y
+            if delta != 0:
+                if graph is not None and graph.dom.contains(x2):
+                    y2 = graph.y_at(x2)
+                if (x2 - x) ** 2 + (y2 - y) ** 2 > dmax_sq:
+                    continue
+            self.used.add(x2)
+            return x2, y2
+        raise NetPlacementError(f"could not place a net point near x={x}")
+
+    @staticmethod
+    def _offsets(scale):
+        yield F(0)
+        step = scale
+        while True:
+            yield step
+            yield -step
+            step /= 2
+
+
+def _placements(placer, samples):
+    """Each sample's placed point, or "raised"; then the used x's."""
+    out = []
+    for sample in samples:
+        try:
+            out.append(placer.place(*sample))
+        except NetPlacementError:
+            out.append("raised")
+    return out, placer.used, placer.index
+
+
+def _net_samples(target, depth):
+    """The samples ``lemma31_net`` places, in its order, with their level."""
+    return [(x, y, n, graph) for n in range(1, depth + 1) for piece in target.pieces
+            for x, y, graph in piece.net_samples(n, _grid_pitch(n), _curve_spacing(n))]
+
+
+# D = {1/4, 1/2}: two points off a rising line, both at its net nodes.
+_D_POINTS = TargetSet((PLine(((0, 0), (1, 1))), Point(F(1, 4), 2), Point(F(1, 2), -1)))
+
+
+@pytest.mark.parametrize("target, depth, avoid", [
+    (demo_set("square"), 6, XSet.empty()),
+    (demo_set("sect6", 8), 8, XSet.points(sect6_pole_points(8))),
+    (_D_POINTS, 6, TargetAnalysis(_D_POINTS).d_set),
+], ids=["square", "sect6-c-points", "d-points"])
+def test_placer_matches_the_former_placer_on_nets(target, depth, avoid):
+    """Deeper levels revisit every site, so most samples slide."""
+    samples = _net_samples(target, depth)
+    assert len({x for x, *_ in samples}) < len(samples)
+    assert not avoid.contains_interval()
+    assert _placements(_Placer(avoid), samples) == _placements(ReferencePlacer(avoid), samples)
+
+
+def test_placer_matches_the_former_placer_at_the_ends():
+    """Samples at x = 0 and x = 1 slide only inward, and a sample with no
+    room left raises in both."""
+    row = Box(0, 1, 0, 1).net_samples(1, F(1, 2), F(1, 2))
+    arc = Hyper(0, 0, 1, F(1, 100)).net_samples(3, F(1, 8), F(1, 8))
+    ends = [(x, y, n, g) for n in (1, 2, 7) for x, y, g in row + arc if x in (0, 1)]
+    ends += [(F(0), F(2), 3, None), (F(1), F(-1), 3, None)] * 3
+    for avoid in (XSet.empty(), XSet.points([F(1, 4096), 1 - F(1, 8192)])):
+        assert _placements(_Placer(avoid), ends) == _placements(ReferencePlacer(avoid), ends)
+    # An avoided interval at 0 leaves no offset for a sample there.
+    walled = XSet.interval(0, F(1, 1000))
+    got = _placements(_Placer(walled), ends)
+    assert "raised" in got[0]
+    assert got == _placements(ReferencePlacer(walled), ends)
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from accumgraph import geometry, verification
 from accumgraph.cli import EXIT_OK, main
-from accumgraph.conditions import Regime, check_regime
+from accumgraph.conditions import Regime, TargetAnalysis, check_regime
 from accumgraph.fileio import parse_target_text
 from accumgraph.demos import demo_set, sect6_c_order
 from accumgraph.geometry import Box, Hyper, PLine, Point, TargetSet
@@ -471,6 +471,90 @@ def test_every_passing_regime_verifies(text):
     for regime in _passing_regimes(text):
         code, out = _run(["verify", "-", "--regime", regime.value, *FUZZ_FLAGS], text)
         assert code == EXIT_OK, (text, regime, out)
+
+
+_WAYS = {"up": (1, 1), "down": (-1, -1), "both": (1, -1)}
+
+
+def _pole_chain_text(ways, heights):
+    """Arcs diverging into each pole from each side (``ways[p]`` gives the
+    sign of the left and the right arc's divergence at pole p/12), a pline
+    over the rest of each gap between poles, through the given heights."""
+    ends = sorted({0, 12, *ways})
+    lines = []
+    for (a, b), (ya, yb) in zip(zip(ends, ends[1:]), heights):
+        lo, hi = F(a, 12), F(b, 12)
+        left, right = lo, hi
+        if a in ways:  # y = c/(x - a) right of a diverges with the sign of c
+            left = lo + (hi - lo) / 3
+            lines.append(f"hyper {lo} {lo} {left} {F(ways[a][1], 24)}")
+        if b in ways:  # left of b, with the sign of -c
+            right = hi - (hi - lo) / 3
+            lines.append(f"hyper {hi} {right} {hi} {F(-ways[b][0], 24)}")
+        lines.append(f"pline {left}:{ya} {right}:{yb}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def pole_chain_targets(draw):
+    """Targets whose empty-slice set C is a set of poles: 1-3 poles on the
+    1/12 grid, each with its own way of diverging, and maybe a cluster of 4
+    or 5 adjacent poles, within 3/depth of each other at the fuzz depth,
+    diverging one way: up, down, or up on the left and down on the right."""
+    way = st.sampled_from(sorted(_WAYS)).map(_WAYS.get)
+    ways = {p: draw(way) for p in draw(st.lists(st.integers(0, 12), min_size=1, max_size=3))}
+    if draw(st.booleans()):
+        start, size, cluster = draw(st.integers(0, 8)), draw(st.integers(4, 5)), draw(way)
+        ways.update(dict.fromkeys(range(start, start + size), cluster))
+    level = st.integers(-3, 3)
+    heights = [(draw(level), draw(level)) for _ in range(len(ways) + 2)]
+    return _pole_chain_text(ways, heights)
+
+
+def _closure_fails_unsigned(t, depth):
+    """The oracle for an unsigned run: every value f(c_k) = k is positive,
+    so the closure check fails at a point of C with three others within
+    3/depth exactly when none of them has an arc diverging up."""
+    arcs = [p for p in t.pieces if isinstance(p, Hyper) and p.excluded_pole is not None]
+    poles = sorted({arc.pole for arc in arcs})
+    up = {arc.pole for arc in arcs if arc.y_at(arc.x1 if arc.pole == arc.x0 else arc.x0) > 0}
+    for c in poles:
+        near = [d for d in poles if d != c and abs(d - c) <= F(3, depth)]
+        if len(near) >= 3 and not up & {c, *near}:
+            return True
+    return False
+
+
+def _cluster(last_way):
+    """A pole diverging up at 1/6, and four diverging down at 1/2..2/3 with
+    a fifth at 3/4; the unsigned closure check fails at 3/4 unless the
+    fifth diverges up on one side."""
+    ways = {2: _WAYS["up"], 6: _WAYS["down"], 7: _WAYS["down"], 8: _WAYS["down"],
+            9: _WAYS[last_way]}
+    return _pole_chain_text(ways, [(1, -1)] * 7)
+
+
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(pole_chain_targets())
+@example(_cluster("down"))
+@example(_cluster("both"))
+def test_pole_chains_verify_and_certify(text):
+    """C is the poles. Every passing regime verifies signed, every passing
+    Baire-1 regime certifies, and an unsigned run fails the closure check
+    exactly where the oracle says so."""
+    t = parse_target_text(text)
+    arcs = [p for p in t.pieces if isinstance(p, Hyper)]
+    assert TargetAnalysis(t).c_set.isolated_points() == sorted({arc.pole for arc in arcs})
+    regimes = _passing_regimes(text)
+    assert Regime.B2 in regimes
+    for regime in regimes:
+        code, out = _run(["verify", "-", "--regime", regime.value, "--signed", *FUZZ_FLAGS], text)
+        assert code == EXIT_OK, (text, regime, out)
+        if regime.baire1:
+            code, out = _run(["strips", "-", "--regime", regime.value, *FUZZ_FLAGS], text)
+            assert code == EXIT_OK, (text, regime, out)
+    _, out = _run(["verify", "-", "--regime", "b2", *FUZZ_FLAGS], text)
+    assert ("closure=FAIL" in out) == _closure_fails_unsigned(t, 6), (text, out)
 
 
 def _far_box(t, clearance):
