@@ -17,6 +17,7 @@ All file output is atomic (write to temp, rename).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import tempfile
@@ -47,17 +48,18 @@ def _write_atomic(path: Optional[str], text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
         return
-    target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=str(target.parent) or ".", prefix=target.name)
+    target, tmp = Path(path), None
     try:
+        fd, tmp = tempfile.mkstemp(dir=str(target.parent) or ".", prefix=target.name)
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, path) from None  # not the temporary name
         raise
 
 

@@ -19,8 +19,9 @@ is monotone, so its band shadow is one sub-span, and band clipping is each
 graph over its shadow. A box, whose graphs are only its edges, clips its
 own y-range.
 
-Slicing, projection and band clipping are exact; only the point-to-arc
-distance uses floating point.
+Slicing, projection and band clipping are exact; floating point is used
+only by the point-to-arc distance and by ``distance_bounds``, float bounds
+that spare callers most exact distances.
 """
 
 from __future__ import annotations
@@ -217,7 +218,7 @@ class Box(_Piece):
     def distance(self, px: Fraction, py: Fraction) -> float:
         dx = max(self.x0 - px, ZERO, px - self.x1)
         dy = max(self.y0 - py, ZERO, py - self.y1)
-        return math.sqrt(float(_sq(dx) + _sq(dy)))
+        return math.sqrt(float(dx * dx + dy * dy))
 
     @cached_property
     def _graphs(self) -> List[RationalGraph]:
@@ -393,40 +394,13 @@ class Hyper(_Piece):
         return self.side if self.coef > 0 else -self.side
 
     def distance(self, px: Fraction, py: Fraction) -> float:
-        """Least distance over the arc's finite ends and the stationary points
-        of the squared distance.
-
-        With u = x - pole, a = px - pole and b = py, the squared distance
-        (u - a)^2 + (b - c/u)^2 is stationary where
-        u^4 - a u^3 + b c u - c^2 = 0. Each root of that quartic is polished
-        by Newton steps and clamped to the arc's u-range; every candidate is
-        a point of the arc, so spurious ones cannot lower the minimum.
-        """
-        # Exact membership first, so distance 0 is reported exactly.
+        """Float distance by ``_arc_distance`` in u = x - pole, after an exact
+        membership test, so distance 0 is reported exactly."""
         if self.domain().contains(px) and py * (px - self.pole) == self.coef:
             return 0.0
-        c = float(self.coef)
-        a, b = float(px - self.pole), float(py)
-        u_lo, u_hi = float(self.x0 - self.pole), float(self.x1 - self.pole)
-
-        def quartic(u: float) -> float:
-            return (((u - a) * u) * u + b * c) * u - c * c
-
-        def slope(u: float) -> float:
-            return ((4.0 * u - 3.0 * a) * u) * u + b * c
-
-        candidates = [u_lo, u_hi]
-        for root in np.roots((1.0, -a, 0.0, b * c, -c * c)):
-            u = min(max(root.real, u_lo), u_hi)
-            for _ in range(3):
-                d = slope(u)
-                if d == 0.0:
-                    break
-                u = min(max(u - quartic(u) / d, u_lo), u_hi)
-            candidates.append(u)
-        # u = 0 is an excluded pole end, where the distance diverges.
-        return math.sqrt(min((a - u) ** 2 + (b - c / u) ** 2
-                             for u in candidates if u != 0.0))
+        row = np.array([float(px - self.pole), float(py), float(self.coef),
+                        float(self.x0 - self.pole), float(self.x1 - self.pole)])
+        return float(_arc_distance(*row[:, None])[0])
 
     @cached_property
     def _graphs(self) -> List[RationalGraph]:
@@ -647,6 +621,61 @@ class TargetSet:
                 return 0.0
         return best
 
+    @cached_property
+    def _float_pieces(self) -> Tuple[np.ndarray, ...]:
+        """For ``distance_bounds``: each piece's float reach and size (its
+        largest finite coordinate, an arc's pole and coef too), the points'
+        and boxes' numbers, and rows (piece, floats) of the polyline segments
+        (xa, ya, xb, yb) and the arcs (pole, coef, u_lo, u_hi)."""
+        reach = np.array(self._index[2], dtype=float).reshape(-1, 4)
+        size = np.where(np.isfinite(reach), np.abs(reach), 0.0).max(axis=1, initial=0.0)
+        boxes = [k for k, piece in enumerate(self.pieces) if isinstance(piece, (Point, Box))]
+        segments, arcs = [], []
+        for k, piece in enumerate(self.pieces):
+            if isinstance(piece, PLine):
+                segments += [(k, *map(float, (*a, *b))) for a, b in piece.segments()]
+            elif isinstance(piece, Hyper):
+                pole, coef = piece.pole, piece.coef
+                arcs.append((k, *map(float, (pole, coef, piece.x0 - pole, piece.x1 - pole))))
+                size[k] = max(size[k], abs(float(pole)), abs(float(coef)))
+        return (reach, size, np.array(boxes, dtype=int), np.array(segments).reshape(-1, 5),
+                np.array(arcs).reshape(-1, 5))
+
+    def distance_bounds(self, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Float arrays (lo, hi) with lo <= distance_to(p) <= hi for each row
+        p = (x, y) of ``points``: a piece's float distance d (a closed form,
+        or ``_arc_distance``) widened by 1e-9 (1 + d + |y| + its size), the
+        allowance 1e-9 (1 + d) of distance_to plus room to round large
+        coordinates. A gap bounds a piece from below: an arc's quartic runs
+        only where its gap is below the hi from the closed forms and each
+        arc's point at x (or its end on that side); elsewhere the gap counts."""
+        reach, size, boxes, segments, arcs = self._float_pieces
+        x, y = points[:, :1], points[:, 1:]
+        slack = 1e-9 * (1.0 + np.abs(y) + size)
+        with np.errstate(all="ignore"):
+            dx = np.maximum(np.maximum(reach[:, 0] - x, 0.0), x - reach[:, 1])
+            dy = np.maximum(np.maximum(reach[:, 2] - y, 0.0), y - reach[:, 3])
+            gap, dist = np.maximum(dx, dy), np.full(dx.shape, np.nan)
+            dist[:, boxes] = np.hypot(dx[:, boxes], dy[:, boxes])
+            k, xa, ya, xb, yb = segments.T
+            ex, ey = xb - xa, yb - ya
+            t = np.clip(((x - xa) * ex + (y - ya) * ey) / (ex * ex + ey * ey), 0.0, 1.0)
+            starts = np.flatnonzero(np.diff(k, prepend=-1))
+            dist[:, k[starts].astype(int)] = np.minimum.reduceat(
+                np.hypot(x - xa - t * ex, y - ya - t * ey), starts, axis=1)
+            k, pole, coef, u_lo, u_hi = arcs.T
+            k, a = k.astype(int), x - pole
+            upper, u = dist.copy(), np.clip(a, u_lo, u_hi)
+            upper[:, k] = np.hypot(a - u, y - coef / u)
+            hi = np.fmin.reduce(upper * (1 + 1e-9) + slack, axis=1, initial=np.inf)
+            rows, cols = np.nonzero((gap[:, k] < hi[:, None]) & np.isfinite(y * coef)
+                                    & np.isfinite(coef * coef))
+            dist[rows, k[cols]] = _arc_distance(a[rows, cols], y[rows, 0], coef[cols],
+                                                u_lo[cols], u_hi[cols])
+            hi = np.fmin.reduce(np.fmin(upper, dist) * (1 + 1e-9) + slack, axis=1, initial=np.inf)
+            low = np.where(np.isnan(dist), gap, dist) * (1 - 1e-9) - slack
+        return np.maximum(np.fmin.reduce(low, axis=1, initial=np.inf), 0.0), hi
+
     def contains_point(self, p: Tuple[RatLike, RatLike]) -> bool:
         """Exact membership for a rational point."""
         px, py = rat(p[0]), rat(p[1])
@@ -672,21 +701,41 @@ def _float_reach(piece: Piece) -> Tuple[float, float, float, float]:
     return float(dom.lo), float(dom.hi), y0, y1
 
 
-def _sq(v: Fraction) -> Fraction:
-    return v * v
+def _arc_distance(a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                  u_lo: np.ndarray, u_hi: np.ndarray) -> np.ndarray:
+    """Float distance from each (a, b) to its arc y = c/u, u_lo <= u <= u_hi,
+    in u = x - pole: the least over the finite ends and the stationary points
+    of (u - a)^2 + (b - c/u)^2, the roots of u^4 - a u^3 + b c u - c^2, each
+    an eigenvalue of the ``np.roots`` companion matrix, polished by 3 Newton
+    steps and clamped to the u-range. Every candidate lies on the arc, so
+    spurious ones cannot lower the minimum; u = 0, an excluded pole end, is
+    left out. Squares take libm's pow, as Python's ``**`` does (it can round
+    off x * x); a row's value does not depend on the other rows."""
+    bc, cc = b * c, c * c
+    comp = np.zeros((a.shape[0], 4, 4))
+    comp[:, 0] = np.column_stack([a, np.full_like(a, -0.0), -bc, cc])
+    comp[:, [1, 2, 3], [0, 1, 2]] = 1.0
+    roots = np.linalg.eigvals(comp).real
+    a, b, c, bc, cc, lo, hi = (v[:, None] for v in (a, b, c, bc, cc, u_lo, u_hi))
+    with np.errstate(all="ignore"):
+        u = np.minimum(np.maximum(roots, lo), hi)
+        for _ in range(3):  # a zero slope stops a root: it stays put, and so does its slope
+            slope = ((4.0 * u - 3.0 * a) * u) * u + bc
+            step = np.minimum(np.maximum(u - ((((u - a) * u) * u + bc) * u - cc) / slope, lo), hi)
+            u = np.where(slope == 0.0, u, step)
+        u = np.concatenate([lo, hi, u], axis=1)
+        sq = np.float_power(a - u, 2) + np.float_power(b - c / u, 2)
+    return np.sqrt(np.fmin.reduce(np.where(u == 0.0, np.inf, sq), axis=1))
 
 
 def _point_distance_sq(ax: Fraction, ay: Fraction, bx: Fraction, by: Fraction) -> Fraction:
-    return _sq(ax - bx) + _sq(ay - by)
+    return (ax - bx) * (ax - bx) + (ay - by) * (ay - by)
 
 
 def _segment_distance_sq(px: Fraction, py: Fraction,
                          xa: Fraction, ya: Fraction,
                          xb: Fraction, yb: Fraction) -> Fraction:
+    """Squared distance to a polyline segment, whose xa < xb."""
     dx, dy = xb - xa, yb - ya
-    denom = _sq(dx) + _sq(dy)
-    if denom == 0:
-        return _point_distance_sq(px, py, xa, ya)
-    t = ((px - xa) * dx + (py - ya) * dy) / denom
-    t = min(max(t, Fraction(0)), Fraction(1))
+    t = min(max(((px - xa) * dx + (py - ya) * dy) / (dx * dx + dy * dy), ZERO), ONE)
     return _point_distance_sq(px, py, xa + t * dx, ya + t * dy)

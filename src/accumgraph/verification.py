@@ -7,7 +7,10 @@ within Chebyshev radius eps (an accumulation point needs infinitely many
 distinct graph points nearby, and distinct x is the finite proxy).
 Candidate quality is measured by a two-sided Hausdorff comparison against
 the target restricted to a y band, since depth truncation cuts the
-target's far reaches.
+target's far reaches. In its forward half and in the far-point budget, float
+distance bounds only choose which candidates and samples take an exact
+distance (to a candidate that can hold the maximum, to a sample they cannot
+place on one side of eps), so both results are those of exact distances.
 
 Two structural checks accompany the estimate: the far-point budget (only
 finitely many graph points sit farther than eps from the target, bounded by
@@ -205,13 +208,20 @@ def hausdorff_to_target(est: AccumulationEstimate, target: TargetSet,
     cap = Fraction(y_cap)
     banded = target.clipped(-cap, cap)
     if (count := _probe_count(banded, est.eps / 2)) > _PROBE_BUDGET:
-        raise ValueError(f"eps={est.eps:g} needs about {count:.3g} target probes,"
-                         f" over the budget of {_PROBE_BUDGET}; use a larger eps")
+        raise ValueError(f"eps={est.eps:g} with y cap {y_cap:g} needs about {count:.3g} target"
+                         f" probes, over the budget of {_PROBE_BUDGET}; use a larger eps"
+                         " or a smaller y cap")
 
     # A cell overlapping the band may hold target points at |y| = y_cap even
     # when its centre lies outside.
     cands = [(cx, cy) for cx, cy in est.candidates if abs(cy) - est.eps / 2 <= y_cap]
-    d_forward = max((target.distance_to((rat(cx), rat(cy))) for cx, cy in cands), default=0.0)
+    # Exact distances by falling upper bound, while one can raise the maximum.
+    lo, hi = target.distance_bounds(np.array(cands).reshape(-1, 2))
+    d_forward, floor = 0.0, lo.max(initial=0.0)
+    for i in np.argsort(-hi, kind="stable"):
+        if hi[i] < floor or hi[i] <= d_forward:
+            break
+        d_forward = max(d_forward, target.distance_to((rat(cands[i][0]), rat(cands[i][1]))))
 
     probes = probe_points(banded, est.eps / 2)
     if probes.shape[0] == 0:
@@ -243,12 +253,11 @@ def remark31_check(points: Sequence[Tuple[Fraction, Fraction]],
     cutoff = math.ceil(1.0 / eps)
     sizes = f.approx.level_sizes()
     bound = sum(sizes[: max(0, cutoff - 1)]) + len(f.c_points)
-    count_far = 0
-    for x, y in points:
-        if f.target.contains_point((x, y)):
-            continue
-        if f.target.distance_to((x, y)) > eps:
-            count_far += 1
+    lo, hi = f.target.distance_bounds(
+        np.array([(float(x), float(y)) for x, y in points]).reshape(-1, 2))
+    count_far = sum(1 for (x, y), low, high in zip(points, lo, hi)
+                    if high > eps and (low > eps or (not f.target.contains_point((x, y))
+                                                     and f.target.distance_to((x, y)) > eps)))
     return FarPointResult(count_far, bound, count_far <= bound)
 
 

@@ -177,3 +177,33 @@ def test_verify_target_on_band_edge_passes(capsys, monkeypatch):
                            capsys=capsys, monkeypatch=monkeypatch)
     assert code == EXIT_OK, out
     assert "d_backward=inf" not in out
+
+
+@pytest.mark.parametrize("command", ["synth", "strips", "verify"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_out_error_names_the_given_path(command, where, tmp_path, capsys):
+    """An --out that cannot be written is one error line naming the path
+    asked for (strips writes <out>.n<level>.csv), exit 2, and no temporary
+    file is left behind."""
+    out = tmp_path / "missing" / "x.csv" if where == "missing-directory" else tmp_path / "x"
+    written = Path(f"{out}.n1.csv") if command == "strips" else out
+    if where == "directory":
+        written.mkdir()
+    code = main([command, "constant", "--regime", "b1", "--depth", "2", "--grid", "8",
+                 "--out", str(out)])
+    _, err = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert err.splitlines() == [err.strip()] and err.startswith("error:")
+    assert err.rstrip().endswith(f": {str(written)!r}")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ([written.name] if where == "directory" else [])
+
+
+def test_probe_budget_error_names_eps_and_ycap(tmp_path, capsys):
+    target = tmp_path / "t.txt"
+    target.write_text("hyper 0 0 1 1\npline 0:0 1:0\n")
+    code = main(["verify", str(target), "--regime", "b2", "--ycap", "1e300"])
+    out, err = capsys.readouterr()
+    assert code == EXIT_USAGE and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "eps=0.00195312" in err and "y cap 1e+300" in err
+    assert "larger eps or a smaller y cap" in err

@@ -10,10 +10,12 @@ import random
 from fractions import Fraction as F
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from accumgraph import geometry
 from accumgraph.demos import demo_set, sect6_pole_points
 from accumgraph.fileio import parse_target_text
 from accumgraph.geometry import (
@@ -692,3 +694,59 @@ def test_slice_matches_oracle(pieces, x):
         else:
             assert dist_to_slice(v) < 1e-9
     assert t.x_projection().contains(x) == (not got.is_empty)
+
+
+# ---------------------------------------------------------------------------
+# Float distance bounds
+# ---------------------------------------------------------------------------
+
+
+def _filter_points(t, xs):
+    """Points on the pieces at xs, at box corners, on segment ends, far above
+    and below each pole, and off the unit strip."""
+    points = [(x, y) for x in xs for band in t.bands_at(x) for y in band]
+    for piece in t.pieces:
+        if isinstance(piece, Box):
+            points += [(x, y) for x in (piece.x0, piece.x1) for y in (piece.y0, piece.y1)]
+        elif isinstance(piece, PLine):
+            points += list(piece.vertices)
+        elif isinstance(piece, Hyper):
+            points += [(min(max(piece.pole + dx, F(0)), F(1)), F(y))
+                       for dx in (F(-1, 1000), F(1, 1000)) for y in (-1000, 1000)]
+    return points + [(F(-1, 4), F(0)), (F(5, 4), F(3)), (F(1, 2), F(-60))]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(random_pieces(), min_size=1, max_size=4), st.lists(small_rat, max_size=3))
+def test_distance_bounds_hold_the_exact_distance(pieces, xs):
+    """lo <= distance_to <= hi at every test point, and the batched arc
+    distance of all (point, arc) rows at once equals ``Hyper.distance``."""
+    t = TargetSet(tuple(pieces))
+    points = _filter_points(t, xs)
+    lo, hi = t.distance_bounds(np.array([(float(x), float(y)) for x, y in points]))
+    for (x, y), low, high in zip(points, lo, hi):
+        assert low <= t.distance_to((x, y)) <= high, (t, x, y)
+    rows = [(arc, x, y) for arc in t.pieces if isinstance(arc, Hyper) for x, y in points
+            if not (arc.domain().contains(x) and y * (x - arc.pole) == arc.coef)]
+    if rows:
+        batched = geometry._arc_distance(*np.array(
+            [[float(x - arc.pole), float(y), float(arc.coef), float(arc.x0 - arc.pole),
+              float(arc.x1 - arc.pole)] for arc, x, y in rows]).T)
+        assert list(batched) == [arc.distance(x, y) for arc, x, y in rows]
+
+
+def test_distance_bounds_prune_the_arc_quartic(monkeypatch):
+    """A point on one sect6 arc is bounded by its vertical distance there:
+    the quartic runs only for the arcs whose reach gap is below that."""
+    t = demo_set("sect6", 10)
+    arc_distance, sizes = geometry._arc_distance, []
+
+    def counted(a, *rest):
+        sizes.append(a.shape[0])
+        return arc_distance(a, *rest)
+
+    monkeypatch.setattr(geometry, "_arc_distance", counted)
+    x = F(5, 12) + F(1, 100)
+    lo, hi = t.distance_bounds(np.array([(float(x), float(y)) for y, _ in t.bands_at(x)]))
+    assert list(lo) == [0.0] * len(lo) and max(hi) < 1e-6
+    assert sum(sizes) < len(t.pieces)

@@ -327,9 +327,28 @@ def test_pipeline_builds_no_slice_set(monkeypatch, name, regime):
     assert remark31_check(sample_graph(f, F(1, 64)), f, 0.5).passed
 
 
+def test_forward_distance_keeps_the_maximum_among_ties():
+    """The square's forward maximum is shared by many candidates; the float
+    bounds must not lose it, and the value is the exact path's float."""
+    f = synthesize(demo_set("square"), Regime.B2_BOUNDED, depth=10)
+    eps = 2 / 1024
+    est = accumulation_estimate(sample_graph(f, F(1, 1024)), eps, min_count=3)
+    cands = [(cx, cy) for cx, cy in est.candidates if abs(cy) - eps / 2 <= 5.0]
+    exact = [f.target.distance_to((F(cx), F(cy))) for cx, cy in cands]
+    assert exact.count(max(exact)) > 10
+    d_fwd, _ = hausdorff_to_target(est, f.target, y_cap=5.0)
+    assert d_fwd == max(exact)
+
+
 # ---------------------------------------------------------------------------
 # Far-point budget
 # ---------------------------------------------------------------------------
+
+
+def _exact_far_count(points, target, eps):
+    """The far-point count with an exact membership or distance per sample."""
+    return sum(1 for p in points
+               if not target.contains_point(p) and target.distance_to(p) > eps)
 
 
 def test_remark31_constant_all_on_target():
@@ -359,6 +378,36 @@ def test_remark31_sect6_budget():
         assert res.passed, f"eps={eps}: {res.count_far} > {res.bound}"
     res = remark31_check(pts, f, 1.0)
     assert res.bound == len(f.c_points)
+
+
+def test_remark31_sample_at_distance_eps():
+    """A sample exactly eps from the target is not far; the float bounds
+    cannot decide it, so it takes the exact distance."""
+    f = synthesize(parse_target_text("pline 0:0 1:0\n"), Regime.B1, depth=6)
+    eps, tiny = F(1, 64), F(1, 2**40)
+    pts = [(F(1, 2), y) for y in (eps, eps - tiny, eps + tiny, -eps, -eps - tiny, F(0))]
+    res = remark31_check(pts, f, float(eps))
+    assert res.count_far == _exact_far_count(pts, f.target, float(eps)) == 2
+    depth = 8
+    f = synthesize(demo_set("sect6", depth), Regime.B1, depth=depth,
+                   c_order=sect6_c_order(depth))
+    pts = sample_graph(f, F(1, 256))
+    for eps in (1.0, 0.25, 1 / 64):
+        assert remark31_check(pts, f, eps).count_far == _exact_far_count(pts, f.target, eps)
+
+
+def test_remark31_on_target_takes_no_exact_distance(monkeypatch):
+    """On the constant demo every sample is decided by its float bounds."""
+    f = synthesize(demo_set("constant"), Regime.B1, depth=10)
+    pts = sample_graph(f, F(1, 1024))
+
+    def exact(self, p):
+        raise AssertionError("exact distance or membership taken")
+
+    monkeypatch.setattr(TargetSet, "distance_to", exact)
+    monkeypatch.setattr(TargetSet, "contains_point", exact)
+    res = remark31_check(pts, f, 2 / 1024)
+    assert res.count_far == 0 and res.passed
 
 
 # ---------------------------------------------------------------------------
