@@ -13,14 +13,13 @@ from .fileio import ParseError, parse_target_file, parse_target_text, serialize_
 from .geometry import (
     Box,
     EmptySliceError,
-    ExtendedSlice,
     Hyper,
     Piece,
     PLine,
     Point,
     TargetSet,
 )
-from .intervals import SliceSet, Span, XSet, rat
+from .intervals import Span, XSet, rat
 from .strips import (
     EpsilonSchedule,
     ScheduleInfeasibleError,
@@ -65,7 +64,6 @@ __all__ = [
     "DEMO_NAMES",
     "EmptySliceError",
     "EpsilonSchedule",
-    "ExtendedSlice",
     "FarPointResult",
     "Hyper",
     "NetPlacementError",
@@ -76,7 +74,6 @@ __all__ = [
     "Regime",
     "RegimeUnsatisfiedError",
     "ScheduleInfeasibleError",
-    "SliceSet",
     "Span",
     "StripFamily",
     "StripReport",

@@ -30,7 +30,7 @@ from .demos import DEMO_NAMES, UnknownDemoError, demo_c_order, demo_set, truncat
 from .fileio import ParseError, parse_target_text, serialize_target
 from .geometry import TargetSet
 from .strips import build_strip_family, epsilon_schedule, verify_strips
-from .synthesis import RegimeUnsatisfiedError, SynthFunction, synthesize
+from .synthesis import NetPlacementError, RegimeUnsatisfiedError, SynthFunction, synthesize
 from .verification import (
     accumulation_estimate,
     closure_direction_check,
@@ -270,6 +270,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except RegimeUnsatisfiedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print("\n".join(exc.verdict.report_lines()), file=sys.stderr)
+        return EXIT_FAIL
+    except NetPlacementError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 
 

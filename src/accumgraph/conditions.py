@@ -187,11 +187,6 @@ def _overlapping_pairs(graphs: Sequence[RationalGraph]) -> List[_Pair]:
     return pairs
 
 
-def _level_projection(target: TargetSet, k: int) -> XSet:
-    """U_k = {x : the slice meets [-k, k]} (exact)."""
-    return target.shadow(Fraction(-k), Fraction(k))
-
-
 _W_RESOLUTION = Fraction(1, 4096)
 _W_MAX_PARTS = 14
 
@@ -271,9 +266,13 @@ class TargetAnalysis:
 
     @cached_property
     def extended_d_set(self) -> XSet:
-        out = self.d_set
-        for x, _ in self.target.excluded_poles:
-            if self.target.extended_slice_at(x).count_exceeds_one():
+        """D plus each excluded pole x whose extended slice has more than one
+        element: its band ends (two or more exactly when the finite slice is
+        multi-valued, one for a point) plus its infinities."""
+        out, target = self.d_set, self.target
+        for x, _ in target.excluded_poles:
+            ends = {y for band in target.bands_at(x) for y in band}
+            if len(ends) + len(target.pole_signs(x)) > 1:
                 out = out | XSet.point(x)
         return out
 
@@ -290,7 +289,7 @@ class TargetAnalysis:
 
     def u_level(self, k: int) -> XSet:
         if k not in self._u:
-            self._u[k] = _level_projection(self.target, k)
+            self._u[k] = self.target.shadow(Fraction(-k), Fraction(k))
         return self._u[k]
 
     def v_part(self, k: int) -> XSet:

@@ -11,8 +11,9 @@ net and the Lemma 3.1 net samples. Each net sample carries the graph it
 lies on (a box row is a flat line), and slides along it. A ``TargetSet``
 answers slices and nearest-piece distance from one x-sorted index of its
 pieces' graph ends, built once: one ``bisect`` finds the bands alive at x,
-and each slice question (membership, the slice max, n_x) is one reduction
-over their y-ranges.
+their y-ranges are the slice, and each slice question (membership, the
+slice max, n_x, the count of extended D) is one reduction over them. The
+infinities of the extended closure's slice are ``pole_signs``.
 
 Where a piece meets a horizontal band is read off its rational graphs: each
 is monotone, so its band shadow is one sub-span, and band clipping is each
@@ -31,11 +32,11 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
-from .intervals import ONE, ZERO, RatLike, SliceSet, Span, XSet, rat, span_intersection
+from .intervals import ONE, ZERO, RatLike, Span, XSet, rat, span_intersection
 
 
 class EmptySliceError(Exception):
@@ -105,19 +106,26 @@ def _line(dom: Span, m: Fraction, q: Fraction) -> RationalGraph:
 NetSample = Tuple[Fraction, Fraction, Optional[RationalGraph]]
 
 
-def _dyadic_nodes(lo: Fraction, hi: Fraction, pitch: Fraction) -> List[Fraction]:
-    """Dyadic subdivision nodes of [lo, hi] with step <= pitch.
+def _dyadic_nodes(size: Fraction, pitch: Fraction, y0: Fraction = ZERO, dy: Fraction = ZERO,
+                  band: Optional[Fraction] = None) -> List[Fraction]:
+    """The nodes t = i/m of [0, 1] for the least power of two m with step
+    size/m <= pitch (the one node 0 when size is 0), only those where
+    y0 + t dy lies in [-band, band] when a band is given.
 
-    The subdivision count is a power of two, so node sets nest as the pitch
-    shrinks across levels.
+    m is a power of two, so node sets nest as the pitch shrinks across
+    levels. Only the in-band index range is built, so the work follows the
+    band, not the height of the piece.
     """
-    if lo == hi:
-        return [lo]
-    width = hi - lo
-    m = 1
-    while width / m > pitch:
-        m *= 2
-    return [lo + width * Fraction(i, m) for i in range(m + 1)]
+    if band is not None and dy == 0 and abs(y0) > band:
+        return []
+    if size == 0:
+        return [ZERO]
+    m = 1 << (math.ceil(size / pitch) - 1).bit_length()
+    lo, hi = 0, m
+    if band is not None and dy != 0:
+        a, b = sorted(((-band - y0) * m / dy, (band - y0) * m / dy))
+        lo, hi = max(0, math.ceil(a)), min(m, math.floor(b))
+    return [Fraction(i, m) for i in range(lo, hi + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +252,11 @@ class Box(_Piece):
 
     def net_samples(self, n: int, grid_pitch: Fraction,
                     curve_spacing: Fraction) -> List[NetSample]:
-        xs = _dyadic_nodes(self.x0, self.x1, grid_pitch)
-        ys = _dyadic_nodes(self.y0, self.y1, grid_pitch)
+        width, height = self.x1 - self.x0, self.y1 - self.y0
+        xs = [self.x0 + width * t for t in _dyadic_nodes(width, grid_pitch)]
         band_lo, band_hi = Fraction(-n), Fraction(n)
-        rows = [y for y in ys if band_lo <= y <= band_hi]
+        rows = [self.y0 + height * t
+                for t in _dyadic_nodes(height, grid_pitch, self.y0, height, band_hi)]
         # Exact band-edge rows keep the clipped region covered even though the
         # dyadic grid is anchored on the full box.
         for edge in (band_lo, band_hi):
@@ -317,12 +326,8 @@ class PLine(_Piece):
         band_lo, band_hi = Fraction(-n), Fraction(n)
         out: List[NetSample] = []
         for ((xa, ya), (xb, yb)), graph in zip(self.segments(), self.graphs()):
-            manhattan = abs(xb - xa) + abs(yb - ya)
-            m = 1
-            while manhattan / m > curve_spacing:
-                m *= 2
             dy = yb - ya
-            ts = [Fraction(i, m) for i in range(m + 1)]
+            ts = _dyadic_nodes(xb - xa + abs(dy), curve_spacing, ya, dy, band_hi)
             # Band crossings, exact.
             if dy != 0:
                 for edge in (band_lo, band_hi):
@@ -330,10 +335,7 @@ class PLine(_Piece):
                     if ZERO < t < ONE and t not in ts:
                         ts.append(t)
             ts.sort()
-            for t in ts:
-                y = ya + t * dy
-                if band_lo <= y <= band_hi:
-                    out.append((xa + t * (xb - xa), y, graph))
+            out.extend((xa + t * (xb - xa), ya + t * dy, graph) for t in ts)
         return out
 
 
@@ -491,22 +493,6 @@ Piece = Union[Point, Box, PLine, Hyper]
 
 
 @dataclass(frozen=True)
-class ExtendedSlice:
-    """Slice of the closure taken in [0,1] x (R with +-infinity attached)."""
-
-    finite: SliceSet
-    plus_inf: bool = False
-    minus_inf: bool = False
-
-    def count_exceeds_one(self) -> bool:
-        """More than one element, counting each infinity as an element."""
-        if self.finite.is_multivalued():
-            return True
-        n = (0 if self.finite.is_empty else 1) + int(self.plus_inf) + int(self.minus_inf)
-        return n > 1
-
-
-@dataclass(frozen=True)
 class TargetSet:
     """Finite union of pieces; closed in [0,1] x R by construction."""
 
@@ -556,22 +542,16 @@ class TargetSet:
         bands = alive[2 * i + (i < len(ends) and ends[i] == x)]
         return [(y := lo.y_at(x), y if hi is lo else hi.y_at(x)) for lo, hi in bands]
 
-    def slice_at(self, x: RatLike) -> SliceSet:
-        """Exact vertical slice, sorted and merged: the set of y with (x, y)
-        in the union."""
-        return SliceSet(self.bands_at(x))
+    def pole_signs(self, x: RatLike) -> Set[int]:
+        """The divergence sign of each arc whose excluded pole end is x: the
+        infinities in the slice of the closure in [0,1] x extended reals.
 
-    def extended_slice_at(self, x: RatLike) -> ExtendedSlice:
-        """Slice of the closure in [0,1] x extended reals.
-
-        The finite part equals the plain slice because the union of pieces
-        is already closed in [0,1] x R; the infinity flags record divergence
-        directions of arcs whose excluded pole endpoint is x. A finite piece
-        list has no other way to accumulate at infinity.
+        The finite part of that slice is the plain slice, because the union
+        of pieces is already closed in [0,1] x R; a finite piece list can
+        only accumulate at infinity at an excluded pole.
         """
         x = rat(x)
-        signs = {sign for pole, sign in self.excluded_poles if pole == x}
-        return ExtendedSlice(self.slice_at(x), 1 in signs, -1 in signs)
+        return {sign for pole, sign in self.excluded_poles if pole == x}
 
     def x_projection(self) -> XSet:
         """Exact projection onto the x axis."""

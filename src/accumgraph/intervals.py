@@ -1,16 +1,10 @@
 """Exact rational interval sets.
 
-Two representations are used throughout the package:
-
-* ``XSet`` -- a finite union of subintervals of [0, 1] with independent
-  open/closed endpoint flags (isolated points are degenerate closed spans).
-  Supports exact union, intersection, complement and difference within
-  [0, 1].
-* ``SliceSet`` -- a finite union of closed intervals on a vertical line,
-  sorted and merged: the normalized slice of a target set above one x. The
-  slice questions of synthesis (membership, the slice max, n_x) do not
-  build it; each is one reduction over the unmerged band ranges that
-  ``TargetSet.bands_at`` returns.
+``XSet`` is a finite union of subintervals of [0, 1] with independent
+open/closed endpoint flags (isolated points are degenerate closed spans).
+It supports exact union, intersection, complement and difference within
+[0, 1]. A vertical slice of a target needs no set type: it is the union of
+the band ranges that ``TargetSet.bands_at`` returns.
 
 All endpoints are ``fractions.Fraction``; no floating point enters the set
 algebra.
@@ -127,10 +121,6 @@ def span_intersection(a: Span, b: Span) -> Optional[Span]:
     """Intersection of two spans, or None when empty."""
     if b.lo > a.hi or a.lo > b.hi:
         return None
-    return _intersect(a, b)
-
-
-def _intersect(a: Span, b: Span) -> Optional[Span]:
     if a.lo > b.lo:
         lo, lo_open = a.lo, a.lo_open
     elif b.lo > a.lo:
@@ -171,10 +161,6 @@ class XSet:
     @classmethod
     def empty(cls) -> "XSet":
         return cls(())
-
-    @classmethod
-    def full(cls) -> "XSet":
-        return cls((Span(ZERO, ONE),))
 
     @classmethod
     def point(cls, x: RatLike) -> "XSet":
@@ -254,15 +240,8 @@ class XSet:
         return XSet(gaps)
 
     def intersection(self, other: "XSet") -> "XSet":
-        out: list[Span] = []
-        for a in self.spans:
-            for b in other.spans:
-                if b.lo > a.hi or a.lo > b.hi:
-                    continue
-                got = _intersect(a, b)
-                if got is not None:
-                    out.append(got)
-        return XSet(out)
+        return XSet(got for a in self.spans for b in other.spans
+                    if (got := span_intersection(a, b)) is not None)
 
     __and__ = intersection
 
@@ -285,55 +264,6 @@ class XSet:
         if not self.spans:
             return "XSet()"
         return "XSet(" + " u ".join(str(s) for s in self.spans) + ")"
-
-
-class SliceSet:
-    """Finite union of closed intervals [a, b] on a vertical line."""
-
-    __slots__ = ("intervals",)
-
-    def __init__(self, intervals: Iterable[Tuple[Fraction, Fraction]] = ()) -> None:
-        items = sorted((rat(a), rat(b)) for a, b in intervals)
-        merged: list[Tuple[Fraction, Fraction]] = []
-        for a, b in items:
-            if a > b:
-                raise ValueError(f"slice interval out of order: ({a}, {b})")
-            if merged and a <= merged[-1][1]:
-                prev_a, prev_b = merged[-1]
-                merged[-1] = (prev_a, max(prev_b, b))
-            else:
-                merged.append((a, b))
-        object.__setattr__(self, "intervals", tuple(merged))
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.intervals
-
-    def __bool__(self) -> bool:
-        return bool(self.intervals)
-
-    def __iter__(self) -> Iterator[Tuple[Fraction, Fraction]]:
-        return iter(self.intervals)
-
-    def is_multivalued(self) -> bool:
-        """True when the set has more than one point."""
-        return len(self.intervals) > 1 or any(a < b for a, b in self.intervals)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SliceSet):
-            return NotImplemented
-        return self.intervals == other.intervals
-
-    def __hash__(self) -> int:
-        return hash(self.intervals)
-
-    def __repr__(self) -> str:
-        if not self.intervals:
-            return "SliceSet()"
-        parts = []
-        for a, b in self.intervals:
-            parts.append(f"{{{a}}}" if a == b else f"[{a}, {b}]")
-        return "SliceSet(" + " u ".join(parts) + ")"
 
 
 def rational_sqrt(value: Fraction) -> Optional[Fraction]:

@@ -235,10 +235,8 @@ def f_on_c(c_points: Sequence[Fraction], target: TargetSet,
     out: Dict[Fraction, Fraction] = {}
     for k, c in enumerate(c_points, start=1):
         value = Fraction(k)
-        if signed:
-            ext = target.extended_slice_at(c)
-            if ext.minus_inf and not ext.plus_inf:
-                value = -value
+        if signed and target.pole_signs(c) == {-1}:
+            value = -value
         out[c] = value
     return out
 

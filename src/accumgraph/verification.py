@@ -306,8 +306,7 @@ def closure_direction_check(f: SynthFunction) -> ClosureDirectionReport:
         if len(near) < 3:
             continue
         signs = {1 if f.c_values[d] > 0 else -1 for d in near if abs(f.c_values[d]) >= 2}
-        exts = [f.target.extended_slice_at(d) for d in [c, *near]]
-        allowed = {1 for e in exts if e.plus_inf} | {-1 for e in exts if e.minus_inf}
+        allowed = set().union(*(f.target.pole_signs(d) for d in [c, *near]))
         checked.append(ClusterDirection(c, tuple(sorted(signs)), tuple(sorted(allowed)),
                                         signs <= allowed))
     return ClosureDirectionReport(tuple(checked), all(c.passed for c in checked), not checked)

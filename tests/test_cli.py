@@ -95,6 +95,25 @@ def test_synth_deterministic_output(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+@pytest.mark.parametrize("piece, code", [
+    ("box 0 1 0 1e300", EXIT_OK),
+    ("pline 0:0 1:1e300", EXIT_FAIL),
+], ids=["tall-box", "steep-pline"])
+def test_tall_pieces_synthesize_quickly(piece, code, capsys, monkeypatch):
+    """The net's work follows the band |y| <= n, not the piece's height. The
+    polyline is too steep for the placer: near x = 0 every offset moves y by
+    far more than 1/n, so synth stops with one error line."""
+    start = time.perf_counter()
+    got, out, err = run_cli(["synth", "-", "--regime", "b2"], stdin_text=piece + "\n",
+                            capsys=capsys, monkeypatch=monkeypatch)
+    assert time.perf_counter() - start < 5.0
+    assert got == code
+    if code == EXIT_OK:
+        assert len(out.splitlines()) > 1000
+    else:
+        assert err.startswith("error: could not place a net point") and err.count("\n") == 1
+
+
 def test_demo_writes_file_atomically(tmp_path, capsys, monkeypatch):
     out_path = tmp_path / "demo.txt"
     code, _, _ = run_cli(["demo", "square", "--out", str(out_path)],

@@ -50,8 +50,8 @@ def test_empty_slice_set_sect6():
 
 def test_multiplicity_full_square():
     data = TargetAnalysis(demo_set("square"))
-    assert data.d_set == XSet.full()
-    assert data.d_levels(2)[0] == XSet.full()
+    assert data.d_set == XSet.interval(0, 1)
+    assert data.d_levels(2)[0] == XSet.interval(0, 1)
 
 
 def test_multiplicity_single_pline():
@@ -68,12 +68,27 @@ def test_multiplicity_box_and_point():
     assert data.d_levels(2)[0] == XSet.point(F(1, 2))
 
 
+def merged_slice(target, x):
+    """The slice at x as sorted, merged closed intervals."""
+    out = []
+    for a, b in sorted(target.bands_at(x)):
+        if out and a <= out[-1][1]:
+            out[-1] = (out[-1][0], max(out[-1][1], b))
+        else:
+            out.append((a, b))
+    return out
+
+
+def is_multivalued(intervals):
+    return len(intervals) > 1 or any(a < b for a, b in intervals)
+
+
 def oracle_multiplicity_points(target, denominator=240):
     """Brute-force scan: x values with more than one distinct slice point."""
     out = []
     for i in range(denominator + 1):
         x = F(i, denominator)
-        if target.slice_at(x).is_multivalued():
+        if is_multivalued(merged_slice(target, x)):
             out.append(x)
     return out
 
@@ -87,7 +102,7 @@ def test_multiplicity_matches_brute_force_scan():
     ))
     d = TargetAnalysis(t).d_set
     for x in (F(i, 240) for i in range(241)):
-        expected = t.slice_at(x).is_multivalued()
+        expected = is_multivalued(merged_slice(t, x))
         # D may keep finitely many irrational coincidence points; rational
         # probes see the exact set.
         assert d.contains(x) == expected, f"x={x}"
@@ -124,7 +139,7 @@ def test_diameter_levels_irrational_boundary_inner():
         for span in dn.spans:
             for probe in {span.lo, span.hi, (span.lo + span.hi) / 2}:
                 if dn.contains(probe):
-                    values = t.slice_at(probe).intervals
+                    values = merged_slice(t, probe)
                     assert values[-1][1] - values[0][0] >= F(1, n)
         assert (dn - data.d_set).is_empty
 
@@ -194,11 +209,10 @@ def test_pair_numerator_matches_slices(pieces):
     data = TargetAnalysis(t)
     probes = {F(i, 60) for i in range(61)} | {F(i, 97) for i in range(98)}
     for x in sorted(probes):
-        values = t.slice_at(x)
-        assert data.d_set.contains(x) == values.is_multivalued(), f"x={x}"
+        values = merged_slice(t, x)
+        assert data.d_set.contains(x) == is_multivalued(values), f"x={x}"
         for n, dn in enumerate(data.d_levels(4), start=1):
-            expected = values.is_multivalued() and (
-                values.intervals[-1][1] - values.intervals[0][0] >= F(1, n))
+            expected = is_multivalued(values) and values[-1][1] - values[0][0] >= F(1, n)
             assert dn.contains(x) == expected, f"x={x} n={n}"
 
 
@@ -215,9 +229,9 @@ def test_extended_multiplicity_sect6_empty():
     t = demo_set("sect6", 5)
     ext = TargetAnalysis(t).extended_d_set
     assert ext.is_empty
-    # Brute-force confirmation at all pole points and gap midpoints.
+    # Each pole point: no finite value, both arcs diverging down.
     for x in sect6_pole_points(5):
-        assert not t.extended_slice_at(x).count_exceeds_one()
+        assert not t.bands_at(x) and t.pole_signs(x) == {-1}
 
 
 def test_extended_multiplicity_two_sided_pole():
@@ -226,9 +240,23 @@ def test_extended_multiplicity_two_sided_pole():
         Hyper(F(1, 2), F(1, 4), F(1, 2), F(1)),
         Hyper(F(1, 2), F(1, 2), F(3, 4), F(1)),
     ))
-    ext = t.extended_slice_at(F(1, 2))
-    assert ext.plus_inf and ext.minus_inf
+    assert t.pole_signs(F(1, 2)) == {1, -1}
     assert TargetAnalysis(t).extended_d_set.contains(F(1, 2))
+
+
+@pytest.mark.parametrize("pieces, signs, joins", [
+    ((Hyper(F(1, 2), F(1, 4), F(1, 2), 1), Hyper(F(1, 2), F(1, 2), F(3, 4), 1),
+      Point(F(1, 2), 0)), {1, -1}, True),
+    ((Hyper(F(1, 2), F(1, 4), F(1, 2), 1), Hyper(F(1, 2), F(1, 2), F(3, 4), -1)), {-1}, False),
+    ((Hyper(F(1, 2), F(1, 4), F(1, 2), -1),), {1}, False),
+    ((Hyper(F(1, 2), F(1, 2), F(3, 4), -1), PLine(((0, 0), (1, 0)))), {-1}, True),
+], ids=["both-ways-and-a-point", "two-arcs-one-way", "one-arc-alone", "pole-on-a-band"])
+def test_extended_multiplicity_at_a_pole(pieces, signs, joins):
+    """A pole joins extended D when its finite values and its infinities
+    make more than one element: two infinities, or one and a finite value."""
+    t = TargetSet(pieces)
+    assert t.pole_signs(F(1, 2)) == signs
+    assert TargetAnalysis(t).extended_d_set.contains(F(1, 2)) == joins
 
 
 def test_is_meager_cases():
@@ -346,7 +374,7 @@ def random_target(draw):
 @given(random_target())
 def test_projection_partition(t):
     c_set = TargetAnalysis(t).c_set
-    assert c_set | t.x_projection() == XSet.full()
+    assert c_set | t.x_projection() == XSet.interval(0, 1)
     assert (c_set & t.x_projection()).is_empty
 
 

@@ -21,13 +21,13 @@ from accumgraph.fileio import parse_target_text
 from accumgraph.geometry import (
     Box,
     EmptySliceError,
-    ExtendedSlice,
     Hyper,
     PLine,
     Point,
     TargetSet,
 )
-from accumgraph.intervals import SliceSet, XSet
+from accumgraph.conditions import TargetAnalysis
+from accumgraph.intervals import XSet
 from accumgraph.synthesis import f0_bounded, f0_unbounded, level_index
 
 
@@ -92,32 +92,47 @@ def oracle_arc_points(arc, samples=200000):
 # ---------------------------------------------------------------------------
 
 
+def merged(intervals):
+    """Closed intervals sorted and merged: the normalized form of a slice."""
+    out = []
+    for a, b in sorted(intervals):
+        if out and a <= out[-1][1]:
+            out[-1] = (out[-1][0], max(out[-1][1], b))
+        else:
+            out.append((a, b))
+    return tuple(out)
+
+
+def slice_of(t, x):
+    return merged(t.bands_at(x))
+
+
 def test_box_slice():
     t = TargetSet((Box(0, 1, -1, 2),))
-    assert t.slice_at(F(1, 2)).intervals == ((F(-1), F(2)),)
+    assert slice_of(t, F(1, 2)) == ((F(-1), F(2)),)
 
 
 def test_hyper_slice():
     t = TargetSet((Hyper(0, 0, 1, 1),))
-    assert t.slice_at(F(1, 2)).intervals == ((F(2), F(2)),)
-    assert t.slice_at(0).is_empty
+    assert slice_of(t, F(1, 2)) == ((F(2), F(2)),)
+    assert not t.bands_at(0)
 
 
 def test_sect6_slice_midpoint():
     # Distance from 5/12 to the pole set is 1/12, so the value is -12.
     t = demo_set("sect6", 3)
-    assert t.slice_at(F(5, 12)).intervals == ((F(-12), F(-12)),)
+    assert slice_of(t, F(5, 12)) == ((F(-12), F(-12)),)
 
 
 def test_pline_slice_interpolates():
     t = TargetSet((PLine(((F(0), F(0)), (F(1, 2), F(1)), (F(1), F(0)))),))
-    assert t.slice_at(F(1, 4)).intervals == ((F(1, 2), F(1, 2)),)
-    assert t.slice_at(F(3, 4)).intervals == ((F(1, 2), F(1, 2)),)
+    assert slice_of(t, F(1, 4)) == ((F(1, 2), F(1, 2)),)
+    assert slice_of(t, F(3, 4)) == ((F(1, 2), F(1, 2)),)
 
 
 def test_slice_union_is_merged():
     t = TargetSet((Box(0, 1, 0, 1), Box(0, 1, F(1, 2), 2), Point(F(1, 2), 5)))
-    assert t.slice_at(F(1, 2)).intervals == ((F(0), F(2)), (F(5), F(5)))
+    assert slice_of(t, F(1, 2)) == ((F(0), F(2)), (F(5), F(5)))
 
 
 def test_slice_monotone_under_union():
@@ -125,46 +140,45 @@ def test_slice_monotone_under_union():
     t2 = TargetSet((Point(F(1, 2), 3),))
     both = TargetSet(t1.pieces + t2.pieces)
     x = F(1, 2)
-    assert both.slice_at(x) == SliceSet(t1.slice_at(x).intervals + t2.slice_at(x).intervals)
+    assert sorted(both.bands_at(x)) == sorted(t1.bands_at(x) + t2.bands_at(x))
 
 
 # ---------------------------------------------------------------------------
-# Extended slices
+# Infinities of the extended closure's slice
 # ---------------------------------------------------------------------------
 
 
 def test_hyper_extended_slice_at_pole():
     t = TargetSet((Hyper(0, 0, 1, 1),))
-    ext = t.extended_slice_at(0)
-    assert ext.plus_inf and not ext.minus_inf and ext.finite.is_empty
+    assert t.pole_signs(0) == {1} and not t.bands_at(0)
 
 
 def test_sect6_extended_slice_at_interior_pole():
     t = demo_set("sect6", 4)
-    ext = t.extended_slice_at(F(1, 2))
-    assert ext.minus_inf and not ext.plus_inf and ext.finite.is_empty
+    assert t.pole_signs(F(1, 2)) == {-1} and not t.bands_at(F(1, 2))
 
 
 def test_box_extended_slice_no_infinities():
     t = TargetSet((Box(0, 1, 0, 1),))
-    ext = t.extended_slice_at(F(1, 3))
-    assert not ext.plus_inf and not ext.minus_inf
-    assert ext.finite.intervals == ((F(0), F(1)),)
+    assert t.pole_signs(F(1, 3)) == set()
+    assert slice_of(t, F(1, 3)) == ((F(0), F(1)),)
 
 
 def test_extended_slice_counts():
+    """A pole with a point under it has two elements, a lone pole one."""
     t = TargetSet((Hyper(0, 0, 1, 1), Point(0, 0)))
-    assert t.extended_slice_at(0).count_exceeds_one()
-    assert not TargetSet((Hyper(0, 0, 1, 1),)).extended_slice_at(0).count_exceeds_one()
+    assert TargetAnalysis(t).extended_d_set.contains(0)
+    assert not TargetAnalysis(TargetSet((Hyper(0, 0, 1, 1),))).extended_d_set.contains(0)
 
 
 def test_extended_contains_plain_slice():
+    """Off the poles the extended slice is the plain slice; at a pole of
+    sect6 both arcs diverge down and the plain slice is empty."""
     t = demo_set("sect6", 3)
     for x in (F(1, 4), F(5, 12), F(2, 3)):
-        ext = t.extended_slice_at(x)
-        for a, b in t.slice_at(x):
-            assert ext.finite.intervals[0][0] <= a <= b <= ext.finite.intervals[-1][1]
-            assert any(lo <= a and b <= hi for lo, hi in ext.finite)
+        assert t.pole_signs(x) == set() and t.bands_at(x)
+    for x in sect6_pole_points(3):
+        assert t.pole_signs(x) == {-1} and not t.bands_at(x)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +218,7 @@ def test_projection_agrees_with_slice_nonempty():
     proj = t.x_projection()
     for i in range(0, 129):
         x = F(i, 128)
-        assert proj.contains(x) == (not t.slice_at(x).is_empty), f"x={x}"
+        assert proj.contains(x) == bool(t.bands_at(x)), f"x={x}"
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +244,7 @@ def test_clip_matches_membership(piece, band):
     clipped = t.clipped(ylo, yhi)
     for i in range(0, 257):
         x = F(i, 256)
-        vals = t.slice_at(x)
+        vals = slice_of(t, x)
         expected = [
             (a, b)
             for a, b in (
@@ -240,8 +254,7 @@ def test_clip_matches_membership(piece, band):
             )
             if a <= b
         ]
-        got = clipped.slice_at(x)
-        assert got.intervals == tuple(expected), f"x={x} band={band}"
+        assert slice_of(clipped, x) == tuple(expected), f"x={x} band={band}"
 
 
 def test_clip_preserves_excluded_pole():
@@ -309,9 +322,9 @@ def _assert_band_membership(t, lo, hi, grid):
                    | {e for piece in t.pieces for e in _piece_ends(piece)})
     mids = [(a + b) / 2 for a, b in zip(marks, marks[1:])]
     for x in set(marks + mids + grid):
-        cut = _band_cut(t.slice_at(x), lo, hi)
+        cut = _band_cut(slice_of(t, x), lo, hi)
         assert shadow.contains(x) == bool(cut), (t, lo, hi, x)
-        assert clipped.slice_at(x).intervals == cut, (t, lo, hi, x)
+        assert slice_of(clipped, x) == cut, (t, lo, hi, x)
 
 
 def test_shadow_matches_clipping():
@@ -366,12 +379,11 @@ def _reference_interval(piece, x):
 
 
 def _reference_slice(t, x):
-    return SliceSet(iv for piece in t.pieces if (iv := _reference_interval(piece, x)) is not None)
+    return merged(iv for piece in t.pieces if (iv := _reference_interval(piece, x)) is not None)
 
 
-def _reference_extended_slice(t, x):
-    signs = {p.divergence_sign() for p in t.pieces if p.excluded_pole == x}
-    return ExtendedSlice(_reference_slice(t, x), 1 in signs, -1 in signs)
+def _reference_pole_signs(t, x):
+    return {p.divergence_sign() for p in t.pieces if p.excluded_pole == x}
 
 
 def _random_index_target(rng):
@@ -413,26 +425,30 @@ def test_index_slices_match_per_piece_loop():
     outside = 0
     for t in _index_targets():
         for x in _index_marks(t):
-            ref = _reference_extended_slice(t, x)
-            assert t.slice_at(x).intervals == ref.finite.intervals, (t, x)
-            assert t.extended_slice_at(x) == ref, (t, x)
-            outside += ref.finite.is_empty
+            ref = _reference_slice(t, x)
+            assert slice_of(t, x) == ref, (t, x)
+            assert t.pole_signs(x) == _reference_pole_signs(t, x), (t, x)
+            outside += not ref
     assert outside > 0
 
 
 def test_band_reads_match_the_normalized_slice():
     """Each slice question, answered by one reduction over the unmerged band
-    ranges, equals the old answer read off the sorted, merged slice."""
+    ranges, equals the answer read off the sorted, merged slice. At each
+    excluded pole, extended D holds x exactly when the merged slice is
+    multi-valued or it and the infinities make more than one element."""
     for t in _index_targets():
+        poles = {pole for pole, _ in t.excluded_poles}
+        extended_d = TargetAnalysis(t).extended_d_set
         for x in _index_marks(t):
-            ref = _reference_extended_slice(t, x)
-            iv = ref.finite.intervals
+            iv = _reference_slice(t, x)
             ys = {F(0)} | {y for a, b in iv for y in (a - F(1, 1000), a, b, b + F(1, 1000))}
             for y in ys:
                 assert t.contains_point((x, y)) == any(a <= y <= b for a, b in iv), (t, x, y)
-            count = (not ref.finite.is_empty) + ref.plus_inf + ref.minus_inf
-            multi = len(iv) > 1 or any(a < b for a, b in iv) or count > 1
-            assert t.extended_slice_at(x).count_exceeds_one() == multi, (t, x)
+            if x in poles:
+                count = bool(iv) + len(_reference_pole_signs(t, x))
+                multi = len(iv) > 1 or any(a < b for a, b in iv) or count > 1
+                assert extended_d.contains(x) == multi, (t, x)
             if not iv:
                 for read in (f0_bounded, level_index, f0_unbounded):
                     with pytest.raises(EmptySliceError):
@@ -451,8 +467,8 @@ def test_band_reads_match_the_normalized_slice():
 def test_index_keeps_open_pole_ends_out():
     t = TargetSet((Hyper(0, 0, F(1, 2), 1), Hyper(1, F(1, 2), 1, 1)))
     assert t._index[0] == [0, F(1, 2), 1]
-    assert t.slice_at(0).is_empty and t.slice_at(1).is_empty
-    assert t.slice_at(F(1, 2)).intervals == ((F(-2), F(-2)), (F(2), F(2)))
+    assert not t.bands_at(0) and not t.bands_at(1)
+    assert slice_of(t, F(1, 2)) == ((F(-2), F(-2)), (F(2), F(2)))
 
 
 def _far_and_near_points(t, rng):
@@ -462,7 +478,7 @@ def _far_and_near_points(t, rng):
         x = F(rng.randint(0, 256), 256)
         values = _reference_slice(t, x)
         if values:
-            a, b = rng.choice(values.intervals)
+            a, b = rng.choice(values)
             points.append((x, rng.choice([a, b, (a + b) / 2])))
         points.append((x, F(rng.randint(-800, 800), 8)))
         points.append((x, F(rng.choice([-1, 1]) * 1000)))
@@ -635,7 +651,7 @@ def test_piece_validation():
     with pytest.raises(ValueError):
         Hyper(0, 0, 1, 0)  # zero coefficient
     with pytest.raises(ValueError):
-        TargetSet((Box(0, 1, 0, 1),)).slice_at(F(3, 2))
+        TargetSet((Box(0, 1, 0, 1),)).bands_at(F(3, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -677,13 +693,13 @@ def random_pieces(draw):
 @given(st.lists(random_pieces(), min_size=1, max_size=4), small_rat)
 def test_slice_matches_oracle(pieces, x):
     t = TargetSet(tuple(pieces))
-    got = t.slice_at(x)
+    got = slice_of(t, x)
 
     def dist_to_slice(v: float) -> float:
-        if got.is_empty:
+        if not got:
             return math.inf
         return min(
-            max(float(a) - v, 0.0, v - float(b)) for a, b in got.intervals
+            max(float(a) - v, 0.0, v - float(b)) for a, b in got
         )
 
     for v in oracle_slice_values(t, x, tol=0.0):
@@ -693,7 +709,7 @@ def test_slice_matches_oracle(pieces, x):
             assert dist_to_slice((v[0] + v[1]) / 2) < 1e-9
         else:
             assert dist_to_slice(v) < 1e-9
-    assert t.x_projection().contains(x) == (not got.is_empty)
+    assert t.x_projection().contains(x) == bool(got)
 
 
 # ---------------------------------------------------------------------------

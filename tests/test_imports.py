@@ -51,15 +51,21 @@ def test_module_imports_are_used(path):
 def uncalled_definitions(sources):
     """(module, name) of each function, method or class that no code outside
     its own body reads, as a name or an attribute, and that no ``__all__``
-    lists. Dunders are exempt: the language calls them."""
+    lists. Dunders are exempt: the language calls them. An attribute of a
+    module bound by ``import`` (``np``, ``math``) is not a read: ``np.full``
+    does not call a method ``full``."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
+    imported = {module: {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+                         if isinstance(node, ast.Import) for alias in node.names}
+                for module, tree in trees.items()}
 
-    def reads(tree):
+    def reads(tree, modules):
         return Counter(node.id if isinstance(node, ast.Name) else node.attr
                        for node in ast.walk(tree)
-                       if isinstance(node, (ast.Name, ast.Attribute)))
+                       if isinstance(node, ast.Name) or isinstance(node, ast.Attribute)
+                       and not (isinstance(node.value, ast.Name) and node.value.id in modules))
 
-    everywhere = sum((reads(tree) for tree in trees.values()), Counter())
+    everywhere = sum((reads(tree, imported[module]) for module, tree in trees.items()), Counter())
     exported = {node.value for tree in trees.values() for stmt in tree.body
                 if isinstance(stmt, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
@@ -72,7 +78,7 @@ def uncalled_definitions(sources):
             name = node.name
             if (name.startswith("__") and name.endswith("__")) or name in exported:
                 continue
-            if everywhere[name] - reads(node)[name] <= 0:
+            if everywhere[name] - reads(node, imported[module])[name] <= 0:
                 out.append((module, name))
     return sorted(out)
 
@@ -81,10 +87,11 @@ def test_detects_an_uncalled_definition():
     sources = {
         "a": '__all__ = ["api"]\ndef api():\n    return helper()\n'
              'def helper():\n    return 1\ndef loop(n):\n    return loop(n - 1)\n'
-             'class K:\n    def __init__(self):\n        pass\n    def m(self):\n        pass\n',
-        "b": 'from a import K\nK().m()\n',
+             'class K:\n    def __init__(self):\n        pass\n    def m(self):\n        pass\n'
+             '    def full(self):\n        pass\n',
+        "b": 'import numpy as np\nfrom a import K\nK().m()\nnp.full(3, 0.0)\n',
     }
-    assert uncalled_definitions(sources) == [("a", "loop")]
+    assert uncalled_definitions(sources) == [("a", "full"), ("a", "loop")]
 
 
 def test_every_definition_has_a_src_caller():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from accumgraph.geometry import Box, EmptySliceError, Point, TargetSet
 from accumgraph.intervals import (
-    SliceSet,
     Span,
     XSet,
     rat,
@@ -57,7 +56,7 @@ def test_span_validation():
 
 def test_merge_touching_closed():
     s = XSet([Span(F(0), F(1, 2)), Span(F(1, 2), F(1))])
-    assert s == XSet.full()
+    assert s == XSet.interval(0, 1)
 
 
 def test_no_merge_across_missing_point():
@@ -72,7 +71,7 @@ def test_merge_through_point():
         Span(F(1, 2), F(1, 2)),
         Span(F(1, 2), F(1), lo_open=True),
     ])
-    assert s == XSet.full()
+    assert s == XSet.interval(0, 1)
 
 
 def test_complement_of_half_open():
@@ -159,14 +158,10 @@ def test_widest_interval():
 
 
 def test_slice_set_merge_and_queries():
-    s = SliceSet([(F(0), F(1)), (F(1), F(2)), (F(3), F(3))])
-    assert s.intervals == ((F(0), F(2)), (F(3), F(3)))
-    assert s.intervals[0][0] == 0
-    assert s.intervals[-1][1] == 3
-    assert s.intervals[-1][1] - s.intervals[0][0] == 3
-    assert s.is_multivalued()
+    """Touching bands stay apart in ``bands_at``; their union is the slice."""
     t = TargetSet((Box(0, 1, 0, 1), Box(0, 1, 1, 2), Point(0, 3)))
-    assert t.slice_at(0) == s
+    assert sorted(t.bands_at(0)) == [(F(0), F(1)), (F(1), F(2)), (F(3), F(3))]
+    assert f0_bounded(t, 0) == 3
     assert t.contains_point((0, F(3, 2)))
     assert not t.contains_point((0, F(5, 2)))
 
@@ -180,14 +175,13 @@ def test_slice_set_min_abs():
 
 def test_slice_set_clipped():
     t = TargetSet((Box(0, 1, -4, -2), Box(0, 1, 1, 3)))
-    assert t.clipped(F(-3), F(2)).slice_at(0).intervals == ((F(-3), F(-2)), (F(1), F(2)))
-    assert t.clipped(F(10), F(11)).slice_at(0).is_empty
+    assert sorted(t.clipped(F(-3), F(2)).bands_at(0)) == [(F(-3), F(-2)), (F(1), F(2))]
+    assert not t.clipped(F(10), F(11)).bands_at(0)
 
 
 def test_slice_set_empty_queries():
-    assert SliceSet().is_empty
     t = TargetSet((Point(0, 1),))
-    assert t.slice_at(1).is_empty
+    assert not t.bands_at(1)
     with pytest.raises(EmptySliceError):
         f0_bounded(t, 1)
     with pytest.raises(EmptySliceError):
@@ -195,9 +189,9 @@ def test_slice_set_empty_queries():
 
 
 def test_singleton_slice():
-    s = SliceSet([(F(-12), F(-12))])
-    assert not s.is_multivalued()
-    assert s.intervals[-1][1] - s.intervals[0][0] == 0
+    t = TargetSet((Point(0, -12),))
+    assert t.bands_at(0) == [(F(-12), F(-12))]
+    assert f0_bounded(t, 0) == -12 and level_index(t, 0) == 12
 
 
 # -- rational square roots ---------------------------------------------------

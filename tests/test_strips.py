@@ -134,18 +134,18 @@ def test_pipeline_analyses_target_once(demo, monkeypatch):
     pair_builds = []
     u_builds = Counter()
     build_pairs = conditions._overlapping_pairs
-    build_u = conditions._level_projection
+    build_u = TargetSet.shadow
 
     def counted_pairs(comps):
         pair_builds.append(len(comps))
         return build_pairs(comps)
 
-    def counted_u(target, k):
-        u_builds[k] += 1
-        return build_u(target, k)
+    def counted_u(target, lo, hi):  # U_k is the shadow of the band |y| <= k
+        u_builds[hi] += 1
+        return build_u(target, lo, hi)
 
     monkeypatch.setattr(conditions, "_overlapping_pairs", counted_pairs)
-    monkeypatch.setattr(conditions, "_level_projection", counted_u)
+    monkeypatch.setattr(TargetSet, "shadow", counted_u)
     depth = 3
     f = synthesize(demo_set(demo, depth), Regime.B1, depth=depth)
     sched = epsilon_schedule(f, small_grid(16))

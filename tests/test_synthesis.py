@@ -302,6 +302,71 @@ def test_arc_nodes_match_the_recursion_on_random_arcs():
                                  True, False, "fuel", "spacing")), seen
 
 
+def reference_box_pline_nodes(piece, n):
+    """The former enumeration of box and polyline net nodes: every dyadic
+    node of the whole piece, then those with |y| <= n, plus the band-edge
+    rows and crossings."""
+    band_lo, band_hi = F(-n), F(n)
+
+    def dyadic(lo, hi, pitch):
+        if lo == hi:
+            return [lo]
+        m = 1
+        while (hi - lo) / m > pitch:
+            m *= 2
+        return [lo + (hi - lo) * F(i, m) for i in range(m + 1)]
+
+    if isinstance(piece, Box):
+        rows = [y for y in dyadic(piece.y0, piece.y1, _grid_pitch(n)) if band_lo <= y <= band_hi]
+        rows += [e for e in (band_lo, band_hi) if piece.y0 < e < piece.y1 and e not in rows]
+        xs = dyadic(piece.x0, piece.x1, _grid_pitch(n))
+        return [(x, y) for y in sorted(rows) for x in xs]
+    out = []
+    for (xa, ya), (xb, yb) in piece.segments():
+        manhattan, m, dy = abs(xb - xa) + abs(yb - ya), 1, yb - ya
+        while manhattan / m > _curve_spacing(n):
+            m *= 2
+        ts = [F(i, m) for i in range(m + 1)]
+        if dy != 0:
+            ts += [t for e in (band_lo, band_hi) if 0 < (t := (e - ya) / dy) < 1 and t not in ts]
+        out += [(xa + t * (xb - xa), ya + t * dy) for t in sorted(ts)
+                if band_lo <= ya + t * dy <= band_hi]
+    return out
+
+
+def _random_box_or_pline(rng):
+    """A box or a polyline, flat or not, in the band, cut by it or beyond
+    it; heights are multiples of 1/4, so band edges fall on nodes too."""
+    def y():
+        return F(rng.randint(-120, 120), 4) * rng.choice([1, 1, F(1, 16), 4])
+
+    a, b = sorted(rng.sample(range(65), 2))
+    x0, x1 = F(a, 64), F(b, 64)
+    if rng.random() < 0.5:
+        y0, y1 = sorted((y(), y()))
+        return Box(x1 if rng.random() < 0.1 else x0, x1, y0, y0 if rng.random() < 0.2 else y1)
+    xs = sorted({x0, x1, *(F(rng.randint(a, b), 64) for _ in range(2))})
+    level, flat = y(), rng.random() < 0.2
+    return PLine(tuple((x, level if flat else y()) for x in xs))
+
+
+def test_box_and_pline_nodes_match_the_full_enumeration():
+    """Only the in-band nodes are built; they are the nodes of the former
+    whole-piece enumeration that lie in the band, in the same order."""
+    rng = random.Random(47)
+    seen = Counter()
+    for _ in range(400):
+        piece, n = _random_box_or_pline(rng), rng.choice([1, 2, 3, 6, 10])
+        got = [(x, y) for x, y, _ in piece.net_samples(n, _grid_pitch(n), _curve_spacing(n))]
+        assert got == reference_box_pline_nodes(piece, n), (piece, n)
+        ys = [y for g in piece.graphs() for y in (g.y_at(g.dom.lo), g.y_at(g.dom.hi))]
+        seen.update([type(piece).__name__, "flat" if min(ys) == max(ys) else "sloped",
+                     "beyond" if not got else "inside" if max(map(abs, ys)) <= n else "cut",
+                     "edge-node" if any(abs(y) == n for _, y in got) else "no-edge"])
+    assert all(seen[k] for k in ("Box", "PLine", "flat", "sloped", "beyond", "inside", "cut",
+                                 "edge-node")), seen
+
+
 @pytest.mark.parametrize("arc", [
     Hyper(0, 0, 1, 1), Hyper(1, F(1, 2), 1, -1), Hyper(F(-1, 4), 0, 1, F(1, 3)),
     Hyper(F(1, 3), 0, F(1, 3), F(-7, 10**25)),
@@ -479,8 +544,8 @@ def test_u_sets_hyperbola():
 def test_u_sets_square():
     analysis = TargetAnalysis(demo_set("square"))
     U, V = level_sets(analysis, 3)
-    assert U[0] == XSet.full()
-    assert V[0] == XSet.full()
+    assert U[0] == XSet.interval(0, 1)
+    assert V[0] == XSet.interval(0, 1)
     assert V[1].is_empty and V[2].is_empty
     assert [n for n, _ in analysis.w_parts(3)] == [1]
 
@@ -550,6 +615,20 @@ def test_f_on_c_sect6_signed():
 def test_f_on_c_hyperbola_signed():
     t = demo_set("hyperbola")
     assert f_on_c([F(0)], t, signed=True)[F(0)] == 1
+
+
+@pytest.mark.parametrize("pieces, value", [
+    ((Hyper(F(1, 2), F(1, 4), F(1, 2), 1), Hyper(F(1, 2), F(1, 2), F(3, 4), 1),
+      Point(F(1, 2), 0)), 1),
+    ((Hyper(F(1, 2), F(1, 4), F(1, 2), 1), Hyper(F(1, 2), F(1, 2), F(3, 4), -1)), -1),
+    ((Hyper(F(1, 2), F(1, 4), F(1, 2), -1),), 1),
+    ((Hyper(F(1, 2), F(1, 2), F(3, 4), -1), PLine(((0, 0), (1, 0)))), -1),
+    ((Box(0, F(1, 4), 0, 1),), 1),
+], ids=["both-ways-and-a-point", "two-arcs-down", "one-arc-up", "pole-on-a-band", "no-pole"])
+def test_f_on_c_signed_at_a_pole(pieces, value):
+    """The sign is negative only when the arcs at x diverge down alone:
+    positive wins when both directions occur, or neither."""
+    assert f_on_c([F(1, 2)], TargetSet(pieces), signed=True) == {F(1, 2): value}
 
 
 # ---------------------------------------------------------------------------

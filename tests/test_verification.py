@@ -20,8 +20,6 @@ from accumgraph.conditions import Regime, TargetAnalysis, check_regime
 from accumgraph.fileio import parse_target_text
 from accumgraph.demos import demo_set, sect6_c_order
 from accumgraph.geometry import Box, Hyper, PLine, Point, TargetSet
-from accumgraph.intervals import SliceSet
-from accumgraph.strips import epsilon_schedule
 from accumgraph.synthesis import synthesize
 from accumgraph.verification import (
     AccumulationEstimate,
@@ -298,33 +296,18 @@ def test_slices_read_the_index(monkeypatch):
     """Once the first slice has built the x-sorted index, slices rebuild no
     piece domain, and no piece kind slices on its own."""
     t = demo_set("sect6", 20)
-    t.slice_at(F(1, 2))
+    t.bands_at(F(1, 2))
 
     def no_domain(self):
-        raise AssertionError(f"slice_at rebuilt the domain of {self}")
+        raise AssertionError(f"bands_at rebuilt the domain of {self}")
 
     for cls in (Point, Box, PLine, Hyper):
         monkeypatch.setattr(cls, "domain", no_domain)
     for k in range(257):
-        t.slice_at(F(k, 256))
+        t.bands_at(F(k, 256))
     owners = {name for name, cls in vars(geometry).items()
               if inspect.isclass(cls) and "y_interval" in vars(cls)}
     assert not owners
-
-
-@pytest.mark.parametrize("name, regime", [("sect6", Regime.B2), ("square", Regime.B2_BOUNDED)])
-def test_pipeline_builds_no_slice_set(monkeypatch, name, regime):
-    """Synthesis, the radius schedule and the far-point budget answer every
-    slice question off the band ranges: none sorts and merges a slice."""
-
-    def no_slice_set(self, intervals=()):
-        raise AssertionError("a normalized slice was built")
-
-    monkeypatch.setattr(SliceSet, "__init__", no_slice_set)
-    f = synthesize(demo_set(name, 10), regime, depth=6)
-    grid = [F(i, 64) for i in range(65)]
-    assert len(epsilon_schedule(f, grid).columns) >= len(grid)
-    assert remark31_check(sample_graph(f, F(1, 64)), f, 0.5).passed
 
 
 def test_forward_distance_keeps_the_maximum_among_ties():
