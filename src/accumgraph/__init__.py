@@ -46,6 +46,7 @@ from .verification import (
     AccumulationEstimate,
     ClosureDirectionReport,
     FarPointResult,
+    GraphSample,
     accumulation_estimate,
     closure_direction_check,
     hausdorff_to_target,
@@ -65,6 +66,7 @@ __all__ = [
     "EmptySliceError",
     "EpsilonSchedule",
     "FarPointResult",
+    "GraphSample",
     "Hyper",
     "NetPlacementError",
     "ParseError",

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .conditions import Regime, check_regime
 from .demos import DEMO_NAMES, UnknownDemoError, demo_c_order, demo_set, truncation_notice
@@ -90,11 +91,10 @@ def _fmt(value: float, precision: int) -> str:
     return f"{value:.{precision}g}"
 
 
-def _graph_csv(f: SynthFunction, grid: int, precision: int) -> str:
-    rows = ["x,y"]
-    for x, y in sample_graph(f, Fraction(1, grid)):
-        rows.append(f"{_fmt(float(x), precision)},{_fmt(float(y), precision)}")
-    return "\n".join(rows) + "\n"
+def _csv(header: str, rows: Iterable[Sequence[float]], precision: int) -> str:
+    """The header line, then one line of each row's floats."""
+    lines = [header] + [",".join([_fmt(v, precision) for v in row]) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -103,10 +103,7 @@ def _graph_csv(f: SynthFunction, grid: int, precision: int) -> str:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    target = demo_set(args.name, args.depth)
-    notice = truncation_notice(args.name, args.depth)
-    if notice:
-        print(notice, file=sys.stderr)
+    target, _ = _load_target(args.name, args.depth)
     comments = (f"built-in demo '{args.name}' depth={args.depth}",)
     _write_atomic(args.out, serialize_target(target, comments))
     return EXIT_OK
@@ -122,7 +119,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_synth(args: argparse.Namespace) -> int:
     target, demo = _load_target(args.target, args.depth)
     f = _synthesize(target, demo, args)
-    _write_atomic(args.out, _graph_csv(f, args.grid, args.precision))
+    sample = sample_graph(f, Fraction(1, args.grid))
+    _write_atomic(args.out, _csv("x,y", sample.xy.tolist(), args.precision))
     return EXIT_OK
 
 
@@ -135,14 +133,10 @@ def _cmd_strips(args: argparse.Namespace) -> int:
     report = verify_strips(family, f)
     print("\n".join(report.lines()))
     if args.out:
+        xs = family.col_floats.tolist()
         for level in family.levels:
-            rows = ["x,lo,hi"]
-            for x, lo, hi in zip(family.col_floats, level.lo, level.hi):
-                rows.append(
-                    f"{_fmt(x, args.precision)},{_fmt(lo, args.precision)},"
-                    f"{_fmt(hi, args.precision)}"
-                )
-            _write_atomic(f"{args.out}.n{level.n}.csv", "\n".join(rows) + "\n")
+            rows = zip(xs, level.lo.tolist(), level.hi.tolist())
+            _write_atomic(f"{args.out}.n{level.n}.csv", _csv("x,lo,hi", rows, args.precision))
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
@@ -150,11 +144,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     target, demo = _load_target(args.target, args.depth)
     f = _synthesize(target, demo, args)
     eps = args.eps if args.eps is not None else 2.0 / args.grid
-    points = sample_graph(f, Fraction(1, args.grid))
-    est = accumulation_estimate(points, eps, min_count=args.min_count)
+    sample = sample_graph(f, Fraction(1, args.grid))
+    est = accumulation_estimate(sample, eps, min_count=args.min_count)
     y_cap = args.ycap if args.ycap is not None else args.depth / 2.0
     d_fwd, d_bwd = hausdorff_to_target(est, target, y_cap)
-    far = remark31_check(points, f, eps)
+    far = remark31_check(sample, f, eps)
     closure = closure_direction_check(f)
     bound = 2.0 * eps + 1.0 / args.depth
     hausdorff_ok = d_fwd <= bound and d_bwd <= bound
@@ -165,10 +159,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         f" closure={closure.status()}"
     )
     if args.out:
-        rows = ["x,y"]
-        for cx, cy in est.candidates:
-            rows.append(f"{_fmt(cx, args.precision)},{_fmt(cy, args.precision)}")
-        _write_atomic(args.out, "\n".join(rows) + "\n")
+        _write_atomic(args.out, _csv("x,y", est.candidates, args.precision))
     ok = hausdorff_ok and far.passed and (closure.vacuous or closure.passed)
     return EXIT_OK if ok else EXIT_FAIL
 
@@ -215,6 +206,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None, help="output path (default stdout)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="accumgraph",
@@ -260,11 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, UnknownDemoError, OSError, ValueError) as exc:
+    # An OverflowError is a target value beyond float range.
+    except (ParseError, UnknownDemoError, OSError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RegimeUnsatisfiedError as exc:

@@ -48,8 +48,6 @@ def parse_target_text(text: str) -> TargetSet:
         args = tokens[1:]
         try:
             pieces.append(_parse_piece(keyword, args, line_no, col))
-        except ParseError:
-            raise
         except ValueError as exc:
             raise ParseError(str(exc), line_no, col) from None
     return TargetSet(tuple(pieces))

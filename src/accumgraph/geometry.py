@@ -11,9 +11,9 @@ net and the Lemma 3.1 net samples. Each net sample carries the graph it
 lies on (a box row is a flat line), and slides along it. A ``TargetSet``
 answers slices and nearest-piece distance from one x-sorted index of its
 pieces' graph ends, built once: one ``bisect`` finds the bands alive at x,
-their y-ranges are the slice, and each slice question (membership, the
-slice max, n_x, the count of extended D) is one reduction over them. The
-infinities of the extended closure's slice are ``pole_signs``.
+their y-ranges are the slice, and each slice question (the slice max,
+n_x, the count of extended D) is one reduction over them. The infinities
+of the extended closure's slice are ``pole_signs``.
 
 Where a piece meets a horizontal band is read off its rational graphs: each
 is monotone, so its band shadow is one sub-span, and band clipping is each
@@ -655,13 +655,6 @@ class TargetSet:
             hi = np.fmin.reduce(np.fmin(upper, dist) * (1 + 1e-9) + slack, axis=1, initial=np.inf)
             low = np.where(np.isnan(dist), gap, dist) * (1 - 1e-9) - slack
         return np.maximum(np.fmin.reduce(low, axis=1, initial=np.inf), 0.0), hi
-
-    def contains_point(self, p: Tuple[RatLike, RatLike]) -> bool:
-        """Exact membership for a rational point."""
-        px, py = rat(p[0]), rat(p[1])
-        if not ZERO <= px <= ONE:
-            return False
-        return any(lo <= py <= hi for lo, hi in self.bands_at(px))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Numerical verification that the synthesized graph accumulates on the target.
 
-The graph is sampled on a uniform grid plus every net and empty-slice
-point; accumulation-point candidates are cells of an eps-grid holding a
+The graph is sampled once on a uniform grid plus every net and empty-slice
+point, as exact pairs and one float array that every check reads;
+accumulation-point candidates are cells of an eps-grid holding a
 core sample, one with at least ``min_count`` samples of pairwise distinct x
 within Chebyshev radius eps (an accumulation point needs infinitely many
 distinct graph points nearby, and distinct x is the finite proxy).
@@ -22,9 +23,9 @@ set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -38,21 +39,36 @@ from .synthesis import SynthFunction
 # ---------------------------------------------------------------------------
 
 
-def sample_graph(f: SynthFunction,
-                 pitch: RatLike = Fraction(1, 1024)) -> List[Tuple[Fraction, Fraction]]:
-    """Graph samples on the uniform grid plus all net and empty-slice points.
+@dataclass(frozen=True)
+class GraphSample:
+    """Exact pairs (x, f(x)) at strictly increasing x, and ``xy``, the same
+    pairs as one float64 (N, 2) array: the one conversion every check reads."""
 
-    Deduplicated by x; the function is single-valued so collisions are
-    harmless.
-    """
+    points: Tuple[Tuple[Fraction, Fraction], ...]
+    xy: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        points = tuple(self.points)
+        xy = np.array([(float(x), float(y)) for x, y in points]).reshape(-1, 2)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "xy", xy)
+        # Rounding is monotone: x can fail to increase only where its float does.
+        if any(points[i][0] >= points[i + 1][0] for i in np.flatnonzero(np.diff(xy[:, 0]) <= 0)):
+            raise ValueError("graph sample x must strictly increase")
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+
+def sample_graph(f: SynthFunction, pitch: RatLike = Fraction(1, 1024)) -> GraphSample:
+    """Net and enumeration values at their x, the backbone at the rest of
+    the uniform grid."""
     pitch = rat(pitch)
     if pitch <= 0:
         raise ValueError("pitch must be positive")
-    xs = {Fraction(i) * pitch for i in range(int(ONE / pitch) + 1)}
-    xs.add(ONE)
-    xs.update(f.a_values.keys())
-    xs.update(f.c_values.keys())
-    return [(x, f.evaluate(x)) for x in sorted(xs)]
+    grid = {i * pitch for i in range(int(ONE / pitch) + 1)} | {ONE}
+    values = {x: f.backbone(x)[0] for x in grid - f.a_values.keys() - f.c_values.keys()}
+    return GraphSample(tuple(sorted({**values, **f.c_values, **f.a_values}.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -66,39 +82,38 @@ class AccumulationEstimate:
     eps: float
 
 
-def accumulation_estimate(points: Sequence[Tuple[Fraction, Fraction]],
-                          eps: float, min_count: int = 3) -> AccumulationEstimate:
+def accumulation_estimate(sample: GraphSample, eps: float,
+                          min_count: int = 3) -> AccumulationEstimate:
     """Cluster graph samples on an eps-grid; a cell holding a core sample
     becomes a candidate (represented by its center).
 
-    A core sample has at least min_count distinct-x samples, itself
-    included, within Chebyshev radius eps (the DBSCAN core-point test);
-    they all lie in the 3 x 3 block of cells around its own, so the test
-    does not depend on where the grid's edges fall. A cell holding
-    min_count distinct-x samples is kept outright: each of them is core.
+    A core sample has at least min_count samples, itself included, within
+    Chebyshev radius eps (the DBSCAN core-point test); they all lie in the
+    3 x 3 block of cells around its own, so the test does not depend on
+    where the grid's edges fall. A cell holding min_count samples is kept
+    outright: each of them is core. Samples, not float x, are counted: their
+    x are pairwise distinct by construction, and two can round to one float.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     if min_count < 2:
         raise ValueError("min_count must be at least 2")
-    cells: Dict[Tuple[int, int], List[Tuple[float, float, Fraction]]] = {}
-    for x, y in points:
-        fx, fy = float(x), float(y)
+    cells: Dict[Tuple[int, int], List[Tuple[float, float]]] = {}
+    for fx, fy in sample.xy.tolist():
         if not math.isfinite(fx / eps) or not math.isfinite(fy / eps):
             raise ValueError(f"eps={eps:g} is too small to grid a sample at ({fx:g}, {fy:g})")
-        cells.setdefault((math.floor(fx / eps), math.floor(fy / eps)), []).append((fx, fy, x))
+        cells.setdefault((math.floor(fx / eps), math.floor(fy / eps)), []).append((fx, fy))
 
     def core(ix: int, iy: int, fx: float, fy: float) -> bool:
-        near = {x for jx in (ix - 1, ix, ix + 1) for jy in (iy - 1, iy, iy + 1)
-                for gx, gy, x in cells.get((jx, jy), ())
-                if abs(gx - fx) <= eps and abs(gy - fy) <= eps}
-        return len(near) >= min_count
+        near = sum(abs(gx - fx) <= eps and abs(gy - fy) <= eps
+                   for jx in (ix - 1, ix, ix + 1) for jy in (iy - 1, iy, iy + 1)
+                   for gx, gy in cells.get((jx, jy), ()))
+        return near >= min_count
 
     candidates = [
         ((ix + 0.5) * eps, (iy + 0.5) * eps)
         for (ix, iy), samples in sorted(cells.items())
-        if len({x for _, _, x in samples}) >= min_count
-        or any(core(ix, iy, fx, fy) for fx, fy, _ in samples)
+        if len(samples) >= min_count or any(core(ix, iy, fx, fy) for fx, fy in samples)
     ]
     return AccumulationEstimate(tuple(candidates), eps)
 
@@ -243,8 +258,7 @@ class FarPointResult:
     passed: bool
 
 
-def remark31_check(points: Sequence[Tuple[Fraction, Fraction]],
-                   f: SynthFunction, eps: float) -> FarPointResult:
+def remark31_check(sample: GraphSample, f: SynthFunction, eps: float) -> FarPointResult:
     """Only finitely many graph points may sit farther than eps from the
     target: at most the total size of the net levels with 1/n > eps plus
     the number of empty-slice points."""
@@ -253,11 +267,11 @@ def remark31_check(points: Sequence[Tuple[Fraction, Fraction]],
     cutoff = math.ceil(1.0 / eps)
     sizes = f.approx.level_sizes()
     bound = sum(sizes[: max(0, cutoff - 1)]) + len(f.c_points)
-    lo, hi = f.target.distance_bounds(
-        np.array([(float(x), float(y)) for x, y in points]).reshape(-1, 2))
-    count_far = sum(1 for (x, y), low, high in zip(points, lo, hi)
-                    if high > eps and (low > eps or (not f.target.contains_point((x, y))
-                                                     and f.target.distance_to((x, y)) > eps)))
+    lo, hi = f.target.distance_bounds(sample.xy)
+    # distance_to is exactly 0.0 on the target, so it alone decides the rest.
+    unsure = np.flatnonzero((hi > eps) & (lo <= eps))
+    count_far = int((lo > eps).sum()) + sum(f.target.distance_to(sample.points[i]) > eps
+                                            for i in unsure)
     return FarPointResult(count_far, bound, count_far <= bound)
 
 

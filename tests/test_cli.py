@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from accumgraph.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
+from accumgraph.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, build_parser, main
 
 
 def run_cli(argv, stdin_text=None, capsys=None, monkeypatch=None):
@@ -142,6 +142,19 @@ def test_unknown_regime_rejected(capsys, monkeypatch):
     assert exc.value.code == EXIT_USAGE
 
 
+# Targets holding a value beyond float64 range: a point's y itself, and an
+# all-finite arc whose f(1/64) is about 6.4e308.
+BEYOND_FLOAT = {
+    "big-point.txt": "point 1/2 1e400\nbox 0 1 0 1\n",
+    "big-arc.txt": "hyper 0 0 1 1e307\n",
+}
+
+
+def _write_beyond_float(directory):
+    for name, text in BEYOND_FLOAT.items():
+        (directory / name).write_text(text)
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "constant", "--regime", "b1", "--grid", "0"],
     ["strips", "constant", "--regime", "b1", "--depth", "0"],
@@ -157,10 +170,16 @@ def test_unknown_regime_rejected(capsys, monkeypatch):
     ["verify", "constant", "--regime", "b1", "--ycap", "inf"],
     ["verify", "constant", "--regime", "b1", "--ycap", "nan"],
     ["verify", "constant", "--regime", "b1", "--ycap", "-1"],
+    *([cmd, "{dir}/big-point.txt", "--regime", "b2"] for cmd in ("synth", "verify", "strips")),
+    *([cmd, "{dir}/big-arc.txt", "--regime", "b1", "--grid", "64"]
+      for cmd in ("synth", "verify", "strips")),
 ], ids=["grid-0", "depth-0", "depth-negative", "demo-depth-0", "min-count-1",
         "grid-not-int", "target-is-directory", "precision-negative",
-        "eps-inf", "eps-nan", "eps-zero", "ycap-inf", "ycap-nan", "ycap-negative"])
+        "eps-inf", "eps-nan", "eps-zero", "ycap-inf", "ycap-nan", "ycap-negative",
+        "synth-big-point", "verify-big-point", "strips-big-point",
+        "synth-big-arc", "verify-big-arc", "strips-big-arc"])
 def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):
+    _write_beyond_float(tmp_path)
     argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
     try:
         code = main(argv)
@@ -171,6 +190,21 @@ def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):
     assert out == ""
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", BEYOND_FLOAT)
+def test_beyond_float_targets_still_check(name, tmp_path, capsys):
+    """The exact regime checks read no float, so they still pass."""
+    _write_beyond_float(tmp_path)
+    assert main(["check", str(tmp_path / name), "--regime", "b2"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+def test_main_builds_one_parser(capsys):
+    build_parser.cache_clear()
+    for _ in range(2):
+        assert main(["check", "constant", "--regime", "b2"]) == EXIT_OK
+    assert build_parser.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("eps", ["1e-300", "1e-310"])

@@ -444,7 +444,8 @@ def test_band_reads_match_the_normalized_slice():
             iv = _reference_slice(t, x)
             ys = {F(0)} | {y for a, b in iv for y in (a - F(1, 1000), a, b, b + F(1, 1000))}
             for y in ys:
-                assert t.contains_point((x, y)) == any(a <= y <= b for a, b in iv), (t, x, y)
+                member = any(lo <= y <= hi for lo, hi in t.bands_at(x))
+                assert member == any(a <= y <= b for a, b in iv), (t, x, y)
             if x in poles:
                 count = bool(iv) + len(_reference_pole_signs(t, x))
                 multi = len(iv) > 1 or any(a < b for a, b in iv) or count > 1
@@ -615,19 +616,25 @@ def test_distance_arc_against_dense_sampling_various_targets():
 
 
 def test_distance_zero_iff_membership_rational():
+    """distance_to is exactly 0.0 on the target, for every piece kind: a
+    closed arc and one with an excluded pole end too."""
     t = TargetSet((
         Point(F(1, 4), F(1, 3)),
         Box(F(1, 2), F(3, 4), 0, 1),
         PLine(((F(0), F(0)), (F(1, 8), F(1)))),
+        Hyper(F(-1, 2), F(0), F(1), F(1, 3)),  # closed: y = (1/3)/(x + 1/2)
+        Hyper(F(1), F(3, 4), F(1), F(-1, 7)),  # pole end x = 1 excluded
     ))
-    on_points = [(F(1, 4), F(1, 3)), (F(5, 8), F(1, 2)), (F(1, 16), F(1, 2))]
-    off_points = [(F(1, 4), F(1, 2)), (F(5, 8), F(3, 2)), (F(1, 16), F(0))]
-    for p in on_points:
-        assert t.contains_point(p)
-        assert t.distance_to(p) == 0.0
-    for p in off_points:
-        assert not t.contains_point(p)
-        assert t.distance_to(p) > 0.0
+    on_points = [(F(1, 4), F(1, 3)), (F(5, 8), F(1, 2)), (F(1, 16), F(1, 2)),
+                 (F(0), F(2, 3)), (F(1, 6), F(1, 2)), (F(1), F(2, 9)),
+                 (F(3, 4), F(4, 7)), (F(7, 8), F(8, 7)), (F(99, 100), F(100, 7))]
+    off_points = [(F(1, 4), F(1, 2)), (F(5, 8), F(3, 2)), (F(1, 16), F(0)),
+                  (F(1, 6), F(1, 2) + F(1, 1000)), (F(1, 3), F(1, 3)),
+                  (F(7, 8), F(8, 7) - F(1, 1000)), (F(1), F(0)), (F(1), F(10**6))]
+    for p in on_points + off_points:
+        member = any(lo <= p[1] <= hi for lo, hi in t.bands_at(p[0]))
+        assert member == (p in on_points), p
+        assert (t.distance_to(p) == 0.0) == member, p
 
 
 # ---------------------------------------------------------------------------

@@ -162,8 +162,8 @@ def test_slice_set_merge_and_queries():
     t = TargetSet((Box(0, 1, 0, 1), Box(0, 1, 1, 2), Point(0, 3)))
     assert sorted(t.bands_at(0)) == [(F(0), F(1)), (F(1), F(2)), (F(3), F(3))]
     assert f0_bounded(t, 0) == 3
-    assert t.contains_point((0, F(3, 2)))
-    assert not t.contains_point((0, F(5, 2)))
+    assert t.distance_to((0, F(3, 2))) == 0.0
+    assert t.distance_to((0, F(5, 2))) == 0.5
 
 
 def test_slice_set_min_abs():

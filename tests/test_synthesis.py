@@ -519,7 +519,7 @@ def test_f0_unbounded_level_inequality():
             assert 0 <= abs(v) <= 1
         else:
             assert n - 1 < abs(v) <= n
-        assert t.contains_point((x, v))
+        assert t.distance_to((x, v)) == 0.0
 
 
 # ---------------------------------------------------------------------------

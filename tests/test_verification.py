@@ -23,6 +23,7 @@ from accumgraph.geometry import Box, Hyper, PLine, Point, TargetSet
 from accumgraph.synthesis import synthesize
 from accumgraph.verification import (
     AccumulationEstimate,
+    GraphSample,
     accumulation_estimate,
     closure_direction_check,
     hausdorff_to_target,
@@ -34,21 +35,22 @@ from accumgraph.verification import (
 
 def test_sample_graph_grid_and_special_points():
     f = synthesize(demo_set("constant"), Regime.B2, depth=3)
-    pts = sample_graph(f, F(1, 4))
-    xs = {x for x, _ in pts}
-    assert {F(0), F(1, 4), F(1, 2), F(3, 4), F(1)} <= xs
-    assert set(f.a_values) <= xs
+    sample = sample_graph(f, F(1, 4))
+    xs = [x for x, _ in sample.points]
+    assert {F(0), F(1, 4), F(1, 2), F(3, 4), F(1)} <= set(xs)
+    assert set(f.a_values) <= set(xs)
     # Net values slide along the segment, so every sample sits at height 0.
-    assert sum(1 for _, y in pts if y == 0) >= 5
-    assert all(y == 0 for _, y in pts)
-    assert len(xs) == len(pts)  # deduplicated by x
+    assert sum(1 for _, y in sample.points if y == 0) >= 5
+    assert all(y == 0 for _, y in sample.points)
+    assert xs == sorted(set(xs)) and len(sample) == len(xs)  # one sample per x, ascending
+    assert sample.xy.tolist() == [[float(x), float(y)] for x, y in sample.points]
 
 
 def test_sample_graph_sect6_c_values():
     depth = 5
     f = synthesize(demo_set("sect6", depth), Regime.B1, depth=depth,
                    c_order=sect6_c_order(depth))
-    pts = dict(sample_graph(f, F(1, 64)))
+    pts = dict(sample_graph(f, F(1, 64)).points)
     for k, c in enumerate(f.c_points, start=1):
         assert pts[c] == k
 
@@ -59,15 +61,22 @@ def test_sample_graph_sect6_c_values():
 
 
 def test_isolated_points_never_cluster():
-    pts = [(F(0), F(0)), (F(1), F(1))]
+    pts = GraphSample([(F(0), F(0)), (F(1), F(1))])
     est = accumulation_estimate(pts, 0.25, min_count=3)
     assert est.candidates == ()
 
 
 def test_cluster_requires_distinct_x():
-    pts = [(F(1, 2), F(0))] * 5
-    est = accumulation_estimate(pts, 0.25, min_count=2)
-    assert est.candidates == ()
+    """A sample holds one point per x, so clustering may count samples."""
+    with pytest.raises(ValueError):
+        GraphSample([(F(1, 2), F(0))] * 5)
+    with pytest.raises(ValueError):
+        GraphSample([(F(1, 2), F(0)), (F(1, 4), F(0))])
+    # Two x one float apart cannot be told by the float column alone.
+    x = F(1, 2)
+    with pytest.raises(ValueError):
+        GraphSample([(x, F(0)), (x + F(1, 2**80), F(0)), (x + F(1, 2**81), F(0))])
+    assert len(GraphSample([(x, F(0)), (x + F(1, 2**80), F(0))])) == 2
 
 
 def test_constant_candidates_near_segment():
@@ -99,7 +108,7 @@ def test_estimate_determinism():
     f = synthesize(demo_set("square"), Regime.B2, depth=5)
     pts = sample_graph(f, F(1, 128))
     a = accumulation_estimate(pts, 1 / 64, min_count=3)
-    b = accumulation_estimate(list(pts), 1 / 64, min_count=3)
+    b = accumulation_estimate(GraphSample(list(pts.points)), 1 / 64, min_count=3)
     assert a.candidates == b.candidates
 
 
@@ -112,7 +121,7 @@ def test_edge_split_cluster_is_a_candidate():
     for x, y in pts:
         old.setdefault((math.floor(float(x) / eps), math.floor(float(y) / eps)), set()).add(x)
     assert max(len(xs) for xs in old.values()) == 2
-    est = accumulation_estimate(pts, eps, min_count=3)
+    est = accumulation_estimate(GraphSample(pts), eps, min_count=3)
     assert est.candidates == ((0.125, 0.125), (0.125, 0.375))
 
 
@@ -129,11 +138,11 @@ def test_core_rule_keeps_every_cell_rule_candidate():
     rng = random.Random(7)
     grown = 0
     for _ in range(40):
-        pts = [(F(rng.randint(0, 200), 200), F(rng.randint(-60, 60), 40))
-               for _ in range(rng.randint(5, 300))]
+        xs = sorted(rng.sample(range(201), rng.randint(5, 201)))
+        pts = [(F(x, 200), F(rng.randint(-60, 60), 40)) for x in xs]
         eps, min_count = rng.choice([0.03, 0.1, 1 / 16]), rng.randint(2, 4)
         old = _cell_rule(pts, eps, min_count)
-        new = set(accumulation_estimate(pts, eps, min_count).candidates)
+        new = set(accumulation_estimate(GraphSample(pts), eps, min_count).candidates)
         assert old <= new
         grown += len(new - old)
     assert grown > 0
@@ -141,9 +150,9 @@ def test_core_rule_keeps_every_cell_rule_candidate():
 
 def test_estimate_validates_inputs():
     with pytest.raises(ValueError):
-        accumulation_estimate([], 0.0)
+        accumulation_estimate(GraphSample(()), 0.0)
     with pytest.raises(ValueError):
-        accumulation_estimate([], 0.5, min_count=1)
+        accumulation_estimate(GraphSample(()), 0.5, min_count=1)
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +337,11 @@ def test_forward_distance_keeps_the_maximum_among_ties():
 # ---------------------------------------------------------------------------
 
 
-def _exact_far_count(points, target, eps):
+def _exact_far_count(sample, target, eps):
     """The far-point count with an exact membership or distance per sample."""
-    return sum(1 for p in points
-               if not target.contains_point(p) and target.distance_to(p) > eps)
+    return sum(1 for x, y in sample.points
+               if not any(lo <= y <= hi for lo, hi in target.bands_at(x))
+               and target.distance_to((x, y)) > eps)
 
 
 def test_remark31_constant_all_on_target():
@@ -368,7 +378,8 @@ def test_remark31_sample_at_distance_eps():
     cannot decide it, so it takes the exact distance."""
     f = synthesize(parse_target_text("pline 0:0 1:0\n"), Regime.B1, depth=6)
     eps, tiny = F(1, 64), F(1, 2**40)
-    pts = [(F(1, 2), y) for y in (eps, eps - tiny, eps + tiny, -eps, -eps - tiny, F(0))]
+    ys = (eps, eps - tiny, eps + tiny, -eps, -eps - tiny, F(0))
+    pts = GraphSample([(F(k, 8), y) for k, y in enumerate(ys, start=1)])
     res = remark31_check(pts, f, float(eps))
     assert res.count_far == _exact_far_count(pts, f.target, float(eps)) == 2
     depth = 8
@@ -385,10 +396,9 @@ def test_remark31_on_target_takes_no_exact_distance(monkeypatch):
     pts = sample_graph(f, F(1, 1024))
 
     def exact(self, p):
-        raise AssertionError("exact distance or membership taken")
+        raise AssertionError("exact distance taken")
 
     monkeypatch.setattr(TargetSet, "distance_to", exact)
-    monkeypatch.setattr(TargetSet, "contains_point", exact)
     res = remark31_check(pts, f, 2 / 1024)
     assert res.count_far == 0 and res.passed
 
