@@ -515,11 +515,11 @@ class TargetSet:
     # -- slicing -------------------------------------------------------
 
     @cached_property
-    def _index(self) -> Tuple[List[Fraction], List[list], List[Tuple[float, ...]]]:
-        """The x-sorted index: the distinct ends of every graph span; the
-        bands alive in each slot, slot 2k + 1 at end k and slot 2k on the
-        open cell before it (slots 0 and 2 len(ends) lie outside every
-        piece); and each piece's x- and y-range as floats, for its gap."""
+    def _index(self) -> Tuple[List[Fraction], List[list]]:
+        """The exact x-sorted index: the distinct ends of every graph span,
+        and the bands alive in each slot, slot 2k + 1 at end k and slot 2k on
+        the open cell before it (slots 0 and 2 len(ends) lie outside every
+        piece)."""
         bands = [band for piece in self.pieces for band in piece.bands()]
         ends = sorted({e for g, _ in bands for e in (g.dom.lo, g.dom.hi)})
         alive: List[list] = [[] for _ in range(2 * len(ends) + 1)]
@@ -529,7 +529,12 @@ class TargetSet:
             for slot in range(2 * bisect_left(ends, dom.lo) + 1, 2 * bisect_left(ends, dom.hi) + 2):
                 if slot % 2 == 0 or dom.contains(ends[slot // 2]):
                     alive[slot].append(band)
-        return ends, alive, [_float_reach(piece) for piece in self.pieces]
+        return ends, alive
+
+    @cached_property
+    def _reach(self) -> List[Tuple[float, float, float, float]]:
+        """Each piece's x- and y-range as floats, for its gap."""
+        return [_float_reach(piece) for piece in self.pieces]
 
     def bands_at(self, x: RatLike) -> List[Tuple[Fraction, Fraction]]:
         """The closed y-range (lo, hi) of each band alive at x, unsorted and
@@ -537,7 +542,7 @@ class TargetSet:
         x = rat(x)
         if not ZERO <= x <= ONE:
             raise ValueError(f"slice x={x} outside [0, 1]")
-        ends, alive, _ = self._index
+        ends, alive = self._index
         i = bisect_left(ends, x)
         bands = alive[2 * i + (i < len(ends) and ends[i] == x)]
         return [(y := lo.y_at(x), y if hi is lo else hi.y_at(x)) for lo, hi in bands]
@@ -579,9 +584,12 @@ class TargetSet:
     def distance_to(self, p: Tuple[RatLike, RatLike]) -> float:
         """Euclidean distance from p to the nearest point of the union.
 
-        Exact (returns 0.0 precisely on membership) for points, boxes and
-        polylines; an arc takes the least of its finite ends and the float
-        stationary points of the squared distance (see ``Hyper.distance``).
+        Members of the union always read 0.0, and so can a few non-members:
+        a rational point within float rounding of an arc, or one off a box or
+        polyline whose float squared distance underflows. Points, boxes and
+        polylines take the float root of their exact squared distance; an
+        arc takes the least of its finite ends and the float stationary
+        points of the squared distance (see ``Hyper.distance``).
 
         Pieces are visited by their gap, the larger of the x-gap to their
         x-range and the y-gap to their y-range, a lower bound on their
@@ -592,7 +600,7 @@ class TargetSet:
         px, py = rat(p[0]), rat(p[1])
         fx, fy, best = float(px), float(py), math.inf
         gaps = sorted((max(x0 - fx, 0.0, fx - x1, y0 - fy, fy - y1), k)
-                      for k, (x0, x1, y0, y1) in enumerate(self._index[2]))
+                      for k, (x0, x1, y0, y1) in enumerate(self._reach))
         for gap, k in gaps:
             if gap > best + 1e-9 * (1.0 + best):
                 break
@@ -607,7 +615,7 @@ class TargetSet:
         largest finite coordinate, an arc's pole and coef too), the points'
         and boxes' numbers, and rows (piece, floats) of the polyline segments
         (xa, ya, xb, yb) and the arcs (pole, coef, u_lo, u_hi)."""
-        reach = np.array(self._index[2], dtype=float).reshape(-1, 4)
+        reach = np.array(self._reach, dtype=float).reshape(-1, 4)
         size = np.where(np.isfinite(reach), np.abs(reach), 0.0).max(axis=1, initial=0.0)
         boxes = [k for k, piece in enumerate(self.pieces) if isinstance(piece, (Point, Box))]
         segments, arcs = [], []

@@ -399,7 +399,11 @@ class StripLevelReport:
 @dataclass(frozen=True)
 class StripReport:
     levels: Tuple[StripLevelReport, ...]
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return all(lvl.nesting_ok and lvl.coverage_ok and lvl.a_width_ok and lvl.c_width_ok
+                   and lvl.single_chord_ok and lvl.backbone_bound_ok for lvl in self.levels)
 
     def lines(self) -> List[str]:
         out = [lvl.line() for lvl in self.levels]
@@ -422,79 +426,45 @@ def verify_strips(family: StripFamily, f: SynthFunction) -> StripReport:
     single chord of width at most 2/n. Backbone columns off the
     multi-valued set are checked against 2/n plus twice the local spread
     of function values within ball reach.
-    """
-    sched = family.schedule
-    cols = family.col_floats
-    fv = family.f_floats
-    kinds = np.array(sched.kinds)
-    m = len(cols)
 
-    d_set = f.analysis.d_set
-    backbone_checked = np.array([
-        kinds[i] == "B" and not d_set.contains(sched.columns[i])
-        for i in range(m)
-    ])
+    Each check is an array reduction per level over masks built once. A
+    backbone column's window of columns within 1/n holds the column itself;
+    reduceat spans the window ends. Coverage reads the exact radius only
+    where the float cross-section does not hold f strictly inside.
+    """
+    sched, cols, fv = family.schedule, family.col_floats, family.f_floats
+    kinds = np.array(sched.kinds)
+    sep = np.full(len(cols), np.inf)
+    sep[list(sched.sep_index)] = list(sched.sep_index.values())
+    classes, backbone = (kinds == "A", kinds == "C"), kinds == "B"
+    exact = np.array(sched.columns, dtype=object)
+    for s in f.analysis.d_set:
+        backbone[np.searchsorted(exact, s.lo, "right" if s.lo_open else "left"):
+                 np.searchsorted(exact, s.hi, "left" if s.hi_open else "right")] = False
+    cb, padded = cols[backbone], np.append(fv, 0.0)  # a window may end at len(fv)
 
     reports: List[StripLevelReport] = []
-    prev: Optional[StripLevel] = None
-    all_ok = True
-    for level in family.levels:
+    for prev, level in zip((None, *family.levels), family.levels):
         n = level.n
-        nesting_ok = True
-        if prev is not None:
-            nesting_ok = bool(
-                np.all(level.lo >= prev.lo) and np.all(level.hi <= prev.hi)
-            )
+        nesting_ok = prev is None or bool(np.all(level.lo >= prev.lo)
+                                          and np.all(level.hi <= prev.hi))
         inside = (level.lo < fv) & (fv < level.hi)
         coverage_ok = all(_own_chord_covers(sched.eps[i][n - 1], fv[i], level.lo[i], level.hi[i])
                           for i in np.flatnonzero(~inside))
         widths = level.hi - level.lo
-        bound = 2.0 / n + _WIDTH_TOL
-
-        def class_stats(kind: str) -> Tuple[float, bool, bool]:
-            sel = [
-                i for i in range(m)
-                if kinds[i] == kind and sched.sep_index.get(i, 10 ** 9) <= n
-            ]
-            if not sel:
-                return 0.0, True, True
-            w = float(widths[sel].max())
-            single = bool(np.all(level.chords[sel] == 1))
-            return w, w <= bound, single
-
-        max_a, a_ok, a_single = class_stats("A")
-        max_c, c_ok, c_single = class_stats("C")
-
+        # Net and empty-slice columns past their separation index.
+        stats = []
+        for sel in (mask & (sep <= n) for mask in classes):
+            w = float(widths[sel].max()) if sel.any() else 0.0
+            stats.append((w, w <= 2.0 / n + _WIDTH_TOL, bool(np.all(level.chords[sel] == 1))))
+        (max_a, a_ok, a_single), (max_c, c_ok, c_single) = stats
         # Backbone residual: width within 2/n plus twice the spread of
         # center values within the maximal shadow 1/n.
-        backbone_ok = True
-        max_b = 0.0
-        reach = 1.0 / n
-        idxs = np.nonzero(backbone_checked)[0]
-        for i in idxs:
-            left = int(np.searchsorted(cols, cols[i] - reach, side="right"))
-            right = int(np.searchsorted(cols, cols[i] + reach, side="left"))
-            window = fv[left:right]
-            osc = float(window.max() - window.min()) if window.size else 0.0
-            w = float(widths[i])
-            max_b = max(max_b, w)
-            if w > 2.0 / n + 2.0 * osc + _WIDTH_TOL:
-                backbone_ok = False
-        single_ok = a_single and c_single
-        level_ok = (nesting_ok and coverage_ok and a_ok and c_ok
-                    and single_ok and backbone_ok)
-        all_ok = all_ok and level_ok
+        ends = np.stack([np.searchsorted(cols, cb - 1.0 / n, side="right"),
+                         np.searchsorted(cols, cb + 1.0 / n, side="left")], axis=1).ravel()
+        osc = np.maximum.reduceat(padded, ends)[::2] - np.minimum.reduceat(padded, ends)[::2]
+        w_b = widths[backbone]
         reports.append(StripLevelReport(
-            n=n,
-            nesting_ok=nesting_ok,
-            coverage_ok=coverage_ok,
-            max_width_a=max_a,
-            max_width_c=max_c,
-            max_width_backbone=max_b,
-            a_width_ok=a_ok,
-            c_width_ok=c_ok,
-            single_chord_ok=single_ok,
-            backbone_bound_ok=backbone_ok,
-        ))
-        prev = level
-    return StripReport(tuple(reports), all_ok)
+            n, nesting_ok, coverage_ok, max_a, max_c, float(w_b.max(initial=0.0)), a_ok, c_ok,
+            a_single and c_single, not np.any(w_b > 2.0 / n + 2.0 * osc + _WIDTH_TOL)))
+    return StripReport(tuple(reports))

@@ -3,11 +3,14 @@
 import io
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from accumgraph.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, build_parser, main
+from accumgraph.conditions import Regime
+from accumgraph.demos import DEMO_NAMES
 
 
 def run_cli(argv, stdin_text=None, capsys=None, monkeypatch=None):
@@ -147,6 +150,8 @@ def test_unknown_regime_rejected(capsys, monkeypatch):
 BEYOND_FLOAT = {
     "big-point.txt": "point 1/2 1e400\nbox 0 1 0 1\n",
     "big-arc.txt": "hyper 0 0 1 1e307\n",
+    "big-pole.txt": "hyper 0 0 1 1\npoint 1/2 1e400\n",
+    "big-line.txt": "pline 0:1e400 1:1e400\n",
 }
 
 
@@ -170,13 +175,14 @@ def _write_beyond_float(directory):
     ["verify", "constant", "--regime", "b1", "--ycap", "inf"],
     ["verify", "constant", "--regime", "b1", "--ycap", "nan"],
     ["verify", "constant", "--regime", "b1", "--ycap", "-1"],
-    *([cmd, "{dir}/big-point.txt", "--regime", "b2"] for cmd in ("synth", "verify", "strips")),
+    ["synth", "{dir}/big-line.txt", "--regime", "b2"],
+    *([cmd, "{dir}/big-point.txt", "--regime", "b2"] for cmd in ("verify", "strips")),
     *([cmd, "{dir}/big-arc.txt", "--regime", "b1", "--grid", "64"]
       for cmd in ("synth", "verify", "strips")),
 ], ids=["grid-0", "depth-0", "depth-negative", "demo-depth-0", "min-count-1",
         "grid-not-int", "target-is-directory", "precision-negative",
         "eps-inf", "eps-nan", "eps-zero", "ycap-inf", "ycap-nan", "ycap-negative",
-        "synth-big-point", "verify-big-point", "strips-big-point",
+        "synth-big-line", "verify-big-point", "strips-big-point",
         "synth-big-arc", "verify-big-arc", "strips-big-arc"])
 def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):
     _write_beyond_float(tmp_path)
@@ -194,10 +200,37 @@ def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):
 
 @pytest.mark.parametrize("name", BEYOND_FLOAT)
 def test_beyond_float_targets_still_check(name, tmp_path, capsys):
-    """The exact regime checks read no float, so they still pass."""
+    """The exact regime checks read no float, so they run in every regime,
+    and b2 passes."""
     _write_beyond_float(tmp_path)
-    assert main(["check", str(tmp_path / name), "--regime", "b2"]) == EXIT_OK
-    assert capsys.readouterr().err == ""
+    for regime in Regime:
+        code = main(["check", str(tmp_path / name), "--regime", regime.value])
+        assert code in ((EXIT_OK,) if regime is Regime.B2 else (EXIT_OK, EXIT_FAIL))
+        assert capsys.readouterr().err == ""
+
+
+def test_synth_skips_unsampled_beyond_float_point(tmp_path, capsys):
+    """The point at y = 1e400 lies outside every net band |y| <= n, so no
+    graph value is beyond float range and synth writes the graph."""
+    _write_beyond_float(tmp_path)
+    assert main(["synth", str(tmp_path / "big-point.txt"), "--regime", "b2"]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert out.startswith("x,y\n") and err == ""
+
+
+def test_check_reads_no_float(tmp_path, capsys, monkeypatch):
+    """With every Fraction-to-float conversion raising, check still gives a
+    verdict in every regime on the demos and the beyond-float targets."""
+    _write_beyond_float(tmp_path)
+
+    def refuse(self):
+        raise AssertionError(f"check converted {self} to float")
+
+    monkeypatch.setattr(Fraction, "__float__", refuse)
+    for target in (*DEMO_NAMES, *(str(tmp_path / name) for name in BEYOND_FLOAT)):
+        for regime in Regime:
+            assert main(["check", target, "--regime", regime.value]) in (EXIT_OK, EXIT_FAIL)
+            assert "error" not in capsys.readouterr().err
 
 
 def test_main_builds_one_parser(capsys):

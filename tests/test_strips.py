@@ -5,7 +5,7 @@ import io
 import math
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import astuple, replace
 from fractions import Fraction as F
 from unittest import mock
 
@@ -19,7 +19,10 @@ from accumgraph.demos import demo_c_order, demo_set, sect6_c_order
 from accumgraph.geometry import Box, Hyper, PLine, Point, TargetSet
 from accumgraph.strips import (
     _SHRINK,
+    _WIDTH_TOL,
     EpsilonSchedule,
+    StripLevelReport,
+    _own_chord_covers,
     build_strip,
     build_strip_family,
     epsilon_schedule,
@@ -488,3 +491,201 @@ def test_coverage_of_a_rounded_chord_reads_the_exact_radius():
     assert not verify_strips(family, f).levels[0].coverage_ok
     f, family = _two_balls(0, F(1, 100))
     assert not verify_strips(_without_chord(family, 1, lo=0.0, hi=0.01), f).levels[0].coverage_ok
+
+
+# ---------------------------------------------------------------------------
+# Strip verification against a reference
+# ---------------------------------------------------------------------------
+
+
+def reference_verify_strips(family, f):
+    """The per-column strip checks: a loop over the columns of each level.
+    Returns the level reports and the overall verdict."""
+    sched = family.schedule
+    cols = family.col_floats
+    fv = family.f_floats
+    kinds = np.array(sched.kinds)
+    m = len(cols)
+
+    d_set = f.analysis.d_set
+    backbone_checked = np.array([
+        kinds[i] == "B" and not d_set.contains(sched.columns[i])
+        for i in range(m)
+    ])
+
+    reports = []
+    prev = None
+    all_ok = True
+    for level in family.levels:
+        n = level.n
+        nesting_ok = True
+        if prev is not None:
+            nesting_ok = bool(
+                np.all(level.lo >= prev.lo) and np.all(level.hi <= prev.hi)
+            )
+        inside = (level.lo < fv) & (fv < level.hi)
+        coverage_ok = all(_own_chord_covers(sched.eps[i][n - 1], fv[i], level.lo[i], level.hi[i])
+                          for i in np.flatnonzero(~inside))
+        widths = level.hi - level.lo
+        bound = 2.0 / n + _WIDTH_TOL
+
+        def class_stats(kind):
+            sel = [
+                i for i in range(m)
+                if kinds[i] == kind and sched.sep_index.get(i, 10 ** 9) <= n
+            ]
+            if not sel:
+                return 0.0, True, True
+            w = float(widths[sel].max())
+            single = bool(np.all(level.chords[sel] == 1))
+            return w, w <= bound, single
+
+        max_a, a_ok, a_single = class_stats("A")
+        max_c, c_ok, c_single = class_stats("C")
+
+        # Backbone residual: width within 2/n plus twice the spread of
+        # center values within the maximal shadow 1/n.
+        backbone_ok = True
+        max_b = 0.0
+        reach = 1.0 / n
+        idxs = np.nonzero(backbone_checked)[0]
+        for i in idxs:
+            left = int(np.searchsorted(cols, cols[i] - reach, side="right"))
+            right = int(np.searchsorted(cols, cols[i] + reach, side="left"))
+            window = fv[left:right]
+            osc = float(window.max() - window.min()) if window.size else 0.0
+            w = float(widths[i])
+            max_b = max(max_b, w)
+            if w > 2.0 / n + 2.0 * osc + _WIDTH_TOL:
+                backbone_ok = False
+        single_ok = a_single and c_single
+        level_ok = (nesting_ok and coverage_ok and a_ok and c_ok
+                    and single_ok and backbone_ok)
+        all_ok = all_ok and level_ok
+        reports.append(StripLevelReport(
+            n=n,
+            nesting_ok=nesting_ok,
+            coverage_ok=coverage_ok,
+            max_width_a=max_a,
+            max_width_c=max_c,
+            max_width_backbone=max_b,
+            a_width_ok=a_ok,
+            c_width_ok=c_ok,
+            single_chord_ok=single_ok,
+            backbone_bound_ok=backbone_ok,
+        ))
+        prev = level
+    return tuple(reports), all_ok
+
+
+def _fields(levels):
+    """Each level report's fields with their types, floats by their bits."""
+    return [[(type(v), v.hex() if isinstance(v, float) else v) for v in astuple(lvl)]
+            for lvl in levels]
+
+
+def assert_matches_reference(family, f):
+    report = verify_strips(family, f)
+    levels, passed = reference_verify_strips(family, f)
+    assert _fields(report.levels) == _fields(levels)
+    assert report.passed is passed
+    return report
+
+
+_REFERENCE_DEMOS = [("constant", Regime.B1, False), ("square", Regime.B2_BOUNDED, False),
+                    ("square", Regime.B2, False), ("hyperbola", Regime.B1, False),
+                    ("sect6", Regime.B1, False), ("sect6", Regime.B1, True),
+                    ("sect6", Regime.B2, False)]
+
+
+def _demo_family(demo, regime, signed, depth=6):
+    f = synthesize(demo_set(demo, depth), regime, depth=depth, signed=signed,
+                   c_order=demo_c_order(demo, depth))
+    return f, build_strip_family(epsilon_schedule(f, small_grid(128)))
+
+
+@pytest.mark.parametrize("demo,regime,signed", _REFERENCE_DEMOS,
+                         ids=[f"{d}-{r.value}{'-signed' if s else ''}" for d, r, s in _REFERENCE_DEMOS])
+def test_verify_strips_matches_reference_on_demos(demo, regime, signed):
+    f, family = _demo_family(demo, regime, signed)
+    assert assert_matches_reference(family, f).passed
+
+
+def _mutate(family, n, **arrays):
+    """The family with level n's arrays replaced by functions of them."""
+    i = n - 1
+    level = family.levels[i]
+    changed = replace(level, **{k: g(getattr(level, k).copy()) for k, g in arrays.items()})
+    return replace(family, levels=family.levels[:i] + (changed,) + family.levels[i + 1:])
+
+
+def _set(i, value):
+    def put(a):
+        a[i] = value
+        return a
+    return put
+
+
+_FLAGS = ("nesting_ok", "coverage_ok", "a_width_ok", "c_width_ok", "single_chord_ok",
+          "backbone_bound_ok")
+
+
+def _failed(report):
+    return [(lvl.n, flag) for lvl in report.levels for flag in _FLAGS if not getattr(lvl, flag)]
+
+
+def _strip_mutants(family):
+    """One family per check, each breaking only that check at one level."""
+    sched, fv = family.schedule, family.f_floats
+    top = family.levels[-1]
+    first = {sched.kinds[i]: i for i, rank in sched.sep_index.items() if rank == 1}
+    a_1, c_1 = first["A"], first["C"]
+    b = sched.kinds.index("B")
+    spread = float(fv.max() - fv.min())
+    return {
+        # Level n-1's lower end raised between level n's and f.
+        "nesting_ok": _mutate(family, top.n - 1, lo=_set(b, (top.lo[b] + fv[b]) / 2)),
+        # The last level loses one column's cross-section.
+        "coverage_ok": _mutate(family, top.n, lo=_set(b, math.inf), hi=_set(b, -math.inf)),
+        # Four wide at level 1, where no earlier level encloses them.
+        "a_width_ok": _mutate(family, 1, lo=_set(a_1, fv[a_1] - 2), hi=_set(a_1, fv[a_1] + 2)),
+        "c_width_ok": _mutate(family, 1, lo=_set(c_1, fv[c_1] - 2), hi=_set(c_1, fv[c_1] + 2)),
+        "single_chord_ok": _mutate(family, top.n, chords=_set(c_1, 2)),
+        "backbone_bound_ok": _mutate(family, 1, lo=_set(b, fv[b] - 2 - 2 * spread),
+                                     hi=_set(b, fv[b] + 2 + 2 * spread)),
+    }
+
+
+@pytest.mark.parametrize("check", _FLAGS)
+def test_each_strip_mutant_flips_its_own_check(check):
+    """Mutants of a passing sect6 family: the array checks agree with the
+    per-column reference, and exactly the broken check fails, at one level."""
+    f, family = _demo_family("sect6", Regime.B1, False)
+    report = assert_matches_reference(_strip_mutants(family)[check], f)
+    assert [flag for _, flag in _failed(report)] == [check]
+    assert not report.passed
+
+
+def test_empty_and_uncovered_class_widths():
+    """A class with no separated column reads 0.0, and one whose only
+    column lost its cross-section keeps its true maximum, -inf."""
+    f, family = _two_balls(0, F(1, 100))
+    sched = replace(family.schedule, kinds=("A", "B"), sep_index={0: 1})
+    family = _without_chord(replace(family, schedule=sched), 0)
+    level = assert_matches_reference(family, f).levels[0]
+    assert (level.max_width_a, level.max_width_c) == (-math.inf, 0.0)
+
+
+@pytest.mark.parametrize("end", ["left", "right"])
+def test_backbone_window_is_open_at_reach(end):
+    """A column exactly 1/n away lies outside a backbone column's window:
+    its value does not widen that column's bound."""
+    f = synthesize(TargetSet((_BASE,)), Regime.B1_BOUNDED, depth=1)
+    values = (F(0), F(0), F(10)) if end == "right" else (F(10), F(0), F(0))
+    sched = EpsilonSchedule(depth=1, columns=(F(0), F(1, 2), F(1)), kinds=("B",) * 3,
+                            values=values, eps=((F(1, 4),),) * 3, sep_index={})
+    family = build_strip_family(sched)
+    assert assert_matches_reference(family, f).passed
+    i = 0 if end == "right" else 2
+    wide = _mutate(family, 1, lo=_set(i, -1.5), hi=_set(i, 1.5))
+    assert _failed(assert_matches_reference(wide, f)) == [(1, "backbone_bound_ok")]
