@@ -88,33 +88,6 @@ def parse_target_file(path: Union[str, Path]) -> TargetSet:
     return parse_target_text(Path(path).read_text(encoding="utf-8"))
 
 
-def format_rational(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def serialize_target(target: TargetSet, comments: Tuple[str, ...] = ()) -> str:
-    lines = [f"# {c}" for c in comments]
-    for piece in target.pieces:
-        if isinstance(piece, Point):
-            lines.append(f"point {format_rational(piece.x)} {format_rational(piece.y)}")
-        elif isinstance(piece, Box):
-            lines.append(
-                "box "
-                + " ".join(format_rational(v) for v in (piece.x0, piece.x1, piece.y0, piece.y1))
-            )
-        elif isinstance(piece, PLine):
-            pairs = " ".join(
-                f"{format_rational(x)}:{format_rational(y)}" for x, y in piece.vertices
-            )
-            lines.append(f"pline {pairs}")
-        else:
-            lines.append(
-                "hyper "
-                + " ".join(
-                    format_rational(v)
-                    for v in (piece.pole, piece.x0, piece.x1, piece.coef)
-                )
-            )
+    lines = [f"# {c}" for c in comments] + [str(piece) for piece in target.pieces]
     return "\n".join(lines) + "\n"

@@ -29,10 +29,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
 from functools import cached_property
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -133,12 +134,25 @@ def _dyadic_nodes(size: Fraction, pitch: Fraction, y0: Fraction = ZERO, dy: Frac
 # ---------------------------------------------------------------------------
 
 
+def format_rational(value: Fraction) -> str:
+    if value.denominator == 1:
+        return str(value.numerator)
+    return f"{value.numerator}/{value.denominator}"
+
+
 class _Piece:
-    """Defaults of the piece kinds: no excluded pole, and each graph its own
-    band (a box's band spans its edges)."""
+    """Defaults of the piece kinds: no excluded pole, each graph its own
+    band (a box's band spans its edges), and its fields as the parameters
+    of its target-file line."""
 
     # Only an arc can leave an endpoint out of its domain.
     excluded_pole: Optional[Fraction] = None
+
+    def __str__(self) -> str:
+        """The piece as a line of a target file: its kind, then its exact
+        parameters."""
+        values = (getattr(self, field.name) for field in fields(self))
+        return " ".join([type(self).__name__.lower(), *map(format_rational, values)])
 
     def graphs(self) -> List[RationalGraph]:
         """The piece's single-valued rational graphs, built once and shared."""
@@ -290,6 +304,10 @@ class PLine(_Piece):
                 raise ValueError("polyline x coordinates must strictly increase")
         if verts[0][0] < ZERO or verts[-1][0] > ONE:
             raise ValueError("polyline x-range outside [0, 1]")
+
+    def __str__(self) -> str:
+        return " ".join(["pline", *(f"{format_rational(x)}:{format_rational(y)}"
+                                    for x, y in self.vertices)])
 
     def domain(self) -> Span:
         return Span(self.vertices[0][0], self.vertices[-1][0])
@@ -670,12 +688,23 @@ class TargetSet:
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def float_range(piece: Piece) -> Iterator[None]:
+    """Name the piece in an OverflowError raised while its data becomes
+    floats: the one-line error says which piece left float range."""
+    try:
+        yield
+    except OverflowError:
+        raise OverflowError(f"piece '{piece}' leaves float range") from None
+
+
 def _float_reach(piece: Piece) -> Tuple[float, float, float, float]:
     """The piece's x- and y-range as floats: its graphs are monotone, and an
     open pole end makes one side infinite."""
     dom = piece.domain()
-    ys = [float(g.y_at(e)) for g in piece.graphs()
-          for e in (g.dom.lo, g.dom.hi) if g.dom.contains(e)]
+    with float_range(piece):
+        ys = [float(g.y_at(e)) for g in piece.graphs()
+              for e in (g.dom.lo, g.dom.hi) if g.dom.contains(e)]
     y0, y1 = min(ys), max(ys)
     if piece.excluded_pole is not None:
         y0, y1 = (y0, math.inf) if piece.divergence_sign() > 0 else (-math.inf, y1)

@@ -31,11 +31,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import RationalGraph
+from .geometry import Piece, RationalGraph, float_range
 from .intervals import ONE, ZERO, RatLike, Span, rat, span_intersection
 from .synthesis import SynthFunction
 
@@ -55,6 +56,10 @@ _SHRINK = Fraction((1 << 20) - 1, 1 << 20)
 
 # Float slack of the strip width checks.
 _WIDTH_TOL = 1e-9
+
+# Balls per dense block of a strip level: 32 and 48 were fastest on the
+# demos in a sweep of 8 to 128.
+_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -120,7 +125,7 @@ def epsilon_schedule(f: SynthFunction, centers: Sequence[RatLike]) -> EpsilonSch
         values.append(fx)
         groups.setdefault((kind, kx), []).append(idx)
 
-    radii = _Radii(f)
+    radii = _Radii(f, max((kx for kind, kx in groups if kx is not None), default=None))
     eps_rows: List[Tuple[Fraction, ...]] = [()] * len(columns)
     for (kind, kx), idxs in groups.items():
         xs, fs = [columns[i] for i in idxs], [values[i] for i in idxs]
@@ -145,16 +150,28 @@ def _distance_bounds(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarra
     return np.maximum(np.maximum(lo - x, x - hi), 0.0) - _X_SLACK
 
 
+def _floats(piece: Piece, values: Iterable[RatLike]) -> List[float]:
+    with float_range(piece):
+        return [float(v) for v in values]
+
+
 def _span_floats(spans: Sequence[Span]) -> Tuple[np.ndarray, np.ndarray]:
     return np.array([float(s.lo) for s in spans]), np.array([float(s.hi) for s in spans])
 
 
-def _coefficients(graphs: Sequence[RationalGraph]) -> List[np.ndarray]:
-    """(n1, n0, d1, d0, den_sign) of each graph as floats and whether it is
-    flat (n1 = d1 = 0), shaped to broadcast over columns and levels."""
-    table = np.array([[*g.num, *g.den, g.den_sign] for g in graphs], dtype=float)
-    flat = np.array([g.num[0] == g.den[0] == 0 for g in graphs])
+def _coefficients(graphs: Sequence[RationalGraph], table: np.ndarray) -> List[np.ndarray]:
+    """(n1, n0, d1, d0, den_sign) of each graph, its row of ``table`` as
+    floats, and whether it is flat (n1 = d1 = 0), shaped to broadcast over
+    columns and levels."""
+    flat = np.array([g.num[0] == g.den[0] == 0 for g in graphs], dtype=bool)
     return [v[:, None, None] for v in (*table.T, flat)]
+
+
+def _reaches(lower: RationalGraph, upper: RationalGraph, cap: Fraction) -> bool:
+    """Whether a band meets y in [-cap, cap]: its lower graph is at most cap
+    and its upper graph at least -cap at a common x."""
+    below, above = lower.shadow(None, cap), upper.shadow(-cap, None)
+    return below is not None and above is not None and span_intersection(below, above) is not None
 
 
 def _side(coef: List[np.ndarray], theta: np.ndarray, theta_err: np.ndarray,
@@ -192,10 +209,13 @@ class _Radii:
 
     The float tables are built once: the levels' points and spans, and per
     band of the target the coefficients of its upper graph (for y >= theta_n)
-    and lower graph (for y <= k_x), its domain and its exact shadow.
+    and lower graph (for y <= k_x), its domain and its exact shadow. In the
+    unbounded regimes the overlap terms read only y in [-k_x, k_x], so only
+    the bands that meet y in [-cap, cap] are kept, cap the largest k_x of the
+    backbone columns (None: no backbone column, no band).
     """
 
-    def __init__(self, f: SynthFunction):
+    def __init__(self, f: SynthFunction, cap: Optional[int]):
         depth, unbounded = f.depth, not f.regime.bounded
         self.f, self.depth = f, depth
         self.inv = [Fraction(1, n) for n in range(1, depth + 1)]
@@ -209,13 +229,21 @@ class _Radii:
                           for points in (self.a_first, self.c_first)]
         self.sep_spans = {"A": [_span_floats(dn.spans) for dn in self.d_levels],
                           "B": [_span_floats([w]) for w in self.w_parts], "C": []}
-        bands = [(piece, band) for piece in f.target.pieces for band in piece.bands()]
+        bands = [(piece, band) for piece in f.target.pieces for band in piece.bands()
+                 if not unbounded or cap is not None and _reaches(*band, Fraction(cap))]
         # A box's band is its bottom and top edge; its shadow is its own.
         self.shadows: List[Callable[..., Optional[Span]]] = [
             lower.shadow if lower is upper else lambda lo, hi, p=p: (p.shadow(lo, hi) or [None])[0]
             for p, (lower, upper) in bands]
-        self.domain = _span_floats([lower.dom for _, (lower, _) in bands])
-        self.upper, self.lower = (_coefficients([band[k] for _, band in bands]) for k in (1, 0))
+        # Per band: its domain, then (n1, n0, d1, d0, den_sign) of its lower
+        # and of its upper graph.
+        table = np.array([
+            _floats(piece, (lower.dom.lo, lower.dom.hi, *lower.num, *lower.den, lower.den_sign,
+                            *upper.num, *upper.den, upper.den_sign))
+            for piece, (lower, upper) in bands]).reshape(-1, 12)
+        self.domain = table[:, 0], table[:, 1]
+        self.lower, self.upper = (_coefficients([band[k] for _, band in bands], table[:, c:c + 5])
+                                  for k, c in ((0, 2), (1, 7)))
         self._pairs: Dict[Optional[int], tuple] = {}
 
     def pairs(self, kx: Optional[int]) -> tuple:
@@ -332,29 +360,44 @@ def build_strip(sched: EpsilonSchedule, n: int,
     """One strip level: per-column (inf, sup) over the union of ball chords.
 
     ``col_floats`` and ``f_floats`` are the columns and f at the columns as
-    floats, shared by all levels of a family.
+    floats, shared by all levels of a family. Ball i covers the columns of
+    its window [left_i, right_i), the columns strictly within its float
+    radius e_i, with the chord f_i -+ sqrt(max(e_i^2 - dx^2, 0)). The balls
+    are taken in blocks of _BLOCK: each block is one dense (ball x union of
+    windows) array of half-chords, -inf outside each ball's own window, and
+    is reduced with min and max, which are exact, so the order of the balls
+    does not matter. Chord counts come from a difference array over the
+    window ends. A ball whose own column fell out of its window through
+    float rounding of a tiny radius still covers that column with f_i -+ e_i.
     """
-    m = len(sched.columns)
+    m = len(col_floats)
+    e = np.fromiter(map(float, map(itemgetter(n - 1), sched.eps)), float, m)
+    e2 = e * e
+    left = np.searchsorted(col_floats, col_floats - e, side="right")
+    right = np.searchsorted(col_floats, col_floats + e, side="left")
+    index = np.arange(m)
     lo = np.full(m, np.inf)
     hi = np.full(m, -np.inf)
-    cnt = np.zeros(m, dtype=np.int64)
-    for i in range(m):
-        e = float(sched.eps[i][n - 1])
-        xc = col_floats[i]
-        fc = f_floats[i]
-        left = int(np.searchsorted(col_floats, xc - e, side="right"))
-        right = int(np.searchsorted(col_floats, xc + e, side="left"))
-        if left < right:
-            dx = col_floats[left:right] - xc
-            hw = np.sqrt(np.maximum(e * e - dx * dx, 0.0))
-            np.minimum(lo[left:right], fc - hw, out=lo[left:right])
-            np.maximum(hi[left:right], fc + hw, out=hi[left:right])
-            cnt[left:right] += 1
-        if not (left <= i < right):
-            # Own column fell out through float rounding of a tiny radius.
-            lo[i] = min(lo[i], fc - e)
-            hi[i] = max(hi[i], fc + e)
-            cnt[i] += 1
+    for b in range(0, m, _BLOCK):
+        balls = slice(b, b + _BLOCK)
+        start, stop = left[balls].min(), right[balls].max()
+        if start >= stop:
+            continue
+        cols = index[start:stop]
+        dx = col_floats[start:stop] - col_floats[balls, None]
+        hw = np.sqrt(np.maximum(e2[balls, None] - dx * dx, 0.0))
+        # Outside its window a ball's chord is empty: f - hw = inf, f + hw = -inf.
+        hw[(cols < left[balls, None]) | (cols >= right[balls, None])] = -np.inf
+        fc = f_floats[balls, None]
+        np.minimum(lo[start:stop], (fc - hw).min(axis=0), out=lo[start:stop])
+        np.maximum(hi[start:stop], (fc + hw).max(axis=0), out=hi[start:stop])
+    ok = left < right
+    cnt = np.cumsum(np.bincount(left[ok], minlength=m + 1)
+                    - np.bincount(right[ok], minlength=m + 1))[:m]
+    own = (index < left) | (index >= right)
+    lo[own] = np.minimum(lo[own], f_floats[own] - e[own])
+    hi[own] = np.maximum(hi[own], f_floats[own] + e[own])
+    cnt[own] += 1
     return StripLevel(n, lo, hi, cnt)
 
 

@@ -176,13 +176,14 @@ def _write_beyond_float(directory):
     ["verify", "constant", "--regime", "b1", "--ycap", "nan"],
     ["verify", "constant", "--regime", "b1", "--ycap", "-1"],
     ["synth", "{dir}/big-line.txt", "--regime", "b2"],
-    *([cmd, "{dir}/big-point.txt", "--regime", "b2"] for cmd in ("verify", "strips")),
+    ["verify", "{dir}/big-point.txt", "--regime", "b2"],
+    ["strips", "{dir}/big-point.txt", "--regime", "b2-bounded"],
     *([cmd, "{dir}/big-arc.txt", "--regime", "b1", "--grid", "64"]
       for cmd in ("synth", "verify", "strips")),
 ], ids=["grid-0", "depth-0", "depth-negative", "demo-depth-0", "min-count-1",
         "grid-not-int", "target-is-directory", "precision-negative",
         "eps-inf", "eps-nan", "eps-zero", "ycap-inf", "ycap-nan", "ycap-negative",
-        "synth-big-line", "verify-big-point", "strips-big-point",
+        "synth-big-line", "verify-big-point", "strips-bounded-big-point",
         "synth-big-arc", "verify-big-arc", "strips-big-arc"])
 def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):
     _write_beyond_float(tmp_path)
@@ -196,6 +197,22 @@ def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):
     assert out == ""
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
     assert "Traceback" not in err
+    if "big-point" in " ".join(argv):
+        # The error names the piece beyond float range, exactly.
+        assert f"piece 'point 1/2 {10 ** 400}' leaves float range" in err
+
+
+@pytest.mark.parametrize("name, regime", [
+    ("big-point.txt", "b2"), ("big-pole.txt", "b2"), ("big-pole.txt", "b1"),
+], ids=["big-point-b2", "big-pole-b2", "big-pole-b1"])
+def test_strips_skips_unreached_beyond_float_point(name, regime, tmp_path, capsys):
+    """In the unbounded regimes the radii read the target only within
+    |y| <= k_x of the backbone columns; the point at y = 1e400 lies outside,
+    so strips certifies the target."""
+    _write_beyond_float(tmp_path)
+    assert main(["strips", str(tmp_path / name), "--regime", regime]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert out.endswith("STRIPS PASS\n") and err == ""
 
 
 @pytest.mark.parametrize("name", BEYOND_FLOAT)

@@ -5,13 +5,8 @@ from fractions import Fraction as F
 import pytest
 
 from accumgraph.demos import demo_set
-from accumgraph.fileio import (
-    ParseError,
-    format_rational,
-    parse_target_text,
-    serialize_target,
-)
-from accumgraph.geometry import Box, Hyper, PLine, Point, TargetSet
+from accumgraph.fileio import ParseError, parse_target_text, serialize_target
+from accumgraph.geometry import Box, Hyper, PLine, Point, TargetSet, format_rational
 
 
 def test_parse_basic_pieces():

@@ -41,6 +41,9 @@ def golden_commands():
                 cmds.append((sub, demo, "--regime", regime, *SMALL))
     for demo in ("sect6", "hyperbola"):
         cmds.append(("strips", demo, "--regime", "b1", *SMALL))
+    # Levels of about 300 columns, each built from several blocks of balls.
+    for demo in ("constant", "hyperbola", "sect6"):
+        cmds.append(("strips", demo, "--regime", "b1", "--depth", "6", "--grid", "256"))
     cmds += [("check", MIXED.name, "--regime", regime, "--depth", "4") for regime in REGIMES]
     for regime in MIXED_PASSING:
         for sub in ("synth", "verify", "strips"):
@@ -142,6 +145,12 @@ GOLDEN = {
         "6ee808a1211fbe535f03544496f57f42149adf1efd6a2e7e0184d1c375b90d84",
     "strips hyperbola --regime b1 --depth 4 --grid 64":
         "6e655620d44eb306558de603a010b650796f5593c235705ebc3f22e1085a4dec",
+    "strips constant --regime b1 --depth 6 --grid 256":
+        "d0735090ea1873c1fe3c584fdea4f268386a3ee9702e1fd5d66cf7592d88c52a",
+    "strips hyperbola --regime b1 --depth 6 --grid 256":
+        "289b4a2c6b35713f7b0c7c9119f3e60281208acab4a16f4616f1dfa2d83a965e",
+    "strips sect6 --regime b1 --depth 6 --grid 256":
+        "5e749a94d0f5fc10b6c76fd93381051e3747fd446cb2e60088ccf9c97fc4551a",
     "check mixed_target.txt --regime b2-bounded --depth 4":
         "c642343b26edfc88835ab98bec2dd5362028fee8340e48b8124f6ad04768086f",
     "check mixed_target.txt --regime b2 --depth 4":

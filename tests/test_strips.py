@@ -11,6 +11,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from accumgraph import conditions
 from accumgraph.cli import EXIT_OK, main
@@ -21,6 +23,7 @@ from accumgraph.strips import (
     _SHRINK,
     _WIDTH_TOL,
     EpsilonSchedule,
+    StripLevel,
     StripLevelReport,
     _own_chord_covers,
     build_strip,
@@ -379,6 +382,99 @@ def test_chord_formula_single_ball():
     assert level.lo[1] == pytest.approx(-hw)
     assert level.hi[1] == pytest.approx(hw)
     assert level.chords[1] == 2  # the big ball plus the column's own
+
+
+def reference_build_strip(sched, n, col_floats, f_floats):
+    """The per-ball strip level: a loop over the balls, one window each."""
+    m = len(sched.columns)
+    lo = np.full(m, np.inf)
+    hi = np.full(m, -np.inf)
+    cnt = np.zeros(m, dtype=np.int64)
+    for i in range(m):
+        e = float(sched.eps[i][n - 1])
+        xc = col_floats[i]
+        fc = f_floats[i]
+        left = int(np.searchsorted(col_floats, xc - e, side="right"))
+        right = int(np.searchsorted(col_floats, xc + e, side="left"))
+        if left < right:
+            dx = col_floats[left:right] - xc
+            hw = np.sqrt(np.maximum(e * e - dx * dx, 0.0))
+            np.minimum(lo[left:right], fc - hw, out=lo[left:right])
+            np.maximum(hi[left:right], fc + hw, out=hi[left:right])
+            cnt[left:right] += 1
+        if not (left <= i < right):
+            # Own column fell out through float rounding of a tiny radius.
+            lo[i] = min(lo[i], fc - e)
+            hi[i] = max(hi[i], fc + e)
+            cnt[i] += 1
+    return StripLevel(n, lo, hi, cnt)
+
+
+def assert_levels_match_reference(sched):
+    """Every level of the blocked build equals the per-ball one, bit for bit."""
+    family = build_strip_family(sched)
+    for level in family.levels:
+        ref = reference_build_strip(sched, level.n, family.col_floats, family.f_floats)
+        for got, want in zip((level.lo, level.hi, level.chords), (ref.lo, ref.hi, ref.chords)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+_BUILD_DEMOS = [("constant", Regime.B1, False), ("constant", Regime.B1_BOUNDED, False),
+                ("hyperbola", Regime.B1, False), ("hyperbola", Regime.B1, True),
+                ("sect6", Regime.B1, False), ("sect6", Regime.B1, True)]
+
+
+@pytest.mark.parametrize("demo,regime,signed", _BUILD_DEMOS,
+                         ids=[f"{d}-{r.value}{'-signed' if s else ''}" for d, r, s in _BUILD_DEMOS])
+def test_build_strip_matches_reference_on_demos(demo, regime, signed):
+    f = synthesize(demo_set(demo, 6), regime, depth=6, signed=signed,
+                   c_order=demo_c_order(demo, 6))
+    assert_levels_match_reference(epsilon_schedule(f, small_grid()))
+
+
+# Radii that leave every window empty or drop the ball's own column
+# (1e-20 is below half a float step of x in [1/4, 1]; 0.6 * 2^-54 rounds
+# x - e down but x + e back onto x at x = 1/2, where the float step
+# doubles), that are tiny but keep it (1e-12), that reach past [0, 1], and
+# that land columns of a 1/16 grid exactly on a window's open ends.
+_HALF_STEP = F(3, 5 << 54)
+_RADII = [F(1, 10**20), _HALF_STEP, F(1, 10**12), F(1, 16), F(3, 16), F(1, 4), F(3, 2), F(5)]
+
+
+@st.composite
+def _schedules(draw):
+    """Schedules of two levels on random sorted columns, with equal
+    neighbouring radii drawn often, built directly without synthesis."""
+    denom = draw(st.sampled_from([16, 1000, 1 << 40]))
+    xs = draw(st.lists(st.integers(0, denom), min_size=1, max_size=150, unique=True))
+    columns = tuple(sorted(F(x, denom) for x in xs))
+    radius = st.one_of(st.sampled_from(_RADII),
+                       st.fractions(min_value=F(1, 10**6), max_value=2, max_denominator=10**6))
+    eps = tuple(draw(st.tuples(radius, radius)) for _ in columns)
+    value = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=1000),
+                      st.just(F(10**30)))
+    values = tuple(draw(value) for _ in columns)
+    return EpsilonSchedule(2, columns, ("B",) * len(columns), values, eps, {})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_schedules())
+def test_build_strip_matches_reference_on_random_schedules(sched):
+    assert_levels_match_reference(sched)
+
+
+def test_tiny_radii_cover_only_their_own_column():
+    """Balls below a float step cover their own column alone, as in the
+    reference: at 0 inside the window [0, 1), at 1/4, 3/4 and 1 through an
+    empty window [i + 1, i), and at 1/2 through the empty window [i, i)."""
+    columns = tuple(F(i, 4) for i in range(5))
+    eps = ((F(1, 10**20),),) * 2 + ((_HALF_STEP,),) + ((F(1, 10**20),),) * 2
+    sched = EpsilonSchedule(1, columns, ("B",) * 5, (F(1),) * 5, eps, {})
+    assert_levels_match_reference(sched)
+    level = build_strip_family(sched).levels[0]
+    assert np.all(level.chords == 1) and np.all(level.lo == 1.0) and np.all(level.hi == 1.0)
 
 
 def test_sect6_c_column_single_chord():
