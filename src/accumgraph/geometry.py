@@ -28,12 +28,12 @@ that spare callers most exact distances.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import cached_property
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -58,11 +58,25 @@ class RationalGraph:
     den: Tuple[Fraction, Fraction]
     den_sign: int
 
+    @cached_property
+    def ints(self) -> Tuple[Tuple[int, ...], ...]:
+        """(N1, N0, D1, D0), the coefficients over one common denominator,
+        then the domain ends as (numerator, denominator) pairs."""
+        scale = math.lcm(*(c.denominator for c in (*self.num, *self.den)))
+        return (tuple(c.numerator * (scale // c.denominator) for c in (*self.num, *self.den)),
+                *((e.numerator, e.denominator) for e in (self.dom.lo, self.dom.hi)))
+
     def y_at(self, x: Fraction) -> Fraction:
-        """The graph's y at x in its domain; a line's denominator is 1."""
-        (n1, n0), (d1, d0) = self.num, self.den
-        y = n1 * x + n0 if n1 else n0
-        return y / (d1 * x + d0) if d1 else y
+        """The graph's y at x = a/b: (N1 a + N0 b)/(D1 a + D0 b), normalised once."""
+        (n1, n0, d1, d0), _, _ = self.ints
+        a, b = x.numerator, x.denominator
+        return Fraction(n1 * a + n0 * b, d1 * a + d0 * b)
+
+    def holds(self, a: int, b: int) -> bool:
+        """Whether x = a/b (b > 0) lies in ``dom``: x - lo and hi - x, cross-
+        multiplied, must be at least 1 at an open end and 0 at a closed one."""
+        _, (ln, ld), (hn, hd) = self.ints
+        return a * ld - ln * b >= self.dom.lo_open and hn * b - a * hd >= self.dom.hi_open
 
     def shadow(self, lo: Optional[Fraction], hi: Optional[Fraction]) -> Optional[Span]:
         """The x of ``dom`` where lo <= y <= hi (None: no bound on that side).
@@ -351,9 +365,13 @@ class PLine(_Piece):
                 for edge in (band_lo, band_hi):
                     t = (edge - ya) / dy
                     if ZERO < t < ONE and t not in ts:
-                        ts.append(t)
-            ts.sort()
-            out.extend((xa + t * (xb - xa), ya + t * dy, graph) for t in ts)
+                        insort(ts, t)
+            # Each node t = tn/td over one denominator: x = (ax td + tn ex)/(scale td).
+            scale = math.lcm(xa.denominator, xb.denominator, ya.denominator, yb.denominator)
+            ax, ex, ay, ey = (v.numerator * (scale // v.denominator) for v in (xa, xb - xa, ya, dy))
+            out.extend((Fraction(ax * t.denominator + t.numerator * ex, scale * t.denominator),
+                        Fraction(ay * t.denominator + t.numerator * ey, scale * t.denominator),
+                        graph) for t in ts)
         return out
 
 
@@ -401,7 +419,7 @@ class Hyper(_Piece):
         return Span(self.x0, self.x1)
 
     def y_at(self, x: Fraction) -> Fraction:
-        return self.coef / (x - self.pole)
+        return self.graphs()[0].y_at(x)
 
     def divergence_sign(self) -> int:
         """Sign of y as x approaches an excluded pole endpoint; 0 if none.
@@ -696,6 +714,20 @@ def float_range(piece: Piece) -> Iterator[None]:
         yield
     except OverflowError:
         raise OverflowError(f"piece '{piece}' leaves float range") from None
+
+
+# The least magnitude that float() rounds past the largest float, to infinity.
+_FLOAT_END = Fraction(2 ** 1024 - 2 ** 970)
+
+
+def value_floats(points: Sequence[Tuple[Fraction, Fraction]]) -> List[float]:
+    """f(x) as a float for each (x, f(x)) of ``points``; a value beyond float
+    range raises an OverflowError that names its x."""
+    try:
+        return [float(y) for _, y in points]
+    except OverflowError:
+        x = next(x for x, y in points if abs(y) >= _FLOAT_END)
+        raise OverflowError(f"f(x) leaves float range at x={format_rational(x)}") from None
 
 
 def _float_reach(piece: Piece) -> Tuple[float, float, float, float]:

@@ -36,7 +36,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 import numpy as np
 
-from .geometry import Piece, RationalGraph, float_range
+from .geometry import Piece, RationalGraph, float_range, value_floats
 from .intervals import ONE, ZERO, RatLike, Span, rat, span_intersection
 from .synthesis import SynthFunction
 
@@ -273,17 +273,18 @@ class _Radii:
                     if len(lo):
                         lbs[:, i, t] = _distance_bounds(x, lo, hi).min(axis=1)
             if kind == "B":
-                lbs = np.concatenate([lbs, self._overlap(x, fs[start:start + step], kx)], axis=2)
+                fx = value_floats(list(zip(xs[start:start + step], fs[start:start + step])))
+                lbs = np.concatenate([lbs, self._overlap(x, fx, kx)], axis=2)
             order = np.argsort(lbs, axis=2, kind="stable")
             lbs = np.take_along_axis(lbs, order, axis=2)
             keep = np.count_nonzero(lbs <= self.inv_f[:, None] * _ABOVE, axis=2).max(axis=1)
             for c, k in enumerate(keep.tolist()):
                 yield lbs[c, :, :k].tolist(), order[c, :, :k].tolist()
 
-    def _overlap(self, x: np.ndarray, fs: Sequence[Fraction], kx: Optional[int]) -> np.ndarray:
+    def _overlap(self, x: np.ndarray, fs: List[float], kx: Optional[int]) -> np.ndarray:
         """Lower bounds of the overlap terms, shape (column, level, pair)."""
         es, p_lo, p_hi, _ = self.pairs(kx)
-        fx = np.array([float(v) for v in fs])[:, None]
+        fx = np.array(fs)[:, None]
         theta = fx + self.inv_f if kx is None else np.maximum(fx + self.inv_f, -float(kx))
         empty, lo, hi = _side(self.upper, theta, _REL * (abs(fx) + 1), 1)
         if kx is not None:

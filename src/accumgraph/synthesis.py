@@ -17,14 +17,16 @@ Net sampling uses nested dyadic subdivision anchored on each piece, so a
 sample site of level n is revisited by every deeper level: the finite
 analogue of the net's defining property, which lets a cluster-based
 estimator recover two-dimensional and curved regions of the target. An
-arc evaluates each node once. A sample keeps a new x (the fast path); a
-revisited one slides by offsets whose caps are integer denominators.
+arc evaluates each node once. Placement keys x by (numerator, denominator)
+in integers: a new x stays (the fast path), a revisited one slides by 1/q
+in x, or in y along a graph too steep for that, x from its exact inverse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .conditions import Regime, TargetAnalysis, Verdict
@@ -67,17 +69,10 @@ class CountableApprox:
     @property
     def a_enumeration(self) -> List[Fraction]:
         """All net x coordinates in construction order: a_1, a_2, ..."""
-        out: List[Fraction] = []
-        for level in self.levels:
-            out.extend(x for x, _ in level.points)
-        return out
+        return [x for level in self.levels for x, _ in level.points]
 
     def a_values(self) -> Dict[Fraction, Fraction]:
-        out: Dict[Fraction, Fraction] = {}
-        for level in self.levels:
-            for x, y in level.points:
-                out[x] = y
-        return out
+        return {x: y for level in self.levels for x, y in level.points}
 
     def level_sizes(self) -> List[int]:
         return [len(level.points) for level in self.levels]
@@ -108,47 +103,74 @@ def _grid_pitch(n: int) -> Fraction:
 class _Placer:
     """Assigns final x coordinates: pairwise distinct, off the avoid set.
 
-    A sample whose x is new and off the avoid set stays put (the fast path).
-    Otherwise it slides by +-1/q, positive side first, halving q after each
-    pair: along its graph where the graph's domain holds the new x, and
-    level otherwise. The first offset is the least of 1/(16 n j) at global
-    index j (well under the 1/(4 n j) budget) and 2^-12, so collocated
-    samples from different levels stay inside one clustering cell; the
-    displacement is at most min(1/(16 n), 2^-10). Both caps are integers.
+    ``taken`` keys each used or avoided x by (numerator, denominator), so
+    the avoid set must be finite. A sample whose x in [0, 1] is not taken
+    stays put (the fast path). Otherwise it slides by +-1/q, positive side
+    first, halving q after each pair: along its graph where the graph's
+    domain holds the new x, and level otherwise. The first offset is the
+    least of 1/(16 n j) at global index j (well under the 1/(4 n j) budget)
+    and 2^-12, so collocated samples from different levels stay inside one
+    clustering cell; the displacement is at most min(1/(16 n), 2^-10).
+    Where every x offset moves y too far along a steep graph, the same
+    offsets move y, and x comes from the graph's exact inverse.
     """
 
     _ABS_CAP = Fraction(1, 4096)
 
     def __init__(self, avoid: XSet):
-        self.avoid = avoid
-        self.used: set[Fraction] = set()
+        if avoid.contains_interval():
+            raise ValueError("avoid set must contain no interval")
+        self.taken = {(x.numerator, x.denominator) for x in avoid.isolated_points()}
         self.index = 0
 
     def place(self, x: Fraction, y: Fraction, n: int,
               graph: Optional[RationalGraph]) -> Tuple[Fraction, Fraction]:
         self.index += 1
-        if x not in self.used and ZERO <= x <= ONE and not self.avoid.contains(x):
-            self.used.add(x)
+        num, den = x.numerator, x.denominator
+        if 0 <= num <= den and (num, den) not in self.taken:
+            self.taken.add((num, den))
             return x, y
         q0, m = max(16 * n * self.index, self._ABS_CAP.denominator), max(16 * n, 1024)
-        num, den = x.numerator, x.denominator
+        yn, yd = y.numerator, y.denominator
         for k in range(399):
             # The offsets +1/q0, -1/q0, then half the step: q >= q0 >= m.
             q = q0 << (k // 2)
-            top = num * q + (-den if k % 2 else den)
-            x2 = Fraction(top, den * q)
-            if not 0 <= top <= den * q or x2 in self.used or self.avoid.contains(x2):
+            top, bot = num * q + (-den if k % 2 else den), den * q
+            if not 0 <= top <= bot:
                 continue
-            y2 = graph.y_at(x2) if graph is not None and graph.dom.contains(x2) else y
-            # The displacement test 1/q^2 + dy^2 > 1/m^2, in integers.
-            dy = y2 - y
-            if dy and (dy.numerator * q * m) ** 2 > dy.denominator ** 2 * (q * q - m * m):
+            g = gcd(top, bot)
+            a, b = top // g, bot // g
+            if (a, b) in self.taken:
                 continue
-            self.used.add(x2)
-            return x2, y2
-        raise NetPlacementError(
-            f"could not place a net point near x={x} off the avoid set"
-        )
+            y2 = y
+            if graph is not None and graph.holds(a, b):
+                # The displacement test 1/q^2 + dy^2 > 1/m^2, in integers, on
+                # the unreduced dy = p/r - y: the test is homogeneous in it.
+                n1, n0, d1, d0 = graph.ints[0]
+                p, r = n1 * a + n0 * b, d1 * a + d0 * b
+                if ((p * yd - yn * r) * q * m) ** 2 > (r * yd) ** 2 * (q * q - m * m):
+                    continue
+                y2 = Fraction(p, r)
+            self.taken.add((a, b))
+            return Fraction(a, b), y2
+        if graph is not None:
+            n1, n0, d1, d0 = graph.ints[0]
+            for k in range(399):
+                # The same offsets in y, x = (D0 y - N0)/(N1 - D1 y) on the graph.
+                q = q0 << (k // 2)
+                tn, td = yn * q + (-yd if k % 2 else yd), yd * q
+                top, bot = d0 * tn - n0 * td, n1 * td - d1 * tn
+                top, bot = (-top, -bot) if bot < 0 else (top, bot)
+                if not 0 <= top <= bot or not bot:
+                    continue
+                g = gcd(top, bot)
+                a, b = top // g, bot // g
+                if (a, b) in self.taken or not graph.holds(a, b) or \
+                        ((a * den - num * b) * q * m) ** 2 > (b * den) ** 2 * (q * q - m * m):
+                    continue
+                self.taken.add((a, b))
+                return Fraction(a, b), Fraction(tn, td)
+        raise NetPlacementError(f"could not place a net point near x={x} off the avoid set")
 
 
 def lemma31_net(target: TargetSet, depth: int, avoid: XSet = XSet.empty()) -> CountableApprox:
@@ -164,17 +186,12 @@ def lemma31_net(target: TargetSet, depth: int, avoid: XSet = XSet.empty()) -> Co
         raise ValueError("cannot build a net for an empty target set")
     if depth < 1:
         raise ValueError("net depth must be positive")
-    if avoid.contains_interval():
-        raise ValueError("avoid set must contain no interval")
     placer = _Placer(avoid)
     levels: List[NetLevel] = []
     for n in range(1, depth + 1):
-        points: List[Tuple[Fraction, Fraction]] = []
-        grid_pitch, curve_spacing = _grid_pitch(n), _curve_spacing(n)
-        for piece in target.pieces:
-            for x, y, graph in piece.net_samples(n, grid_pitch, curve_spacing):
-                points.append(placer.place(x, y, n, graph))
-        levels.append(NetLevel(n, tuple(points)))
+        pitches = _grid_pitch(n), _curve_spacing(n)
+        samples = (s for piece in target.pieces for s in piece.net_samples(n, *pitches))
+        levels.append(NetLevel(n, tuple(placer.place(x, y, n, graph) for x, y, graph in samples)))
     return CountableApprox(tuple(levels), depth)
 
 

@@ -29,7 +29,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .geometry import TargetSet
+from .geometry import TargetSet, value_floats
 from .intervals import ONE, RatLike, rat
 from .synthesis import SynthFunction
 
@@ -49,7 +49,7 @@ class GraphSample:
 
     def __post_init__(self) -> None:
         points = tuple(self.points)
-        xy = np.array([(float(x), float(y)) for x, y in points]).reshape(-1, 2)
+        xy = np.column_stack(([float(x) for x, _ in points], value_floats(points)))
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "xy", xy)
         # Rounding is monotone: x can fail to increase only where its float does.

@@ -98,23 +98,43 @@ def test_synth_deterministic_output(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
-@pytest.mark.parametrize("piece, code", [
-    ("box 0 1 0 1e300", EXIT_OK),
-    ("pline 0:0 1:1e300", EXIT_FAIL),
-], ids=["tall-box", "steep-pline"])
-def test_tall_pieces_synthesize_quickly(piece, code, capsys, monkeypatch):
-    """The net's work follows the band |y| <= n, not the piece's height. The
-    polyline is too steep for the placer: near x = 0 every offset moves y by
-    far more than 1/n, so synth stops with one error line."""
+@pytest.mark.parametrize("piece", ["box 0 1 0 1e300", "pline 0:0 1:1e300"],
+                         ids=["tall-box", "steep-pline"])
+def test_tall_pieces_synthesize_quickly(piece, capsys, monkeypatch):
+    """The net's work follows the band |y| <= n, not the piece's height. Near
+    x = 0 every x offset along the polyline moves y by far more than 1/n, so
+    its revisited net points there move in y instead."""
     start = time.perf_counter()
     got, out, err = run_cli(["synth", "-", "--regime", "b2"], stdin_text=piece + "\n",
                             capsys=capsys, monkeypatch=monkeypatch)
     assert time.perf_counter() - start < 5.0
-    assert got == code
-    if code == EXIT_OK:
-        assert len(out.splitlines()) > 1000
-    else:
-        assert err.startswith("error: could not place a net point") and err.count("\n") == 1
+    assert got == EXIT_OK and err == ""
+    assert len(out.splitlines()) > 1000
+
+
+@pytest.mark.parametrize("slope", ["1e60", "1e300"])
+def test_steep_polylines_synthesize_and_verify(slope, capsys, monkeypatch):
+    """b2 passes on a polyline of any finite slope, so synth and verify build
+    and check its witness."""
+    text = f"pline 0:0 1:{slope}\n"
+    grid = ["--depth", "4", "--grid", "64"]
+    for argv in (["check"], ["synth", *grid], ["verify", *grid]):
+        code, out, err = run_cli([argv[0], "-", "--regime", "b2", *argv[1:]], stdin_text=text,
+                                 capsys=capsys, monkeypatch=monkeypatch)
+        assert code == EXIT_OK and err == "", (argv, out, err)
+    assert out.startswith("VERIFY ")
+
+
+@pytest.mark.parametrize("cmd, name, x", [
+    ("synth", "big-line.txt", "0"),
+    *((cmd, "big-arc.txt", "1/64") for cmd in ("synth", "verify", "strips")),
+], ids=["synth-big-line", "synth-big-arc", "verify-big-arc", "strips-big-arc"])
+def test_beyond_float_value_names_its_x(cmd, name, x, tmp_path, capsys):
+    """A graph value beyond float range is one error line that names its x."""
+    _write_beyond_float(tmp_path)
+    argv = [cmd, str(tmp_path / name), "--regime", "b1" if "arc" in name else "b2"]
+    assert main(argv + ["--grid", "64"]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: f(x) leaves float range at x={x}\n"
 
 
 def test_demo_writes_file_atomically(tmp_path, capsys, monkeypatch):

@@ -773,3 +773,58 @@ def test_distance_bounds_prune_the_arc_quartic(monkeypatch):
     lo, hi = t.distance_bounds(np.array([(float(x), float(y)) for y, _ in t.bands_at(x)]))
     assert list(lo) == [0.0] * len(lo) and max(hi) < 1e-6
     assert sum(sizes) < len(t.pieces)
+
+
+# ---------------------------------------------------------------------------
+# Integer graph forms against the Fraction formulas
+# ---------------------------------------------------------------------------
+
+
+def _former_pline_samples(pline, n, spacing):
+    """``PLine.net_samples`` from the Fraction formulas: node t of a segment
+    at (xa + t (xb - xa), ya + t dy)."""
+    out = []
+    for ((xa, ya), (xb, yb)), graph in zip(pline.segments(), pline.graphs()):
+        dy = yb - ya
+        ts = geometry._dyadic_nodes(xb - xa + abs(dy), spacing, ya, dy, F(n))
+        if dy != 0:
+            for edge in (F(-n), F(n)):
+                t = (edge - ya) / dy
+                if 0 < t < 1 and t not in ts:
+                    ts.append(t)
+        ts.sort()
+        out.extend((xa + t * (xb - xa), ya + t * dy, graph) for t in ts)
+    return out
+
+
+_UNIT = st.fractions(0, 1, max_denominator=1000)
+# Magnitudes from 10^-300 to 10^300: slopes up to about 10^303.
+_WIDE = st.builds(lambda m, e: F(m) * F(10) ** e, st.integers(-9, 9), st.integers(-300, 300))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(xs=st.lists(_UNIT, min_size=2, max_size=4, unique=True),
+       ys=st.lists(_WIDE, min_size=4, max_size=4),
+       ends=st.lists(_UNIT, min_size=2, max_size=2, unique=True),
+       gap=st.fractions(0, 1, max_denominator=100),
+       coef=_WIDE.filter(bool), probes=st.lists(_UNIT, min_size=1, max_size=8))
+def test_integer_graph_forms_match_the_fraction_formulas(xs, ys, ends, gap, coef, probes):
+    """``RationalGraph.y_at`` and ``holds``, in integers over one common
+    denominator, and the polyline net nodes equal the Fraction formulas, on
+    polyline segments and on arcs right (den_sign 1) and left (den_sign -1)
+    of their pole, at domain ends and inside and outside the domain."""
+    pline = PLine(tuple(zip(sorted(xs), ys)))
+    x0, x1 = sorted(ends)
+    arcs = [Hyper(x0 - gap, x0, x1, coef), Hyper(x1 + gap, x0, x1, coef)]
+    assert [arc.graphs()[0].den_sign for arc in arcs] == [1, -1]
+    for graph in pline.graphs() + [arc.graphs()[0] for arc in arcs]:
+        (n1, n0), (d1, d0) = graph.num, graph.den
+        for x in [graph.dom.lo, graph.dom.hi, *probes]:
+            assert graph.holds(x.numerator, x.denominator) == graph.dom.contains(x)
+            if d1 * x + d0 != 0:
+                assert graph.y_at(x) == (n1 * x + n0) / (d1 * x + d0)
+    for arc in arcs:
+        assert all(arc.y_at(x) == arc.coef / (x - arc.pole) for x in probes if x != arc.pole)
+    for n in (1, 3, 8):
+        spacing = F(15, 8 * n)
+        assert pline.net_samples(n, spacing, spacing) == _former_pline_samples(pline, n, spacing)

@@ -1,13 +1,19 @@
 """Net construction, level sets, backbones, and assembled functions."""
 
+import contextlib
+import io
 import math
 import random
 from collections import Counter
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from accumgraph.conditions import Regime, TargetAnalysis
+from accumgraph.cli import EXIT_OK, main
+from accumgraph.conditions import Regime, TargetAnalysis, check_regime
 from accumgraph.demos import demo_set, sect6_c_order, sect6_pole_points
 from accumgraph.geometry import Box, EmptySliceError, Hyper, PLine, Point, TargetSet
 from accumgraph.intervals import XSet
@@ -169,7 +175,7 @@ def test_net_collocation_across_levels():
 def _slid(x, y, graph, taken=()):
     """Place (x, y) at level 1 once x and ``taken`` are used, so it slides."""
     placer = _Placer(XSet.empty())
-    placer.used |= {x, *taken}
+    placer.taken |= {(v.numerator, v.denominator) for v in (x, *taken)}
     return placer.place(x, y, 1, graph)
 
 
@@ -431,14 +437,18 @@ class ReferencePlacer:
 
 
 def _placements(placer, samples):
-    """Each sample's placed point, or "raised"; then the used x's."""
+    """Each sample's placed point, or "raised"; then the taken x's, used or
+    avoided, as (numerator, denominator) keys."""
     out = []
     for sample in samples:
         try:
             out.append(placer.place(*sample))
         except NetPlacementError:
             out.append("raised")
-    return out, placer.used, placer.index
+    if isinstance(placer, _Placer):
+        return out, placer.taken, placer.index
+    taken = placer.used | set(placer.avoid.isolated_points())
+    return out, {(x.numerator, x.denominator) for x in taken}, placer.index
 
 
 def _net_samples(target, depth):
@@ -473,11 +483,101 @@ def test_placer_matches_the_former_placer_at_the_ends():
     ends += [(F(0), F(2), 3, None), (F(1), F(-1), 3, None)] * 3
     for avoid in (XSet.empty(), XSet.points([F(1, 4096), 1 - F(1, 8192)])):
         assert _placements(_Placer(avoid), ends) == _placements(ReferencePlacer(avoid), ends)
-    # An avoided interval at 0 leaves no offset for a sample there.
-    walled = XSet.interval(0, F(1, 1000))
-    got = _placements(_Placer(walled), ends)
-    assert "raised" in got[0]
-    assert got == _placements(ReferencePlacer(walled), ends)
+    # The placer refuses an avoided interval, as lemma31_net does.
+    with pytest.raises(ValueError, match="no interval"):
+        _Placer(XSet.interval(0, F(1, 1000)))
+    # A graphless sample at 0 whose x and every offset 1/(4096 2^j) are
+    # avoided has no room left.
+    walled = XSet.points([0, *(F(1, 4096 << j) for j in range(200))])
+    boxed = [(F(0), F(2), 3, None)]
+    got = _placements(_Placer(walled), boxed)
+    assert got[0] == ["raised"]
+    assert got == _placements(ReferencePlacer(walled), boxed)
+
+
+def _placed_nets_hold(target, depth):
+    """Synthesize b2 and check each net point against the sample it was
+    placed from: distinct x in [0, 1] off the avoid set, on the sample's
+    graph where its domain holds x (its level y elsewhere), displaced by at
+    most min(1/(16 n), 2^-10). Returns the count of points moved in y."""
+    f = synthesize(target, Regime.B2, depth=depth)
+    samples = _net_samples(target, depth)
+    placed = [p for level in f.approx.levels for p in level.points]
+    assert len(placed) == len(samples)
+    assert len({x for x, _ in placed}) == len(placed)
+    avoid = TargetAnalysis(target).c_set
+    moved_in_y = 0
+    for (x, y, n, graph), (x2, y2) in zip(samples, placed):
+        assert 0 <= x2 <= 1 and not avoid.contains(x2)
+        if graph is not None and graph.dom.contains(x2):
+            (n1, n0), (d1, d0) = graph.num, graph.den
+            assert y2 == (n1 * x2 + n0) / (d1 * x2 + d0)
+        else:
+            assert y2 == y
+        assert (x2 - x) ** 2 + (y2 - y) ** 2 <= min(F(1, 16 * n), F(1, 1024)) ** 2
+        moved_in_y += x2 != x and abs(y2 - y) > abs(x2 - x)
+    return moved_in_y
+
+
+_TWELFTH = st.integers(0, 12).map(lambda i: F(i, 12))
+
+
+@st.composite
+def _steep_pieces(draw):
+    """A polyline of slope +-10^e through (a, 0) over [0, 1], or an arc over
+    [0, 1] with coefficient +-10^-e and its pole at either end, whose slope
+    where it meets |y| = n is n^2 10^e; 0 <= e <= 300."""
+    e, sign = draw(st.integers(0, 300)), draw(st.sampled_from([-1, 1]))
+    if draw(st.booleans()):
+        a = F(draw(st.integers(1, 11)), 12)
+        return PLine(((0, -sign * a * 10 ** e), (a, 0), (1, sign * (1 - a) * 10 ** e)))
+    return Hyper(draw(st.sampled_from([0, 1])), 0, 1, sign * F(1, 10 ** e))
+
+
+@st.composite
+def _fuzz_pieces(draw):
+    """Zero to three small pieces on the 1/12 x-grid with |y| <= 3, plus a
+    polyline covering [0, 1], as in the fuzz targets."""
+    level = st.integers(-3, 3)
+    pieces = []
+    for kind in draw(st.lists(st.sampled_from(["point", "box", "pline", "hyper"]), max_size=3)):
+        a, b = sorted(draw(st.lists(_TWELFTH, min_size=2, max_size=2, unique=True)))
+        if kind == "point":
+            pieces.append(Point(a, draw(level)))
+        elif kind == "box":
+            y0, y1 = sorted((draw(level), draw(level)))
+            pieces.append(Box(a, b, y0, y1))
+        elif kind == "pline":
+            pieces.append(PLine(((a, draw(level)), (b, draw(level)))))
+        else:
+            pole = draw(st.sampled_from([a, b, a - F(1, 6), b + F(1, 6)]))
+            pieces.append(Hyper(pole, a, b, draw(st.sampled_from([-1, 1, 2]))))
+    return pieces + [PLine(((0, draw(level)), (1, draw(level))))]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(steep=_steep_pieces(), others=st.one_of(st.just([]), _fuzz_pieces()))
+def test_steep_pieces_synthesize_with_placed_nets(steep, others):
+    """A polyline or arc of slope up to 10^300, alone or added to a fuzz-style
+    target, passes b2; synth writes its witness and every net point keeps
+    the placement contract."""
+    target = TargetSet((*others, steep))
+    assert check_regime(target, Regime.B2).passed
+    text = "".join(f"{piece}\n" for piece in target.pieces)
+    with mock.patch("sys.stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(["synth", "-", "--regime", "b2", "--depth", "6", "--grid", "128"])
+    assert code == EXIT_OK and err.getvalue() == "", (text, err.getvalue())
+    assert out.getvalue().startswith("x,y\n")
+    _placed_nets_hold(target, 6)
+
+
+def test_steep_polyline_nets_move_in_y():
+    """Along a polyline of slope 10^300 every x offset moves y too far, so
+    revisited net points near x = 0 move in y, with x from the inverse."""
+    for depth in (4, 10):
+        assert _placed_nets_hold(TargetSet((PLine(((0, 0), (1, 10 ** 300))),)), depth) > 0
 
 
 # ---------------------------------------------------------------------------
