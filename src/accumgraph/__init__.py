@@ -35,11 +35,9 @@ from .synthesis import (
     NetPlacementError,
     RegimeUnsatisfiedError,
     SynthFunction,
-    f0_bounded,
-    f0_unbounded,
+    backbone,
     f_on_c,
     lemma31_net,
-    level_index,
     synthesize,
 )
 from .verification import (
@@ -86,18 +84,16 @@ __all__ = [
     "Verdict",
     "XSet",
     "accumulation_estimate",
+    "backbone",
     "build_strip",
     "build_strip_family",
     "check_regime",
     "closure_direction_check",
     "demo_set",
     "epsilon_schedule",
-    "f0_bounded",
-    "f0_unbounded",
     "f_on_c",
     "hausdorff_to_target",
     "lemma31_net",
-    "level_index",
     "parse_target_file",
     "parse_target_text",
     "rat",

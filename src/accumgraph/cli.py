@@ -28,7 +28,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 from .conditions import Regime, check_regime
 from .demos import DEMO_NAMES, UnknownDemoError, demo_c_order, demo_set, truncation_notice
-from .fileio import ParseError, parse_target_text, serialize_target
+from .fileio import ParseError, parse_target_file, parse_target_text, serialize_target
 from .geometry import TargetSet
 from .strips import build_strip_family, epsilon_schedule, verify_strips
 from .synthesis import NetPlacementError, RegimeUnsatisfiedError, SynthFunction, synthesize
@@ -73,7 +73,7 @@ def _load_target(spec: str, depth: int) -> Tuple[TargetSet, Optional[str]]:
         return demo_set(spec, depth), spec
     if spec == "-":
         return parse_target_text(sys.stdin.read()), None
-    return parse_target_text(Path(spec).read_text(encoding="utf-8")), None
+    return parse_target_file(spec), None
 
 
 def _synthesize(target: TargetSet, demo: Optional[str], args: argparse.Namespace) -> SynthFunction:

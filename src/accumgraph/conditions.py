@@ -87,20 +87,17 @@ class Verdict:
 # pairwise sign sets of quadratics.
 
 
-def _times(p: Tuple[Fraction, Fraction], q: Tuple[Fraction, Fraction]) -> Tuple[Fraction, ...]:
+def _times(p: Tuple[int, int], q: Tuple[int, int]) -> Tuple[int, ...]:
     """Coefficients (x^2, x, 1) of the product of two linear polynomials."""
     return p[0] * q[0], p[0] * q[1] + p[1] * q[0], p[1] * q[1]
 
 
 def _difference_numerator(a: RationalGraph, b: RationalGraph,
                           t: Fraction) -> Tuple[Fraction, ...]:
-    """Coefficients (x^2, x, 1) of na*db - nb*da - t*da*db, multiplied by
-    the constant sign of da*db so that it has the sign of a - b - t."""
-    sign = a.den_sign * b.den_sign
-    return tuple(
-        sign * (u - v - t * w)
-        for u, v, w in zip(_times(a.num, b.den), _times(b.num, a.den), _times(a.den, b.den))
-    )
+    """Coefficients (x^2, x, 1) of na*db - nb*da - t*da*db: both
+    denominators are positive, so it has the sign of a - b - t."""
+    na, nb, da, db = (a.n1, a.n0), (b.n1, b.n0), (a.d1, a.d0), (b.d1, b.d0)
+    return tuple(u - v - t * w for u, v, w in zip(_times(na, db), _times(nb, da), _times(da, db)))
 
 
 # -- exact sign sets of quadratics ------------------------------------------

@@ -15,10 +15,10 @@ their y-ranges are the slice, and each slice question (the slice max,
 n_x, the count of extended D) is one reduction over them. The infinities
 of the extended closure's slice are ``pole_signs``.
 
-Where a piece meets a horizontal band is read off its rational graphs: each
-is monotone, so its band shadow is one sub-span, and band clipping is each
-graph over its shadow. A box, whose graphs are only its edges, clips its
-own y-range.
+Where a piece meets a horizontal band is ``band_shadow``, read off its
+rational graphs: each is monotone, so the shadow of a band is one sub-span
+(a box's band, between flat edges, is its domain or nothing), and band
+clipping is each graph over its shadow. A box clips its own y-range.
 
 Slicing, projection and band clipping are exact; floating point is used
 only by the point-to-arc distance and by ``distance_bounds``, float bounds
@@ -46,74 +46,82 @@ class EmptySliceError(Exception):
 
 @dataclass(frozen=True)
 class RationalGraph:
-    """Graph of y = (n1 x + n0)/(d1 x + d0) over a span.
-
-    ``den_sign`` is the constant sign of the denominator on the span. A line
-    y = m x + q has numerator (m, q) and denominator 1; an arc y = c/(x - p)
-    has numerator c and denominator x - p.
+    """Graph of y = (n1 x + n0)/(d1 x + d0) over a span, in integers over one
+    common denominator, signed so that d1 x + d0 > 0 on the span. A line
+    y = m x + q has d1 = 0; an arc y = c/(x - p) has n1 = 0.
     """
 
     dom: Span
-    num: Tuple[Fraction, Fraction]
-    den: Tuple[Fraction, Fraction]
-    den_sign: int
-
-    @cached_property
-    def ints(self) -> Tuple[Tuple[int, ...], ...]:
-        """(N1, N0, D1, D0), the coefficients over one common denominator,
-        then the domain ends as (numerator, denominator) pairs."""
-        scale = math.lcm(*(c.denominator for c in (*self.num, *self.den)))
-        return (tuple(c.numerator * (scale // c.denominator) for c in (*self.num, *self.den)),
-                *((e.numerator, e.denominator) for e in (self.dom.lo, self.dom.hi)))
+    n1: int
+    n0: int
+    d1: int
+    d0: int
 
     def y_at(self, x: Fraction) -> Fraction:
-        """The graph's y at x = a/b: (N1 a + N0 b)/(D1 a + D0 b), normalised once."""
-        (n1, n0, d1, d0), _, _ = self.ints
+        """The graph's y at x = a/b: (n1 a + n0 b)/(d1 a + d0 b), normalised once."""
         a, b = x.numerator, x.denominator
-        return Fraction(n1 * a + n0 * b, d1 * a + d0 * b)
+        return Fraction(self.n1 * a + self.n0 * b, self.d1 * a + self.d0 * b)
 
     def holds(self, a: int, b: int) -> bool:
         """Whether x = a/b (b > 0) lies in ``dom``: x - lo and hi - x, cross-
         multiplied, must be at least 1 at an open end and 0 at a closed one."""
-        _, (ln, ld), (hn, hd) = self.ints
-        return a * ld - ln * b >= self.dom.lo_open and hn * b - a * hd >= self.dom.hi_open
+        lo, hi = self.dom.lo, self.dom.hi
+        return (a * lo.denominator - lo.numerator * b >= self.dom.lo_open
+                and hi.numerator * b - a * hi.denominator >= self.dom.hi_open)
 
     def shadow(self, lo: Optional[Fraction], hi: Optional[Fraction]) -> Optional[Span]:
-        """The x of ``dom`` where lo <= y <= hi (None: no bound on that side).
+        """The x of ``dom`` where lo <= y <= hi (None: no bound on that side;
+        an int bound reads as a Fraction).
 
-        y is monotone on the span, so each bound theta keeps one side of
-        r = (n0 - theta d0)/(theta d1 - n1), or all of the span or nothing
-        where theta d1 = n1. An open pole end stays open."""
-        (n1, n0), (d1, d0) = self.num, self.den
+        y is monotone on the span and its denominator positive, so y >= theta
+        (theta = tn/td) exactly where a x >= b, a = n1 td - tn d1 and
+        b = tn d0 - n0 td: one side of r = b/a, or all of the span or nothing
+        where a = 0. An open pole end stays open."""
         x0, x1 = self.dom.lo, self.dom.hi
-        for theta, sign in ((lo, self.den_sign), (hi, -self.den_sign)):
+        for theta, sign in ((lo, 1), (hi, -1)):
             if theta is None:
                 continue
-            # y >= theta (y <= theta for the cap) exactly where
-            # sign * (a r - b) >= 0.
-            a, b = n1 - theta * d1, theta * d0 - n0
+            tn, td = theta.numerator, theta.denominator
+            # y >= theta (y <= theta for the cap) exactly where sign (a x - b) >= 0.
+            a, b = self.n1 * td - tn * self.d1, tn * self.d0 - self.n0 * td
             if a == 0:
                 if sign * b > 0:
                     return None
             elif (a > 0) == (sign > 0):
-                x0 = max(x0, b / a)
+                x0 = max(x0, Fraction(b, a))
             else:
-                x1 = min(x1, b / a)
+                x1 = min(x1, Fraction(b, a))
         return span_intersection(self.dom, Span(x0, x1)) if x0 <= x1 else None
 
     def piece(self, span: Span) -> Piece:
         """The graph over a sub-span of ``dom`` as a piece: a point when the
         span is degenerate, else a segment (d1 = 0) or an arc (n1 = 0)."""
-        (_, n0), (d1, d0) = self.num, self.den
         lo, hi = span.lo, span.hi
-        if d1 != 0 and lo < hi:
-            return Hyper(-d0 / d1, lo, hi, n0 / d1)
+        if self.d1 != 0 and lo < hi:
+            return Hyper(Fraction(-self.d0, self.d1), lo, hi, Fraction(self.n0, self.d1))
         ends = tuple((x, self.y_at(x)) for x in (lo, hi))
         return PLine(ends) if lo < hi else Point(*ends[0])
 
 
-def _line(dom: Span, m: Fraction, q: Fraction) -> RationalGraph:
-    return RationalGraph(dom, (m, q), (ZERO, ONE), 1)
+def _graph(dom: Span, n1: Fraction, n0: Fraction, d1: Fraction = ZERO,
+           d0: Fraction = ONE) -> RationalGraph:
+    """The graph of (n1 x + n0)/(d1 x + d0), a line by default, where
+    d1 x + d0 > 0 on ``dom``: its coefficients over their least common
+    denominator."""
+    scale = math.lcm(n1.denominator, n0.denominator, d1.denominator, d0.denominator)
+    return RationalGraph(dom, *(c.numerator * (scale // c.denominator) for c in (n1, n0, d1, d0)))
+
+
+def band_shadow(band: Tuple[RationalGraph, RationalGraph], lo: Optional[Fraction],
+                hi: Optional[Fraction]) -> Optional[Span]:
+    """The x where the band (lower, upper) meets lo <= y <= hi (None: no
+    bound on that side). A two-graph band is a box's, flat edges on one
+    domain: it meets the range where lower <= hi, upper >= lo and lo <= hi."""
+    lower, upper = band
+    if lower is upper:
+        return lower.shadow(lo, hi)
+    met = lo is None or hi is None or lo <= hi
+    return lower.dom if met and lower.shadow(None, hi) and upper.shadow(lo, None) else None
 
 
 # A net sample: (x, y, graph). The sample slides along its piece's graph to
@@ -156,8 +164,8 @@ def format_rational(value: Fraction) -> str:
 
 class _Piece:
     """Defaults of the piece kinds: no excluded pole, each graph its own
-    band (a box's band spans its edges), and its fields as the parameters
-    of its target-file line."""
+    band (a box's band spans its edges; ``band_shadow`` reads either), and
+    its fields as the parameters of its target-file line."""
 
     # Only an arc can leave an endpoint out of its domain.
     excluded_pole: Optional[Fraction] = None
@@ -175,10 +183,6 @@ class _Piece:
     def bands(self) -> List[Tuple[RationalGraph, RationalGraph]]:
         """(lower, upper) graphs whose closed y-range above x is the slice."""
         return [(g, g) for g in self.graphs()]
-
-    def shadow(self, lo: Optional[Fraction], hi: Optional[Fraction]) -> List[Span]:
-        """The x where the piece meets the band lo <= y <= hi, off its graphs."""
-        return [s for s in (g.shadow(lo, hi) for g in self.graphs()) if s is not None]
 
     def clipped(self, ylo: Optional[Fraction], yhi: Optional[Fraction]) -> List[Piece]:
         """The piece cut to the band ylo <= y <= yhi: each graph over its
@@ -207,7 +211,7 @@ class Point(_Piece):
 
     @cached_property
     def _graphs(self) -> List[RationalGraph]:
-        return [_line(self.domain(), ZERO, self.y)]
+        return [_graph(self.domain(), ZERO, self.y)]
 
     def probes(self, pitch: float) -> np.ndarray:
         return np.array([(float(self.x), float(self.y))])
@@ -239,11 +243,6 @@ class Box(_Piece):
     def domain(self) -> Span:
         return Span(self.x0, self.x1)
 
-    def shadow(self, lo: Optional[Fraction], hi: Optional[Fraction]) -> List[Span]:
-        bottom = self.y0 if lo is None else max(self.y0, lo)
-        top = self.y1 if hi is None else min(self.y1, hi)
-        return [self.domain()] if bottom <= top else []
-
     def clipped(self, ylo: Optional[Fraction], yhi: Optional[Fraction]) -> List[Piece]:
         ny0 = self.y0 if ylo is None else max(self.y0, ylo)
         ny1 = self.y1 if yhi is None else min(self.y1, yhi)
@@ -260,9 +259,9 @@ class Box(_Piece):
     def _graphs(self) -> List[RationalGraph]:
         """The bottom and top edges; a flat box has one."""
         dom = self.domain()
-        out = [_line(dom, ZERO, self.y0)]
+        out = [_graph(dom, ZERO, self.y0)]
         if self.y1 != self.y0:
-            out.append(_line(dom, ZERO, self.y1))
+            out.append(_graph(dom, ZERO, self.y1))
         return out
 
     def bands(self) -> List[Tuple[RationalGraph, RationalGraph]]:
@@ -294,7 +293,7 @@ class Box(_Piece):
         dom = self.domain()
         out: List[NetSample] = []
         for y in rows:
-            row = _line(dom, ZERO, y)
+            row = _graph(dom, ZERO, y)
             out.extend((x, y, row) for x in xs)
         return out
 
@@ -341,7 +340,7 @@ class PLine(_Piece):
         out = []
         for (xa, ya), (xb, yb) in self.segments():
             m = (yb - ya) / (xb - xa)
-            out.append(_line(Span(xa, xb), m, ya - m * xa))
+            out.append(_graph(Span(xa, xb), m, ya - m * xa))
         return out
 
     def probes(self, pitch: float) -> np.ndarray:
@@ -442,7 +441,8 @@ class Hyper(_Piece):
 
     @cached_property
     def _graphs(self) -> List[RationalGraph]:
-        return [RationalGraph(self.domain(), (ZERO, self.coef), (ONE, -self.pole), self.side)]
+        s = self.side  # the sign of x - pole
+        return [_graph(self.domain(), ZERO, s * self.coef, s * ONE, -s * self.pole)]
 
     def probes(self, pitch: float) -> np.ndarray:
         p, c = float(self.pole), float(self.coef)
@@ -452,31 +452,37 @@ class Hyper(_Piece):
             x0 += tiny
         elif self.pole == self.x1:
             x1 -= tiny
+        # Only an end in the domain can round onto the pole: its y is exact.
         out: List[Tuple[float, float]] = []
         x = x0
         while x < x1:
-            y = c / (x - p)
-            out.append((x, y))
-            slope = abs(c) / (x - p) ** 2
-            x += max(pitch / (1.0 + slope), tiny)
-        out.append((x1, c / (x1 - p)))
+            out.append((x, c / (x - p) if x != p else float(self.y_at(self.x0))))
+            square = (x - p) ** 2  # 0.0 where it underflows: an infinite slope
+            x += max(pitch / (1.0 + abs(c) / square), tiny) if square else tiny
+        out.append((x1, c / (x1 - p) if x1 != p else float(self.y_at(self.x1))))
         return np.array(out)
 
     def net_samples(self, n: int, grid_pitch: Fraction,
                     curve_spacing: Fraction) -> List[NetSample]:
         """The in-band nodes of the dyadic bisection of [x0, x1] down to cells
         whose width plus clamped y-rise is at most ``curve_spacing`` (or to
-        depth 64), without the cells beyond |y| <= n, plus the band crossing.
+        depth ``limit``), without the cells beyond |y| <= n, plus the band
+        crossing.
 
-        Node t of 0..2^64 lies at distance d0 + w t/2^64 from the pole: |y|
-        falls with t, so a node is in the band from t_in on, and a cell's
-        clamped rise grows up to the crossing and falls past it. So the cells
-        that split at one depth are one window, from the first cell not
-        beyond the band (or the next) to an end found by bisection, and the
-        nodes are the in-band nodes of the visited cells, each evaluated once."""
-        band, s, side, top = Fraction(n), curve_spacing, self.side, 1 << 64
+        In the band the slope is at most n^2/|coef|, so the limit, at least
+        64, is two halvings past the width s |coef|/n^2 (s the spacing) and
+        stops no cell. Node t of 0..2^limit lies at distance
+        d0 + w t/2^limit from the pole: |y| falls with t, so a node is in the
+        band from t_in on, and a cell's clamped rise grows up to the crossing
+        and falls past it. So the cells that split at one depth are one
+        window, from the first cell not beyond the band (or the next) to an
+        end found by bisection, and the nodes are the in-band nodes of the
+        visited cells, each evaluated once."""
+        band, s, side = Fraction(n), curve_spacing, self.side
         near = self.x0 if side > 0 else self.x1
         d0, w = abs(near - self.pole), self.x1 - self.x0
+        limit = max(64, math.ceil(w * n * n / (s * abs(self.coef))).bit_length() + 2)
+        top = 1 << limit
         dx = side * w / top  # node t lies at near + t dx
         cross = (abs(self.coef) / band - d0) * top / w  # the t where |y| = n
         t_in = max(0, math.ceil(cross))
@@ -495,13 +501,13 @@ class Hyper(_Piece):
 
         emitted = set()
         lo = hi = 0
-        for k in range(65):
+        for k in range(limit + 1):
             step, width = top >> k, w / (1 << k)
             p = max(lo, -(-t_in // step) - 1)  # the first cell not beyond
             if p > hi:
                 break
             emitted.update(t for t in range(p * step, (hi + 1) * step + 1, step) if t >= t_in)
-            if k == 64:
+            if k == limit:
                 break  # the depth limit: every cell stops
             a, b = p + 1, hi + 1
             while a < b:  # the rise falls past cell p: cells p + 1 .. a - 1 split
@@ -600,7 +606,8 @@ class TargetSet:
 
     def shadow(self, lo: Optional[Fraction], hi: Optional[Fraction]) -> XSet:
         """Exact x-projection of the band lo <= y <= hi (None: unbounded side)."""
-        return XSet(s for piece in self.pieces for s in piece.shadow(lo, hi))
+        return XSet(s for piece in self.pieces for band in piece.bands()
+                    if (s := band_shadow(band, lo, hi)) is not None)
 
     # -- clipping --------------------------------------------------------
 

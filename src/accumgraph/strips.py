@@ -32,11 +32,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import Piece, RationalGraph, float_range, value_floats
+from .geometry import Piece, RationalGraph, band_shadow, float_range, value_floats
 from .intervals import ONE, ZERO, RatLike, Span, rat, span_intersection
 from .synthesis import SynthFunction
 
@@ -105,23 +105,20 @@ def epsilon_schedule(f: SynthFunction, centers: Sequence[RatLike]) -> EpsilonSch
     col_set.update(f.a_values.keys())
     col_set.update(f.c_values.keys())
     columns = tuple(sorted(col_set))
-    kinds = tuple(f.classify(x) for x in columns)
 
-    a_rank = {x: i + 1 for i, x in enumerate(f.approx.a_enumeration)}
-    c_rank = {c: i + 1 for i, c in enumerate(f.c_points)}
+    # A net or enumeration column separates at its rank in its sequence.
+    rank = {"A": {x: i + 1 for i, x in enumerate(f.approx.a_enumeration)},
+            "C": {c: i + 1 for i, c in enumerate(f.c_points)}}
 
+    kinds: List[str] = []
     values: List[Fraction] = []
     sep_index: Dict[int, int] = {}
     groups: Dict[Tuple[str, Optional[int]], List[int]] = {}
     for idx, x in enumerate(columns):
-        kind = kinds[idx]
-        if kind == "A":
-            sep_index[idx] = a_rank[x]
-        elif kind == "C":
-            sep_index[idx] = c_rank[x]
-        # Net and enumeration values are lookups; the backbone gives f0 and,
-        # in the unbounded regimes, n_x off one slice.
-        fx, kx = f.backbone(x) if kind == "B" else (f.evaluate(x), None)
+        kind, fx, kx = f.column(x)
+        if kind in rank:
+            sep_index[idx] = rank[kind][x]
+        kinds.append(kind)
         values.append(fx)
         groups.setdefault((kind, kx), []).append(idx)
 
@@ -131,7 +128,7 @@ def epsilon_schedule(f: SynthFunction, centers: Sequence[RatLike]) -> EpsilonSch
         xs, fs = [columns[i] for i in idxs], [values[i] for i in idxs]
         for idx, x, fx, (bounds, terms) in zip(idxs, xs, fs, radii.lower_bounds(kind, kx, xs, fs)):
             eps_rows[idx] = radii.row(x, kind, fx, kx, bounds, terms)
-    return EpsilonSchedule(depth, columns, kinds, tuple(values), tuple(eps_rows), sep_index)
+    return EpsilonSchedule(depth, columns, tuple(kinds), tuple(values), tuple(eps_rows), sep_index)
 
 
 # Float lower bounds: each is the float term less an allowance for its
@@ -160,30 +157,23 @@ def _span_floats(spans: Sequence[Span]) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _coefficients(graphs: Sequence[RationalGraph], table: np.ndarray) -> List[np.ndarray]:
-    """(n1, n0, d1, d0, den_sign) of each graph, its row of ``table`` as
-    floats, and whether it is flat (n1 = d1 = 0), shaped to broadcast over
-    columns and levels."""
-    flat = np.array([g.num[0] == g.den[0] == 0 for g in graphs], dtype=bool)
+    """(n1, n0, d1, d0) of each graph, its row of ``table`` as floats, and
+    whether it is flat (n1 = d1 = 0), shaped to broadcast over columns and
+    levels."""
+    flat = np.array([g.n1 == g.d1 == 0 for g in graphs], dtype=bool)
     return [v[:, None, None] for v in (*table.T, flat)]
-
-
-def _reaches(lower: RationalGraph, upper: RationalGraph, cap: Fraction) -> bool:
-    """Whether a band meets y in [-cap, cap]: its lower graph is at most cap
-    and its upper graph at least -cap at a common x."""
-    below, above = lower.shadow(None, cap), upper.shadow(-cap, None)
-    return below is not None and above is not None and span_intersection(below, above) is not None
 
 
 def _side(coef: List[np.ndarray], theta: np.ndarray, theta_err: np.ndarray,
           up: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Float bounds on the x of each graph where y >= theta (up = 1) or
     y <= theta (up = -1), cut as ``RationalGraph.shadow`` cuts them at r = b/a,
-    a = n1 - theta d1, b = theta d0 - n0: whether it is surely empty (a flat
-    graph keeps all or nothing), a lower bound on its lower end and an upper
-    bound on its upper end, neither where the sign of a is not sure. The
-    errors of a, b and r follow from ``theta_err`` and each rounding."""
-    n1, n0, d1, d0, den_sign, flat = coef
-    sign = up * den_sign
+    a = n1 - theta d1, b = theta d0 - n0 (d1 x + d0 > 0): whether it is surely
+    empty (a flat graph keeps all or nothing), a lower bound on its lower end
+    and an upper bound on its upper end, neither where the sign of a is not
+    sure. The errors of a, b and r follow from ``theta_err`` and each
+    rounding."""
+    n1, n0, d1, d0, flat = coef
     a, b = n1 - theta * d1, theta * d0 - n0
     a_err = _REL * (abs(n1) + abs(theta * d1)) + 2 * abs(d1) * theta_err
     b_err = _REL * (abs(n0) + abs(theta * d0)) + 2 * abs(d0) * theta_err
@@ -191,9 +181,9 @@ def _side(coef: List[np.ndarray], theta: np.ndarray, theta_err: np.ndarray,
     a = np.where(sure, a, 1.0)
     r = b / a
     r_err = 2 * (b_err + abs(r) * a_err) / abs(a) + _REL * abs(r)
-    lo_end = np.where(sure & (sign * a > 0), r - r_err, -np.inf)
-    hi_end = np.where(sure & (sign * a < 0), r + r_err, np.inf)
-    return flat & (sign * b > b_err), lo_end, hi_end
+    lo_end = np.where(sure & (up * a > 0), r - r_err, -np.inf)
+    hi_end = np.where(sure & (up * a < 0), r + r_err, np.inf)
+    return flat & (up * b > b_err), lo_end, hi_end
 
 
 class _Radii:
@@ -230,20 +220,17 @@ class _Radii:
         self.sep_spans = {"A": [_span_floats(dn.spans) for dn in self.d_levels],
                           "B": [_span_floats([w]) for w in self.w_parts], "C": []}
         bands = [(piece, band) for piece in f.target.pieces for band in piece.bands()
-                 if not unbounded or cap is not None and _reaches(*band, Fraction(cap))]
-        # A box's band is its bottom and top edge; its shadow is its own.
-        self.shadows: List[Callable[..., Optional[Span]]] = [
-            lower.shadow if lower is upper else lambda lo, hi, p=p: (p.shadow(lo, hi) or [None])[0]
-            for p, (lower, upper) in bands]
-        # Per band: its domain, then (n1, n0, d1, d0, den_sign) of its lower
-        # and of its upper graph.
+                 if not unbounded or cap is not None and band_shadow(band, -cap, cap)]
+        self.bands = [band for _, band in bands]
+        # Per band: its domain, then (n1, n0, d1, d0) of its lower and of its
+        # upper graph.
         table = np.array([
-            _floats(piece, (lower.dom.lo, lower.dom.hi, *lower.num, *lower.den, lower.den_sign,
-                            *upper.num, *upper.den, upper.den_sign))
-            for piece, (lower, upper) in bands]).reshape(-1, 12)
+            _floats(piece, (lower.dom.lo, lower.dom.hi, lower.n1, lower.n0, lower.d1, lower.d0,
+                            upper.n1, upper.n0, upper.d1, upper.d0))
+            for piece, (lower, upper) in bands]).reshape(-1, 10)
         self.domain = table[:, 0], table[:, 1]
-        self.lower, self.upper = (_coefficients([band[k] for _, band in bands], table[:, c:c + 5])
-                                  for k, c in ((0, 2), (1, 7)))
+        self.lower, self.upper = (_coefficients([band[k] for band in self.bands], table[:, c:c + 4])
+                                  for k, c in ((0, 2), (1, 6)))
         self._pairs: Dict[Optional[int], tuple] = {}
 
     def pairs(self, kx: Optional[int]) -> tuple:
@@ -263,7 +250,9 @@ class _Radii:
         """Per column of one kind and level part (f0 at each in ``fs``) and per
         level, its terms' lower bounds in rising order up to the last at most
         1/n, and their term numbers; in chunks of under _CHUNK elements."""
-        width = 3 + max(len(self.pairs(kx)[0]) if kind == "B" else 0, len(self.shadows))
+        # Only a backbone column has overlap terms, one per pair, and its
+        # float tables hold one row per band.
+        width = 3 + (max(len(self.pairs(kx)[0]), len(self.bands)) if kind == "B" else 0)
         step = max(1, _CHUNK // (width * self.depth))
         for start in range(0, len(xs), step):
             x = np.array([float(v) for v in xs[start:start + step]])[:, None]
@@ -333,7 +322,7 @@ class _Radii:
                         cap = None if kx is None else Fraction(kx)
                         band = (fx + inv if cap is None else max(fx + inv, -cap)), cap
                     if e not in shadows:
-                        shadows[e] = self.shadows[e](*band)
+                        shadows[e] = band_shadow(self.bands[e], *band)
                     cut = span_intersection(shadows[e], v) if shadows[e] else None
                     term = cut.distance_to(x) if cut else None
                     if term == 0:

@@ -146,7 +146,7 @@ class _Placer:
             if graph is not None and graph.holds(a, b):
                 # The displacement test 1/q^2 + dy^2 > 1/m^2, in integers, on
                 # the unreduced dy = p/r - y: the test is homogeneous in it.
-                n1, n0, d1, d0 = graph.ints[0]
+                n1, n0, d1, d0 = graph.n1, graph.n0, graph.d1, graph.d0
                 p, r = n1 * a + n0 * b, d1 * a + d0 * b
                 if ((p * yd - yn * r) * q * m) ** 2 > (r * yd) ** 2 * (q * q - m * m):
                     continue
@@ -154,7 +154,7 @@ class _Placer:
             self.taken.add((a, b))
             return Fraction(a, b), y2
         if graph is not None:
-            n1, n0, d1, d0 = graph.ints[0]
+            n1, n0, d1, d0 = graph.n1, graph.n0, graph.d1, graph.d0
             for k in range(399):
                 # The same offsets in y, x = (D0 y - N0)/(N1 - D1 y) on the graph.
                 q = q0 << (k // 2)
@@ -200,40 +200,23 @@ def lemma31_net(target: TargetSet, depth: int, avoid: XSet = XSet.empty()) -> Co
 # ---------------------------------------------------------------------------
 
 
-def f0_bounded(target: TargetSet, x: RatLike) -> Fraction:
-    """Max of the slice at x; raises EmptySliceError on an empty slice."""
-    bands = target.bands_at(x)
-    if not bands:
-        raise EmptySliceError(f"empty slice at x={x}")
-    return max(hi for _, hi in bands)
+def backbone(target: TargetSet, x: RatLike, bounded: bool) -> Tuple[Fraction, Optional[int]]:
+    """(f0, n_x) at x, off one slice; raises EmptySliceError on an empty one.
 
-
-def _leveled_max(target: TargetSet, x: RatLike) -> Tuple[Fraction, int]:
-    """(f0, n_x) at x in the unbounded regimes, off one slice.
-
+    Bounded regimes: f0 is the max of the slice and n_x is None. Unbounded:
     n_x = max(1, ceil(min |y| over the slice)), where a band holding 0
-    counts 0; f0 is the largest slice value of magnitude at most n_x."""
+    counts 0, the minimal n with a slice value of magnitude at most n (it
+    agrees with membership in the level sets U_n without any depth
+    truncation); f0 is the largest slice value of magnitude at most n_x."""
     bands = target.bands_at(x)
     if not bands:
         raise EmptySliceError(f"empty slice at x={x}")
+    if bounded:
+        return max(hi for _, hi in bands), None
     m = min(ZERO if lo <= ZERO <= hi else min(abs(lo), abs(hi)) for lo, hi in bands)
     n = max(1, -((-m.numerator) // m.denominator))  # ceil
     cap = Fraction(n)
     return max(min(hi, cap) for lo, hi in bands if lo <= cap and hi >= -cap), n
-
-
-def level_index(target: TargetSet, x: RatLike) -> int:
-    """n_x: the minimal n with a slice value of magnitude at most n.
-
-    Computed directly as max(1, ceil(min |y| over the slice)), which agrees
-    with membership in the level sets U_n without any depth truncation.
-    """
-    return _leveled_max(target, x)[1]
-
-
-def f0_unbounded(target: TargetSet, x: RatLike) -> Fraction:
-    """Largest slice value whose magnitude does not exceed n_x."""
-    return _leveled_max(target, x)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -283,31 +266,23 @@ class SynthFunction:
     depth: int
     a_values: Dict[Fraction, Fraction] = field(repr=False, default_factory=dict)
 
-    def classify(self, x: RatLike) -> str:
-        x = rat(x)
-        if x in self.a_values:
-            return "A"
-        if x in self.c_values:
-            return "C"
-        return "B"
-
-    def backbone(self, x: RatLike) -> Tuple[Fraction, Optional[int]]:
-        """f0(x), with n_x in the unbounded regimes (None in the bounded)."""
-        if self.regime.bounded:
-            return f0_bounded(self.target, x), None
-        return _leveled_max(self.target, x)
-
-    def evaluate(self, x: RatLike) -> Fraction:
+    def column(self, x: RatLike) -> Tuple[str, Fraction, Optional[int]]:
+        """(kind, f(x), n_x) at x: "A" and the net value, "C" and the
+        enumeration value, or "B" and the backbone, with n_x in the unbounded
+        regimes (None elsewhere)."""
         x = rat(x)
         if not ZERO <= x <= ONE:
             raise ValueError(f"x={x} outside [0, 1]")
         hit = self.a_values.get(x)
         if hit is not None:
-            return hit
+            return "A", hit, None
         hit = self.c_values.get(x)
         if hit is not None:
-            return hit
-        return self.backbone(x)[0]
+            return "C", hit, None
+        return ("B", *backbone(self.target, x, self.regime.bounded))
+
+    def evaluate(self, x: RatLike) -> Fraction:
+        return self.column(x)[1]
 
     def __call__(self, x: RatLike) -> Fraction:
         return self.evaluate(x)

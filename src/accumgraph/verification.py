@@ -31,7 +31,7 @@ import numpy as np
 
 from .geometry import TargetSet, value_floats
 from .intervals import ONE, RatLike, rat
-from .synthesis import SynthFunction
+from .synthesis import SynthFunction, backbone
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +67,8 @@ def sample_graph(f: SynthFunction, pitch: RatLike = Fraction(1, 1024)) -> GraphS
     if pitch <= 0:
         raise ValueError("pitch must be positive")
     grid = {i * pitch for i in range(int(ONE / pitch) + 1)} | {ONE}
-    values = {x: f.backbone(x)[0] for x in grid - f.a_values.keys() - f.c_values.keys()}
+    values = {x: backbone(f.target, x, f.regime.bounded)[0]
+              for x in grid - f.a_values.keys() - f.c_values.keys()}
     return GraphSample(tuple(sorted({**values, **f.c_values, **f.a_values}.items())))
 
 

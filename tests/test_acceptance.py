@@ -16,7 +16,7 @@ from accumgraph.demos import demo_set, sect6_c_order
 from accumgraph.geometry import Box, Hyper, PLine, Point, TargetSet
 from accumgraph.intervals import XSet
 from accumgraph.strips import build_strip_family, epsilon_schedule, verify_strips
-from accumgraph.synthesis import level_index, synthesize
+from accumgraph.synthesis import synthesize
 from accumgraph.verification import (
     accumulation_estimate,
     closure_direction_check,
@@ -254,7 +254,7 @@ def test_criterion_3_backbone_laws(synths):
                 failures.append(f"{name}/{regime.value}: ({x}, {y}) off target")
                 break
             if not regime.bounded:
-                n = level_index(f.target, x)
+                n = f.column(x)[2]
                 mag = abs(y)
                 ok = (0 <= mag <= 1) if n == 1 else (n - 1 < mag <= n)
                 if not ok:

@@ -125,6 +125,21 @@ def test_steep_polylines_synthesize_and_verify(slope, capsys, monkeypatch):
     assert out.startswith("VERIFY ")
 
 
+@pytest.mark.parametrize("text, codes", [
+    ("hyper 1 0 1 1e-30", (EXIT_OK, EXIT_FAIL)),
+    ("hyper 0 0 1 1e-300", (EXIT_OK, EXIT_FAIL)),
+    ("hyper 0 0 1 1e-60", (EXIT_OK,)),
+], ids=["end-on-pole", "slope-underflow", "steep-crossing"])
+def test_tiny_arcs_verify(text, codes, capsys, monkeypatch):
+    """verify reports on arcs of tiny coefficient: a banded arc whose float
+    end rounds onto its pole, or whose squared gap to it underflows, gets its
+    probes without a ZeroDivisionError, and a crossing too steep for 64
+    halvings still gets net points, so the backward distance passes."""
+    code, out, err = run_cli(["verify", "-", "--regime", "b2", "--depth", "6", "--grid", "128"],
+                             stdin_text=text + "\n", capsys=capsys, monkeypatch=monkeypatch)
+    assert code in codes and out.startswith("VERIFY ") and err == "", (code, out, err)
+
+
 @pytest.mark.parametrize("cmd, name, x", [
     ("synth", "big-line.txt", "0"),
     *((cmd, "big-arc.txt", "1/64") for cmd in ("synth", "verify", "strips")),
@@ -220,6 +235,18 @@ def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):
     if "big-point" in " ".join(argv):
         # The error names the piece beyond float range, exactly.
         assert f"piece 'point 1/2 {10 ** 400}' leaves float range" in err
+
+
+def test_strips_names_a_band_beyond_float_range(capsys, monkeypatch):
+    """The radius schedule's float table reads each band's integer
+    coefficients; a polyline through y = 10^-400, whose intercept is 1 over
+    a common denominator of 10^400, stops strips with one error line that
+    names the piece."""
+    code, out, err = run_cli(["strips", "-", "--regime", "b1", "--depth", "3", "--grid", "16"],
+                             stdin_text="pline 0:1e-400 1:1\n", capsys=capsys,
+                             monkeypatch=monkeypatch)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: piece 'pline 0:1/{10 ** 400} 1:1' leaves float range\n"
 
 
 @pytest.mark.parametrize("name, regime", [

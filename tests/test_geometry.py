@@ -28,7 +28,7 @@ from accumgraph.geometry import (
 )
 from accumgraph.conditions import TargetAnalysis
 from accumgraph.intervals import XSet
-from accumgraph.synthesis import f0_bounded, f0_unbounded, level_index
+from accumgraph.synthesis import backbone
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +351,8 @@ def test_shadow_matches_clipping():
 
 def test_shadow_keeps_open_pole_end():
     arc = Hyper(0, 0, 1, 1)
-    assert XSet(arc.shadow(F(2), None)) == XSet.interval(0, F(1, 2), lo_open=True)
-    assert XSet(arc.shadow(F(1), F(4))) == XSet.interval(F(1, 4), 1)
+    assert TargetSet((arc,)).shadow(F(2), None) == XSet.interval(0, F(1, 2), lo_open=True)
+    assert TargetSet((arc,)).shadow(F(1), F(4)) == XSet.interval(F(1, 4), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -451,18 +451,17 @@ def test_band_reads_match_the_normalized_slice():
                 multi = len(iv) > 1 or any(a < b for a, b in iv) or count > 1
                 assert extended_d.contains(x) == multi, (t, x)
             if not iv:
-                for read in (f0_bounded, level_index, f0_unbounded):
+                for bounded in (True, False):
                     with pytest.raises(EmptySliceError):
-                        read(t, x)
+                        backbone(t, x, bounded)
                 continue
-            assert f0_bounded(t, x) == iv[-1][1], (t, x)
+            assert backbone(t, x, True) == (iv[-1][1], None), (t, x)
             # min_abs, then the slice clipped to |y| <= n_x and its max.
             m = min(F(0) if a <= 0 <= b else min(abs(a), abs(b)) for a, b in iv)
             n = max(1, math.ceil(m))
             clipped = [(max(a, -n), min(b, n)) for a, b in iv if max(a, -n) <= min(b, n)]
-            assert level_index(t, x) == n, (t, x)
-            got = f0_unbounded(t, x)
-            assert got == clipped[-1][1] and isinstance(got, F), (t, x)
+            got = backbone(t, x, False)
+            assert got == (clipped[-1][1], n) and isinstance(got[0], F), (t, x)
 
 
 def test_index_keeps_open_pole_ends_out():
@@ -811,20 +810,23 @@ _WIDE = st.builds(lambda m, e: F(m) * F(10) ** e, st.integers(-9, 9), st.integer
 def test_integer_graph_forms_match_the_fraction_formulas(xs, ys, ends, gap, coef, probes):
     """``RationalGraph.y_at`` and ``holds``, in integers over one common
     denominator, and the polyline net nodes equal the Fraction formulas, on
-    polyline segments and on arcs right (den_sign 1) and left (den_sign -1)
-    of their pole, at domain ends and inside and outside the domain."""
+    polyline segments and on arcs right and left of their pole, at domain
+    ends and inside and outside the domain; the denominator is positive on
+    the domain."""
     pline = PLine(tuple(zip(sorted(xs), ys)))
     x0, x1 = sorted(ends)
     arcs = [Hyper(x0 - gap, x0, x1, coef), Hyper(x1 + gap, x0, x1, coef)]
-    assert [arc.graphs()[0].den_sign for arc in arcs] == [1, -1]
-    for graph in pline.graphs() + [arc.graphs()[0] for arc in arcs]:
-        (n1, n0), (d1, d0) = graph.num, graph.den
+    formulas = [lambda x, a=a, b=b: a[1] + (x - a[0]) * (b[1] - a[1]) / (b[0] - a[0])
+                for a, b in pline.segments()]
+    formulas += [lambda x, arc=arc: arc.coef / (x - arc.pole) for arc in arcs]
+    for graph, formula in zip(pline.graphs() + [arc.graphs()[0] for arc in arcs], formulas):
+        assert all(isinstance(v, int) for v in (graph.n1, graph.n0, graph.d1, graph.d0))
         for x in [graph.dom.lo, graph.dom.hi, *probes]:
             assert graph.holds(x.numerator, x.denominator) == graph.dom.contains(x)
-            if d1 * x + d0 != 0:
-                assert graph.y_at(x) == (n1 * x + n0) / (d1 * x + d0)
-    for arc in arcs:
-        assert all(arc.y_at(x) == arc.coef / (x - arc.pole) for x in probes if x != arc.pole)
+            if graph.dom.contains(x):
+                assert graph.d1 * x + graph.d0 > 0 and graph.y_at(x) == formula(x)
+            elif graph.d1 * x + graph.d0 != 0:
+                assert graph.y_at(x) == formula(x)
     for n in (1, 3, 8):
         spacing = F(15, 8 * n)
         assert pline.net_samples(n, spacing, spacing) == _former_pline_samples(pline, n, spacing)

@@ -3,7 +3,7 @@
 No linter is a dependency, so this parses each module with ``ast``: a name
 bound by a module-level import must be read somewhere in the module, or be
 re-exported through ``__all__``; a function, method or class must be read
-somewhere in the package outside its own body, or be listed in ``__all__``.
+somewhere in the package outside its own body: a re-export is no caller.
 """
 
 import ast
@@ -50,10 +50,11 @@ def test_module_imports_are_used(path):
 
 def uncalled_definitions(sources):
     """(module, name) of each function, method or class that no code outside
-    its own body reads, as a name or an attribute, and that no ``__all__``
-    lists. Dunders are exempt: the language calls them. An attribute of a
-    module bound by ``import`` (``np``, ``math``) is not a read: ``np.full``
-    does not call a method ``full``."""
+    its own body reads, as a name or an attribute. Dunders are exempt: the
+    language calls them. A re-export is not a read: neither an ``import``
+    in ``__init__.py`` nor a listing in ``__all__`` is a caller. An attribute
+    of a module bound by ``import`` (``np``, ``math``) is not a read:
+    ``np.full`` does not call a method ``full``."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     imported = {module: {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
                          if isinstance(node, ast.Import) for alias in node.names}
@@ -66,17 +67,13 @@ def uncalled_definitions(sources):
                        and not (isinstance(node.value, ast.Name) and node.value.id in modules))
 
     everywhere = sum((reads(tree, imported[module]) for module, tree in trees.items()), Counter())
-    exported = {node.value for tree in trees.values() for stmt in tree.body
-                if isinstance(stmt, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
-                for node in ast.walk(stmt.value) if isinstance(node, ast.Constant)}
     out = []
     for module, tree in trees.items():
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             name = node.name
-            if (name.startswith("__") and name.endswith("__")) or name in exported:
+            if name.startswith("__") and name.endswith("__"):
                 continue
             if everywhere[name] - reads(node, imported[module])[name] <= 0:
                 out.append((module, name))
@@ -91,7 +88,10 @@ def test_detects_an_uncalled_definition():
              '    def full(self):\n        pass\n',
         "b": 'import numpy as np\nfrom a import K\nK().m()\nnp.full(3, 0.0)\n',
     }
-    assert uncalled_definitions(sources) == [("a", "full"), ("a", "loop")]
+    # ``api`` is listed in ``__all__`` and imported by a third module, but
+    # nothing calls it.
+    sources["c"] = 'from a import api\n'
+    assert uncalled_definitions(sources) == [("a", "api"), ("a", "full"), ("a", "loop")]
 
 
 def test_every_definition_has_a_src_caller():

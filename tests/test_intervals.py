@@ -14,7 +14,7 @@ from accumgraph.intervals import (
     rational_sqrt,
     span_intersection,
 )
-from accumgraph.synthesis import f0_bounded, level_index
+from accumgraph.synthesis import backbone
 
 # -- strategies -------------------------------------------------------------
 
@@ -104,11 +104,12 @@ def test_union_intersection_membership(a, b, x):
 
 @settings(max_examples=200, deadline=None)
 @given(xsets, probe_points)
-def test_contains_matches_span_scan(s, x):
-    """The bisect over span starts agrees with asking every span, at span
-    ends too."""
+def test_contains_matches_point_intersection(s, x):
+    """``contains``, a scan of the spans, agrees with meeting the one-point
+    set, which goes through ``span_intersection`` instead, at span ends
+    too."""
     for p in [x] + [e for span in s.spans for e in (span.lo, span.hi)]:
-        assert s.contains(p) == any(span.contains(p) for span in s.spans)
+        assert s.contains(p) == bool(s & XSet.point(p))
 
 
 @settings(max_examples=200, deadline=None)
@@ -161,16 +162,15 @@ def test_slice_set_merge_and_queries():
     """Touching bands stay apart in ``bands_at``; their union is the slice."""
     t = TargetSet((Box(0, 1, 0, 1), Box(0, 1, 1, 2), Point(0, 3)))
     assert sorted(t.bands_at(0)) == [(F(0), F(1)), (F(1), F(2)), (F(3), F(3))]
-    assert f0_bounded(t, 0) == 3
+    assert backbone(t, 0, True)[0] == 3
     assert t.distance_to((0, F(3, 2))) == 0.0
     assert t.distance_to((0, F(5, 2))) == 0.5
 
 
 def test_slice_set_min_abs():
     # n_x = max(1, ceil(min |y|)) on a one-box target: min |y| is 2, 0 and 5.
-    assert level_index(TargetSet((Box(0, 1, -3, -2),)), F(1, 2)) == 2
-    assert level_index(TargetSet((Box(0, 1, -1, 2),)), F(1, 2)) == 1
-    assert level_index(TargetSet((Box(0, 1, 5, 5),)), F(1, 2)) == 5
+    for y0, y1, n in ((-3, -2, 2), (-1, 2, 1), (5, 5, 5)):
+        assert backbone(TargetSet((Box(0, 1, y0, y1),)), F(1, 2), False)[1] == n
 
 
 def test_slice_set_clipped():
@@ -182,16 +182,15 @@ def test_slice_set_clipped():
 def test_slice_set_empty_queries():
     t = TargetSet((Point(0, 1),))
     assert not t.bands_at(1)
-    with pytest.raises(EmptySliceError):
-        f0_bounded(t, 1)
-    with pytest.raises(EmptySliceError):
-        level_index(t, 1)
+    for bounded in (True, False):
+        with pytest.raises(EmptySliceError):
+            backbone(t, 1, bounded)
 
 
 def test_singleton_slice():
     t = TargetSet((Point(0, -12),))
     assert t.bands_at(0) == [(F(-12), F(-12))]
-    assert f0_bounded(t, 0) == -12 and level_index(t, 0) == 12
+    assert backbone(t, 0, True)[0] == -12 and backbone(t, 0, False)[1] == 12
 
 
 # -- rational square roots ---------------------------------------------------

@@ -31,7 +31,7 @@ from accumgraph.strips import (
     epsilon_schedule,
     verify_strips,
 )
-from accumgraph.synthesis import level_index, synthesize
+from accumgraph.synthesis import synthesize
 
 
 def small_grid(m=256):
@@ -73,15 +73,14 @@ def assert_schedule_legal(f, sched, sample_stride=37):
 def _assert_overlap(f, x, e, n, sched):
     """f0(r) - f0(x) < 1/n for sampled backbone r in the shadow (same level
     part in the unbounded regimes)."""
-    fx = f.backbone(x)[0]
-    unbounded = not f.regime.bounded
-    kx = level_index(f.target, x) if unbounded else None
+    _, fx, kx = f.column(x)
     for r in sched.columns:
-        if abs(r - x) >= e or f.classify(r) != "B":
+        if abs(r - x) >= e:
             continue
-        if unbounded and level_index(f.target, r) != kx:
+        kind, fr, kr = f.column(r)
+        if kind != "B" or kr != kx:
             continue
-        assert f.backbone(r)[0] - fx < F(1, n), (
+        assert fr - fx < F(1, n), (
             f"overlap violated at center {x}, r={r}, n={n}"
         )
 
@@ -199,7 +198,7 @@ def reference_eps(f, centers):
 
     rows = []
     for x in sorted({*centers, *f.a_values, *f.c_values}):
-        kind = f.classify(x)
+        kind, fx, k = f.column(x)
         row = []
         for n in range(1, depth + 1):
             terms = [F(1, n)] + row[-1:]
@@ -208,9 +207,8 @@ def reference_eps(f, centers):
                 terms += [dn.distance_to(x) for dn in d_levels[:n] if not dn.is_empty]
             if kind == "B":
                 terms += [part.distance_to(x) for _, part in w_parts[:n] if not part.contains(x)]
-                theta = f.backbone(x)[0] + F(1, n)
+                theta = fx + F(1, n)
                 if unbounded:
-                    k = level_index(f.target, x)
                     v_k = u(k) - u(k - 1) if k > 1 else u(1)
                     bad = f.target.clipped(max(theta, F(-k)), F(k)).x_projection() & v_k
                 else:
@@ -291,7 +289,7 @@ def _assert_radius(target, regime, x, level, radius):
     """The schedule equals the reference rule at every column, and the
     radius at backbone center x and the given level is the chosen term."""
     f = synthesize(target, regime, depth=3)
-    assert f.classify(x) == "B"
+    assert f.column(x)[0] == "B"
     grid = sorted({*small_grid(64), x})
     sched = epsilon_schedule(f, grid)
     assert sched.eps == reference_eps(f, grid)

@@ -23,11 +23,9 @@ from accumgraph.synthesis import (
     _curve_spacing,
     _grid_pitch,
     _Placer,
-    f0_bounded,
-    f0_unbounded,
+    backbone,
     f_on_c,
     lemma31_net,
-    level_index,
     synthesize,
 )
 
@@ -224,12 +222,15 @@ def test_placer_slides_along_the_sample_graph():
 
 
 def reference_arc_nodes(arc, n, spacing):
-    """The arc's net nodes by the former recursion, and whether the depth
-    limit stopped a cell: bisect [x0, x1] until a cell's width plus its
-    clamped y-rise is at most ``spacing`` (or after 64 halvings), skip the
-    cells beyond the band |y| <= n on one side, and add the exact band
-    crossings."""
+    """The arc's net nodes by the former recursion, whether the depth limit
+    stopped a cell, and the limit: bisect [x0, x1] until a cell's width plus its
+    clamped y-rise is at most ``spacing`` (or after as many halvings as the
+    arc's depth limit, at least 64, two past the width spacing |coef|/n^2),
+    skip the cells beyond the band |y| <= n on one side, and add the exact
+    band crossings."""
     band, pole = F(n), arc.pole
+    width = math.ceil((arc.x1 - arc.x0) * n * n / (spacing * abs(arc.coef)))
+    limit = max(64, width.bit_length() + 2)
     nodes, fuel_bound = {}, []
 
     def clamped(x):
@@ -255,12 +256,12 @@ def reference_arc_nodes(arc, n, spacing):
         rec(a, mid, fuel - 1)
         rec(mid, b, fuel - 1)
 
-    rec(arc.x0, arc.x1, 64)
+    rec(arc.x0, arc.x1, limit)
     for edge in (band, -band):
         x = pole + arc.coef / edge
         if arc.domain().contains(x):
             nodes.setdefault(x, arc.y_at(x))
-    return [(x, nodes[x]) for x in sorted(nodes)], bool(fuel_bound)
+    return [(x, nodes[x]) for x in sorted(nodes)], bool(fuel_bound), limit
 
 
 def _arc_nodes(arc, n):
@@ -278,7 +279,7 @@ def test_arc_nodes_match_the_recursion_on_demos(demo):
 def _random_arc(rng):
     """An arc with its pole at its left end, its right end or outside it,
     and a coefficient of either sign from far inside the band to so small
-    that the crossing is too steep for 64 halvings."""
+    that the crossing is too steep for 64 halvings: the depth limit grows."""
     den = rng.choice([12, 97, 1024, 10**6])
     a, b = sorted(rng.sample(range(den + 1), 2))
     x0, x1 = F(a, den), F(b, den)
@@ -294,18 +295,21 @@ def _random_arc(rng):
 
 
 def test_arc_nodes_match_the_recursion_on_random_arcs():
+    """The nodes equal the recursion's, and the depth limit stops no cell,
+    not even where the crossing is too steep for 64 halvings."""
     rng = random.Random(31)
     seen = Counter()
     for _ in range(200):
         where, arc = _random_arc(rng)
         n = rng.randint(1, 20)
-        want, fuel_bound = reference_arc_nodes(arc, n, _curve_spacing(n))
+        want, fuel_bound, limit = reference_arc_nodes(arc, n, _curve_spacing(n))
         assert _arc_nodes(arc, n) == want, (arc, n)
+        assert not fuel_bound, (arc, n)
         shadow = arc.graphs()[0].shadow(F(-n), F(n))
         band = "beyond" if shadow is None else "inside" if shadow == arc.domain() else "cut"
-        seen.update([where, band, arc.coef > 0, "fuel" if fuel_bound else "spacing"])
+        seen.update([where, band, arc.coef > 0, "steep" if limit > 64 else "mild"])
     assert all(seen[k] for k in ("left", "right", "outside", "beyond", "inside", "cut",
-                                 True, False, "fuel", "spacing")), seen
+                                 True, False, "steep", "mild")), seen
 
 
 def reference_box_pline_nodes(piece, n):
@@ -510,8 +514,7 @@ def _placed_nets_hold(target, depth):
     for (x, y, n, graph), (x2, y2) in zip(samples, placed):
         assert 0 <= x2 <= 1 and not avoid.contains(x2)
         if graph is not None and graph.dom.contains(x2):
-            (n1, n0), (d1, d0) = graph.num, graph.den
-            assert y2 == (n1 * x2 + n0) / (d1 * x2 + d0)
+            assert y2 == (graph.n1 * x2 + graph.n0) / (graph.d1 * x2 + graph.d0)
         else:
             assert y2 == y
         assert (x2 - x) ** 2 + (y2 - y) ** 2 <= min(F(1, 16 * n), F(1, 1024)) ** 2
@@ -586,35 +589,29 @@ def test_steep_polyline_nets_move_in_y():
 
 
 def test_f0_bounded_examples():
-    assert f0_bounded(demo_set("square"), F(1, 3)) == 1
+    assert backbone(demo_set("square"), F(1, 3), True) == (1, None)
     t = TargetSet((Box(0, 1, -1, 0), Point(F(1, 2), 3)))
-    assert f0_bounded(t, F(1, 2)) == 3
-    assert f0_bounded(t, F(1, 4)) == 0
-    assert f0_bounded(demo_set("sect6", 3), F(5, 12)) == -12
+    assert backbone(t, F(1, 2), True)[0] == 3
+    assert backbone(t, F(1, 4), True)[0] == 0
+    assert backbone(demo_set("sect6", 3), F(5, 12), True)[0] == -12
     with pytest.raises(EmptySliceError):
-        f0_bounded(demo_set("hyperbola"), 0)
+        backbone(demo_set("hyperbola"), 0, True)
 
 
 def test_f0_unbounded_hyperbola():
-    h = demo_set("hyperbola")
-    assert level_index(h, F(3, 10)) == 4
-    assert f0_unbounded(h, F(3, 10)) == F(10, 3)
+    assert backbone(demo_set("hyperbola"), F(3, 10), False) == (F(10, 3), 4)
 
 
 def test_f0_unbounded_square_and_sect6():
-    assert level_index(demo_set("square"), F(1, 3)) == 1
-    assert f0_unbounded(demo_set("square"), F(1, 3)) == 1
-    t = demo_set("sect6", 12)
-    assert level_index(t, F(5, 12)) == 12
-    assert f0_unbounded(t, F(5, 12)) == -12
+    assert backbone(demo_set("square"), F(1, 3), False) == (1, 1)
+    assert backbone(demo_set("sect6", 12), F(5, 12), False) == (-12, 12)
 
 
 def test_f0_unbounded_level_inequality():
     t = TargetSet((Hyper(0, 0, 1, 1), Box(0, 1, -20, -15)))
     for i in range(1, 64):
         x = F(i, 64)
-        n = level_index(t, x)
-        v = f0_unbounded(t, x)
+        v, n = backbone(t, x, False)
         if n == 1:
             assert 0 <= abs(v) <= 1
         else:
@@ -790,13 +787,14 @@ def test_synthesize_c_order_validation():
     with pytest.raises(ValueError):
         synthesize(t, Regime.B1, depth=3, c_order=[F(1, 2)])
     f = synthesize(t, Regime.B1, depth=3, c_order=[F(0)])
-    assert f(F(0)) == 1
+    assert f(F(0)) == 1 and f.column(F(0)) == ("C", 1, None)
+    assert F(3, 10) not in f.a_values and f.column(F(3, 10)) == ("B", F(10, 3), 4)
 
 
 def test_evaluate_stored_net_value():
     f = synthesize(demo_set("square"), Regime.B2_BOUNDED, depth=3)
     a = f.approx.levels[0].points[0]
-    assert f(a[0]) == a[1]
+    assert f(a[0]) == a[1] and f.column(a[0]) == ("A", a[1], None)
 
 
 def test_evaluate_domain_check():
