@@ -33,7 +33,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import cached_property
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -547,12 +547,17 @@ class TargetSet:
     def is_empty(self) -> bool:
         return not self.pieces
 
-    @property
-    def excluded_poles(self) -> List[Tuple[Fraction, int]]:
+    @cached_property
+    def excluded_poles(self) -> Tuple[Tuple[Fraction, int], ...]:
         """(x, sign) per arc with an excluded pole endpoint x, in piece
         order: the arc's y diverges toward sign * infinity as it nears x."""
-        return [(p.excluded_pole, p.divergence_sign())
-                for p in self.pieces if p.excluded_pole is not None]
+        return tuple((p.excluded_pole, p.divergence_sign())
+                     for p in self.pieces if p.excluded_pole is not None)
+
+    @cached_property
+    def _pole_signs(self) -> Dict[Fraction, FrozenSet[int]]:
+        poles = self.excluded_poles
+        return {x: frozenset(sign for pole, sign in poles if pole == x) for x, _ in poles}
 
     # -- slicing -------------------------------------------------------
 
@@ -578,18 +583,22 @@ class TargetSet:
         """Each piece's x- and y-range as floats, for its gap."""
         return [_float_reach(piece) for piece in self.pieces]
 
-    def bands_at(self, x: RatLike) -> List[Tuple[Fraction, Fraction]]:
-        """The closed y-range (lo, hi) of each band alive at x, unsorted and
-        unmerged: their union is the slice at x."""
+    def live_bands(self, x: RatLike) -> List[Tuple[RationalGraph, RationalGraph]]:
+        """The (lower, upper) graphs of each band alive at x."""
         x = rat(x)
         if not ZERO <= x <= ONE:
             raise ValueError(f"slice x={x} outside [0, 1]")
         ends, alive = self._index
         i = bisect_left(ends, x)
-        bands = alive[2 * i + (i < len(ends) and ends[i] == x)]
-        return [(y := lo.y_at(x), y if hi is lo else hi.y_at(x)) for lo, hi in bands]
+        return alive[2 * i + (i < len(ends) and ends[i] == x)]
 
-    def pole_signs(self, x: RatLike) -> Set[int]:
+    def bands_at(self, x: RatLike) -> List[Tuple[Fraction, Fraction]]:
+        """The closed y-range (lo, hi) of each band alive at x, unsorted and
+        unmerged: their union is the slice at x."""
+        x = rat(x)
+        return [(y := lo.y_at(x), y if hi is lo else hi.y_at(x)) for lo, hi in self.live_bands(x)]
+
+    def pole_signs(self, x: RatLike) -> FrozenSet[int]:
         """The divergence sign of each arc whose excluded pole end is x: the
         infinities in the slice of the closure in [0,1] x extended reals.
 
@@ -597,8 +606,7 @@ class TargetSet:
         of pieces is already closed in [0,1] x R; a finite piece list can
         only accumulate at infinity at an excluded pole.
         """
-        x = rat(x)
-        return {sign for pole, sign in self.excluded_poles if pole == x}
+        return self._pole_signs.get(rat(x), frozenset())
 
     def x_projection(self) -> XSet:
         """Exact projection onto the x axis."""
@@ -725,6 +733,14 @@ def float_range(piece: Piece) -> Iterator[None]:
 
 # The least magnitude that float() rounds past the largest float, to infinity.
 _FLOAT_END = Fraction(2 ** 1024 - 2 ** 970)
+
+
+def quotient_float(num: int, den: int) -> float:
+    """num/den (den > 0) correctly rounded, or a signed infinity past float range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
 
 
 def value_floats(points: Sequence[Tuple[Fraction, Fraction]]) -> List[float]:

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -147,9 +147,19 @@ def _distance_bounds(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarra
     return np.maximum(np.maximum(lo - x, x - hi), 0.0) - _X_SLACK
 
 
-def _floats(piece: Piece, values: Iterable[RatLike]) -> List[float]:
+def _graph_floats(piece: Piece, g: RationalGraph) -> List[float]:
+    """(n1, n0, d1, d0) as floats; ``_side`` is homogeneous in them, so a row
+    past float range is divided by the power of two taking its largest entry
+    below 2^1000, unless a nonzero entry then falls below the normal range."""
+    row = (g.n1, g.n0, g.d1, g.d0)
     with float_range(piece):
-        return [float(v) for v in values]
+        try:
+            return [float(v) for v in row]
+        except OverflowError:
+            shift = max(map(abs, row)).bit_length() - 1000
+            if any(v and abs(v).bit_length() <= shift - 1022 for v in row):
+                raise
+            return [v / (1 << shift) for v in row]
 
 
 def _span_floats(spans: Sequence[Span]) -> Tuple[np.ndarray, np.ndarray]:
@@ -225,8 +235,8 @@ class _Radii:
         # Per band: its domain, then (n1, n0, d1, d0) of its lower and of its
         # upper graph.
         table = np.array([
-            _floats(piece, (lower.dom.lo, lower.dom.hi, lower.n1, lower.n0, lower.d1, lower.d0,
-                            upper.n1, upper.n0, upper.d1, upper.d0))
+            [float(lower.dom.lo), float(lower.dom.hi)]
+            + _graph_floats(piece, lower) + _graph_floats(piece, upper)
             for piece, (lower, upper) in bands]).reshape(-1, 10)
         self.domain = table[:, 0], table[:, 1]
         self.lower, self.upper = (_coefficients([band[k] for band in self.bands], table[:, c:c + 4])

@@ -30,7 +30,7 @@ from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .conditions import Regime, TargetAnalysis, Verdict
-from .geometry import EmptySliceError, RationalGraph, TargetSet
+from .geometry import EmptySliceError, RationalGraph, TargetSet, quotient_float
 from .intervals import ONE, ZERO, RatLike, XSet, rat
 
 
@@ -208,15 +208,35 @@ def backbone(target: TargetSet, x: RatLike, bounded: bool) -> Tuple[Fraction, Op
     counts 0, the minimal n with a slice value of magnitude at most n (it
     agrees with membership in the level sets U_n without any depth
     truncation); f0 is the largest slice value of magnitude at most n_x."""
-    bands = target.bands_at(x)
+    x = rat(x)
+    return backbone_at(target.live_bands(x), x.numerator, x.denominator, bounded)[:2]
+
+
+def backbone_at(bands: Sequence[Tuple[RationalGraph, RationalGraph]], a: int, b: int,
+                bounded: bool) -> Tuple[Fraction, Optional[int], float]:
+    """``backbone``'s (f0, n_x) and the float of f0 at x = a/b (b > 0), off
+    the (lower, upper) graphs of the bands alive there. Each y is the
+    integer quotient (n1 a + n0 b)/(d1 a + d0 b): n_x is the least ceil of
+    a band's |y| in integers, and floats, correctly rounded and so monotone,
+    pick f0 but for ties, which the integers break."""
     if not bands:
-        raise EmptySliceError(f"empty slice at x={x}")
-    if bounded:
-        return max(hi for _, hi in bands), None
-    m = min(ZERO if lo <= ZERO <= hi else min(abs(lo), abs(hi)) for lo, hi in bands)
-    n = max(1, -((-m.numerator) // m.denominator))  # ceil
-    cap = Fraction(n)
-    return max(min(hi, cap) for lo, hi in bands if lo <= cap and hi >= -cap), n
+        raise EmptySliceError(f"empty slice at x={Fraction(a, b)}")
+
+    def at(g: RationalGraph) -> Tuple[int, int, float]:
+        num, den = g.n1 * a + g.n0 * b, g.d1 * a + g.d0 * b
+        return num, den, quotient_float(num, den)
+
+    his, n = [at(hi) for _, hi in bands], None
+    if not bounded:
+        los = [h if lo is hi else at(lo) for (lo, hi), h in zip(bands, his)]
+        n = max(1, min(-(-lo[0] // lo[1]) if lo[0] > 0 else -(hi[0] // hi[1]) if hi[0] < 0 else 0
+                       for lo, hi in zip(los, his)))
+        # Bands above n_x drop out; one below -n_x cannot hold the max.
+        cap = quotient_float(n, 1)
+        his = [(*hi[:2], min(hi[2], cap)) for lo, hi in zip(los, his) if lo[0] <= n * lo[1]]
+    best = max(h[2] for h in his)
+    return max(Fraction(h[0], h[1]) if n is None or h[0] < n * h[1] else Fraction(n)
+               for h in his if h[2] == best), n, best
 
 
 # ---------------------------------------------------------------------------

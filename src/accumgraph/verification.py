@@ -25,13 +25,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from .geometry import TargetSet, value_floats
-from .intervals import ONE, RatLike, rat
-from .synthesis import SynthFunction, backbone
+from .geometry import TargetSet, quotient_float, value_floats
+from .intervals import RatLike, rat
+from .synthesis import SynthFunction, backbone_at
 
 
 # ---------------------------------------------------------------------------
@@ -62,14 +62,39 @@ class GraphSample:
 
 def sample_graph(f: SynthFunction, pitch: RatLike = Fraction(1, 1024)) -> GraphSample:
     """Net and enumeration values at their x, the backbone at the rest of
-    the uniform grid."""
+    the uniform grid u/q (u = i p for pitch p/q, and u = q), off one walk
+    over the target's sorted span ends. Samples are sorted by float x, and
+    exactly only where floats tie: rounding is monotone."""
     pitch = rat(pitch)
     if pitch <= 0:
         raise ValueError("pitch must be positive")
-    grid = {i * pitch for i in range(int(ONE / pitch) + 1)} | {ONE}
-    values = {x: backbone(f.target, x, f.regime.bounded)[0]
-              for x in grid - f.a_values.keys() - f.c_values.keys()}
-    return GraphSample(tuple(sorted({**values, **f.c_values, **f.a_values}.items())))
+    p, q = pitch.numerator, pitch.denominator
+    taken = {u for x in (*f.a_values, *f.c_values)
+             for u, r in [divmod(x.numerator * q, x.denominator)]
+             if not r and (u % p == 0 or u == q)}
+    ends, alive = f.target._index
+    # Each end a/b as (a q, b), against x = u/q; (1, 0) lies past every x.
+    keys, k, rows = [(e.numerator * q, e.denominator) for e in ends] + [(1, 0)], 0, []
+    for u in sorted({*range(0, q + 1, p), q} - taken):
+        while keys[k][0] < u * keys[k][1]:
+            k += 1
+        bands = alive[2 * k + (keys[k][0] == u * keys[k][1])]
+        y, _, fy = backbone_at(bands, u, q, f.regime.bounded)
+        rows.append((Fraction(u, q), y, u / q, fy))
+    rows += [(x, y, float(x), quotient_float(y.numerator, y.denominator))
+             for values in (f.a_values, f.c_values) for x, y in values.items()]
+    fx = np.array([row[2] for row in rows])
+    order = np.argsort(fx, kind="stable").tolist()
+    if (np.diff(fx[order]) == 0).any():
+        order.sort(key=lambda i: (fx[i], rows[i][0]))
+    points = tuple(rows[i][:2] for i in order)
+    xy = np.array([rows[i][2:] for i in order])
+    if np.isinf(xy[:, 1]).any():
+        value_floats(points)  # raises, naming the first x whose value leaves float range
+    sample = object.__new__(GraphSample)
+    object.__setattr__(sample, "points", points)
+    object.__setattr__(sample, "xy", xy)
+    return sample
 
 
 # ---------------------------------------------------------------------------
@@ -94,29 +119,43 @@ def accumulation_estimate(sample: GraphSample, eps: float,
     where the grid's edges fall. A cell holding min_count samples is kept
     outright: each of them is core. Samples, not float x, are counted: their
     x are pairwise distinct by construction, and two can round to one float.
+    Cell keys are float64, sorted once; a block column is found by binary
+    search over keys k - 1 to k + 1 (past 2^53, k +- 1 may round to k or to
+    the next key, whose samples lie farther than eps).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     if min_count < 2:
         raise ValueError("min_count must be at least 2")
-    cells: Dict[Tuple[int, int], List[Tuple[float, float]]] = {}
-    for fx, fy in sample.xy.tolist():
-        if not math.isfinite(fx / eps) or not math.isfinite(fy / eps):
-            raise ValueError(f"eps={eps:g} is too small to grid a sample at ({fx:g}, {fy:g})")
-        cells.setdefault((math.floor(fx / eps), math.floor(fy / eps)), []).append((fx, fy))
-
-    def core(ix: int, iy: int, fx: float, fy: float) -> bool:
-        near = sum(abs(gx - fx) <= eps and abs(gy - fy) <= eps
-                   for jx in (ix - 1, ix, ix + 1) for jy in (iy - 1, iy, iy + 1)
-                   for gx, gy in cells.get((jx, jy), ()))
-        return near >= min_count
-
-    candidates = [
-        ((ix + 0.5) * eps, (iy + 0.5) * eps)
-        for (ix, iy), samples in sorted(cells.items())
-        if len(samples) >= min_count or any(core(ix, iy, fx, fy) for fx, fy in samples)
-    ]
-    return AccumulationEstimate(tuple(candidates), eps)
+    with np.errstate(over="ignore"):
+        scaled = sample.xy / eps
+    if not np.isfinite(scaled).all():
+        fx, fy = sample.xy[np.flatnonzero(~np.isfinite(scaled).all(axis=1))[0]].tolist()
+        raise ValueError(f"eps={eps:g} is too small to grid a sample at ({fx:g}, {fy:g})")
+    keys = np.floor(scaled)
+    order = np.lexsort((keys[:, 1], keys[:, 0]))
+    keys = keys[order]
+    # Complex numbers compare as (real, imag), the lexsort order.
+    flat, xy = keys.view(np.complex128).ravel(), sample.xy[order].view(np.complex128).ravel()
+    first = np.concatenate(([True], flat[1:] != flat[:-1]))[:len(flat)]
+    cell = np.cumsum(first) - 1
+    keep = np.bincount(cell) >= min_count
+    small = np.flatnonzero(~keep[cell])  # the samples that take the core test
+    k = keys[small]
+    cols = k[:, :1] + [-1.0, 0.0, 1.0]
+    start = np.searchsorted(flat, cols + (k[:, 1:] - 1.0) * 1j)
+    count = np.searchsorted(flat, cols + (k[:, 1:] + 1.0) * 1j, side="right") - start
+    count[:, ::2] *= cols[:, ::2] != cols[:, 1:2]  # one column where k +- 1 rounds to k
+    step = max(1, _CHUNK // max(1, int(count.sum(axis=1).max(initial=0))))
+    for done in range(0, len(small), step):  # at most _CHUNK pairs, or one query's
+        queries, n = small[done:done + step], count[done:done + step].ravel()
+        owner = np.repeat(np.arange(len(queries)).repeat(3), n)
+        near = np.repeat(start[done:done + step].ravel() - np.cumsum(n) + n, n) + np.arange(n.sum())
+        d = xy[near] - xy[queries[owner]]
+        within = (np.abs(d.real) <= eps) & (np.abs(d.imag) <= eps)
+        keep[cell[queries[np.bincount(owner, within, len(queries)) >= min_count]]] = True
+    centers = (keys[first][keep] + 0.5) * eps
+    return AccumulationEstimate(tuple(map(tuple, centers.tolist())), eps)
 
 
 # ---------------------------------------------------------------------------

@@ -181,9 +181,11 @@ def test_unknown_regime_rejected(capsys, monkeypatch):
 
 
 # Targets holding a value beyond float64 range: a point's y itself, and an
-# all-finite arc whose f(1/64) is about 6.4e308.
+# all-finite arc whose f(1/64) is about 6.4e308. The point at 1e700 is too
+# far for the band rows of the radius schedule even when scaled.
 BEYOND_FLOAT = {
     "big-point.txt": "point 1/2 1e400\nbox 0 1 0 1\n",
+    "huge-point.txt": "point 1/2 1e700\nbox 0 1 0 1\n",
     "big-arc.txt": "hyper 0 0 1 1e307\n",
     "big-pole.txt": "hyper 0 0 1 1\npoint 1/2 1e400\n",
     "big-line.txt": "pline 0:1e400 1:1e400\n",
@@ -212,7 +214,7 @@ def _write_beyond_float(directory):
     ["verify", "constant", "--regime", "b1", "--ycap", "-1"],
     ["synth", "{dir}/big-line.txt", "--regime", "b2"],
     ["verify", "{dir}/big-point.txt", "--regime", "b2"],
-    ["strips", "{dir}/big-point.txt", "--regime", "b2-bounded"],
+    ["strips", "{dir}/huge-point.txt", "--regime", "b2-bounded"],
     *([cmd, "{dir}/big-arc.txt", "--regime", "b1", "--grid", "64"]
       for cmd in ("synth", "verify", "strips")),
 ], ids=["grid-0", "depth-0", "depth-negative", "demo-depth-0", "min-count-1",
@@ -232,21 +234,39 @@ def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):
     assert out == ""
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
     assert "Traceback" not in err
-    if "big-point" in " ".join(argv):
-        # The error names the piece beyond float range, exactly.
-        assert f"piece 'point 1/2 {10 ** 400}' leaves float range" in err
+    for name, exponent in (("big-point", 400), ("huge-point", 700)):
+        if name in " ".join(argv):
+            # The error names the piece beyond float range, exactly.
+            assert f"piece 'point 1/2 {10 ** exponent}' leaves float range" in err
 
 
 def test_strips_names_a_band_beyond_float_range(capsys, monkeypatch):
     """The radius schedule's float table reads each band's integer
-    coefficients; a polyline through y = 10^-400, whose intercept is 1 over
-    a common denominator of 10^400, stops strips with one error line that
-    names the piece."""
+    coefficients, scaled by a power of two where one leaves float range; a
+    polyline through y = 10^-700, whose intercept is 1 over a common
+    denominator of 10^700, spans more than the floats and stops strips with
+    one error line that names the piece."""
     code, out, err = run_cli(["strips", "-", "--regime", "b1", "--depth", "3", "--grid", "16"],
-                             stdin_text="pline 0:1e-400 1:1\n", capsys=capsys,
+                             stdin_text="pline 0:1e-700 1:1\n", capsys=capsys,
                              monkeypatch=monkeypatch)
     assert (code, out) == (EXIT_USAGE, "")
-    assert err == f"error: piece 'pline 0:1/{10 ** 400} 1:1' leaves float range\n"
+    assert err == f"error: piece 'pline 0:1/{10 ** 700} 1:1' leaves float range\n"
+
+
+@pytest.mark.parametrize("text, regime", [
+    *((text, regime) for text in ("pline 0:1e-200 1:1e200\n", "pline 0:1e-400 1:1\n")
+      for regime in ("b1", "b1-bounded")),
+    (BEYOND_FLOAT["big-point.txt"], "b2-bounded"),
+], ids=["pline-1e200-b1", "pline-1e200-b1-bounded", "pline-1e-400-b1",
+        "pline-1e-400-b1-bounded", "big-point-b2-bounded"])
+def test_strips_scales_a_band_beyond_float_range(text, regime, capsys, monkeypatch):
+    """A band whose integers leave float range (n1 about 10^400 on the
+    polylines, y = 10^400 on the point) has its row scaled by a power of
+    two, and strips certifies the target."""
+    code, out, err = run_cli(["strips", "-", "--regime", regime, "--depth", "3", "--grid", "16"],
+                             stdin_text=text, capsys=capsys, monkeypatch=monkeypatch)
+    assert (code, err) == (EXIT_OK, "")
+    assert out.endswith("STRIPS PASS\n")
 
 
 @pytest.mark.parametrize("name, regime", [

@@ -1,4 +1,5 @@
-"""Every import and every definition of the package is used.
+"""Every import and every definition of the package is used, and the CLI
+imports nothing beyond the standard library and numpy.
 
 No linter is a dependency, so this parses each module with ``ast``: a name
 bound by a module-level import must be read somewhere in the module, or be
@@ -7,6 +8,9 @@ somewhere in the package outside its own body: a re-export is no caller.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -97,3 +101,21 @@ def test_detects_an_uncalled_definition():
 def test_every_definition_has_a_src_caller():
     """Code with no caller outside its own test is deleted or given one."""
     assert uncalled_definitions({path.name: path.read_text() for path in MODULES}) == []
+
+
+def test_cli_imports_only_stdlib_and_numpy():
+    """Building the CLI's parser in a fresh interpreter loads no top-level
+    module outside the standard library, the package and numpy, beyond the
+    modules the interpreter had loaded before (site hooks may import some)."""
+    script = ("import sys\n"
+              "before = set(sys.modules)\n"
+              "import accumgraph.cli\n"
+              "accumgraph.cli.build_parser()\n"
+              "print(' '.join(sorted({name.split('.')[0] for name in set(sys.modules) - before})))\n")
+    src = str(Path(accumgraph.__file__).parent.parent)
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True)
+    loaded = set(run.stdout.split())
+    assert {"accumgraph", "numpy"} <= loaded
+    assert loaded - set(sys.stdlib_module_names) - {"accumgraph", "numpy"} == set()

@@ -1,6 +1,7 @@
 """Graph sampling, accumulation estimation, Hausdorff, and direction checks."""
 
 import contextlib
+import dataclasses
 import hashlib
 import inspect
 import io
@@ -423,6 +424,19 @@ def test_closure_direction_golden_case():
     assert signed.status() == "PASS"
 
 
+def test_pole_signs_read_one_table(monkeypatch):
+    """The pole -> signs table is built once per target; the closure check
+    asks ``pole_signs`` at every point of C and its neighbours."""
+    f = synthesize(demo_set("sect6", 20), Regime.B2, depth=20)
+    want = closure_direction_check(f)
+
+    def rebuilt(self):
+        raise AssertionError("excluded poles rebuilt")
+
+    monkeypatch.setattr(Hyper, "divergence_sign", rebuilt)
+    assert closure_direction_check(f) == want and want.status() == "FAIL"
+
+
 def test_closure_direction_vacuous_without_clusters():
     f = synthesize(demo_set("hyperbola"), Regime.B1, depth=8)
     report = closure_direction_check(f)
@@ -632,3 +646,142 @@ def test_far_component_fails_backward():
             assert d_bwd > bound, (t, regime, box)
             checked += 1
     assert checked >= 40
+
+
+# ---------------------------------------------------------------------------
+# The sample layer against its per-x reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_backbone(target, x, bounded):
+    """The former f0: Fraction max and min over the slice's y-ranges."""
+    bands = target.bands_at(x)
+    if not bands:
+        raise geometry.EmptySliceError(f"empty slice at x={x}")
+    if bounded:
+        return max(hi for _, hi in bands)
+    m = min(F(0) if lo <= 0 <= hi else min(abs(lo), abs(hi)) for lo, hi in bands)
+    cap = F(max(1, math.ceil(m)))
+    return max(min(hi, cap) for lo, hi in bands if lo <= cap and hi >= -cap)
+
+
+def _reference_sample_graph(f, pitch):
+    """The former sampler: one exact backbone per grid x off the net and
+    enumeration points, one sort of the Fraction keys, one float conversion."""
+    grid = {i * pitch for i in range(int(1 / pitch) + 1)} | {F(1)}
+    values = {x: _reference_backbone(f.target, x, f.regime.bounded)
+              for x in grid - f.a_values.keys() - f.c_values.keys()}
+    return GraphSample(tuple(sorted({**values, **f.c_values, **f.a_values}.items())))
+
+
+def _reference_accumulation_estimate(sample, eps, min_count=3):
+    """The former estimate: Python-int cells in a dict, the core test over
+    each 3 x 3 block of cells."""
+    cells = {}
+    for fx, fy in sample.xy.tolist():
+        if not math.isfinite(fx / eps) or not math.isfinite(fy / eps):
+            raise ValueError(f"eps={eps:g} is too small to grid a sample at ({fx:g}, {fy:g})")
+        cells.setdefault((math.floor(fx / eps), math.floor(fy / eps)), []).append((fx, fy))
+
+    def core(ix, iy, fx, fy):
+        near = sum(abs(gx - fx) <= eps and abs(gy - fy) <= eps
+                   for jx in (ix - 1, ix, ix + 1) for jy in (iy - 1, iy, iy + 1)
+                   for gx, gy in cells.get((jx, jy), ()))
+        return near >= min_count
+
+    return tuple(((ix + 0.5) * eps, (iy + 0.5) * eps)
+                 for (ix, iy), samples in sorted(cells.items())
+                 if len(samples) >= min_count or any(core(ix, iy, fx, fy) for fx, fy in samples))
+
+
+def _outcome(call, *args):
+    """A call's value, or its exception's type and message."""
+    try:
+        return call(*args)
+    except (ArithmeticError, ValueError, geometry.EmptySliceError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_sample_layer_matches(f, pitch, eps, min_count=3):
+    got, want = _outcome(sample_graph, f, pitch), _outcome(_reference_sample_graph, f, pitch)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert got.points == want.points
+    assert got.xy.tobytes() == want.xy.tobytes()
+    assert (_outcome(lambda: accumulation_estimate(got, eps, min_count).candidates)
+            == _outcome(_reference_accumulation_estimate, want, eps, min_count))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(small_targets())
+def test_sample_layer_matches_reference(text):
+    """Points ==, floats bitwise and candidates == the former sampler and
+    estimate, in every passing regime, at grids 7, 64 and 128 and a pitch
+    that is not 1/M."""
+    t = parse_target_text(text)
+    for regime in _passing_regimes(text):
+        f = synthesize(t, regime, depth=6)
+        for pitch in (F(1, 7), F(1, 64), F(1, 128), F(3, 64)):
+            for min_count in (2, 3, 5):
+                _assert_sample_layer_matches(f, pitch, float(2 * pitch), min_count)
+
+
+def _with_values(text, regime, **values):
+    return dataclasses.replace(synthesize(parse_target_text(text), regime, depth=4), **values)
+
+
+def _float_ties():
+    """Net x one float apart, around a grid x and among themselves."""
+    f = _with_values("pline 0:0 1:1\n", Regime.B1, a_values={})
+    tiny = F(1, 2**80)
+    xs = [F(1, 2) + tiny, F(1, 3), F(1, 2) - tiny, F(1, 3) - tiny, F(1, 3) + 2 * tiny]
+    return dataclasses.replace(f, a_values={x: F(k) for k, x in enumerate(xs)})
+
+
+SAMPLE_LAYER_EXAMPLES = {
+    "float-ties": lambda: (_float_ties(), F(1, 64), 1 / 32),
+    # Cell keys in y pass 2^63.
+    "huge-keys": lambda: (synthesize(parse_target_text("pline 0:0 1:1e300\n"),
+                                     Regime.B2_BOUNDED, depth=4), F(1, 128), 1 / 64),
+    "huge-keys-unbounded": lambda: (synthesize(parse_target_text("pline 0:0 1:1e300\n"),
+                                               Regime.B1, depth=4), F(1, 128), 1 / 64),
+    # m is the float 2 and the slice misses [-2, 2], so n_x = 3; the band
+    # at 3 + 2^-60 misses [-3, 3] although its float is 3.
+    "integer-gap": lambda: (synthesize(parse_target_text(
+        f"pline 0:{2 + F(1, 2**60)} 1:{2 + F(1, 2**60)}\n"
+        f"pline 0:{3 + F(1, 2**60)} 1:{3 + F(1, 2**60)}\n"), Regime.B2, depth=4), F(1, 64), 1 / 32),
+    # Past 2^53 the float of m says little about ceil(m).
+    "past-2^53": lambda: (synthesize(parse_target_text(f"pline 0:{2**60 + 100} 1:{2**60 + 100}\n"),
+                                     Regime.B1, depth=4), F(1, 64), 1 / 32),
+    # Cell keys in x pass 2^53.
+    "tiny-eps": lambda: (synthesize(parse_target_text("pline 0:0 1:1\n"), Regime.B1, depth=4),
+                         F(1, 128), 2.0 ** -60),
+    "beyond-float": lambda: (synthesize(parse_target_text("hyper 0 0 1 1e307\n"), Regime.B1,
+                                        depth=4), F(1, 64), 1 / 32),
+    "empty-slice": lambda: (_with_values("pline 0:0 1:0\n", Regime.B2, target=parse_target_text(
+        "pline 0:0 1/32:0\npline 1/16:0 1:0\n")), F(1, 64), 1 / 32),
+}
+
+
+@pytest.mark.parametrize("name", SAMPLE_LAYER_EXAMPLES)
+def test_sample_layer_examples_match_reference(name, monkeypatch):
+    f, pitch, eps = SAMPLE_LAYER_EXAMPLES[name]()
+    _assert_sample_layer_matches(f, pitch, eps)
+    monkeypatch.setattr(verification, "_CHUNK", 8)  # many chunks of neighbour pairs
+    _assert_sample_layer_matches(f, pitch, eps, min_count=2)
+
+
+def test_estimate_counts_a_rounded_neighbour_key_once():
+    """At eps = 2^-53 the x keys 2^53 - 1 and 2^53 are neighbours, and
+    2^53 + 1 rounds to 2^53: three samples within eps are three, not four.
+    At eps = 2^-54, 2^54 - 1 rounds to the key 2^54 of x = 1."""
+    one = F(1) - F(1, 2**53)
+    cases = [([(one, F(0)), (one + F(1, 2**80), F(0)), (F(1), F(0))], 2.0 ** -53, 2),
+             ([(F(1) - F(1, 2**80), F(0)), (F(1), F(0))], 2.0 ** -54, 0)]
+    for points, eps, kept in cases:
+        sample = GraphSample(points)
+        for min_count in (3, 4):
+            want = _reference_accumulation_estimate(sample, eps, min_count)
+            assert accumulation_estimate(sample, eps, min_count).candidates == want
+            assert len(want) == (kept if min_count == 3 else 0)
