@@ -44,6 +44,9 @@ def golden_commands():
     # Levels of about 300 columns, each built from several blocks of balls.
     for demo in ("constant", "hyperbola", "sect6"):
         cmds.append(("strips", demo, "--regime", "b1", "--depth", "6", "--grid", "256"))
+    # CLI defaults (depth 10, grid 1024), as the benchmark's certify runs them.
+    for demo in ("sect6", "hyperbola", "constant"):
+        cmds.append(("strips", demo, "--regime", "b1"))
     cmds += [("check", MIXED.name, "--regime", regime, "--depth", "4") for regime in REGIMES]
     for regime in MIXED_PASSING:
         for sub in ("synth", "verify", "strips"):
@@ -151,6 +154,12 @@ GOLDEN = {
         "289b4a2c6b35713f7b0c7c9119f3e60281208acab4a16f4616f1dfa2d83a965e",
     "strips sect6 --regime b1 --depth 6 --grid 256":
         "5e749a94d0f5fc10b6c76fd93381051e3747fd446cb2e60088ccf9c97fc4551a",
+    "strips sect6 --regime b1":
+        "eb5521bd2337245a41dc3f59460f05f33f04a0323de69e106c7ef17224dfe2ab",
+    "strips hyperbola --regime b1":
+        "a2c1de51bdc6e7441aa6b25dc729c77b8ef2b8bb918d180b04c1859526da75ca",
+    "strips constant --regime b1":
+        "21915518378cbf8f00308b0d488db10e10a9116060cdd5928f8aa4593f1275b7",
     "check mixed_target.txt --regime b2-bounded --depth 4":
         "c642343b26edfc88835ab98bec2dd5362028fee8340e48b8124f6ad04768086f",
     "check mixed_target.txt --regime b2 --depth 4":
