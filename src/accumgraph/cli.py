@@ -92,9 +92,10 @@ def _fmt(value: float, precision: int) -> str:
 
 
 def _csv(header: str, rows: Iterable[Sequence[float]], precision: int) -> str:
-    """The header line, then one line of each row's floats."""
-    lines = [header] + [",".join([_fmt(v, precision) for v in row]) for row in rows]
-    return "\n".join(lines) + "\n"
+    """The header line, then one line of each row's floats: one %-format per
+    row, each field formatted as ``_fmt`` formats it."""
+    line = ",".join([f"%.{precision}g"] * (header.count(",") + 1))
+    return "\n".join([header] + [line % tuple(row) for row in rows]) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,16 @@ their y-ranges are the slice, and each slice question (the slice max,
 n_x, the count of extended D) is one reduction over them. The infinities
 of the extended closure's slice are ``pole_signs``.
 
-Where a piece meets a horizontal band is ``band_shadow``, read off its
-rational graphs: each is monotone, so the shadow of a band is one sub-span
-(a box's band, between flat edges, is its domain or nothing), and band
-clipping is each graph over its shadow. A box clips its own y-range.
+Where a piece meets a horizontal band is ``band_cut``, read off its
+rational graphs in integers: each is monotone, so the shadow of a band is
+one sub-span (a box's band, between flat edges, is its domain or nothing),
+its ends cut by cross-multiplication. Shadows are spans of those ends, and
+band clipping is each graph over its shadow. A box clips its own y-range.
 
 Slicing, projection and band clipping are exact; floating point is used
 only by the point-to-arc distance and by ``distance_bounds``, float bounds
-that spare callers most exact distances.
+that spare callers most exact distances. A polyline's exact distance is
+integer arithmetic over common denominators.
 """
 
 from __future__ import annotations
@@ -37,11 +39,27 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from .intervals import ONE, ZERO, RatLike, Span, XSet, rat, span_intersection
+from .intervals import ONE, ZERO, RatLike, Span, XSet, rat
 
 
 class EmptySliceError(Exception):
     """Raised when an operation needs a nonempty slice and gets none."""
+
+
+# One end of a cut: x = num/den (den > 0) and whether x is left out.
+End = Tuple[int, int, bool]
+
+
+def _ends(span: Span) -> Tuple[End, End]:
+    (a, b), (c, d) = span.lo.as_integer_ratio(), span.hi.as_integer_ratio()
+    return (a, b, span.lo_open), (c, d, span.hi_open)
+
+
+def _inner(p: End, q: End, side: int) -> End:
+    """The inner of two lower ends (side 1) or upper ends (side -1), by
+    cross-multiplication; a shared end is left out where either leaves it out."""
+    order = side * (q[0] * p[1] - p[0] * q[1])
+    return q if order > 0 else p if order < 0 else (p[0], p[1], p[2] or q[2])
 
 
 @dataclass(frozen=True)
@@ -69,15 +87,19 @@ class RationalGraph:
         return (a * lo.denominator - lo.numerator * b >= self.dom.lo_open
                 and hi.numerator * b - a * hi.denominator >= self.dom.hi_open)
 
-    def shadow(self, lo: Optional[Fraction], hi: Optional[Fraction]) -> Optional[Span]:
-        """The x of ``dom`` where lo <= y <= hi (None: no bound on that side;
-        an int bound reads as a Fraction).
+    def cut(self, lo: Optional[Fraction], hi: Optional[Fraction],
+            within: Optional[Span] = None) -> Optional[Tuple[End, End]]:
+        """The ends of the x of ``dom`` (met with ``within``) where lo <= y <= hi
+        (None: no bound on that side; an int bound reads as a Fraction), or None.
 
         y is monotone on the span and its denominator positive, so y >= theta
         (theta = tn/td) exactly where a x >= b, a = n1 td - tn d1 and
         b = tn d0 - n0 td: one side of r = b/a, or all of the span or nothing
-        where a = 0. An open pole end stays open."""
-        x0, x1 = self.dom.lo, self.dom.hi
+        where a = 0. Ends meet as ``_inner`` meets them."""
+        x0, x1 = _ends(self.dom)
+        if within is not None:
+            w0, w1 = _ends(within)
+            x0, x1 = _inner(x0, w0, 1), _inner(x1, w1, -1)
         for theta, sign in ((lo, 1), (hi, -1)):
             if theta is None:
                 continue
@@ -87,11 +109,15 @@ class RationalGraph:
             if a == 0:
                 if sign * b > 0:
                     return None
-            elif (a > 0) == (sign > 0):
-                x0 = max(x0, Fraction(b, a))
-            else:
-                x1 = min(x1, Fraction(b, a))
-        return span_intersection(self.dom, Span(x0, x1)) if x0 <= x1 else None
+                continue
+            r = (b, a, False) if a > 0 else (-b, -a, False)
+            x0, x1 = (_inner(x0, r, 1), x1) if (a > 0) == (sign > 0) else (x0, _inner(x1, r, -1))
+        order = x0[0] * x1[1] - x1[0] * x0[1]
+        return None if order > 0 or order == 0 and (x0[2] or x1[2]) else (x0, x1)
+
+    def shadow(self, lo: Optional[Fraction], hi: Optional[Fraction]) -> Optional[Span]:
+        """The x of ``dom`` where lo <= y <= hi: the span of ``cut``."""
+        return _span(self.cut(lo, hi))
 
     def piece(self, span: Span) -> Piece:
         """The graph over a sub-span of ``dom`` as a piece: a point when the
@@ -112,16 +138,21 @@ def _graph(dom: Span, n1: Fraction, n0: Fraction, d1: Fraction = ZERO,
     return RationalGraph(dom, *(c.numerator * (scale // c.denominator) for c in (n1, n0, d1, d0)))
 
 
-def band_shadow(band: Tuple[RationalGraph, RationalGraph], lo: Optional[Fraction],
-                hi: Optional[Fraction]) -> Optional[Span]:
-    """The x where the band (lower, upper) meets lo <= y <= hi (None: no
-    bound on that side). A two-graph band is a box's, flat edges on one
-    domain: it meets the range where lower <= hi, upper >= lo and lo <= hi."""
+def _span(ends: Optional[Tuple[End, End]]) -> Optional[Span]:
+    """The span between two (num, den, open) ends; None for no ends."""
+    return ends and Span(Fraction(*ends[0][:2]), Fraction(*ends[1][:2]), ends[0][2], ends[1][2])
+
+
+def band_cut(band: Tuple[RationalGraph, RationalGraph], lo: Optional[Fraction],
+             hi: Optional[Fraction], within: Optional[Span] = None) -> Optional[Tuple[End, End]]:
+    """``RationalGraph.cut`` of the band (lower, upper). A two-graph band is a
+    box's, flat edges on one domain: it meets the range where lower <= hi,
+    upper >= lo and lo <= hi."""
     lower, upper = band
     if lower is upper:
-        return lower.shadow(lo, hi)
-    met = lo is None or hi is None or lo <= hi
-    return lower.dom if met and lower.shadow(None, hi) and upper.shadow(lo, None) else None
+        return lower.cut(lo, hi, within)
+    met = (lo is None or hi is None or lo <= hi) and lower.cut(None, hi) and upper.cut(lo, None)
+    return lower.cut(None, None, within) if met else None
 
 
 # A net sample: (x, y, graph). The sample slides along its piece's graph to
@@ -164,7 +195,7 @@ def format_rational(value: Fraction) -> str:
 
 class _Piece:
     """Defaults of the piece kinds: no excluded pole, each graph its own
-    band (a box's band spans its edges; ``band_shadow`` reads either), and
+    band (a box's band spans its edges; ``band_cut`` reads either), and
     its fields as the parameters of its target-file line."""
 
     # Only an arc can leave an endpoint out of its domain.
@@ -207,7 +238,7 @@ class Point(_Piece):
         return Span(self.x, self.x)
 
     def distance(self, px: Fraction, py: Fraction) -> float:
-        return math.sqrt(float(_point_distance_sq(px, py, self.x, self.y)))
+        return math.sqrt(float((px - self.x) ** 2 + (py - self.y) ** 2))
 
     @cached_property
     def _graphs(self) -> List[RationalGraph]:
@@ -329,11 +360,27 @@ class PLine(_Piece):
         return zip(self.vertices, self.vertices[1:])
 
     def distance(self, px: Fraction, py: Fraction) -> float:
-        best = min(
-            _segment_distance_sq(px, py, xa, ya, xb, yb)
-            for (xa, ya), (xb, yb) in self.segments()
-        )
-        return math.sqrt(float(best))
+        """The float root of the least squared segment distance, exact in
+        integers: over the common denominator d s of p and the vertices, the
+        foot of p on a segment (a, b) is at t = w.e/e.e in [0, 1]
+        (w = p - a, e = b - a), or an end."""
+        d = math.lcm(px.denominator, py.denominator)
+        qx, qy = px.numerator * (d // px.denominator), py.numerator * (d // py.denominator)
+        s = math.lcm(*(c.denominator for vertex in self.vertices for c in vertex))
+        ends = [(x.numerator * (s // x.denominator), y.numerator * (s // y.denominator))
+                for x, y in self.vertices]
+        best, scale = (1, 0), (d * s) ** 2
+        for (xa, ya), (xb, yb) in zip(ends, ends[1:]):
+            wx, wy = qx * s - xa * d, qy * s - ya * d
+            ex, ey = (xb - xa) * d, (yb - ya) * d
+            dot, norm = wx * ex + wy * ey, ex * ex + ey * ey
+            if dot >= norm:
+                wx, wy = wx - ex, wy - ey
+            sq = wx * wx + wy * wy
+            got = (sq * norm - dot * dot, norm * scale) if 0 < dot < norm else (sq, scale)
+            if got[0] * best[1] < best[0] * got[1]:
+                best = got
+        return math.sqrt(best[0] / best[1])
 
     @cached_property
     def _graphs(self) -> List[RationalGraph]:
@@ -400,9 +447,7 @@ class Hyper(_Piece):
 
     @property
     def excluded_pole(self) -> Optional[Fraction]:
-        if self.pole == self.x0 or self.pole == self.x1:
-            return self.pole
-        return None
+        return self.pole if self.pole in (self.x0, self.x1) else None
 
     @property
     def side(self) -> int:
@@ -411,11 +456,8 @@ class Hyper(_Piece):
         return 1 if self.pole <= self.x0 else -1
 
     def domain(self) -> Span:
-        if self.pole == self.x0:
-            return Span(self.x0, self.x1, lo_open=True)
-        if self.pole == self.x1:
-            return Span(self.x0, self.x1, hi_open=True)
-        return Span(self.x0, self.x1)
+        """The span, open at a pole end."""
+        return Span(self.x0, self.x1, self.pole == self.x0, self.pole == self.x1)
 
     def y_at(self, x: Fraction) -> Fraction:
         return self.graphs()[0].y_at(x)
@@ -615,7 +657,7 @@ class TargetSet:
     def shadow(self, lo: Optional[Fraction], hi: Optional[Fraction]) -> XSet:
         """Exact x-projection of the band lo <= y <= hi (None: unbounded side)."""
         return XSet(s for piece in self.pieces for band in piece.bands()
-                    if (s := band_shadow(band, lo, hi)) is not None)
+                    if (s := _span(band_cut(band, lo, hi))) is not None)
 
     # -- clipping --------------------------------------------------------
 
@@ -625,10 +667,7 @@ class TargetSet:
         None on either side leaves that side unbounded. The result is again
         a TargetSet over the same piece vocabulary.
         """
-        pieces: List[Piece] = []
-        for piece in self.pieces:
-            pieces.extend(piece.clipped(ylo, yhi))
-        return TargetSet(tuple(pieces))
+        return TargetSet(tuple(p for piece in self.pieces for p in piece.clipped(ylo, yhi)))
 
     # -- distance ----------------------------------------------------------
 
@@ -791,16 +830,3 @@ def _arc_distance(a: np.ndarray, b: np.ndarray, c: np.ndarray,
         u = np.concatenate([lo, hi, u], axis=1)
         sq = np.float_power(a - u, 2) + np.float_power(b - c / u, 2)
     return np.sqrt(np.fmin.reduce(np.where(u == 0.0, np.inf, sq), axis=1))
-
-
-def _point_distance_sq(ax: Fraction, ay: Fraction, bx: Fraction, by: Fraction) -> Fraction:
-    return (ax - bx) * (ax - bx) + (ay - by) * (ay - by)
-
-
-def _segment_distance_sq(px: Fraction, py: Fraction,
-                         xa: Fraction, ya: Fraction,
-                         xb: Fraction, yb: Fraction) -> Fraction:
-    """Squared distance to a polyline segment, whose xa < xb."""
-    dx, dy = xb - xa, yb - ya
-    t = min(max(((px - xa) * dx + (py - ya) * dy) / (dx * dx + dy * dy), ZERO), ONE)
-    return _point_distance_sq(px, py, xa + t * dx, ya + t * dy)

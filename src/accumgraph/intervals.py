@@ -3,7 +3,8 @@
 ``XSet`` is a finite union of subintervals of [0, 1] with independent
 open/closed endpoint flags (isolated points are degenerate closed spans).
 It supports exact union, intersection, complement and difference within
-[0, 1]. A vertical slice of a target needs no set type: it is the union of
+[0, 1]; intersection and difference are one linear walk over the sorted
+spans. A vertical slice of a target needs no set type: it is the union of
 the band ranges that ``TargetSet.bands_at`` returns.
 
 All endpoints are ``fractions.Fraction``; no floating point enters the set
@@ -230,8 +231,17 @@ class XSet:
         return XSet(gaps)
 
     def intersection(self, other: "XSet") -> "XSet":
-        return XSet(got for a in self.spans for b in other.spans
-                    if (got := span_intersection(a, b)) is not None)
+        """One walk over both span lists, past whichever span ends first. A
+        normalized set's spans are its maximal connected parts, so the meets
+        of span pairs, taken in order, are already normalized."""
+        a, b, got, i, j = self.spans, other.spans, [], 0, 0
+        while i < len(a) and j < len(b):
+            if (meet := span_intersection(a[i], b[j])) is not None:
+                got.append(meet)
+            i, j = (i + 1, j) if a[i].hi <= b[j].hi else (i, j + 1)
+        out = XSet()
+        object.__setattr__(out, "spans", tuple(got))
+        return out
 
     __and__ = intersection
 

@@ -22,8 +22,9 @@ Each radius is the least of its level's terms, shrunk, in exact rationals;
 floats only pick the binding term (see ``_Radii``). The overlap term comes
 from monotone inverse images: each rational graph of a piece is monotone on
 its span, so the x where it meets the band {y >= f0(x) + 1/n} (capped at the
-level band in the unbounded case) is one sub-span, cut with one division per
-bound, met with one span of the center's own level part.
+level band in the unbounded case), within one span of the center's own
+level part, is one sub-span whose integer ends (``band_cut``) are compared
+and measured from x by cross-multiplication.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import Piece, RationalGraph, band_shadow, float_range, value_floats
-from .intervals import ONE, ZERO, RatLike, Span, rat, span_intersection
+from .geometry import Piece, RationalGraph, band_cut, float_range, value_floats
+from .intervals import ONE, ZERO, RatLike, Span, rat
 from .synthesis import SynthFunction
 
 
@@ -205,14 +206,17 @@ class _Radii:
     overlap shadow met with a span of its level part (terms 3 on). Taken in
     rising float lower bounds, a term is computed exactly only while its
     bound is not above the least exact term so far: each radius is still
-    the least exact term of its level, 1/n and the previous radius.
+    the least exact term of its level, 1/n and the previous radius. An
+    overlap term is integers until it lowers the bound: the cut's ends over
+    their own denominators, and its distance to x as num/den, compared with
+    the bound by cross-multiplication; only a lower one becomes a Fraction.
 
     The float tables are built once: the levels' points and spans, and per
     band of the target the coefficients of its upper graph (for y >= theta_n)
-    and lower graph (for y <= k_x), its domain and its exact shadow. In the
-    unbounded regimes the overlap terms read only y in [-k_x, k_x], so only
-    the bands that meet y in [-cap, cap] are kept, cap the largest k_x of the
-    backbone columns (None: no backbone column, no band).
+    and lower graph (for y <= k_x) and its domain. In the unbounded regimes
+    the overlap terms read only y in [-k_x, k_x], so only the bands that meet
+    y in [-cap, cap] are kept, cap the largest k_x of the backbone columns
+    (None: no backbone column, no band).
     """
 
     def __init__(self, f: SynthFunction, cap: Optional[int]):
@@ -230,7 +234,7 @@ class _Radii:
         self.sep_spans = {"A": [_span_floats(dn.spans) for dn in self.d_levels],
                           "B": [_span_floats([w]) for w in self.w_parts], "C": []}
         bands = [(piece, band) for piece in f.target.pieces for band in piece.bands()
-                 if not unbounded or cap is not None and band_shadow(band, -cap, cap)]
+                 if not unbounded or cap is not None and band_cut(band, -cap, cap)]
         self.bands = [band for _, band in bands]
         # Per band: its domain, then (n1, n0, d1, d0) of its lower and of its
         # upper graph.
@@ -299,14 +303,14 @@ class _Radii:
         from the lower bounds and term numbers of each level."""
         row: List[Fraction] = []
         prev: Optional[Fraction] = None
+        xn, xd = x.numerator, x.denominator
         for i, inv in enumerate(self.inv):
             n = i + 1
             # A term first read at level m is at least that level's unshrunk
             # bound, hence above prev: only level n's own terms can lower it.
             bound = prev if prev is not None and prev < inv else inv
             limit = float(bound) * _ABOVE
-            band: Optional[Tuple[Fraction, Optional[Fraction]]] = None
-            shadows: Dict[int, Optional[Span]] = {}
+            band: Optional[Tuple[Fraction, Optional[int]]] = None
             for lower, j in zip(bounds[i], terms[i]):
                 if lower > limit:
                     break
@@ -329,15 +333,18 @@ class _Radii:
                     # band of the target, in one span of the level part.
                     e, v = self.pairs(kx)[3][j - 3]
                     if band is None:
-                        cap = None if kx is None else Fraction(kx)
-                        band = (fx + inv if cap is None else max(fx + inv, -cap)), cap
-                    if e not in shadows:
-                        shadows[e] = band_shadow(self.bands[e], *band)
-                    cut = span_intersection(shadows[e], v) if shadows[e] else None
-                    term = cut.distance_to(x) if cut else None
-                    if term == 0:
+                        band = (fx + inv, None) if kx is None else (max(fx + inv, -kx), kx)
+                    if (cut := band_cut(self.bands[e], *band, v)) is None:
+                        continue
+                    # Its distance to x, num/den: a Fraction only below the bound.
+                    (n0, d0, _), (n1, d1, _) = cut
+                    num, den = ((n0 * xd - xn * d0, d0 * xd) if xn * d0 < n0 * xd
+                                else (max(xn * d1 - n1 * xd, 0), d1 * xd))
+                    if num == 0:
                         raise ScheduleInfeasibleError(
                             f"overlap condition unsatisfiable at center {x}, level {n}")
+                    lowers = num * bound.denominator < bound.numerator * den
+                    term = Fraction(num, den) if lowers else None
                 if term is not None and term < bound:
                     bound = term
                     limit = float(bound) * _ABOVE

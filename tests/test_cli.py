@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, piping, determinism."""
 
 import io
+import math
 import sys
 import time
 from fractions import Fraction
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from accumgraph.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, build_parser, main
+from accumgraph.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, _csv, build_parser, main
 from accumgraph.conditions import Regime
 from accumgraph.demos import DEMO_NAMES
 
@@ -172,6 +173,23 @@ def test_verify_candidates_csv(tmp_path, capsys, monkeypatch):
     lines = out_path.read_text().splitlines()
     assert lines[0] == "x,y"
     assert len(lines) > 4
+
+
+@pytest.mark.parametrize("precision", [0, 1, 6, 17, 40])
+def test_csv_rows_match_per_value_format(precision):
+    """One %-format per row writes the bytes of formatting each value on its
+    own: infinities, nan, -0.0, subnormals and values at float range ends."""
+    values = [0.0, -0.0, 1.0, -2.5, 0.1, 1 / 3, 1e16, 123456789.0, 1e-5, 1e300, -1e-300,
+              5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, math.inf, -math.inf,
+              math.nan]
+    rows = [tuple(values[i:i + 3] + values[:max(0, i + 3 - len(values))])
+            for i in range(len(values))]
+    expected = "\n".join(["x,lo,hi"] + [",".join(f"{v:.{precision}g}" for v in row)
+                                         for row in rows]) + "\n"
+    assert _csv("x,lo,hi", rows, precision) == expected
+    assert _csv("x,y", [list(row[:2]) for row in rows], precision) == "\n".join(
+        ["x,y"] + [",".join(f"{v:.{precision}g}" for v in row[:2]) for row in rows]) + "\n"
+    assert _csv("x,y", [], precision) == "x,y\n"
 
 
 def test_unknown_regime_rejected(capsys, monkeypatch):

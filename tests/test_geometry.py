@@ -25,9 +25,10 @@ from accumgraph.geometry import (
     PLine,
     Point,
     TargetSet,
+    band_cut,
 )
 from accumgraph.conditions import TargetAnalysis
-from accumgraph.intervals import XSet
+from accumgraph.intervals import Span, XSet, span_intersection
 from accumgraph.synthesis import backbone
 
 
@@ -716,6 +717,83 @@ def test_slice_matches_oracle(pieces, x):
         else:
             assert dist_to_slice(v) < 1e-9
     assert t.x_projection().contains(x) == bool(got)
+
+
+def _reference_shadow(graph, lo, hi):
+    """The Fraction rule of ``RationalGraph.shadow``: each bound moves one
+    end to r = b/a as a Fraction, and the result is the domain met with the
+    closed span between the ends."""
+    x0, x1 = graph.dom.lo, graph.dom.hi
+    for theta, sign in ((lo, 1), (hi, -1)):
+        if theta is None:
+            continue
+        tn, td = theta.numerator, theta.denominator
+        a, b = graph.n1 * td - tn * graph.d1, tn * graph.d0 - graph.n0 * td
+        if a == 0:
+            if sign * b > 0:
+                return None
+        elif (a > 0) == (sign > 0):
+            x0 = max(x0, F(b, a))
+        else:
+            x1 = min(x1, F(b, a))
+    return span_intersection(graph.dom, Span(x0, x1)) if x0 <= x1 else None
+
+
+def _reference_band_shadow(band, lo, hi):
+    lower, upper = band
+    if lower is upper:
+        return _reference_shadow(lower, lo, hi)
+    met = lo is None or hi is None or lo <= hi
+    keep = met and _reference_shadow(lower, None, hi) and _reference_shadow(upper, lo, None)
+    return lower.dom if keep else None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(random_pieces(), st.data())
+def test_shadow_matches_the_fraction_rule(piece, data):
+    """The integer cut of every graph and band equals the Fraction rule: on
+    open pole ends, flat graphs (a = 0) and degenerate domains, with either
+    bound None and bounds at the y of a domain end, where r is that end."""
+    for band in piece.bands():
+        ys = [g.y_at(e) for g in band for e in (g.dom.lo, g.dom.hi) if g.dom.contains(e)]
+        bound = st.one_of(st.none(), st.sampled_from(ys),
+                          st.builds(F, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4])))
+        lo, hi = data.draw(bound), data.draw(bound)
+        for g in band:
+            assert g.shadow(lo, hi) == _reference_shadow(g, lo, hi), (g, lo, hi)
+        expected = _reference_band_shadow(band, lo, hi)
+        assert geometry._span(band_cut(band, lo, hi)) == expected, (band, lo, hi)
+        assert TargetSet((piece,)).shadow(lo, hi) == XSet(
+            s for b in piece.bands() if (s := _reference_band_shadow(b, lo, hi)) is not None)
+
+
+def _reference_pline_distance(pline, px, py):
+    """The Fraction rule: each segment's foot point clamped in Fractions,
+    then the float root of the least squared distance."""
+    best = None
+    for (xa, ya), (xb, yb) in pline.segments():
+        dx, dy = xb - xa, yb - ya
+        t = min(max(((px - xa) * dx + (py - ya) * dy) / (dx * dx + dy * dy), F(0)), F(1))
+        sq = (px - xa - t * dx) ** 2 + (py - ya - t * dy) ** 2
+        best = sq if best is None else min(best, sq)
+    return math.sqrt(float(best))
+
+
+unit_rat = st.builds(F, st.integers(0, 30), st.integers(1, 30)).filter(lambda v: v <= 1)
+any_rat = st.builds(F, st.integers(-60, 60), st.integers(1, 24))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sets(unit_rat, min_size=2, max_size=4), st.lists(any_rat, min_size=4, max_size=4),
+       unit_rat | any_rat, any_rat)
+def test_pline_distance_matches_the_fraction_rule(xs, ys, px, py):
+    """The integer segment distance takes the float root of the same exact
+    value, on the line, at the ends and off both ends."""
+    pline = PLine(tuple(zip(sorted(xs), ys)))
+    points = [(px, py)] + [(x, y) for x, y in pline.vertices]
+    points += [((xa + xb) / 2, (ya + yb) / 2) for (xa, ya), (xb, yb) in pline.segments()]
+    for x, y in points:
+        assert pline.distance(x, y) == _reference_pline_distance(pline, x, y), (pline, x, y)
 
 
 # ---------------------------------------------------------------------------

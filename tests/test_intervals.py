@@ -141,6 +141,40 @@ def test_span_intersection_matches_xset(a, b):
     assert (XSet([got]) if got is not None else XSet.empty()) == expected
 
 
+# Ends on a grid of eighths, so spans of two sets often share an end with
+# the same or the other openness.
+eighths = st.integers(0, 8).map(lambda k: F(k, 8))
+
+
+@st.composite
+def coarse_spans(draw):
+    lo, hi = sorted([draw(eighths), draw(eighths)])
+    if lo == hi:
+        return Span(lo, hi)
+    return Span(lo, hi, draw(st.booleans()), draw(st.booleans()))
+
+
+coarse_xsets = st.lists(coarse_spans(), max_size=6).map(XSet)
+
+
+def _reference_intersection(a, b):
+    """The all-pairs rule: every pair of spans met, then normalized."""
+    return XSet(got for s in a.spans for t in b.spans
+                if (got := span_intersection(s, t)) is not None)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(coarse_xsets | xsets, coarse_xsets | xsets)
+def test_intersection_matches_all_pairs(a, b):
+    """The linear walk equals the all-pairs rule, is normalized as built,
+    and so is the difference through it: on points, empty sets and equal
+    ends with mixed openness."""
+    got = a & b
+    assert got == _reference_intersection(a, b)
+    assert got.spans == XSet(got.spans).spans
+    assert a - b == _reference_intersection(a, b.complement())
+
+
 def test_distance_to_closure():
     s = XSet.interval(F(1, 4), F(1, 2), lo_open=True)
     assert s.distance_to(F(1, 4)) == 0  # closure distance

@@ -14,18 +14,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from accumgraph import conditions
+from accumgraph import conditions, geometry
 from accumgraph.cli import EXIT_OK, main
 from accumgraph.conditions import Regime, TargetAnalysis, check_regime
 from accumgraph.demos import demo_c_order, demo_set, sect6_c_order
-from accumgraph.geometry import Box, Hyper, PLine, Point, TargetSet
+from accumgraph.geometry import Box, Hyper, PLine, Point, TargetSet, band_cut
+from accumgraph.intervals import Span, span_intersection
 from accumgraph.strips import (
     _SHRINK,
     _WIDTH_TOL,
     EpsilonSchedule,
+    ScheduleInfeasibleError,
     StripLevel,
     StripLevelReport,
     _own_chord_covers,
+    _Radii,
     build_strip,
     build_strip_family,
     epsilon_schedule,
@@ -343,6 +346,57 @@ def test_filter_keeps_flat_shadow_at_band_edge(regime, level, slope):
     else:
         piece = PLine(((c - 2 * d, h), (c - d, h)))
     _assert_radius(TargetSet((_BASE, piece)), regime, c, level, d)
+
+
+sixteenths = st.integers(0, 16).map(lambda k: F(k, 16))
+heights = st.builds(F, st.integers(-8, 8), st.sampled_from([1, 2, 4]))
+
+
+@st.composite
+def overlap_cuts(draw):
+    """A band of one piece on a grid of sixteenths, bounds of the overlap
+    band (either may be None) and a span of a level part."""
+    a, b = sorted(draw(st.lists(sixteenths, min_size=2, max_size=2, unique=True)))
+    kind = draw(st.sampled_from(["segment", "arc", "box", "point"]))
+    if kind == "segment":
+        piece = PLine(((a, draw(heights)), (b, draw(heights))))
+    elif kind == "arc":
+        piece = Hyper(draw(st.sampled_from([a, b])), a, b, draw(st.sampled_from([F(-1, 4), F(1)])))
+    elif kind == "box":
+        piece = Box(a, b, *sorted([draw(heights), draw(heights)]))
+    else:
+        piece = Point(a, draw(heights))
+    lo, hi = sorted([draw(sixteenths), draw(sixteenths)])
+    span = Span(lo, hi) if lo == hi else Span(lo, hi, draw(st.booleans()), draw(st.booleans()))
+    bound = st.none() | heights
+    return piece.bands()[0], draw(bound), draw(bound), span
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(overlap_cuts())
+def test_cut_within_a_span_matches_span_algebra(case):
+    """The integer cut of a band within a span of a level part, as the
+    overlap terms take it, equals the band shadow met with the span by
+    ``span_intersection``: on shared ends with mixed openness, degenerate
+    spans and open pole ends."""
+    band, lo, hi, span = case
+    shadow = geometry._span(band_cut(band, lo, hi))
+    meet = span_intersection(shadow, span) if shadow else None
+    assert geometry._span(band_cut(band, lo, hi, span)) == meet, case
+
+
+@pytest.mark.parametrize("regime", [Regime.B1_BOUNDED, Regime.B1])
+def test_overlap_cut_at_distance_zero_is_infeasible(regime):
+    """f0 given far below the graph at a backbone center puts the center's
+    own graph point in its overlap band: the cut holds x, at distance 0."""
+    f = synthesize(TargetSet((_BASE,)), regime, depth=3)
+    kind, _, kx = f.column(_C)
+    assert kind == "B"
+    fx = F(-5)
+    radii = _Radii(f, kx)
+    bounds, terms = next(radii.lower_bounds(kind, kx, [_C], [fx]))
+    with pytest.raises(ScheduleInfeasibleError, match="overlap condition unsatisfiable"):
+        radii.row(_C, kind, fx, kx, bounds, terms)
 
 
 def test_schedule_completes_columns():
