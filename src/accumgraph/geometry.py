@@ -35,7 +35,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import cached_property
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -187,6 +188,20 @@ def _dyadic_nodes(size: Fraction, pitch: Fraction, y0: Fraction = ZERO, dy: Frac
 # ---------------------------------------------------------------------------
 
 
+# Probes per side of a box's tile and per run of a curve's probes. Blocks of
+# probes: their boxes' lower and upper corners, one row a block, and a
+# function from a block's row to its probes.
+_TILE, _RUN = 16, 32
+ProbeBlocks = Tuple[np.ndarray, np.ndarray, Callable[[int], np.ndarray]]
+
+
+def _grid(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Every point (x, y) of the two axes, x-major."""
+    grid = np.empty((len(xs), len(ys), 2))
+    grid[:, :, 0], grid[:, :, 1] = xs[:, None], ys
+    return grid.reshape(-1, 2)
+
+
 def format_rational(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
@@ -219,6 +234,15 @@ class _Piece:
         """The piece cut to the band ylo <= y <= yhi: each graph over its
         shadow."""
         return [g.piece(s) for g in self.graphs() if (s := g.shadow(ylo, yhi)) is not None]
+
+    def probe_blocks(self, pitch: float) -> ProbeBlocks:
+        """The float probes in runs of ``_RUN``: each run's bounding box and
+        its probes. Consecutive probes of a curve are neighbours on it, so a
+        run's box is small."""
+        probes = self.probes(pitch)
+        starts = np.arange(0, len(probes), _RUN)
+        return (np.minimum.reduceat(probes, starts), np.maximum.reduceat(probes, starts),
+                lambda k: probes[k * _RUN:(k + 1) * _RUN])
 
 
 @dataclass(frozen=True)
@@ -282,8 +306,8 @@ class Box(_Piece):
         return []
 
     def distance(self, px: Fraction, py: Fraction) -> float:
-        dx = max(self.x0 - px, ZERO, px - self.x1)
-        dy = max(self.y0 - py, ZERO, py - self.y1)
+        dx = self.x0 - px if px < self.x0 else px - self.x1 if px > self.x1 else ZERO
+        dy = self.y0 - py if py < self.y0 else py - self.y1 if py > self.y1 else ZERO
         return math.sqrt(float(dx * dx + dy * dy))
 
     @cached_property
@@ -299,14 +323,22 @@ class Box(_Piece):
         edges = self.graphs()
         return [(edges[0], edges[-1])]
 
-    def probes(self, pitch: float) -> np.ndarray:
+    def probe_blocks(self, pitch: float) -> ProbeBlocks:
+        """The probe grid (nx + 1 by ny + 1 points spanning the box, at most
+        the pitch apart) in square tiles of ``_TILE`` by ``_TILE``. Its axes
+        are monotone, so a tile's box is the ends of its axis slices, and its
+        probes are built from those slices only when asked for."""
         x0, x1 = float(self.x0), float(self.x1)
         y0, y1 = float(self.y0), float(self.y1)
         nx = max(1, math.ceil((x1 - x0) / pitch))
         ny = max(1, math.ceil((y1 - y0) / pitch))
         xs = x0 + (x1 - x0) * np.arange(nx + 1) / nx
         ys = y0 + (y1 - y0) * np.arange(ny + 1) / ny
-        return np.column_stack((np.repeat(xs, ny + 1), np.tile(ys, nx + 1)))
+        ends = [a[np.minimum(np.arange(_TILE, len(a) + _TILE, _TILE), len(a)) - 1]
+                for a in (xs, ys)]
+        m = len(ends[1])  # tiles k = i m + j: x slice i, y slice j
+        return (_grid(xs[::_TILE], ys[::_TILE]), _grid(*ends),
+                lambda k: _grid(xs[k // m * _TILE:][:_TILE], ys[k % m * _TILE:][:_TILE]))
 
     def net_samples(self, n: int, grid_pitch: Fraction,
                     curve_spacing: Fraction) -> List[NetSample]:
@@ -724,9 +756,12 @@ class TargetSet:
         p = (x, y) of ``points``: a piece's float distance d (a closed form,
         or ``_arc_distance``) widened by 1e-9 (1 + d + |y| + its size), the
         allowance 1e-9 (1 + d) of distance_to plus room to round large
-        coordinates. A gap bounds a piece from below: an arc's quartic runs
-        only where its gap is below the hi from the closed forms and each
-        arc's point at x (or its end on that side); elsewhere the gap counts."""
+        coordinates. Where an arc's c c underflows, ``_arc_distance`` reads it
+        off its asymptote rays, which it lies within sqrt|c| < 1e-77 of, far
+        inside the allowance. A gap bounds a piece from below: an arc's
+        quartic runs only where its gap is below the hi from the closed forms
+        and each arc's point at x (or its end on that side), and y c and c c
+        are finite; elsewhere the gap counts."""
         reach, size, boxes, segments, arcs = self._float_pieces
         x, y = points[:, :1], points[:, 1:]
         slack = 1e-9 * (1.0 + np.abs(y) + size)
@@ -808,14 +843,20 @@ def _float_reach(piece: Piece) -> Tuple[float, float, float, float]:
 def _arc_distance(a: np.ndarray, b: np.ndarray, c: np.ndarray,
                   u_lo: np.ndarray, u_hi: np.ndarray) -> np.ndarray:
     """Float distance from each (a, b) to its arc y = c/u, u_lo <= u <= u_hi,
-    in u = x - pole: the least over the finite ends and the stationary points
+    in u = x - pole: the least over the finite ends, the arc's points at the
+    probe's x and y (u = a and u = c/b, clamped) and the stationary points
     of (u - a)^2 + (b - c/u)^2, the roots of u^4 - a u^3 + b c u - c^2, each
     an eigenvalue of the ``np.roots`` companion matrix, polished by 3 Newton
-    steps and clamped to the u-range. Every candidate lies on the arc, so
-    spurious ones cannot lower the minimum; u = 0, an excluded pole end, is
-    left out. Squares take libm's pow, as Python's ``**`` does (it can round
-    off x * x); a row's value does not depend on the other rows."""
-    bc, cc = b * c, c * c
+    steps and clamped to the u-range. Where c c or b c leaves float range
+    the quartic is lost (dropped on overflow), but the arc then hugs its
+    asymptote rays, whose nearest points are the points at x and y. Every
+    candidate lies on the arc, so spurious ones cannot lower the minimum;
+    u = 0, an excluded pole end, is left out. Squares take libm's pow, as
+    Python's ``**`` does (it can round off x * x); a row's value does not
+    depend on the other rows."""
+    with np.errstate(all="ignore"):
+        bc, cc = b * c, c * c
+    bc, cc = (np.where(np.isfinite(bc) & np.isfinite(cc), v, 0.0) for v in (bc, cc))
     comp = np.zeros((a.shape[0], 4, 4))
     comp[:, 0] = np.column_stack([a, np.full_like(a, -0.0), -bc, cc])
     comp[:, [1, 2, 3], [0, 1, 2]] = 1.0
@@ -827,6 +868,6 @@ def _arc_distance(a: np.ndarray, b: np.ndarray, c: np.ndarray,
             slope = ((4.0 * u - 3.0 * a) * u) * u + bc
             step = np.minimum(np.maximum(u - ((((u - a) * u) * u + bc) * u - cc) / slope, lo), hi)
             u = np.where(slope == 0.0, u, step)
-        u = np.concatenate([lo, hi, u], axis=1)
+        u = np.concatenate([lo, hi, np.clip(np.concatenate([a, c / b], axis=1), lo, hi), u], axis=1)
         sq = np.float_power(a - u, 2) + np.float_power(b - c / u, 2)
     return np.sqrt(np.fmin.reduce(np.where(u == 0.0, np.inf, sq), axis=1))

@@ -161,6 +161,13 @@ class XSet:
         return cls(())
 
     @classmethod
+    def _normalized(cls, spans: Iterable[Span]) -> "XSet":
+        """Spans already normalized, kept as they come: no sort, no merge."""
+        out = cls()
+        object.__setattr__(out, "spans", tuple(spans))
+        return out
+
+    @classmethod
     def point(cls, x: RatLike) -> "XSet":
         x = rat(x)
         return cls((Span(x, x),))
@@ -216,19 +223,14 @@ class XSet:
     __or__ = union
 
     def complement(self) -> "XSet":
-        """Complement within [0, 1]."""
-        gaps: list[Span] = []
-        cursor = ZERO
-        cursor_open = False  # whether `cursor` itself is excluded from the gap
-        for s in self.spans:
-            gap = _make_span(cursor, s.lo, cursor_open, not s.lo_open)
-            if gap is not None:
-                gaps.append(gap)
-            cursor, cursor_open = s.hi, not s.hi_open
-        tail = _make_span(cursor, ONE, cursor_open, False)
-        if tail is not None:
-            gaps.append(tail)
-        return XSet(gaps)
+        """Complement within [0, 1]: the gaps between 0, the spans and 1. The
+        gaps of a normalized set are sorted, and a point span keeps its two
+        neighbours apart (both open at it), so they are normalized too."""
+        ends = [(ZERO, False), *((e, not e_open) for s in self.spans
+                                 for e, e_open in ((s.lo, s.lo_open), (s.hi, s.hi_open))),
+                (ONE, False)]
+        return XSet._normalized(gap for (lo, lo_open), (hi, hi_open) in zip(ends[::2], ends[1::2])
+                                if (gap := _make_span(lo, hi, lo_open, hi_open)) is not None)
 
     def intersection(self, other: "XSet") -> "XSet":
         """One walk over both span lists, past whichever span ends first. A
@@ -239,9 +241,7 @@ class XSet:
             if (meet := span_intersection(a[i], b[j])) is not None:
                 got.append(meet)
             i, j = (i + 1, j) if a[i].hi <= b[j].hi else (i, j + 1)
-        out = XSet()
-        object.__setattr__(out, "spans", tuple(got))
-        return out
+        return XSet._normalized(got)
 
     __and__ = intersection
 

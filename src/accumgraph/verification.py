@@ -29,7 +29,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .geometry import TargetSet, quotient_float, value_floats
+from .geometry import ProbeBlocks, TargetSet, quotient_float, value_floats
 from .intervals import RatLike, rat
 from .synthesis import SynthFunction, backbone_at
 
@@ -163,22 +163,15 @@ def accumulation_estimate(sample: GraphSample, eps: float,
 # ---------------------------------------------------------------------------
 
 
-def probe_points(target: TargetSet, pitch: float) -> np.ndarray:
-    """Float probe net over the target's pieces at roughly the given pitch."""
-    if target.is_empty:
-        return np.empty((0, 2))
-    return np.concatenate([piece.probes(pitch) for piece in target.pieces])
-
-
 # The most probes one backward distance may take: 32 times the most a demo
 # takes (the unit square at the default eps, 1025^2 probes).
 _PROBE_BUDGET = 1 << 25
 
 
 def _probe_count(target: TargetSet, pitch: float) -> float:
-    """About as many probes as ``probe_points`` makes, without making any:
-    a box's grid, and each graph's width plus y-travel (its ends are finite
-    and it is monotone) over the pitch."""
+    """About as many probes as the pieces' ``probe_blocks`` hold, without
+    making any: a box's grid, and each graph's width plus y-travel (its ends
+    are finite and it is monotone) over the pitch."""
     total = 0.0
     for piece in target.pieces:
         for lower, upper in piece.bands():
@@ -192,59 +185,63 @@ def _probe_count(target: TargetSet, pitch: float) -> float:
 
 
 # Elements of one probe x candidate distance array.
-_CHUNK = 1 << 18
+_CHUNK = 1 << 15
+
+# Blocks in the backward sweep's first batch, and the factor each next batch
+# grows by.
+_BATCH, _GROWTH = 4, 2
 
 
-def _nearest(points: np.ndarray, cands: np.ndarray) -> np.ndarray:
-    """Each point's float distance to its nearest candidate, in row chunks."""
-    rows = max(1, _CHUNK // cands.shape[0])
-    out = np.empty(points.shape[0])
-    for start in range(0, points.shape[0], rows):
-        block = points[start:start + rows]
-        dx = block[:, 0:1] - cands[None, :, 0]
-        dy = block[:, 1:2] - cands[None, :, 1]
-        out[start:start + rows] = np.sqrt(dx * dx + dy * dy).min(axis=1)
-    return out
+def _backward(blocks: List[ProbeBlocks], cands: np.ndarray) -> float:
+    """max over the blocks' probes of the distance to the nearest candidate,
+    equal to the dense sweep bit for bit.
 
-
-def _backward(probes: np.ndarray, cands: np.ndarray, side: float) -> float:
-    """max over probes of the distance to the nearest candidate, equal to
-    the dense sweep bit for bit.
-
-    Probes are grouped into blocks of the given side. A block's bound U is
-    the least distance from a candidate to the block's farthest bounding-box
-    corner; blocks are visited by falling U until U is at most the running
-    maximum, and inside a block only candidates with bounding-box gap at most
-    U are compared. Float subtraction, squaring, addition and sqrt are
-    monotone, so both bounds hold for the rounded distances too.
+    A block's bound U is the least distance from a candidate to its farthest
+    bounding-box corner. Blocks are visited by falling U, in growing batches,
+    until U is at most the running maximum: no probe left can raise it, and
+    none is built. Nor can a probe within the maximum of the candidate that
+    gives U; the others meet the candidates with gap at most U to their
+    block's box, in (probe, candidate) pair arrays of about ``_CHUNK``, and
+    ``np.minimum.reduceat`` takes each probe's nearest. Float subtraction,
+    squaring, addition and sqrt are monotone, so the bounds hold for the
+    rounded distances too.
     """
-    # Any grouping keeps the result exact (the bounds hold for any probe
-    # set); square blocks only make them tight.
-    cell = np.floor(probes / side).astype(np.int64)
-    cell -= cell.min(axis=0)
-    key = cell[:, 0] * (cell[:, 1].max() + 1) + cell[:, 1]
-    order = np.argsort(key, kind="stable")
-    probes, key = probes[order], key[order]
-    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    lo = np.minimum.reduceat(probes, starts)
-    hi = np.maximum.reduceat(probes, starts)
-    cx, cy = cands[:, 0], cands[:, 1]
-    bound = np.empty(starts.shape[0])
-    rows = max(1, _CHUNK // cands.shape[0])
-    for s in range(0, starts.shape[0], rows):
+    lo, hi = (np.concatenate([part[side] for part in blocks]) for side in (0, 1))
+    first = np.cumsum([0, *(len(part[0]) for part in blocks)])
+    (cx, cy), rows = cands.T, max(1, _CHUNK // len(cands))
+    far, arg = np.empty(len(lo)), np.empty(len(lo), dtype=np.int64)
+    for s in range(0, len(lo), rows):
         # The farthest corner's offsets: -fl(a - b) == fl(b - a).
         fx = np.maximum(hi[s:s + rows, 0:1] - cx, cx - lo[s:s + rows, 0:1])
         fy = np.maximum(hi[s:s + rows, 1:2] - cy, cy - lo[s:s + rows, 1:2])
-        bound[s:s + rows] = np.sqrt((fx * fx + fy * fy).min(axis=1))
-    ends = np.r_[starts[1:], probes.shape[0]]
-    best = 0.0
-    for b in np.argsort(-bound, kind="stable"):
-        if bound[b] <= best:
-            break
-        gx = np.maximum(np.maximum(lo[b, 0] - cx, 0.0), cx - hi[b, 0])
-        gy = np.maximum(np.maximum(lo[b, 1] - cy, 0.0), cy - hi[b, 1])
-        near = cands[np.sqrt(gx * gx + gy * gy) <= bound[b]]
-        best = max(best, float(_nearest(probes[starts[b]:ends[b]], near).max()))
+        f = fx * fx + fy * fy
+        arg[s:s + rows] = j = f.argmin(axis=1)
+        far[s:s + rows] = f[np.arange(len(j)), j]
+    bound = np.sqrt(far)
+    order = np.argsort(-bound, kind="stable")
+    best, done, size = 0.0, 0, _BATCH
+    while done < len(order) and bound[order[done]] > best:
+        batch = order[done:done + size]
+        batch, done, size = batch[bound[batch] > best], done + size, min(size * _GROWTH, rows)
+        part = np.searchsorted(first, batch, side="right") - 1
+        probes = [blocks[p][2](b - first[p]) for p, b in zip(part.tolist(), batch.tolist())]
+        owner = np.repeat(np.arange(len(batch)), [len(block) for block in probes])
+        probes = np.concatenate(probes)
+        d = probes - cands[arg[batch][owner]]
+        live = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) > best
+        probes, owner = probes[live], owner[live]
+        gx = np.maximum(np.maximum(lo[batch, 0:1] - cx, 0.0), cx - hi[batch, 0:1])
+        gy = np.maximum(np.maximum(lo[batch, 1:2] - cy, 0.0), cy - hi[batch, 1:2])
+        row, near = np.nonzero(gx * gx + gy * gy <= far[batch, None])
+        count = np.bincount(row, minlength=len(batch))
+        start, step = np.cumsum(count) - count, max(1, _CHUNK // int(count.max()))
+        for s in range(0, len(probes), step):
+            n = count[owner[s:s + step]]
+            at = np.cumsum(n) - n
+            d = np.repeat(probes[s:s + step], n, axis=0) - cands[
+                near[np.repeat(start[owner[s:s + step]] - at, n) + np.arange(at[-1] + n[-1])]]
+            d *= d
+            best = max(best, float(np.sqrt(np.minimum.reduceat(d[:, 0] + d[:, 1], at)).max()))
     return best
 
 
@@ -254,9 +251,10 @@ def hausdorff_to_target(est: AccumulationEstimate, target: TargetSet,
 
     Forward: candidates whose cells overlap the band against the target.
     Backward: probes at pitch eps/2 on the banded target against the
-    candidates, in probe blocks of side 8 eps (see ``_backward``); infinity
-    when the target part is nonempty but no candidate exists. An eps needing
-    more probes than a fixed budget is a ValueError, before any is built.
+    candidates, in each piece's ``probe_blocks``, of which only those that
+    can raise the maximum are built (see ``_backward``); infinity when the
+    target part is nonempty but no candidate exists. An eps needing more
+    probes than a fixed budget is a ValueError, before any is built.
     """
     if y_cap <= 0:
         raise ValueError("y_cap must be positive")
@@ -278,12 +276,12 @@ def hausdorff_to_target(est: AccumulationEstimate, target: TargetSet,
             break
         d_forward = max(d_forward, target.distance_to((rat(cands[i][0]), rat(cands[i][1]))))
 
-    probes = probe_points(banded, est.eps / 2)
-    if probes.shape[0] == 0:
+    if banded.is_empty:
         return d_forward, 0.0
     if not cands:
         return d_forward, math.inf
-    return d_forward, _backward(probes, np.array(cands), 8 * est.eps)
+    return d_forward, _backward([p.probe_blocks(est.eps / 2) for p in banded.pieces],
+                                np.array(cands))
 
 
 # ---------------------------------------------------------------------------

@@ -128,17 +128,31 @@ def test_steep_polylines_synthesize_and_verify(slope, capsys, monkeypatch):
 
 @pytest.mark.parametrize("text, codes", [
     ("hyper 1 0 1 1e-30", (EXIT_OK, EXIT_FAIL)),
-    ("hyper 0 0 1 1e-300", (EXIT_OK, EXIT_FAIL)),
+    ("hyper 0 0 1 1e-300", (EXIT_OK,)),
     ("hyper 0 0 1 1e-60", (EXIT_OK,)),
 ], ids=["end-on-pole", "slope-underflow", "steep-crossing"])
 def test_tiny_arcs_verify(text, codes, capsys, monkeypatch):
     """verify reports on arcs of tiny coefficient: a banded arc whose float
     end rounds onto its pole, or whose squared gap to it underflows, gets its
     probes without a ZeroDivisionError, and a crossing too steep for 64
-    halvings still gets net points, so the backward distance passes."""
+    halvings still gets net points, so the backward distance passes. The arc
+    of coefficient 1e-300, whose c c underflows, passes the forward distance
+    too: its candidates lie within 1/128 of it."""
     code, out, err = run_cli(["verify", "-", "--regime", "b2", "--depth", "6", "--grid", "128"],
                              stdin_text=text + "\n", capsys=capsys, monkeypatch=monkeypatch)
     assert code in codes and out.startswith("VERIFY ") and err == "", (code, out, err)
+
+
+def test_steep_pline_beside_an_arc_verifies(capsys, monkeypatch):
+    """A target that once failed verify falsely (a random fuzz target): the
+    slope-3 polyline was thought to have too few candidates near it. Its
+    backward distance is 0.0917, inside the bound 2 eps + 1/depth = 0.198."""
+    code, out, _ = run_cli(["verify", "-", "--regime", "b2", "--depth", "6", "--grid", "128"],
+                           stdin_text="hyper 1/2 1/6 1/2 2\npline 0:0 1:-3\n",
+                           capsys=capsys, monkeypatch=monkeypatch)
+    assert code == EXIT_OK, out
+    d_backward = float(out.split("d_backward=")[1].split()[0])
+    assert d_backward == pytest.approx(0.0917, abs=1e-4) and d_backward < 2 * 2 / 128 + 1 / 6
 
 
 @pytest.mark.parametrize("cmd, name, x", [

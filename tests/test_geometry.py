@@ -615,6 +615,21 @@ def test_distance_arc_against_dense_sampling_various_targets():
             assert t.distance_to(p) == pytest.approx(oracle, abs=1e-6), (arc, p)
 
 
+def test_distance_to_arcs_whose_squares_leave_float_range():
+    """Where c c underflows, the quartic loses the stationary point at the
+    probe's y, but the arc's point there counts: (1/128, 499/128) lies
+    within 1/128 of hyper 0 0 1 1e-300, which passes x = 2.6e-301 at that y.
+    Where c c overflows, the quartic is dropped, and the nearest point of an
+    arc of y about 1 is its point at the probe's x."""
+    tiny = parse_target_text("hyper 0 0 1 1e-300\n")
+    p = (F(1, 128), F(499, 128))
+    assert tiny.distance_to(p) < 0.01
+    lo, hi = tiny.distance_bounds(np.array([[float(p[0]), float(p[1])]]))
+    assert lo[0] <= tiny.distance_to(p) <= hi[0]
+    huge = TargetSet((Hyper(-10**200, 0, 1, 10**200),))
+    assert huge.distance_to((F(1, 2), F(3))) == pytest.approx(2.0)
+
+
 def test_distance_zero_iff_membership_rational():
     """distance_to is exactly 0.0 on the target, for every piece kind: a
     closed arc and one with an excluded pole end too."""

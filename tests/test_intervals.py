@@ -10,6 +10,7 @@ from accumgraph.geometry import Box, EmptySliceError, Point, TargetSet
 from accumgraph.intervals import (
     Span,
     XSet,
+    _make_span,
     rat,
     rational_sqrt,
     span_intersection,
@@ -110,6 +111,25 @@ def test_contains_matches_point_intersection(s, x):
     too."""
     for p in [x] + [e for span in s.spans for e in (span.lo, span.hi)]:
         assert s.contains(p) == bool(s & XSet.point(p))
+
+
+def _gaps(s):
+    """The gaps between 0, the spans of s and 1, as the former complement
+    walked them."""
+    gaps, cursor, cursor_open = [], F(0), False
+    for span in s.spans:
+        gaps.append(_make_span(cursor, span.lo, cursor_open, not span.lo_open))
+        cursor, cursor_open = span.hi, not span.hi_open
+    gaps.append(_make_span(cursor, F(1), cursor_open, False))
+    return [gap for gap in gaps if gap is not None]
+
+
+@settings(max_examples=200, deadline=None)
+@given(xsets)
+def test_complement_needs_no_normalizing(s):
+    """The gaps of a normalized set are normalized already: the complement,
+    which skips the sort and merge, is the set those gaps normalize to."""
+    assert s.complement().spans == XSet(_gaps(s)).spans
 
 
 @settings(max_examples=200, deadline=None)

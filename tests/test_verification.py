@@ -8,6 +8,7 @@ import io
 import math
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from accumgraph import geometry, verification
+from accumgraph import cli, geometry, verification
 from accumgraph.cli import EXIT_OK, main
 from accumgraph.conditions import Regime, TargetAnalysis, check_regime
 from accumgraph.fileio import parse_target_text
@@ -28,7 +29,6 @@ from accumgraph.verification import (
     accumulation_estimate,
     closure_direction_check,
     hausdorff_to_target,
-    probe_points,
     remark31_check,
     sample_graph,
 )
@@ -198,6 +198,20 @@ def test_forward_distance_shrinks_with_resolution():
     assert fine[1] <= coarse[1] + 2 * coarse[0]
 
 
+def probe_points(target, pitch):
+    """Every probe of the target's blocks, built at once, piece by piece: a
+    curve's runs in order, and a box's tiles sorted back into the x-major
+    order of its grid (no box here is a vertical segment, so two rows of its
+    grid are equal only where they are one point)."""
+    out = [np.empty((0, 2))]
+    for piece in target.pieces:
+        lo, _, probes_of = piece.probe_blocks(pitch)
+        probes = np.concatenate([probes_of(k) for k in range(len(lo))])
+        out.append(probes[np.lexsort((probes[:, 1], probes[:, 0]))]
+                   if isinstance(piece, Box) else probes)
+    return np.concatenate(out)
+
+
 def test_probe_points_cover_band():
     t = demo_set("hyperbola").clipped(F(-5), F(5))
     probes = probe_points(t, 0.01)
@@ -281,7 +295,12 @@ def _dense_backward(probes, cands):
     return best
 
 
-def test_block_bounded_backward_is_bit_identical(monkeypatch):
+def _runs(probes):
+    """Blocks over any probe array: the piece default's runs of it."""
+    return geometry._Piece.probe_blocks(SimpleNamespace(probes=lambda pitch: probes), 0.0)
+
+
+def _synthetic_cases():
     rng = np.random.default_rng(20261018)
     cases = []
     for _ in range(60):
@@ -294,12 +313,94 @@ def test_block_bounded_backward_is_bit_identical(monkeypatch):
     cases.append((lattice, lattice[:1]))  # a single candidate
     cases.append((lattice, np.array([[40.0, -30.0], [41.0, 50.0]])))  # far outside
     cases.append((lattice[:1], rng.random((50, 2))))  # a single probe
-    for probes, cands in cases:
-        for side in (0.01, 1 / 16, 3.0):
-            assert verification._backward(probes, cands, side) == _dense_backward(probes, cands)
+    return cases
+
+
+def test_block_bounded_backward_is_bit_identical(monkeypatch):
+    """Any split of the probes into blocks keeps the result: runs of an
+    unsorted array too, and a probe set cut in two pieces' blocks."""
+    cases = _synthetic_cases()
+    for run in (1, 7, 32, 5000):
+        monkeypatch.setattr(geometry, "_RUN", run)
+        for probes, cands in cases:
+            assert verification._backward([_runs(probes)], cands) == _dense_backward(probes, cands)
     monkeypatch.setattr(verification, "_CHUNK", 64)  # many chunks per array
     for probes, cands in cases[-6:]:
-        assert verification._backward(probes, cands, 1 / 16) == _dense_backward(probes, cands)
+        half = len(probes) // 2
+        assert (verification._backward([_runs(probes[:half]), _runs(probes[half:])], cands)
+                == _dense_backward(probes, cands))
+
+
+def _hausdorff_inputs(argv, text=""):
+    """The estimate, target and y cap that a verify command compares."""
+    seen = []
+
+    def record(est, target, y_cap):
+        seen.append((est, target, y_cap))
+        return hausdorff_to_target(est, target, y_cap)
+
+    with mock.patch.object(cli, "hausdorff_to_target", record):
+        _run(argv, text)
+    return seen
+
+
+def _assert_backward_is_dense(est, target, y_cap):
+    """The blocked backward distance of hausdorff_to_target, == the dense
+    sweep over every probe of the banded target."""
+    banded = target.clipped(F(-y_cap), F(y_cap))
+    cands = np.array([(cx, cy) for cx, cy in est.candidates if abs(cy) - est.eps / 2 <= y_cap])
+    dense = _dense_backward(probe_points(banded, est.eps / 2), cands)
+    assert hausdorff_to_target(est, target, y_cap)[1] == dense, (target, y_cap)
+
+
+def _backward_cases():
+    """The four demos at the CLI's default eps and y cap, and each random
+    target's witness in its first passing regime at the fuzz flags."""
+    cases = [case for demo, regime in [("constant", "b1"), ("square", "b2-bounded"),
+                                       ("hyperbola", "b1"), ("sect6", "b1")]
+             for case in _hausdorff_inputs(["verify", demo, "--regime", regime])]
+    for seed in range(20):
+        # The witness needs every slice nonempty: a pline covers [0, 1].
+        pieces = [*_random_target(seed).pieces, PLine(((0, seed % 7 - 3), (1, 3 - seed % 5)))]
+        text = "".join(f"{piece}\n" for piece in pieces)
+        regime = _passing_regimes(text)[0].value
+        cases += _hausdorff_inputs(["verify", "-", "--regime", regime, *FUZZ_FLAGS], text)
+    return cases
+
+
+def test_backward_matches_the_dense_sweep(monkeypatch):
+    """Bit for bit, on the demos, the random targets and the synthetic
+    cases; then again with tiles, runs, batches and chunks cut tiny."""
+    cases = _backward_cases()
+    assert len(cases) == 24
+    for case in cases:
+        _assert_backward_is_dense(*case)
+    for tile, run, batch, growth in [(1, 1, 1, 1), (3, 2, 2, 3)]:
+        monkeypatch.setattr(geometry, "_TILE", tile)
+        monkeypatch.setattr(geometry, "_RUN", run)
+        monkeypatch.setattr(verification, "_BATCH", batch)
+        monkeypatch.setattr(verification, "_GROWTH", growth)
+        monkeypatch.setattr(verification, "_CHUNK", 256)
+        for case in cases[:1] + cases[2:]:  # all but the square, too many tiles of one probe
+            _assert_backward_is_dense(*case)
+        for probes, cands in _synthetic_cases()[::7]:
+            assert verification._backward([_runs(probes)], cands) == _dense_backward(probes, cands)
+
+
+def test_square_builds_few_probes(monkeypatch):
+    """The square's default verify builds under 5% of its 1025^2 probes:
+    the sweep stops long before most tiles could raise the maximum."""
+    built = []
+    blocks_of = Box.probe_blocks
+
+    def counted(self, pitch):
+        lo, hi, probes_of = blocks_of(self, pitch)
+        return lo, hi, lambda k: built.append(len(probes := probes_of(k))) or probes
+
+    monkeypatch.setattr(Box, "probe_blocks", counted)
+    code, out = _run(["verify", "square", "--regime", "b2-bounded"], "")
+    assert code == EXIT_OK, out
+    assert 0 < sum(built) < 0.05 * 1025 ** 2
 
 
 def test_slices_read_the_index(monkeypatch):
