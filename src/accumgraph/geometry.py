@@ -5,10 +5,11 @@ piecewise-linear graphs, and hyperbola arcs y = c/(x - p). Every piece is a
 closed subset of [0,1] x R (a hyperbola arc is closed because |y| diverges
 at an excluded pole endpoint), so any finite union of pieces is closed.
 
-Each piece kind carries its own behaviour: point distance, the
-single-valued rational graphs the target analysis compares, the float probe
-net and the Lemma 3.1 net samples. Each net sample carries the graph it
-lies on (a box row is a flat line), and slides along it. A ``TargetSet``
+A piece is its bands of single-valued rational graphs (a box's band lies
+between its flat edges), which the target analysis compares. Distance and
+the Lemma 3.1 net samples go by graph degree, a segment or point (d1 = 0)
+or an arc; a box keeps its own. Each net sample carries the graph it lies
+on (a box row is a flat line), and slides along it. A ``TargetSet``
 answers slices and nearest-piece distance from one x-sorted index of its
 pieces' graph ends, built once: one ``bisect`` finds the bands alive at x,
 their y-ranges are the slice, and each slice question (the slice max,
@@ -22,9 +23,9 @@ its ends cut by cross-multiplication. Shadows are spans of those ends, and
 band clipping is each graph over its shadow. A box clips its own y-range.
 
 Slicing, projection and band clipping are exact; floating point is used
-only by the point-to-arc distance and by ``distance_bounds``, float bounds
-that spare callers most exact distances. A polyline's exact distance is
-integer arithmetic over common denominators.
+only by the arc distance and by ``distance_bounds``, float bounds that
+spare callers most exact distances. A segment's or a point's exact distance
+is integer arithmetic over one common denominator.
 """
 
 from __future__ import annotations
@@ -120,6 +121,107 @@ class RationalGraph:
         """The x of ``dom`` where lo <= y <= hi: the span of ``cut``."""
         return _span(self.cut(lo, hi))
 
+    def distance(self, px: Fraction, py: Fraction) -> float:
+        """Float distance from (px, py), by degree. A segment (d1 = 0; a point
+        is one over a one-point domain) takes the float root of its exact
+        squared distance in integers over one common denominator: the foot
+        of p is at t = w.e/e.e in [0, 1] (w = p - a, e = b - a), or an end.
+        An arc takes ``_arc_distance``, after an exact test that reads 0.0 on it."""
+        lo, hi = self.dom.lo, self.dom.hi
+        if self.d1 != 0:
+            if self.holds(px.numerator, px.denominator) and self.y_at(px) == py:
+                return 0.0
+            pole, coef = Fraction(-self.d0, self.d1), Fraction(self.n0, self.d1)
+            row = np.array([float(px - pole), float(py), float(coef),
+                            float(lo - pole), float(hi - pole)])
+            return float(_arc_distance(*row[:, None])[0])
+        m = math.lcm(px.denominator, py.denominator, lo.denominator, hi.denominator)
+        qx, qy, xa, xb = (v.numerator * (m // v.denominator) for v in (px, py, lo, hi))
+        # Over the common denominator m d0: w = p - a and e = b - a.
+        wx, wy = (qx - xa) * self.d0, qy * self.d0 - self.n1 * xa - self.n0 * m
+        ex, ey = (xb - xa) * self.d0, (xb - xa) * self.n1
+        dot, norm = wx * ex + wy * ey, ex * ex + ey * ey
+        if dot >= norm:
+            wx, wy = wx - ex, wy - ey
+        sq, den = wx * wx + wy * wy, (m * self.d0) ** 2
+        return _root(sq * norm - dot * dot, norm * den) if 0 < dot < norm else _root(sq, den)
+
+    def net_samples(self, n: int, s: Fraction) -> List[NetSample]:
+        """The Lemma 3.1 samples in the band |y| <= n, with the graph, by
+        degree, s the curve spacing. A segment (d1 = 0; a point is one over
+        a one-point domain) takes ``_dyadic_nodes``, band crossings included.
+
+        An arc (pole -d0/d1, coef n0/d1, side the sign of d1) takes the
+        in-band nodes of the dyadic bisection of its domain from its near end
+        down to cells whose width plus clamped y-rise is at most s (or to
+        depth ``limit``), without the cells beyond the band, plus the band
+        crossing. In the band the slope is at most n^2/|coef|, so the limit,
+        at least 64, is two halvings past the width s |coef|/n^2 and stops
+        no cell. Node t of 0..2^limit lies u0 + w t/2^limit from the pole (u0
+        at the near end, w the width): |y| falls with t, so a node is in the
+        band from t_in on, and a cell's clamped rise grows up to the crossing
+        and falls past it. So the cells that split at one depth are one
+        window, from the first cell not beyond the band (or the next) to an
+        end found by bisection, and the nodes are the in-band nodes of the
+        visited cells, each evaluated once."""
+        band = Fraction(n)
+        if self.d1 == 0:
+            (xa, ya), (xb, yb) = ((x, self.y_at(x)) for x in (self.dom.lo, self.dom.hi))
+            dy = yb - ya
+            ts = _dyadic_nodes(xb - xa + abs(dy), s, ya, dy, band)
+            # Each node t = tn/td over one denominator: x = (ax td + tn ex)/(scale td).
+            scale = math.lcm(xa.denominator, xb.denominator, ya.denominator, yb.denominator)
+            ax, ex, ay, ey = (v.numerator * (scale // v.denominator) for v in (xa, xb - xa, ya, dy))
+            return [(Fraction(ax * t.denominator + t.numerator * ex, scale * t.denominator),
+                     Fraction(ay * t.denominator + t.numerator * ey, scale * t.denominator),
+                     self) for t in ts]
+        side = 1 if self.d1 > 0 else -1
+        pole, coef = Fraction(-self.d0, self.d1), Fraction(self.n0, self.d1)
+        near = self.dom.lo if side > 0 else self.dom.hi
+        u0, w = abs(near - pole), self.dom.hi - self.dom.lo
+        limit = max(64, math.ceil(w * n * n / (s * abs(coef))).bit_length() + 2)
+        top = 1 << limit
+        dx = side * w / top  # node t lies at near + t dx
+        cross = (abs(coef) / band - u0) * top / w  # the t where |y| = n
+        t_in = max(0, math.ceil(cross))
+        nodes: Dict[Union[int, Fraction], Tuple[Fraction, Fraction]] = {}
+
+        def node(t: Union[int, Fraction]) -> Tuple[Fraction, Fraction]:
+            """(x, y) at the in-band node t, evaluated once."""
+            if t not in nodes:
+                x = near + t * dx
+                nodes[t] = x, self.y_at(x)
+            return nodes[t]
+
+        def rise(t: int, step: int) -> Fraction:
+            """The drop of |y|, clamped to n, over the cell [t, t + step]."""
+            return (abs(node(t)[1]) if t >= t_in else band) - abs(node(t + step)[1])
+
+        emitted = set()
+        lo = hi = 0
+        for k in range(limit + 1):
+            step, width = top >> k, w / (1 << k)
+            p = max(lo, -(-t_in // step) - 1)  # the first cell not beyond
+            if p > hi:
+                break
+            emitted.update(t for t in range(p * step, (hi + 1) * step + 1, step) if t >= t_in)
+            if k == limit:
+                break  # the depth limit: every cell stops
+            a, b = p + 1, hi + 1
+            while a < b:  # the rise falls past cell p: cells p + 1 .. a - 1 split
+                mid = (a + b) // 2
+                if width + rise(mid * step, step) > s:
+                    a = mid + 1
+                else:
+                    b = mid
+            first = p if width + rise(p * step, step) > s else p + 1
+            if first >= a:
+                break
+            lo, hi = 2 * first, 2 * a - 1
+        if 0 <= cross <= top:
+            emitted.add(cross)  # the band crossing, a node when cross = t_in
+        return [(*node(t), self) for t in sorted(emitted, reverse=side < 0)]
+
     def piece(self, span: Span) -> Piece:
         """The graph over a sub-span of ``dom`` as a piece: a point when the
         span is degenerate, else a segment (d1 = 0) or an arc (n1 = 0)."""
@@ -156,16 +258,17 @@ def band_cut(band: Tuple[RationalGraph, RationalGraph], lo: Optional[Fraction],
     return lower.cut(None, None, within) if met else None
 
 
-# A net sample: (x, y, graph). The sample slides along its piece's graph to
-# a nearby x2 in the graph's domain; a point has no graph and stays put.
-NetSample = Tuple[Fraction, Fraction, Optional[RationalGraph]]
+# A net sample: (x, y, graph). The sample slides along its graph to a nearby
+# x2 in the graph's domain; a point's one-point graph holds no other x.
+NetSample = Tuple[Fraction, Fraction, RationalGraph]
 
 
 def _dyadic_nodes(size: Fraction, pitch: Fraction, y0: Fraction = ZERO, dy: Fraction = ZERO,
                   band: Optional[Fraction] = None) -> List[Fraction]:
     """The nodes t = i/m of [0, 1] for the least power of two m with step
     size/m <= pitch (the one node 0 when size is 0), only those where
-    y0 + t dy lies in [-band, band] when a band is given.
+    y0 + t dy lies in [-band, band] when a band is given, and the exact t in
+    (0, 1) where y0 + t dy crosses an edge of the band.
 
     m is a power of two, so node sets nest as the pitch shrinks across
     levels. Only the in-band index range is built, so the work follows the
@@ -176,11 +279,15 @@ def _dyadic_nodes(size: Fraction, pitch: Fraction, y0: Fraction = ZERO, dy: Frac
     if size == 0:
         return [ZERO]
     m = 1 << (math.ceil(size / pitch) - 1).bit_length()
-    lo, hi = 0, m
-    if band is not None and dy != 0:
-        a, b = sorted(((-band - y0) * m / dy, (band - y0) * m / dy))
-        lo, hi = max(0, math.ceil(a)), min(m, math.floor(b))
-    return [Fraction(i, m) for i in range(lo, hi + 1)]
+    if band is None or dy == 0:
+        return [Fraction(i, m) for i in range(m + 1)]
+    a, b = sorted(((-band - y0) * m / dy, (band - y0) * m / dy))
+    ts = [Fraction(i, m) for i in range(max(0, math.ceil(a)), min(m, math.floor(b)) + 1)]
+    for edge in (-band, band):
+        t = (edge - y0) / dy
+        if ZERO < t < ONE and t not in ts:
+            insort(ts, t)
+    return ts
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +329,11 @@ class _Piece:
         values = (getattr(self, field.name) for field in fields(self))
         return " ".join([type(self).__name__.lower(), *map(format_rational, values)])
 
+    def domain(self) -> Span:
+        """The x-range: from the first graph's domain to the last's."""
+        first, last = self.graphs()[0].dom, self.graphs()[-1].dom
+        return Span(first.lo, last.hi, first.lo_open, last.hi_open)
+
     def graphs(self) -> List[RationalGraph]:
         """The piece's single-valued rational graphs, built once and shared."""
         return self._graphs
@@ -229,6 +341,15 @@ class _Piece:
     def bands(self) -> List[Tuple[RationalGraph, RationalGraph]]:
         """(lower, upper) graphs whose closed y-range above x is the slice."""
         return [(g, g) for g in self.graphs()]
+
+    def distance(self, px: Fraction, py: Fraction) -> float:
+        """The least distance from (px, py) to the piece's graphs."""
+        return min(g.distance(px, py) for g in self.graphs())
+
+    def net_samples(self, n: int, grid_pitch: Fraction,
+                    curve_spacing: Fraction) -> List[NetSample]:
+        """The Lemma 3.1 samples of level n on each graph."""
+        return [sample for g in self.graphs() for sample in g.net_samples(n, curve_spacing)]
 
     def clipped(self, ylo: Optional[Fraction], yhi: Optional[Fraction]) -> List[Piece]:
         """The piece cut to the band ylo <= y <= yhi: each graph over its
@@ -258,24 +379,12 @@ class Point(_Piece):
         if not ZERO <= self.x <= ONE:
             raise ValueError(f"point x={self.x} outside [0, 1]")
 
-    def domain(self) -> Span:
-        return Span(self.x, self.x)
-
-    def distance(self, px: Fraction, py: Fraction) -> float:
-        return math.sqrt(float((px - self.x) ** 2 + (py - self.y) ** 2))
-
     @cached_property
     def _graphs(self) -> List[RationalGraph]:
-        return [_graph(self.domain(), ZERO, self.y)]
+        return [_graph(Span(self.x, self.x), ZERO, self.y)]
 
     def probes(self, pitch: float) -> np.ndarray:
         return np.array([(float(self.x), float(self.y))])
-
-    def net_samples(self, n: int, grid_pitch: Fraction,
-                    curve_spacing: Fraction) -> List[NetSample]:
-        if abs(self.y) <= n:
-            return [(self.x, self.y, None)]
-        return []
 
 
 @dataclass(frozen=True)
@@ -295,9 +404,6 @@ class Box(_Piece):
         if self.y0 > self.y1:
             raise ValueError(f"box y-range [{self.y0}, {self.y1}] invalid")
 
-    def domain(self) -> Span:
-        return Span(self.x0, self.x1)
-
     def clipped(self, ylo: Optional[Fraction], yhi: Optional[Fraction]) -> List[Piece]:
         ny0 = self.y0 if ylo is None else max(self.y0, ylo)
         ny1 = self.y1 if yhi is None else min(self.y1, yhi)
@@ -313,7 +419,7 @@ class Box(_Piece):
     @cached_property
     def _graphs(self) -> List[RationalGraph]:
         """The bottom and top edges; a flat box has one."""
-        dom = self.domain()
+        dom = Span(self.x0, self.x1)
         out = [_graph(dom, ZERO, self.y0)]
         if self.y1 != self.y0:
             out.append(_graph(dom, ZERO, self.y1))
@@ -344,15 +450,10 @@ class Box(_Piece):
                     curve_spacing: Fraction) -> List[NetSample]:
         width, height = self.x1 - self.x0, self.y1 - self.y0
         xs = [self.x0 + width * t for t in _dyadic_nodes(width, grid_pitch)]
-        band_lo, band_hi = Fraction(-n), Fraction(n)
-        rows = [self.y0 + height * t
-                for t in _dyadic_nodes(height, grid_pitch, self.y0, height, band_hi)]
         # Exact band-edge rows keep the clipped region covered even though the
         # dyadic grid is anchored on the full box.
-        for edge in (band_lo, band_hi):
-            if self.y0 < edge < self.y1 and edge not in rows:
-                rows.append(edge)
-        rows.sort()
+        rows = [self.y0 + height * t
+                for t in _dyadic_nodes(height, grid_pitch, self.y0, height, Fraction(n))]
         dom = self.domain()
         out: List[NetSample] = []
         for y in rows:
@@ -385,34 +486,8 @@ class PLine(_Piece):
         return " ".join(["pline", *(f"{format_rational(x)}:{format_rational(y)}"
                                     for x, y in self.vertices)])
 
-    def domain(self) -> Span:
-        return Span(self.vertices[0][0], self.vertices[-1][0])
-
     def segments(self) -> Iterable[Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]]:
         return zip(self.vertices, self.vertices[1:])
-
-    def distance(self, px: Fraction, py: Fraction) -> float:
-        """The float root of the least squared segment distance, exact in
-        integers: over the common denominator d s of p and the vertices, the
-        foot of p on a segment (a, b) is at t = w.e/e.e in [0, 1]
-        (w = p - a, e = b - a), or an end."""
-        d = math.lcm(px.denominator, py.denominator)
-        qx, qy = px.numerator * (d // px.denominator), py.numerator * (d // py.denominator)
-        s = math.lcm(*(c.denominator for vertex in self.vertices for c in vertex))
-        ends = [(x.numerator * (s // x.denominator), y.numerator * (s // y.denominator))
-                for x, y in self.vertices]
-        best, scale = (1, 0), (d * s) ** 2
-        for (xa, ya), (xb, yb) in zip(ends, ends[1:]):
-            wx, wy = qx * s - xa * d, qy * s - ya * d
-            ex, ey = (xb - xa) * d, (yb - ya) * d
-            dot, norm = wx * ex + wy * ey, ex * ex + ey * ey
-            if dot >= norm:
-                wx, wy = wx - ex, wy - ey
-            sq = wx * wx + wy * wy
-            got = (sq * norm - dot * dot, norm * scale) if 0 < dot < norm else (sq, scale)
-            if got[0] * best[1] < best[0] * got[1]:
-                best = got
-        return math.sqrt(best[0] / best[1])
 
     @cached_property
     def _graphs(self) -> List[RationalGraph]:
@@ -430,27 +505,6 @@ class PLine(_Piece):
             t = np.arange(steps + 1) / steps
             out.append(np.column_stack((ax + t * (bx - ax), ay + t * (by - ay))))
         return np.concatenate(out)
-
-    def net_samples(self, n: int, grid_pitch: Fraction,
-                    curve_spacing: Fraction) -> List[NetSample]:
-        band_lo, band_hi = Fraction(-n), Fraction(n)
-        out: List[NetSample] = []
-        for ((xa, ya), (xb, yb)), graph in zip(self.segments(), self.graphs()):
-            dy = yb - ya
-            ts = _dyadic_nodes(xb - xa + abs(dy), curve_spacing, ya, dy, band_hi)
-            # Band crossings, exact.
-            if dy != 0:
-                for edge in (band_lo, band_hi):
-                    t = (edge - ya) / dy
-                    if ZERO < t < ONE and t not in ts:
-                        insort(ts, t)
-            # Each node t = tn/td over one denominator: x = (ax td + tn ex)/(scale td).
-            scale = math.lcm(xa.denominator, xb.denominator, ya.denominator, yb.denominator)
-            ax, ex, ay, ey = (v.numerator * (scale // v.denominator) for v in (xa, xb - xa, ya, dy))
-            out.extend((Fraction(ax * t.denominator + t.numerator * ex, scale * t.denominator),
-                        Fraction(ay * t.denominator + t.numerator * ey, scale * t.denominator),
-                        graph) for t in ts)
-        return out
 
 
 @dataclass(frozen=True)
@@ -487,10 +541,6 @@ class Hyper(_Piece):
         right of its pole, -1 when it lies left."""
         return 1 if self.pole <= self.x0 else -1
 
-    def domain(self) -> Span:
-        """The span, open at a pole end."""
-        return Span(self.x0, self.x1, self.pole == self.x0, self.pole == self.x1)
-
     def y_at(self, x: Fraction) -> Fraction:
         return self.graphs()[0].y_at(x)
 
@@ -504,19 +554,11 @@ class Hyper(_Piece):
             return 0
         return self.side if self.coef > 0 else -self.side
 
-    def distance(self, px: Fraction, py: Fraction) -> float:
-        """Float distance by ``_arc_distance`` in u = x - pole, after an exact
-        membership test, so distance 0 is reported exactly."""
-        if self.domain().contains(px) and py * (px - self.pole) == self.coef:
-            return 0.0
-        row = np.array([float(px - self.pole), float(py), float(self.coef),
-                        float(self.x0 - self.pole), float(self.x1 - self.pole)])
-        return float(_arc_distance(*row[:, None])[0])
-
     @cached_property
     def _graphs(self) -> List[RationalGraph]:
-        s = self.side  # the sign of x - pole
-        return [_graph(self.domain(), ZERO, s * self.coef, s * ONE, -s * self.pole)]
+        s = self.side  # the sign of x - pole; the span is open at a pole end
+        dom = Span(self.x0, self.x1, self.pole == self.x0, self.pole == self.x1)
+        return [_graph(dom, ZERO, s * self.coef, s * ONE, -s * self.pole)]
 
     def probes(self, pitch: float) -> np.ndarray:
         p, c = float(self.pole), float(self.coef)
@@ -535,69 +577,6 @@ class Hyper(_Piece):
             x += max(pitch / (1.0 + abs(c) / square), tiny) if square else tiny
         out.append((x1, c / (x1 - p) if x1 != p else float(self.y_at(self.x1))))
         return np.array(out)
-
-    def net_samples(self, n: int, grid_pitch: Fraction,
-                    curve_spacing: Fraction) -> List[NetSample]:
-        """The in-band nodes of the dyadic bisection of [x0, x1] down to cells
-        whose width plus clamped y-rise is at most ``curve_spacing`` (or to
-        depth ``limit``), without the cells beyond |y| <= n, plus the band
-        crossing.
-
-        In the band the slope is at most n^2/|coef|, so the limit, at least
-        64, is two halvings past the width s |coef|/n^2 (s the spacing) and
-        stops no cell. Node t of 0..2^limit lies at distance
-        d0 + w t/2^limit from the pole: |y| falls with t, so a node is in the
-        band from t_in on, and a cell's clamped rise grows up to the crossing
-        and falls past it. So the cells that split at one depth are one
-        window, from the first cell not beyond the band (or the next) to an
-        end found by bisection, and the nodes are the in-band nodes of the
-        visited cells, each evaluated once."""
-        band, s, side = Fraction(n), curve_spacing, self.side
-        near = self.x0 if side > 0 else self.x1
-        d0, w = abs(near - self.pole), self.x1 - self.x0
-        limit = max(64, math.ceil(w * n * n / (s * abs(self.coef))).bit_length() + 2)
-        top = 1 << limit
-        dx = side * w / top  # node t lies at near + t dx
-        cross = (abs(self.coef) / band - d0) * top / w  # the t where |y| = n
-        t_in = max(0, math.ceil(cross))
-        nodes: Dict[Union[int, Fraction], Tuple[Fraction, Fraction]] = {}
-
-        def node(t: Union[int, Fraction]) -> Tuple[Fraction, Fraction]:
-            """(x, y) at the in-band node t, evaluated once."""
-            if t not in nodes:
-                x = near + t * dx
-                nodes[t] = x, self.y_at(x)
-            return nodes[t]
-
-        def rise(t: int, step: int) -> Fraction:
-            """The drop of |y|, clamped to n, over the cell [t, t + step]."""
-            return (abs(node(t)[1]) if t >= t_in else band) - abs(node(t + step)[1])
-
-        emitted = set()
-        lo = hi = 0
-        for k in range(limit + 1):
-            step, width = top >> k, w / (1 << k)
-            p = max(lo, -(-t_in // step) - 1)  # the first cell not beyond
-            if p > hi:
-                break
-            emitted.update(t for t in range(p * step, (hi + 1) * step + 1, step) if t >= t_in)
-            if k == limit:
-                break  # the depth limit: every cell stops
-            a, b = p + 1, hi + 1
-            while a < b:  # the rise falls past cell p: cells p + 1 .. a - 1 split
-                mid = (a + b) // 2
-                if width + rise(mid * step, step) > s:
-                    a = mid + 1
-                else:
-                    b = mid
-            first = p if width + rise(p * step, step) > s else p + 1
-            if first >= a:
-                break
-            lo, hi = 2 * first, 2 * a - 1
-        if 0 <= cross <= top:
-            emitted.add(cross)  # the band crossing, a node when cross = t_in
-        graph = self.graphs()[0]
-        return [(*node(t), graph) for t in sorted(emitted, reverse=side < 0)]
 
 
 Piece = Union[Point, Box, PLine, Hyper]
@@ -707,11 +686,12 @@ class TargetSet:
         """Euclidean distance from p to the nearest point of the union.
 
         Members of the union always read 0.0, and so can a few non-members:
-        a rational point within float rounding of an arc, or one off a box or
-        polyline whose float squared distance underflows. Points, boxes and
-        polylines take the float root of their exact squared distance; an
-        arc takes the least of its finite ends and the float stationary
-        points of the squared distance (see ``Hyper.distance``).
+        a rational point within float rounding of an arc, or one off a box,
+        segment or point whose float squared distance underflows. A piece
+        takes the least distance of its graphs by degree: a box, segment or
+        point the float root of its exact squared distance, an arc the least
+        of its finite ends and the float stationary points of the squared
+        distance (see ``RationalGraph.distance``).
 
         Pieces are visited by their gap, the larger of the x-gap to their
         x-range and the y-gap to their y-range, a lower bound on their
@@ -734,20 +714,24 @@ class TargetSet:
     @cached_property
     def _float_pieces(self) -> Tuple[np.ndarray, ...]:
         """For ``distance_bounds``: each piece's float reach and size (its
-        largest finite coordinate, an arc's pole and coef too), the points'
-        and boxes' numbers, and rows (piece, floats) of the polyline segments
-        (xa, ya, xb, yb) and the arcs (pole, coef, u_lo, u_hi)."""
+        largest finite coordinate, an arc's pole and coef too), the pieces
+        with a box band (read off the reach), and rows (piece, floats) of the
+        graph bands: segments (xa, ya, xb, yb) where d1 = 0, arcs
+        (pole, coef, u_lo, u_hi) elsewhere."""
         reach = np.array(self._reach, dtype=float).reshape(-1, 4)
         size = np.where(np.isfinite(reach), np.abs(reach), 0.0).max(axis=1, initial=0.0)
-        boxes = [k for k, piece in enumerate(self.pieces) if isinstance(piece, (Point, Box))]
-        segments, arcs = [], []
+        boxes, segments, arcs = [], [], []
         for k, piece in enumerate(self.pieces):
-            if isinstance(piece, PLine):
-                segments += [(k, *map(float, (*a, *b))) for a, b in piece.segments()]
-            elif isinstance(piece, Hyper):
-                pole, coef = piece.pole, piece.coef
-                arcs.append((k, *map(float, (pole, coef, piece.x0 - pole, piece.x1 - pole))))
-                size[k] = max(size[k], abs(float(pole)), abs(float(coef)))
+            for g, upper in piece.bands():
+                lo, hi = g.dom.lo, g.dom.hi
+                if g is not upper:
+                    boxes.append(k)
+                elif g.d1 == 0:
+                    segments.append((k, *map(float, (lo, g.y_at(lo), hi, g.y_at(hi)))))
+                else:
+                    pole, coef = Fraction(-g.d0, g.d1), Fraction(g.n0, g.d1)
+                    arcs.append((k, *map(float, (pole, coef, lo - pole, hi - pole))))
+                    size[k] = max(size[k], abs(float(pole)), abs(float(coef)))
         return (reach, size, np.array(boxes, dtype=int), np.array(segments).reshape(-1, 5),
                 np.array(arcs).reshape(-1, 5))
 
@@ -772,7 +756,10 @@ class TargetSet:
             dist[:, boxes] = np.hypot(dx[:, boxes], dy[:, boxes])
             k, xa, ya, xb, yb = segments.T
             ex, ey = xb - xa, yb - ya
-            t = np.clip(((x - xa) * ex + (y - ya) * ey) / (ex * ex + ey * ey), 0.0, 1.0)
+            # A one-point segment takes t = 0 rather than 0/0.
+            norm = ex * ex + ey * ey
+            t = np.clip(((x - xa) * ex + (y - ya) * ey) / np.where(norm > 0, norm, np.inf),
+                        0.0, 1.0)
             starts = np.flatnonzero(np.diff(k, prepend=-1))
             dist[:, k[starts].astype(int)] = np.minimum.reduceat(
                 np.hypot(x - xa - t * ex, y - ya - t * ey), starts, axis=1)
@@ -817,6 +804,14 @@ def quotient_float(num: int, den: int) -> float:
         return math.inf if num > 0 else -math.inf
 
 
+def _root(num: int, den: int) -> float:
+    """``math.sqrt`` of num/den (num >= 0 < den), the quotient correctly
+    rounded. A quotient beyond 2^1000 is scaled by 4^-k and its root back by
+    2^k, both exact: the same float, finite wherever it is in float range."""
+    k = max(0, num.bit_length() - den.bit_length() - 1000) // 2
+    return math.sqrt(num / (den << 2 * k)) * 2.0 ** k
+
+
 def value_floats(points: Sequence[Tuple[Fraction, Fraction]]) -> List[float]:
     """f(x) as a float for each (x, f(x)) of ``points``; a value beyond float
     range raises an OverflowError that names its x."""
@@ -852,7 +847,8 @@ def _arc_distance(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     asymptote rays, whose nearest points are the points at x and y. Every
     candidate lies on the arc, so spurious ones cannot lower the minimum;
     u = 0, an excluded pole end, is left out. Squares take libm's pow, as
-    Python's ``**`` does (it can round off x * x); a row's value does not
+    Python's ``**`` does (it can round off x * x); where every square of a
+    row overflows, the least ``hypot`` stands in. A row's value does not
     depend on the other rows."""
     with np.errstate(all="ignore"):
         bc, cc = b * c, c * c
@@ -869,5 +865,7 @@ def _arc_distance(a: np.ndarray, b: np.ndarray, c: np.ndarray,
             step = np.minimum(np.maximum(u - ((((u - a) * u) * u + bc) * u - cc) / slope, lo), hi)
             u = np.where(slope == 0.0, u, step)
         u = np.concatenate([lo, hi, np.clip(np.concatenate([a, c / b], axis=1), lo, hi), u], axis=1)
-        sq = np.float_power(a - u, 2) + np.float_power(b - c / u, 2)
-    return np.sqrt(np.fmin.reduce(np.where(u == 0.0, np.inf, sq), axis=1))
+        dx, dy = a - u, b - c / u
+        sq, far = np.fmin.reduce(np.where(u == 0.0, np.inf, [
+            np.float_power(dx, 2) + np.float_power(dy, 2), np.hypot(dx, dy)]), axis=2)
+    return np.where(np.isinf(sq), far, np.sqrt(sq))

@@ -124,7 +124,7 @@ class _Placer:
         self.index = 0
 
     def place(self, x: Fraction, y: Fraction, n: int,
-              graph: Optional[RationalGraph]) -> Tuple[Fraction, Fraction]:
+              graph: RationalGraph) -> Tuple[Fraction, Fraction]:
         self.index += 1
         num, den = x.numerator, x.denominator
         if 0 <= num <= den and (num, den) not in self.taken:
@@ -132,6 +132,7 @@ class _Placer:
             return x, y
         q0, m = max(16 * n * self.index, self._ABS_CAP.denominator), max(16 * n, 1024)
         yn, yd = y.numerator, y.denominator
+        n1, n0, d1, d0 = graph.n1, graph.n0, graph.d1, graph.d0
         for k in range(399):
             # The offsets +1/q0, -1/q0, then half the step: q >= q0 >= m.
             q = q0 << (k // 2)
@@ -143,33 +144,30 @@ class _Placer:
             if (a, b) in self.taken:
                 continue
             y2 = y
-            if graph is not None and graph.holds(a, b):
+            if graph.holds(a, b):
                 # The displacement test 1/q^2 + dy^2 > 1/m^2, in integers, on
                 # the unreduced dy = p/r - y: the test is homogeneous in it.
-                n1, n0, d1, d0 = graph.n1, graph.n0, graph.d1, graph.d0
                 p, r = n1 * a + n0 * b, d1 * a + d0 * b
                 if ((p * yd - yn * r) * q * m) ** 2 > (r * yd) ** 2 * (q * q - m * m):
                     continue
                 y2 = Fraction(p, r)
             self.taken.add((a, b))
             return Fraction(a, b), y2
-        if graph is not None:
-            n1, n0, d1, d0 = graph.n1, graph.n0, graph.d1, graph.d0
-            for k in range(399):
-                # The same offsets in y, x = (D0 y - N0)/(N1 - D1 y) on the graph.
-                q = q0 << (k // 2)
-                tn, td = yn * q + (-yd if k % 2 else yd), yd * q
-                top, bot = d0 * tn - n0 * td, n1 * td - d1 * tn
-                top, bot = (-top, -bot) if bot < 0 else (top, bot)
-                if not 0 <= top <= bot or not bot:
-                    continue
-                g = gcd(top, bot)
-                a, b = top // g, bot // g
-                if (a, b) in self.taken or not graph.holds(a, b) or \
-                        ((a * den - num * b) * q * m) ** 2 > (b * den) ** 2 * (q * q - m * m):
-                    continue
-                self.taken.add((a, b))
-                return Fraction(a, b), Fraction(tn, td)
+        for k in range(399):
+            # The same offsets in y, x = (D0 y - N0)/(N1 - D1 y) on the graph.
+            q = q0 << (k // 2)
+            tn, td = yn * q + (-yd if k % 2 else yd), yd * q
+            top, bot = d0 * tn - n0 * td, n1 * td - d1 * tn
+            top, bot = (-top, -bot) if bot < 0 else (top, bot)
+            if not 0 <= top <= bot or not bot:
+                continue
+            g = gcd(top, bot)
+            a, b = top // g, bot // g
+            if (a, b) in self.taken or not graph.holds(a, b) or \
+                    ((a * den - num * b) * q * m) ** 2 > (b * den) ** 2 * (q * q - m * m):
+                continue
+            self.taken.add((a, b))
+            return Fraction(a, b), Fraction(tn, td)
         raise NetPlacementError(f"could not place a net point near x={x} off the avoid set")
 
 

@@ -7,6 +7,7 @@ code paths.
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -490,6 +491,43 @@ def _far_and_near_points(t, rng):
     return points
 
 
+def _reference_arc_distance(arc, px, py):
+    """The former ``Hyper.distance``: an exact membership test, then one
+    ``_arc_distance`` row in u = x - pole."""
+    if arc.domain().contains(px) and py * (px - arc.pole) == arc.coef:
+        return 0.0
+    row = np.array([float(px - arc.pole), float(py), float(arc.coef),
+                    float(arc.x0 - arc.pole), float(arc.x1 - arc.pole)])
+    return float(geometry._arc_distance(*row[:, None])[0])
+
+
+def _reference_piece_distance(piece, px, py):
+    """The former per-kind distance formulas."""
+    if isinstance(piece, Point):
+        return math.sqrt(float((px - piece.x) ** 2 + (py - piece.y) ** 2))
+    if isinstance(piece, Box):
+        dx = max(piece.x0 - px, F(0), px - piece.x1)
+        dy = max(piece.y0 - py, F(0), py - piece.y1)
+        return math.sqrt(float(dx * dx + dy * dy))
+    if isinstance(piece, PLine):
+        return _reference_pline_distance(piece, px, py)
+    return _reference_arc_distance(piece, px, py)
+
+
+def test_piece_distance_matches_the_former_formulas():
+    """Each piece's distance, the least over its graphs by degree, equals
+    the former per-kind formula bit for bit, on the pieces and off them."""
+    rng = random.Random(20261020)
+    kinds = Counter()
+    for t in [_random_index_target(rng) for _ in range(40)]:
+        for px, py in _far_and_near_points(t, rng):
+            for piece in t.pieces:
+                kinds[type(piece).__name__] += 1
+                assert piece.distance(px, py) == _reference_piece_distance(piece, px, py), \
+                    (piece, px, py)
+    assert set(kinds) == {"Point", "Box", "PLine", "Hyper"}
+
+
 def test_pruned_distance_is_bit_identical():
     rng = random.Random(4242)
     for t in _index_targets():
@@ -628,6 +666,26 @@ def test_distance_to_arcs_whose_squares_leave_float_range():
     assert lo[0] <= tiny.distance_to(p) <= hi[0]
     huge = TargetSet((Hyper(-10**200, 0, 1, 10**200),))
     assert huge.distance_to((F(1, 2), F(3))) == pytest.approx(2.0)
+    # Every candidate's square overflows, but the distance, from (1/2, 1) to
+    # the arc's end (1, 1e200), does not.
+    far = TargetSet((Hyper(0, 0, 1, 10**200),))
+    got = far.distance_to((F(1, 2), F(1)))
+    lo, hi = far.distance_bounds(np.array([[0.5, 1.0]]))
+    assert math.isfinite(got) and lo[0] <= got <= hi[0]
+
+
+def test_segment_distance_past_float_squares():
+    """A point or segment whose squared distance leaves float range keeps a
+    finite distance, and a polyline segment that far does not hide a near
+    one."""
+    point = TargetSet((Point(F(1, 2), 10**200),))
+    assert point.distance_to((F(1, 2), -10**200)) == 2e200
+    pline = TargetSet((PLine(((0, 10**200), (F(1, 2), 10**200), (1, 0))),))
+    assert pline.distance_to((F(1), F(0))) == 0.0
+    for p in [(F(1, 2), F(-10**200)), (F(0), F(-10**300))]:
+        got = pline.distance_to(p)
+        lo, hi = pline.distance_bounds(np.array([[float(p[0]), float(p[1])]]))
+        assert math.isfinite(got) and lo[0] <= got <= hi[0], p
 
 
 def test_distance_zero_iff_membership_rational():

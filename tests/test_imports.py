@@ -103,6 +103,34 @@ def test_every_definition_has_a_src_caller():
     assert uncalled_definitions({path.name: path.read_text() for path in MODULES}) == []
 
 
+PIECE_KINDS = {"Point", "Box", "PLine", "Hyper", "Piece"}
+
+
+def piece_kind_checks(source):
+    """(line, name) of each piece kind that an ``isinstance`` call names in
+    its second argument, bare or as an attribute (``geometry.Box``)."""
+    return sorted((node.lineno, name) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "isinstance" and len(node.args) == 2
+                  for kind in ast.walk(node.args[1])
+                  if (name := getattr(kind, "id", None) or getattr(kind, "attr", None))
+                  in PIECE_KINDS)
+
+
+def test_detects_a_piece_kind_check():
+    source = ("def f(p, q):\n"
+              "    if isinstance(p, (Point, geometry.Box)):\n"
+              "        return isinstance(q, Span) or isinstance(q, Hyper)\n")
+    assert piece_kind_checks(source) == [(2, "Box"), (2, "Point"), (3, "Hyper")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dispatch_on_a_piece_kind(path):
+    """A piece is its bands: behaviour that differs between kinds lives on
+    the piece classes or the band kinds, not behind an ``isinstance``."""
+    assert piece_kind_checks(path.read_text()) == []
+
+
 def test_cli_imports_only_stdlib_and_numpy():
     """Building the CLI's parser in a fresh interpreter loads no top-level
     module outside the standard library, the package and numpy, beyond the

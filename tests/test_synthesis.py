@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 from accumgraph.cli import EXIT_OK, main
 from accumgraph.conditions import Regime, TargetAnalysis, check_regime
 from accumgraph.demos import demo_set, sect6_c_order, sect6_pole_points
-from accumgraph.geometry import Box, EmptySliceError, Hyper, PLine, Point, TargetSet
-from accumgraph.intervals import XSet
+from accumgraph.geometry import (Box, EmptySliceError, Hyper, PLine, Point, RationalGraph,
+                                 TargetSet)
+from accumgraph.intervals import Span, XSet
 from accumgraph.synthesis import (
     NetPlacementError,
     RegimeUnsatisfiedError,
@@ -211,9 +212,10 @@ def test_placer_slides_along_the_sample_graph():
     assert _slid(step, 1 / step, graph) == (0, 1 / step)
     x2, y2 = _slid(F(1, 2), F(2), graph)
     assert x2 != F(1, 2) and y2 == graph.y_at(x2)
-    # A point has no graph and stays level.
-    assert _sample(Point(F(1, 4), 1), F(1, 4))[2] is None
-    assert _slid(F(1, 4), F(1), None) == (F(1, 4) + step, 1)
+    # A point's graph spans the one point, so the point stays level.
+    point = _sample(Point(F(1, 4), 1), F(1, 4))[2]
+    assert point.dom == Span(F(1, 4), F(1, 4))
+    assert _slid(F(1, 4), F(1), point) == (F(1, 4) + step, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -382,16 +384,16 @@ def test_box_and_pline_nodes_match_the_full_enumeration():
     Hyper(F(1, 3), 0, F(1, 3), F(-7, 10**25)),
 ], ids=["left-pole", "right-pole", "outside-pole", "depth-limit"])
 def test_arc_nodes_are_evaluated_once(arc, monkeypatch):
-    """Each net node of an arc costs one exact evaluation: no x is
-    evaluated twice, and no x that is not a node is evaluated."""
-    y_at = Hyper.y_at
+    """Each net node of an arc costs one exact evaluation of its graph: no
+    x is evaluated twice, and no x that is not a node is evaluated."""
+    y_at = RationalGraph.y_at
     calls = []
 
     def counted(self, x):
         calls.append(x)
         return y_at(self, x)
 
-    monkeypatch.setattr(Hyper, "y_at", counted)
+    monkeypatch.setattr(RationalGraph, "y_at", counted)
     for n in (1, 4, 20):
         calls.clear()
         samples = arc.net_samples(n, _grid_pitch(n), _curve_spacing(n))
@@ -480,20 +482,21 @@ def test_placer_matches_the_former_placer_on_nets(target, depth, avoid):
 
 def test_placer_matches_the_former_placer_at_the_ends():
     """Samples at x = 0 and x = 1 slide only inward, and a sample with no
-    room left raises in both."""
+    room left raises in both. A point's sample carries its one-point graph."""
     row = Box(0, 1, 0, 1).net_samples(1, F(1, 2), F(1, 2))
     arc = Hyper(0, 0, 1, F(1, 100)).net_samples(3, F(1, 8), F(1, 8))
     ends = [(x, y, n, g) for n in (1, 2, 7) for x, y, g in row + arc if x in (0, 1)]
-    ends += [(F(0), F(2), 3, None), (F(1), F(-1), 3, None)] * 3
+    points = [Point(0, 2).graphs()[0], Point(1, -1).graphs()[0]]
+    ends += [(F(0), F(2), 3, points[0]), (F(1), F(-1), 3, points[1])] * 3
     for avoid in (XSet.empty(), XSet.points([F(1, 4096), 1 - F(1, 8192)])):
         assert _placements(_Placer(avoid), ends) == _placements(ReferencePlacer(avoid), ends)
     # The placer refuses an avoided interval, as lemma31_net does.
     with pytest.raises(ValueError, match="no interval"):
         _Placer(XSet.interval(0, F(1, 1000)))
-    # A graphless sample at 0 whose x and every offset 1/(4096 2^j) are
+    # A point's sample at 0 whose x and every offset 1/(4096 2^j) are
     # avoided has no room left.
     walled = XSet.points([0, *(F(1, 4096 << j) for j in range(200))])
-    boxed = [(F(0), F(2), 3, None)]
+    boxed = [(F(0), F(2), 3, points[0])]
     got = _placements(_Placer(walled), boxed)
     assert got[0] == ["raised"]
     assert got == _placements(ReferencePlacer(walled), boxed)
