@@ -31,7 +31,7 @@ is integer arithmetic over one common denominator.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -82,12 +82,59 @@ class RationalGraph:
         a, b = x.numerator, x.denominator
         return Fraction(self.n1 * a + self.n0 * b, self.d1 * a + self.d0 * b)
 
+    _bounds = cached_property(lambda self: _ends(self.dom))
+
+    @cached_property
+    def _walk(self) -> Tuple[int, int, int, Dict[Tuple[int, int], Tuple[Fraction, Fraction]]]:
+        """(x0, dx, den, table): node t of [0, 1] lies at x = (x0 + t dx)/den,
+        from the near end (``dom.hi`` where d1 < 0, so an arc's |y| falls
+        with t), and the table holds every node (x, y) evaluated so far."""
+        (a, b, _), (c, d, _) = self._bounds
+        lo, hi, den = a * d, c * b, b * d
+        return (hi, lo - hi, den, {}) if self.d1 < 0 else (lo, hi - lo, den, {})
+
+    def _node(self, t: int, k: int) -> Tuple[Fraction, Fraction]:
+        """(x, y) at node t/2^k of the walk, read off the table, which keys
+        it in lowest terms: each node is evaluated once, at whatever k."""
+        z = (t & -t).bit_length() - 1
+        key = (t >> z, k - z) if t else (0, 0)
+        x0, dx, den, table = self._walk
+        if key not in table:
+            x = Fraction((x0 << key[1]) + key[0] * dx, den << key[1])
+            table[key] = x, self.y_at(x)
+        return table[key]
+
+    def _crossing(self, edge: int) -> Tuple[Fraction, Fraction]:
+        """(x, y) where y = edge: x = (d0 edge - n0)/(n1 - d1 edge)."""
+        return Fraction(self.d0 * edge - self.n0, self.n1 - self.d1 * edge), Fraction(edge)
+
+    def _dyadic_nodes(self, pitch: Fraction, band: int) -> List[Tuple[Fraction, Fraction]]:
+        """A line's (d1 = 0) walk nodes t = i/2^k for the least k with step
+        size/2^k <= pitch, the size its width plus |rise| (the one node t = 0
+        of a point), where y lies in [-band, band], and around them the band
+        edges that y crosses at a t in (0, 1) off the nodes, in t order.
+
+        2^k is a power of two, so node sets nest as the pitch shrinks across
+        levels. Only the in-band index range is read, so the work follows the
+        band, not the height of the piece."""
+        x0, dx, den, _ = self._walk
+        y0, dy, yd = self.n1 * x0 + self.n0 * den, self.n1 * dx, self.d0 * den  # y = (y0 + t dy)/yd
+        cells = -(-(dx * self.d0 + abs(dy)) * pitch.denominator // (yd * pitch.numerator))
+        m = 1 << (cells - 1).bit_length() if cells else 0  # 2^k, or 0 for a point
+        k = m.bit_length() - 1
+        if dy == 0:
+            return [self._node(i, k) for i in range(m + 1)] if abs(y0) <= band * yd else []
+        sign = 1 if dy > 0 else -1
+        lo, hi, q = -band * yd - sign * y0, band * yd - sign * y0, abs(dy)  # lo/q <= t <= hi/q
+        nodes = [self._node(i, k) for i in range(max(0, -(-lo * m // q)), min(m, hi * m // q) + 1)]
+        return ([self._crossing(-sign * band)] if 0 < lo < q and lo * m % q else []) + nodes + (
+            [self._crossing(sign * band)] if 0 < hi < q and hi * m % q else [])
+
     def holds(self, a: int, b: int) -> bool:
         """Whether x = a/b (b > 0) lies in ``dom``: x - lo and hi - x, cross-
         multiplied, must be at least 1 at an open end and 0 at a closed one."""
-        lo, hi = self.dom.lo, self.dom.hi
-        return (a * lo.denominator - lo.numerator * b >= self.dom.lo_open
-                and hi.numerator * b - a * hi.denominator >= self.dom.hi_open)
+        (ln, ld, lo_open), (hn, hd, hi_open) = self._bounds
+        return a * ld - ln * b >= lo_open and hn * b - a * hd >= hi_open
 
     def cut(self, lo: Optional[Fraction], hi: Optional[Fraction],
             within: Optional[Span] = None) -> Optional[Tuple[End, End]]:
@@ -98,7 +145,7 @@ class RationalGraph:
         (theta = tn/td) exactly where a x >= b, a = n1 td - tn d1 and
         b = tn d0 - n0 td: one side of r = b/a, or all of the span or nothing
         where a = 0. Ends meet as ``_inner`` meets them."""
-        x0, x1 = _ends(self.dom)
+        x0, x1 = self._bounds
         if within is not None:
             w0, w1 = _ends(within)
             x0, x1 = _inner(x0, w0, 1), _inner(x1, w1, -1)
@@ -148,79 +195,63 @@ class RationalGraph:
 
     def net_samples(self, n: int, s: Fraction) -> List[NetSample]:
         """The Lemma 3.1 samples in the band |y| <= n, with the graph, by
-        degree, s the curve spacing. A segment (d1 = 0; a point is one over
-        a one-point domain) takes ``_dyadic_nodes``, band crossings included.
+        degree, s the curve spacing, each node off the walk's table, which
+        lasts across levels. A segment (d1 = 0; a point is one over a
+        one-point domain) takes ``_dyadic_nodes``, band crossings included.
 
-        An arc (pole -d0/d1, coef n0/d1, side the sign of d1) takes the
-        in-band nodes of the dyadic bisection of its domain from its near end
-        down to cells whose width plus clamped y-rise is at most s (or to
-        depth ``limit``), without the cells beyond the band, plus the band
-        crossing. In the band the slope is at most n^2/|coef|, so the limit,
-        at least 64, is two halvings past the width s |coef|/n^2 and stops
-        no cell. Node t of 0..2^limit lies u0 + w t/2^limit from the pole (u0
-        at the near end, w the width): |y| falls with t, so a node is in the
+        An arc takes the in-band nodes of the dyadic bisection of its domain
+        from its near end down to cells whose width plus clamped y-rise is at
+        most s (or to depth ``limit``), without the cells beyond the band,
+        plus the band crossing. In the band the slope is at most n^2/|coef|,
+        so the limit, at least 64, is two halvings past the width
+        s |coef|/n^2 and stops no cell. At node t of 0..2^limit,
+        |y| = big/(base + b t) in integers falls with t, so a node is in the
         band from t_in on, and a cell's clamped rise grows up to the crossing
         and falls past it. So the cells that split at one depth are one
         window, from the first cell not beyond the band (or the next) to an
-        end found by bisection, and the nodes are the in-band nodes of the
-        visited cells, each evaluated once."""
-        band = Fraction(n)
+        end found by bisection, each test cross-multiplied."""
         if self.d1 == 0:
-            (xa, ya), (xb, yb) = ((x, self.y_at(x)) for x in (self.dom.lo, self.dom.hi))
-            dy = yb - ya
-            ts = _dyadic_nodes(xb - xa + abs(dy), s, ya, dy, band)
-            # Each node t = tn/td over one denominator: x = (ax td + tn ex)/(scale td).
-            scale = math.lcm(xa.denominator, xb.denominator, ya.denominator, yb.denominator)
-            ax, ex, ay, ey = (v.numerator * (scale // v.denominator) for v in (xa, xb - xa, ya, dy))
-            return [(Fraction(ax * t.denominator + t.numerator * ex, scale * t.denominator),
-                     Fraction(ay * t.denominator + t.numerator * ey, scale * t.denominator),
-                     self) for t in ts]
-        side = 1 if self.d1 > 0 else -1
-        pole, coef = Fraction(-self.d0, self.d1), Fraction(self.n0, self.d1)
-        near = self.dom.lo if side > 0 else self.dom.hi
-        u0, w = abs(near - pole), self.dom.hi - self.dom.lo
-        limit = max(64, math.ceil(w * n * n / (s * abs(coef))).bit_length() + 2)
-        top = 1 << limit
-        dx = side * w / top  # node t lies at near + t dx
-        cross = (abs(coef) / band - u0) * top / w  # the t where |y| = n
-        t_in = max(0, math.ceil(cross))
-        nodes: Dict[Union[int, Fraction], Tuple[Fraction, Fraction]] = {}
+            return [(x, y, self) for x, y in self._dyadic_nodes(s, n)]
+        x0, dx, den, _ = self._walk
+        sn, sd, b = s.numerator, s.denominator, self.d1 * dx
+        limit = max(64, (-(-b * n * n * sd // (den * sn * abs(self.n0)))).bit_length() + 2)
+        top, base, big = 1 << limit, self.d1 * x0 + self.d0 * den << limit, abs(self.n0) * den << limit
+        cp, cq = big - n * base, n * b  # |y| = n at t = cp/cq
+        t_in = max(0, -(-cp // cq))
 
-        def node(t: Union[int, Fraction]) -> Tuple[Fraction, Fraction]:
-            """(x, y) at the in-band node t, evaluated once."""
-            if t not in nodes:
-                x = near + t * dx
-                nodes[t] = x, self.y_at(x)
-            return nodes[t]
-
-        def rise(t: int, step: int) -> Fraction:
-            """The drop of |y|, clamped to n, over the cell [t, t + step]."""
-            return (abs(node(t)[1]) if t >= t_in else band) - abs(node(t + step)[1])
+        def splits(t: int) -> bool:
+            """Whether width + clamped rise > s on the cell [t, t + step]."""
+            y2 = base + b * (t + step)
+            return ((n * y2 - big) * f > e * y2 if t < t_in
+                    else big * b * step * f > e * (base + b * t) * y2)
 
         emitted = set()
         lo = hi = 0
         for k in range(limit + 1):
-            step, width = top >> k, w / (1 << k)
+            step, f, e = top >> k, den * sd << k, (sn * den << k) - abs(dx) * sd
             p = max(lo, -(-t_in // step) - 1)  # the first cell not beyond
             if p > hi:
                 break
             emitted.update(t for t in range(p * step, (hi + 1) * step + 1, step) if t >= t_in)
             if k == limit:
                 break  # the depth limit: every cell stops
-            a, b = p + 1, hi + 1
-            while a < b:  # the rise falls past cell p: cells p + 1 .. a - 1 split
-                mid = (a + b) // 2
-                if width + rise(mid * step, step) > s:
+            a, c = p + 1, hi + 1
+            while a < c:  # the rise falls past cell p: cells p + 1 .. a - 1 split
+                mid = (a + c) // 2
+                if splits(mid * step):
                     a = mid + 1
                 else:
-                    b = mid
-            first = p if width + rise(p * step, step) > s else p + 1
+                    c = mid
+            first = p if splits(p * step) else p + 1
             if first >= a:
                 break
             lo, hi = 2 * first, 2 * a - 1
-        if 0 <= cross <= top:
-            emitted.add(cross)  # the band crossing, a node when cross = t_in
-        return [(*node(t), self) for t in sorted(emitted, reverse=side < 0)]
+        inside = 0 <= cp <= top * cq  # the band crossing, a node when cq divides cp
+        if inside and cp % cq == 0:
+            emitted.add(cp // cq)
+        nodes = [self._crossing(n if self.n0 > 0 else -n)] if inside and cp % cq else []
+        nodes += [self._node(t, limit) for t in sorted(emitted)]
+        return [(x, y, self) for x, y in (nodes[::-1] if self.d1 < 0 else nodes)]
 
     def piece(self, span: Span) -> Piece:
         """The graph over a sub-span of ``dom`` as a piece: a point when the
@@ -261,33 +292,6 @@ def band_cut(band: Tuple[RationalGraph, RationalGraph], lo: Optional[Fraction],
 # A net sample: (x, y, graph). The sample slides along its graph to a nearby
 # x2 in the graph's domain; a point's one-point graph holds no other x.
 NetSample = Tuple[Fraction, Fraction, RationalGraph]
-
-
-def _dyadic_nodes(size: Fraction, pitch: Fraction, y0: Fraction = ZERO, dy: Fraction = ZERO,
-                  band: Optional[Fraction] = None) -> List[Fraction]:
-    """The nodes t = i/m of [0, 1] for the least power of two m with step
-    size/m <= pitch (the one node 0 when size is 0), only those where
-    y0 + t dy lies in [-band, band] when a band is given, and the exact t in
-    (0, 1) where y0 + t dy crosses an edge of the band.
-
-    m is a power of two, so node sets nest as the pitch shrinks across
-    levels. Only the in-band index range is built, so the work follows the
-    band, not the height of the piece.
-    """
-    if band is not None and dy == 0 and abs(y0) > band:
-        return []
-    if size == 0:
-        return [ZERO]
-    m = 1 << (math.ceil(size / pitch) - 1).bit_length()
-    if band is None or dy == 0:
-        return [Fraction(i, m) for i in range(m + 1)]
-    a, b = sorted(((-band - y0) * m / dy, (band - y0) * m / dy))
-    ts = [Fraction(i, m) for i in range(max(0, math.ceil(a)), min(m, math.floor(b)) + 1)]
-    for edge in (-band, band):
-        t = (edge - y0) / dy
-        if ZERO < t < ONE and t not in ts:
-            insort(ts, t)
-    return ts
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +364,8 @@ class _Piece:
         """The float probes in runs of ``_RUN``: each run's bounding box and
         its probes. Consecutive probes of a curve are neighbours on it, so a
         run's box is small."""
-        probes = self.probes(pitch)
+        with float_range(self):
+            probes = self.probes(pitch)
         starts = np.arange(0, len(probes), _RUN)
         return (np.minimum.reduceat(probes, starts), np.maximum.reduceat(probes, starts),
                 lambda k: probes[k * _RUN:(k + 1) * _RUN])
@@ -419,11 +424,7 @@ class Box(_Piece):
     @cached_property
     def _graphs(self) -> List[RationalGraph]:
         """The bottom and top edges; a flat box has one."""
-        dom = Span(self.x0, self.x1)
-        out = [_graph(dom, ZERO, self.y0)]
-        if self.y1 != self.y0:
-            out.append(_graph(dom, ZERO, self.y1))
-        return out
+        return [_graph(Span(self.x0, self.x1), ZERO, y) for y in dict.fromkeys((self.y0, self.y1))]
 
     def bands(self) -> List[Tuple[RationalGraph, RationalGraph]]:
         edges = self.graphs()
@@ -434,8 +435,8 @@ class Box(_Piece):
         the pitch apart) in square tiles of ``_TILE`` by ``_TILE``. Its axes
         are monotone, so a tile's box is the ends of its axis slices, and its
         probes are built from those slices only when asked for."""
-        x0, x1 = float(self.x0), float(self.x1)
-        y0, y1 = float(self.y0), float(self.y1)
+        with float_range(self):
+            x0, x1, y0, y1 = float(self.x0), float(self.x1), float(self.y0), float(self.y1)
         nx = max(1, math.ceil((x1 - x0) / pitch))
         ny = max(1, math.ceil((y1 - y0) / pitch))
         xs = x0 + (x1 - x0) * np.arange(nx + 1) / nx
@@ -446,18 +447,22 @@ class Box(_Piece):
         return (_grid(xs[::_TILE], ys[::_TILE]), _grid(*ends),
                 lambda k: _grid(xs[k // m * _TILE:][:_TILE], ys[k % m * _TILE:][:_TILE]))
 
+    @cached_property
+    def _rows(self) -> Tuple[RationalGraph, Dict[Fraction, RationalGraph]]:
+        """The line y = x over [y0, y1], whose nodes at twice a pitch (its size
+        is twice the height) are the rows, and each row's flat graph, built once."""
+        return _graph(Span(self.y0, self.y1), ONE, ZERO), {}
+
     def net_samples(self, n: int, grid_pitch: Fraction,
                     curve_spacing: Fraction) -> List[NetSample]:
-        width, height = self.x1 - self.x0, self.y1 - self.y0
-        xs = [self.x0 + width * t for t in _dyadic_nodes(width, grid_pitch)]
-        # Exact band-edge rows keep the clipped region covered even though the
-        # dyadic grid is anchored on the full box.
-        rows = [self.y0 + height * t
-                for t in _dyadic_nodes(height, grid_pitch, self.y0, height, Fraction(n))]
-        dom = self.domain()
+        """The bottom edge's nodes (in the band |y| <= ceil|y0|) by the rows in
+        the band |y| <= n. Exact band-edge rows keep the clipped region covered
+        even though the dyadic grid is anchored on the full box."""
+        bottom, (rise, rows) = self.graphs()[0], self._rows
+        xs = [x for x, _ in bottom._dyadic_nodes(grid_pitch, math.ceil(abs(self.y0)))]
         out: List[NetSample] = []
-        for y in rows:
-            row = _graph(dom, ZERO, y)
+        for _, y in rise._dyadic_nodes(2 * grid_pitch, n):
+            row = rows.get(y) or rows.setdefault(y, _graph(bottom.dom, ZERO, y))
             out.extend((x, y, row) for x in xs)
         return out
 
@@ -706,7 +711,8 @@ class TargetSet:
         for gap, k in gaps:
             if gap > best + 1e-9 * (1.0 + best):
                 break
-            best = min(best, self.pieces[k].distance(px, py))
+            with float_range(self.pieces[k]):
+                best = min(best, self.pieces[k].distance(px, py))
             if best == 0.0:
                 return 0.0
         return best
@@ -722,16 +728,17 @@ class TargetSet:
         size = np.where(np.isfinite(reach), np.abs(reach), 0.0).max(axis=1, initial=0.0)
         boxes, segments, arcs = [], [], []
         for k, piece in enumerate(self.pieces):
-            for g, upper in piece.bands():
-                lo, hi = g.dom.lo, g.dom.hi
-                if g is not upper:
-                    boxes.append(k)
-                elif g.d1 == 0:
-                    segments.append((k, *map(float, (lo, g.y_at(lo), hi, g.y_at(hi)))))
-                else:
-                    pole, coef = Fraction(-g.d0, g.d1), Fraction(g.n0, g.d1)
-                    arcs.append((k, *map(float, (pole, coef, lo - pole, hi - pole))))
-                    size[k] = max(size[k], abs(float(pole)), abs(float(coef)))
+            with float_range(piece):
+                for g, upper in piece.bands():
+                    lo, hi = g.dom.lo, g.dom.hi
+                    if g is not upper:
+                        boxes.append(k)
+                    elif g.d1 == 0:
+                        segments.append((k, *map(float, (lo, g.y_at(lo), hi, g.y_at(hi)))))
+                    else:
+                        pole, coef = Fraction(-g.d0, g.d1), Fraction(g.n0, g.d1)
+                        arcs.append((k, *map(float, (pole, coef, lo - pole, hi - pole))))
+                        size[k] = max(size[k], abs(float(pole)), abs(float(coef)))
         return (reach, size, np.array(boxes, dtype=int), np.array(segments).reshape(-1, 5),
                 np.array(arcs).reshape(-1, 5))
 

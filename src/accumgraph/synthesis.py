@@ -16,10 +16,11 @@ graph accumulates exactly on the target:
 Net sampling uses nested dyadic subdivision anchored on each piece, so a
 sample site of level n is revisited by every deeper level: the finite
 analogue of the net's defining property, which lets a cluster-based
-estimator recover two-dimensional and curved regions of the target. An
-arc evaluates each node once. Placement keys x by (numerator, denominator)
-in integers: a new x stays (the fast path), a revisited one slides by 1/q
-in x, or in y along a graph too steep for that, x from its exact inverse.
+estimator recover two-dimensional and curved regions of the target. A
+graph's node table lasts across levels, so each node is evaluated once.
+Placement keys x by (numerator, denominator): a new x stays (the fast
+path), a revisited one slides by 1/q in x, or in y along a graph too steep
+for that, x from its exact inverse.
 """
 
 from __future__ import annotations

@@ -301,6 +301,22 @@ def test_strips_scales_a_band_beyond_float_range(text, regime, capsys, monkeypat
     assert out.endswith("STRIPS PASS\n")
 
 
+def test_verify_names_an_arc_whose_pole_leaves_float_range(capsys, monkeypatch):
+    """Every value of y = 10^400/(x + 10^400) on [0, 1] is about 1, but the
+    arc's pole and coefficient leave float range. verify certifies it or
+    stops with one error line that names the piece, never an unnamed one;
+    check, synth and strips exit 0."""
+    text, flags = "hyper -1e400 0 1 1e400\n", ["--regime", "b2", "--depth", "6", "--grid", "128"]
+    code, _, err = run_cli(["verify", "-", *flags], stdin_text=text, capsys=capsys,
+                           monkeypatch=monkeypatch)
+    named = f"error: piece 'hyper -{10 ** 400} 0 1 {10 ** 400}' leaves float range\n"
+    assert code == EXIT_OK or (code, err) == (EXIT_USAGE, named), err
+    for argv in (["check", "-", "--regime", "b2"], ["synth", "-", *flags],
+                 ["strips", "-", *flags]):
+        code, _, err = run_cli(argv, stdin_text=text, capsys=capsys, monkeypatch=monkeypatch)
+        assert code == EXIT_OK, (argv, err)
+
+
 @pytest.mark.parametrize("name, regime", [
     ("big-point.txt", "b2"), ("big-pole.txt", "b2"), ("big-pole.txt", "b1"),
 ], ids=["big-point-b2", "big-pole-b2", "big-pole-b1"])

@@ -370,7 +370,7 @@ def random_target(draw):
     return TargetSet(tuple(pieces))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(random_target())
 def test_projection_partition(t):
     c_set = TargetAnalysis(t).c_set
@@ -378,7 +378,7 @@ def test_projection_partition(t):
     assert (c_set & t.x_projection()).is_empty
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(random_target())
 def test_regime_monotonicity(t):
     if check_regime(t, Regime.B1_BOUNDED).passed:
@@ -389,7 +389,7 @@ def test_regime_monotonicity(t):
         assert check_regime(t, Regime.B2).passed
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True)
 @given(random_target())
 def test_diameter_levels_structure(t):
     data = TargetAnalysis(t)

@@ -89,13 +89,13 @@ def test_point_set_roundtrip():
 # -- membership-level properties -------------------------------------------
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(xsets, probe_points)
 def test_complement_membership(s, x):
     assert s.complement().contains(x) == (not s.contains(x))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(xsets, xsets, probe_points)
 def test_union_intersection_membership(a, b, x):
     assert (a | b).contains(x) == (a.contains(x) or b.contains(x))
@@ -103,7 +103,7 @@ def test_union_intersection_membership(a, b, x):
     assert (a - b).contains(x) == (a.contains(x) and not b.contains(x))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(xsets, probe_points)
 def test_contains_matches_point_intersection(s, x):
     """``contains``, a scan of the spans, agrees with meeting the one-point
@@ -124,7 +124,7 @@ def _gaps(s):
     return [gap for gap in gaps if gap is not None]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(xsets)
 def test_complement_needs_no_normalizing(s):
     """The gaps of a normalized set are normalized already: the complement,
@@ -132,19 +132,19 @@ def test_complement_needs_no_normalizing(s):
     assert s.complement().spans == XSet(_gaps(s)).spans
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(xsets)
 def test_double_complement(s):
     assert s.complement().complement() == s
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(xsets, xsets)
 def test_de_morgan(a, b):
     assert (a | b).complement() == a.complement() & b.complement()
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(xsets)
 def test_measure_additive_with_complement(s):
     def measure(x):
@@ -153,7 +153,7 @@ def test_measure_additive_with_complement(s):
     assert measure(s) + measure(s.complement()) == 1
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(spans(), spans())
 def test_span_intersection_matches_xset(a, b):
     got = span_intersection(a, b)

@@ -5,6 +5,7 @@ import io
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction as F
 from unittest import mock
 
@@ -379,26 +380,69 @@ def test_box_and_pline_nodes_match_the_full_enumeration():
                                  "edge-node")), seen
 
 
-@pytest.mark.parametrize("arc", [
+@pytest.mark.parametrize("piece", [
     Hyper(0, 0, 1, 1), Hyper(1, F(1, 2), 1, -1), Hyper(F(-1, 4), 0, 1, F(1, 3)),
     Hyper(F(1, 3), 0, F(1, 3), F(-7, 10**25)),
-], ids=["left-pole", "right-pole", "outside-pole", "depth-limit"])
-def test_arc_nodes_are_evaluated_once(arc, monkeypatch):
-    """Each net node of an arc costs one exact evaluation of its graph: no
-    x is evaluated twice, and no x that is not a node is evaluated."""
-    y_at = RationalGraph.y_at
-    calls = []
+    PLine(((0, -30), (F(1, 3), F(5, 2)), (F(5, 7), F(5, 2)), (1, 40))), Box(F(1, 5), F(3, 5), -3, F(5, 2)),
+], ids=["left-pole", "right-pole", "outside-pole", "depth-limit", "segments", "box-rows"])
+def test_arc_nodes_are_evaluated_once(piece):
+    """Over levels 1..20 of a fresh piece, each net node of an arc, of a
+    segment and of a box's rows and columns is evaluated once, into its
+    graph's table: the table's entries have distinct x (or row y), each was
+    emitted, and every other sample lies on a band edge |y| = n of its
+    level, a crossing."""
+    samples = [(n, x, y, g) for n in range(1, 21)
+               for x, y, g in piece.net_samples(n, _grid_pitch(n), _curve_spacing(n))]
+    if isinstance(piece, Box):
+        # The rows are node y's of the box's rise line, the columns node x's
+        # of its bottom edge.
+        walks = [(piece._rows[0], lambda node: node[1], [(n, y, y) for n, _, y, _ in samples]),
+                 (piece.graphs()[0], lambda node: node[0], [(n, x, None) for n, x, _, _ in samples])]
+    else:
+        walks = [(g, lambda node: node, [(n, (x, y), y) for n, x, y, h in samples if h is g])
+                 for g in piece.graphs()]
+    for graph, value, emitted in walks:
+        table = [value(node) for node in graph._walk[3].values()]
+        nodes = set(table)
+        assert len(nodes) == len(table) > 0 and nodes <= {v for _, v, _ in emitted}
+        assert all(y is not None and abs(y) == n for n, v, y in emitted if v not in nodes)
 
-    def counted(self, x):
-        calls.append(x)
-        return y_at(self, x)
 
-    monkeypatch.setattr(RationalGraph, "y_at", counted)
-    for n in (1, 4, 20):
-        calls.clear()
-        samples = arc.net_samples(n, _grid_pitch(n), _curve_spacing(n))
-        assert len(calls) == len(set(calls)) <= len(samples)
-        assert set(calls) <= {x for x, _, _ in samples}
+@st.composite
+def _net_pieces(draw):
+    """A point, a box or a polyline on the 1/48 x-grid with |y| <= 40, or
+    an arc with its pole at its left end, its right end or outside it and a
+    coefficient of either sign down to 10^-30, where the arc's depth limit
+    passes 64."""
+    x, y = st.integers(0, 48).map(lambda i: F(i, 48)), st.integers(-160, 160).map(lambda i: F(i, 4))
+    kind = draw(st.sampled_from(["point", "box", "pline", "arc"]))
+    if kind == "point":
+        return Point(draw(x), draw(y))
+    xs = sorted(draw(st.lists(x, min_size=2, max_size=4, unique=True)))
+    if kind == "box":
+        return Box(xs[0], xs[-1], *sorted((draw(y), draw(y))))
+    if kind == "pline":
+        return PLine(tuple((v, draw(y)) for v in xs))
+    a, b = xs[0], xs[-1]
+    scale = F(1, 10) ** draw(st.sampled_from([0, 3, 22, 30]))
+    coef = draw(st.sampled_from([-1, 1])) * draw(st.integers(1, 40)) * scale
+    return Hyper(draw(st.sampled_from([a, b, a - F(1, 7), b + F(1, 7)])), a, b, coef)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(pieces=st.lists(_net_pieces(), min_size=1, max_size=3),
+       order=st.permutations(range(1, 13)))
+def test_node_tables_hold_no_state_that_changes_an_answer(pieces, order):
+    """A piece's levels asked in any order equal the same levels of freshly
+    built pieces, and a target's net built twice equals its first net and
+    the net of a fresh target."""
+    for piece in pieces:
+        got = {n: piece.net_samples(n, _grid_pitch(n), _curve_spacing(n)) for n in order}
+        for n in order:
+            assert got[n] == replace(piece).net_samples(n, _grid_pitch(n), _curve_spacing(n))
+    target = TargetSet(tuple(pieces))
+    net = lemma31_net(target, 6)
+    assert lemma31_net(target, 6) == net == lemma31_net(TargetSet(tuple(map(replace, pieces))), 6)
 
 
 class ReferencePlacer:
