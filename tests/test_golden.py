@@ -3,7 +3,8 @@
 Each command's exit code, stdout, stderr and ``--out`` files are hashed and
 compared with digests recorded from an earlier commit of the program, so a
 change that alters any output byte of the cheap demo commands, or of the
-same commands on a target with every piece kind, shows up here.
+same commands on a target with every piece kind, or of the regime checks
+on a target whose witnesses take every printed form, shows up here.
 The README promises deterministic output; this keeps that promise across
 versions, not only across runs of the same version.
 """
@@ -30,6 +31,10 @@ SMALL = ["--depth", "4", "--grid", "64"]
 # demos lack; commands name it by file name and run it by path.
 MIXED = Path(__file__).with_name("mixed_target.txt")
 MIXED_PASSING = ("b2", "b1")
+# A target that fails every regime, with witnesses of every printed form: an
+# open, a half-open and a closed span, and a bare number.
+WITNESS = Path(__file__).with_name("witness_target.txt")
+TARGET_FILES = {path.name: path for path in (MIXED, WITNESS)}
 
 
 def golden_commands():
@@ -52,12 +57,13 @@ def golden_commands():
         for sub in ("synth", "verify", "strips"):
             if sub != "strips" or regime.startswith("b1"):
                 cmds.append((sub, MIXED.name, "--regime", regime, *SMALL))
+    cmds += [("check", WITNESS.name, "--regime", regime, "--depth", "4") for regime in REGIMES]
     return cmds
 
 
 def output_digest(argv, workdir: Path) -> str:
     """sha256 over the exit code, stdout, stderr and every --out file."""
-    argv = [str(MIXED) if arg == MIXED.name else arg for arg in argv]
+    argv = [str(TARGET_FILES[arg]) if arg in TARGET_FILES else arg for arg in argv]
     if argv[0] != "check":
         argv += ["--out", str(workdir / "out")]
     out, err = io.StringIO(), io.StringIO()
@@ -178,6 +184,14 @@ GOLDEN = {
         "887a1a21ca9126ddcfcf55bf375d441ddc3cb6097682232f6bccf81f7c01f35a",
     "strips mixed_target.txt --regime b1 --depth 4 --grid 64":
         "13984ba09c1fa8fa58711f10b91d30201d82f7bcfbd2609142f79d4b9bf22d7e",
+    "check witness_target.txt --regime b2-bounded --depth 4":
+        "52e6960f8050522177bcbc975a7ad59b94b044b4a58648116e139c18e3fcf6ae",
+    "check witness_target.txt --regime b2 --depth 4":
+        "3d023c9fbf73ce1e35224f7e961df640e55dc96a053129255ad45218bdec88f9",
+    "check witness_target.txt --regime b1-bounded --depth 4":
+        "21b07bcd9f381f6b3bd4fb7d63fbe0f66e0d4d86f6439c9d7fcf6d64eef8399e",
+    "check witness_target.txt --regime b1 --depth 4":
+        "ce41dd69cda3e89d11ec29804824d2fde6ee0ddbbf5aae4341a72fb5546ed4a8",
 }
 
 
