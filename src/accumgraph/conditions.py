@@ -26,10 +26,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .geometry import RationalGraph, TargetSet
-from .intervals import ZERO, Span, XSet, rational_sqrt, span_intersection
+from .intervals import ZERO, End, Span, XSet, end_at, inner, span_between, span_intersection
 
 
 class Regime(enum.Enum):
@@ -83,8 +83,8 @@ class Verdict:
 # more than one point exactly when two graphs disagree, and diameter >= t
 # exactly when two graphs differ by at least t. Over the common denominator
 # da*db, the difference a - b - t has the numerator na*db - nb*da - t*da*db,
-# a polynomial of degree at most 2, so both D and every D_n reduce to
-# pairwise sign sets of quadratics.
+# a polynomial of degree at most 2 (times t's denominator, in integers), so
+# both D and every D_n reduce to pairwise sign sets of integer quadratics.
 
 
 def _times(p: Tuple[int, int], q: Tuple[int, int]) -> Tuple[int, ...]:
@@ -92,77 +92,72 @@ def _times(p: Tuple[int, int], q: Tuple[int, int]) -> Tuple[int, ...]:
     return p[0] * q[0], p[0] * q[1] + p[1] * q[0], p[1] * q[1]
 
 
-def _difference_numerator(a: RationalGraph, b: RationalGraph,
-                          t: Fraction) -> Tuple[Fraction, ...]:
-    """Coefficients (x^2, x, 1) of na*db - nb*da - t*da*db: both
-    denominators are positive, so it has the sign of a - b - t."""
+def _difference_numerator(a: RationalGraph, b: RationalGraph, t: Fraction) -> Tuple[int, ...]:
+    """Integer coefficients (x^2, x, 1) of td (na*db - nb*da) - tn da*db,
+    t = tn/td: both denominators are positive, so it has the sign of
+    a - b - t."""
     na, nb, da, db = (a.n1, a.n0), (b.n1, b.n0), (a.d1, a.d0), (b.d1, b.d0)
-    return tuple(u - v - t * w for u, v, w in zip(_times(na, db), _times(nb, da), _times(da, db)))
+    tn, td = t.numerator, t.denominator
+    return tuple(td * (u - v) - tn * w
+                 for u, v, w in zip(_times(na, db), _times(nb, da), _times(da, db)))
 
 
 # -- exact sign sets of quadratics ------------------------------------------
 
 
-def _quad_ge_zero(a: Fraction, b: Fraction, c: Fraction, dom: Span) -> XSet:
+def _quad_ge_zero(a: int, b: int, c: int, dom: Span) -> XSet:
     """{x in dom : a x^2 + b x + c >= 0}, exact or inner-approximated.
 
-    When the roots are irrational the reported set is shrunk by a dyadic
-    sliver (< 2^-80 of the bracket) so that every reported point genuinely
-    satisfies the inequality.
+    Rational roots are exact ends. When the roots are irrational the
+    reported set is shrunk by a dyadic sliver (< 2^-80 of the bracket) so
+    that every reported point genuinely satisfies the inequality.
     """
-    whole = XSet((dom,))
+    def part(lo: Optional[End] = None, hi: Optional[End] = None) -> Optional[Span]:
+        """dom met with the closed span from lo to hi (None: unbounded)."""
+        return span_between(dom[0] if lo is None else inner(dom[0], lo, 1),
+                          dom[1] if hi is None else inner(dom[1], hi, -1))
+
     if a == 0:
         if b == 0:
-            return whole if c >= 0 else XSet.empty()
-        r = -c / b
-        if b > 0:
-            return whole & XSet.interval(max(r, ZERO), Fraction(1))
-        return whole & XSet.interval(ZERO, min(r, Fraction(1)))
-    disc = b * b - 4 * a * c
-    vertex = -b / (2 * a)
-    if disc < 0:
-        return whole if a > 0 else XSet.empty()
-    if disc == 0:
-        if a > 0:
-            return whole
-        return whole & XSet.point(vertex) if dom.contains(vertex) else XSet.empty()
-    sq = rational_sqrt(disc)
-    if sq is not None:
-        r1 = (-b - sq) / (2 * a)
-        r2 = (-b + sq) / (2 * a)
-        r1, r2 = min(r1, r2), max(r1, r2)
+            parts = [dom] if c >= 0 else []
+        else:
+            r = end_at(-c, b)
+            parts = [part(lo=r) if b > 0 else part(hi=r)]
+    elif (disc := b * b - 4 * a * c) <= 0:
+        vertex = end_at(-b, 2 * a)
+        parts = [dom] if a > 0 else [part(vertex, vertex)] if disc == 0 else []
     else:
-        r1, r2 = _bracket_irrational_roots(a, disc, vertex)
-    if a > 0:
-        left = XSet.interval(ZERO, min(r1, Fraction(1))) if r1 >= ZERO else XSet.empty()
-        right = XSet.interval(max(r2, ZERO), Fraction(1)) if r2 <= Fraction(1) else XSet.empty()
-        return whole & (left | right)
-    if r2 < ZERO or r1 > Fraction(1):
-        return XSet.empty()
-    return whole & XSet.interval(max(r1, ZERO), min(r2, Fraction(1)))
+        r1, r2 = _roots(a, b, disc)
+        parts = [part(hi=r1), part(lo=r2)] if a > 0 else [part(r1, r2)]
+    # Outside the roots the parts are apart, in order: already normalized.
+    return XSet._normalized(s for s in parts if s is not None)
 
 
-def _bracket_irrational_roots(a: Fraction, disc: Fraction,
-                              vertex: Fraction) -> Tuple[Fraction, Fraction]:
-    """Conservative rational stand-ins for the two irrational roots
-    vertex -+ delta, delta^2 = disc/(4 a^2).
+def _roots(a: int, b: int, disc: int) -> Tuple[End, End]:
+    """The roots r1 < r2 of a x^2 + b x + c, disc = b^2 - 4 a c > 0, as
+    ends: exact where disc is a square, else conservative stand-ins for the
+    two irrational roots vertex -+ delta, delta^2 = disc/(4 a^2).
 
-    Each root lies inside one cell of the dyadic grid of pitch h = w/2^80
-    through the vertex, where w is the least power of two >= 1 with
-    w > delta: the cell vertex -+ (m, m + 1) h with m = floor(delta/h). That
-    cell is assigned to the *unsatisfied* side, so the reported region is
-    inner in both sign cases.
+    Each irrational root lies inside one cell of the dyadic grid of pitch
+    h = w/2^80 through the vertex, where w = 2^e is the least power of two
+    >= 1 with w > delta: the cell vertex -+ (m, m + 1) h with
+    m = floor(delta/h). That cell is assigned to the *unsatisfied* side, so
+    the reported region is inner in both sign cases.
     """
-    delta_sq = disc / (4 * a * a)
-    w = Fraction(1)
-    while w * w <= delta_sq:
-        w *= 2
-    h = w / 2 ** 80
-    # floor(sqrt(y)) == isqrt(floor(y)) for every real y >= 0.
-    m = math.isqrt(math.floor(delta_sq / (h * h)))
+    sign, two_a = (1, 2 * a) if a > 0 else (-1, -2 * a)
+    root = math.isqrt(disc)
+    if root * root == disc:
+        return end_at(-sign * b - root, two_a), end_at(-sign * b + root, two_a)
+    e = 0
+    while (two_a << e) ** 2 <= disc:
+        e += 1
+    # floor(sqrt(y)) == isqrt(floor(y)) for every real y >= 0, here
+    # y = delta^2/h^2 = disc 4^80/(4 a^2 4^e).
+    m = math.isqrt((disc << 160) // (two_a * two_a << 2 * e))
     # a > 0 is satisfied outside the roots, a < 0 between them.
-    cells = m + 1 if a > 0 else m
-    return vertex - cells * h, vertex + cells * h
+    offset = (m + 1 if a > 0 else m) * two_a << e
+    return (end_at((-sign * b << 80) - offset, two_a << 80),
+            end_at((-sign * b << 80) + offset, two_a << 80))
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +320,7 @@ class TargetAnalysis:
             witness = None
             if not nonempty:
                 span = c_set.spans[0]
-                witness = span if span.lo < span.hi else span.lo
+                witness = span.lo if span.is_point else span
             checks.append(CheckResult("slices_nonempty", nonempty, witness))
         else:
             interval = c_set.widest_interval()

@@ -19,8 +19,9 @@ of the extended closure's slice are ``pole_signs``.
 Where a piece meets a horizontal band is ``band_cut``, read off its
 rational graphs in integers: each is monotone, so the shadow of a band is
 one sub-span (a box's band, between flat edges, is its domain or nothing),
-its ends cut by cross-multiplication. Shadows are spans of those ends, and
-band clipping is each graph over its shadow. A box clips its own y-range.
+its integer ends (``intervals.End``) cut from the domain's by
+``intervals.inner``. Band clipping is each graph over its cut. A box clips
+its own y-range.
 
 Slicing, projection and band clipping are exact; floating point is used
 only by the arc distance and by ``distance_bounds``, float bounds that
@@ -41,27 +42,11 @@ from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, Optiona
 
 import numpy as np
 
-from .intervals import ONE, ZERO, RatLike, Span, XSet, rat
+from .intervals import ONE, ZERO, RatLike, Span, XSet, end_at, inner, rat, span_between
 
 
 class EmptySliceError(Exception):
     """Raised when an operation needs a nonempty slice and gets none."""
-
-
-# One end of a cut: x = num/den (den > 0) and whether x is left out.
-End = Tuple[int, int, bool]
-
-
-def _ends(span: Span) -> Tuple[End, End]:
-    (a, b), (c, d) = span.lo.as_integer_ratio(), span.hi.as_integer_ratio()
-    return (a, b, span.lo_open), (c, d, span.hi_open)
-
-
-def _inner(p: End, q: End, side: int) -> End:
-    """The inner of two lower ends (side 1) or upper ends (side -1), by
-    cross-multiplication; a shared end is left out where either leaves it out."""
-    order = side * (q[0] * p[1] - p[0] * q[1])
-    return q if order > 0 else p if order < 0 else (p[0], p[1], p[2] or q[2])
 
 
 @dataclass(frozen=True)
@@ -82,14 +67,12 @@ class RationalGraph:
         a, b = x.numerator, x.denominator
         return Fraction(self.n1 * a + self.n0 * b, self.d1 * a + self.d0 * b)
 
-    _bounds = cached_property(lambda self: _ends(self.dom))
-
     @cached_property
     def _walk(self) -> Tuple[int, int, int, Dict[Tuple[int, int], Tuple[Fraction, Fraction]]]:
         """(x0, dx, den, table): node t of [0, 1] lies at x = (x0 + t dx)/den,
         from the near end (``dom.hi`` where d1 < 0, so an arc's |y| falls
         with t), and the table holds every node (x, y) evaluated so far."""
-        (a, b, _), (c, d, _) = self._bounds
+        (a, b, _), (c, d, _) = self.dom
         lo, hi, den = a * d, c * b, b * d
         return (hi, lo - hi, den, {}) if self.d1 < 0 else (lo, hi - lo, den, {})
 
@@ -130,25 +113,19 @@ class RationalGraph:
         return ([self._crossing(-sign * band)] if 0 < lo < q and lo * m % q else []) + nodes + (
             [self._crossing(sign * band)] if 0 < hi < q and hi * m % q else [])
 
-    def holds(self, a: int, b: int) -> bool:
-        """Whether x = a/b (b > 0) lies in ``dom``: x - lo and hi - x, cross-
-        multiplied, must be at least 1 at an open end and 0 at a closed one."""
-        (ln, ld, lo_open), (hn, hd, hi_open) = self._bounds
-        return a * ld - ln * b >= lo_open and hn * b - a * hd >= hi_open
-
     def cut(self, lo: Optional[Fraction], hi: Optional[Fraction],
-            within: Optional[Span] = None) -> Optional[Tuple[End, End]]:
-        """The ends of the x of ``dom`` (met with ``within``) where lo <= y <= hi
-        (None: no bound on that side; an int bound reads as a Fraction), or None.
+            within: Optional[Span] = None) -> Optional[Span]:
+        """The span of the x of ``dom`` (met with ``within``) where
+        lo <= y <= hi (None: no bound on that side; an int bound reads as a
+        Fraction), or None.
 
         y is monotone on the span and its denominator positive, so y >= theta
         (theta = tn/td) exactly where a x >= b, a = n1 td - tn d1 and
         b = tn d0 - n0 td: one side of r = b/a, or all of the span or nothing
-        where a = 0. Ends meet as ``_inner`` meets them."""
-        x0, x1 = self._bounds
+        where a = 0. Ends meet as ``inner`` meets them."""
+        x0, x1 = self.dom
         if within is not None:
-            w0, w1 = _ends(within)
-            x0, x1 = _inner(x0, w0, 1), _inner(x1, w1, -1)
+            x0, x1 = inner(x0, within[0], 1), inner(x1, within[1], -1)
         for theta, sign in ((lo, 1), (hi, -1)):
             if theta is None:
                 continue
@@ -159,14 +136,9 @@ class RationalGraph:
                 if sign * b > 0:
                     return None
                 continue
-            r = (b, a, False) if a > 0 else (-b, -a, False)
-            x0, x1 = (_inner(x0, r, 1), x1) if (a > 0) == (sign > 0) else (x0, _inner(x1, r, -1))
-        order = x0[0] * x1[1] - x1[0] * x0[1]
-        return None if order > 0 or order == 0 and (x0[2] or x1[2]) else (x0, x1)
-
-    def shadow(self, lo: Optional[Fraction], hi: Optional[Fraction]) -> Optional[Span]:
-        """The x of ``dom`` where lo <= y <= hi: the span of ``cut``."""
-        return _span(self.cut(lo, hi))
+            r = end_at(b, a)
+            x0, x1 = (inner(x0, r, 1), x1) if (a > 0) == (sign > 0) else (x0, inner(x1, r, -1))
+        return span_between(x0, x1)
 
     def distance(self, px: Fraction, py: Fraction) -> float:
         """Float distance from (px, py), by degree. A segment (d1 = 0; a point
@@ -174,16 +146,17 @@ class RationalGraph:
         squared distance in integers over one common denominator: the foot
         of p is at t = w.e/e.e in [0, 1] (w = p - a, e = b - a), or an end.
         An arc takes ``_arc_distance``, after an exact test that reads 0.0 on it."""
-        lo, hi = self.dom.lo, self.dom.hi
         if self.d1 != 0:
-            if self.holds(px.numerator, px.denominator) and self.y_at(px) == py:
+            if self.dom.holds(px.numerator, px.denominator) and self.y_at(px) == py:
                 return 0.0
             pole, coef = Fraction(-self.d0, self.d1), Fraction(self.n0, self.d1)
             row = np.array([float(px - pole), float(py), float(coef),
-                            float(lo - pole), float(hi - pole)])
+                            float(self.dom.lo - pole), float(self.dom.hi - pole)])
             return float(_arc_distance(*row[:, None])[0])
-        m = math.lcm(px.denominator, py.denominator, lo.denominator, hi.denominator)
-        qx, qy, xa, xb = (v.numerator * (m // v.denominator) for v in (px, py, lo, hi))
+        (an, ad, _), (bn, bd, _) = self.dom
+        m = math.lcm(px.denominator, py.denominator, ad, bd)
+        qx, qy = (v.numerator * (m // v.denominator) for v in (px, py))
+        xa, xb = an * (m // ad), bn * (m // bd)
         # Over the common denominator m d0: w = p - a and e = b - a.
         wx, wy = (qx - xa) * self.d0, qy * self.d0 - self.n1 * xa - self.n0 * m
         ex, ey = (xb - xa) * self.d0, (xb - xa) * self.n1
@@ -272,13 +245,8 @@ def _graph(dom: Span, n1: Fraction, n0: Fraction, d1: Fraction = ZERO,
     return RationalGraph(dom, *(c.numerator * (scale // c.denominator) for c in (n1, n0, d1, d0)))
 
 
-def _span(ends: Optional[Tuple[End, End]]) -> Optional[Span]:
-    """The span between two (num, den, open) ends; None for no ends."""
-    return ends and Span(Fraction(*ends[0][:2]), Fraction(*ends[1][:2]), ends[0][2], ends[1][2])
-
-
 def band_cut(band: Tuple[RationalGraph, RationalGraph], lo: Optional[Fraction],
-             hi: Optional[Fraction], within: Optional[Span] = None) -> Optional[Tuple[End, End]]:
+             hi: Optional[Fraction], within: Optional[Span] = None) -> Optional[Span]:
     """``RationalGraph.cut`` of the band (lower, upper). A two-graph band is a
     box's, flat edges on one domain: it meets the range where lower <= hi,
     upper >= lo and lo <= hi."""
@@ -335,8 +303,7 @@ class _Piece:
 
     def domain(self) -> Span:
         """The x-range: from the first graph's domain to the last's."""
-        first, last = self.graphs()[0].dom, self.graphs()[-1].dom
-        return Span(first.lo, last.hi, first.lo_open, last.hi_open)
+        return span_between(self.graphs()[0].dom[0], self.graphs()[-1].dom[1])
 
     def graphs(self) -> List[RationalGraph]:
         """The piece's single-valued rational graphs, built once and shared."""
@@ -357,8 +324,8 @@ class _Piece:
 
     def clipped(self, ylo: Optional[Fraction], yhi: Optional[Fraction]) -> List[Piece]:
         """The piece cut to the band ylo <= y <= yhi: each graph over its
-        shadow."""
-        return [g.piece(s) for g in self.graphs() if (s := g.shadow(ylo, yhi)) is not None]
+        cut."""
+        return [g.piece(s) for g in self.graphs() if (s := g.cut(ylo, yhi)) is not None]
 
     def probe_blocks(self, pitch: float) -> ProbeBlocks:
         """The float probes in runs of ``_RUN``: each run's bounding box and
@@ -673,7 +640,7 @@ class TargetSet:
     def shadow(self, lo: Optional[Fraction], hi: Optional[Fraction]) -> XSet:
         """Exact x-projection of the band lo <= y <= hi (None: unbounded side)."""
         return XSet(s for piece in self.pieces for band in piece.bands()
-                    if (s := _span(band_cut(band, lo, hi))) is not None)
+                    if (s := band_cut(band, lo, hi)) is not None)
 
     # -- clipping --------------------------------------------------------
 

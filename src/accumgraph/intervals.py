@@ -1,27 +1,35 @@
 """Exact rational interval sets.
 
-``XSet`` is a finite union of subintervals of [0, 1] with independent
-open/closed endpoint flags (isolated points are degenerate closed spans).
-It supports exact union, intersection, complement and difference within
-[0, 1]; intersection and difference are one linear walk over the sorted
-spans. A vertical slice of a target needs no set type: it is the union of
-the band ranges that ``TargetSet.bands_at`` returns.
+An x-interval is a ``Span``: a lower and an upper ``End``, each a point
+x = num/den held as integers in lowest terms with a flag that leaves x
+out. Ends compare by cross-multiplication, and ``inner`` is the one rule
+that meets two of them. A ``Fraction`` is built only where an endpoint or
+a width is returned or printed; no floating point enters the set algebra.
 
-All endpoints are ``fractions.Fraction``; no floating point enters the set
-algebra.
+``XSet`` is a finite union of subintervals of [0, 1], normalized: its spans
+are its maximal connected parts in order (isolated points are degenerate
+closed spans). It supports exact union, intersection, complement and
+difference within [0, 1], each one linear walk over sorted spans. A
+vertical slice of a target needs no set type: it is the union of the band
+ranges that ``TargetSet.bands_at`` returns.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Union
+from functools import cmp_to_key
+from heapq import merge
+from math import gcd
+from typing import Iterable, Iterator, Optional, Tuple, Union
 
 RatLike = Union[Fraction, int, float, str]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# One end of a span: x = num/den in lowest terms (den > 0), and whether x
+# is left out.
+End = Tuple[int, int, bool]
 
 
 def rat(value: RatLike) -> Fraction:
@@ -31,49 +39,83 @@ def rat(value: RatLike) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
-class Span:
-    """One maximal subinterval: endpoints plus openness flags.
+def end_at(num: int, den: int) -> End:
+    """The closed end at x = num/den (den != 0), in lowest terms."""
+    g = gcd(num, den) if den > 0 else -gcd(num, den)
+    return num // g, den // g, False
+
+
+def inner(p: End, q: End, side: int) -> End:
+    """The inner of two lower ends (side 1) or upper ends (side -1), by
+    cross-multiplication; a shared x is left out where either leaves it out."""
+    order = side * (q[0] * p[1] - p[0] * q[1])
+    return q if order > 0 else p if order < 0 or p[2] else q
+
+
+class Span(tuple):
+    """One subinterval: the pair (lower end, upper end), compared, hashed
+    and unpacked as that pair.
 
     A degenerate span (lo == hi) must be closed on both sides and encodes an
     isolated point.
     """
 
-    lo: Fraction
-    hi: Fraction
-    lo_open: bool = False
-    hi_open: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise ValueError(f"span endpoints out of order: {self.lo} > {self.hi}")
-        if self.lo == self.hi and (self.lo_open or self.hi_open):
-            raise ValueError("degenerate span must be closed")
+    def __new__(cls, lo: RatLike, hi: RatLike, lo_open: bool = False,
+                hi_open: bool = False) -> "Span":
+        lo, hi = rat(lo), rat(hi)
+        span = span_between((lo.numerator, lo.denominator, bool(lo_open)),
+                          (hi.numerator, hi.denominator, bool(hi_open)))
+        if span is None:
+            raise ValueError(f"span endpoints out of order: {lo} > {hi}" if lo > hi
+                             else "degenerate span must be closed")
+        return span
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self[0][0], self[0][1])
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self[1][0], self[1][1])
+
+    @property
+    def lo_open(self) -> bool:
+        return self[0][2]
+
+    @property
+    def hi_open(self) -> bool:
+        return self[1][2]
 
     @property
     def is_point(self) -> bool:
-        return self.lo == self.hi
+        return self[0][:2] == self[1][:2]
 
     @property
     def width(self) -> Fraction:
-        return self.hi - self.lo
+        (ln, ld, _), (hn, hd, _) = self
+        return Fraction(hn * ld - ln * hd, hd * ld)
 
-    def contains(self, x: Fraction) -> bool:
-        if x < self.lo or x > self.hi:
-            return False
-        if x == self.lo and self.lo_open:
-            return False
-        if x == self.hi and self.hi_open:
-            return False
-        return True
+    def holds(self, a: int, b: int) -> bool:
+        """Whether x = a/b (b > 0) lies in the span: x - lo and hi - x, cross-
+        multiplied, must be at least 1 at an open end and 0 at a closed one."""
+        (ln, ld, lo_open), (hn, hd, hi_open) = self
+        return a * ld - ln * b >= lo_open and hn * b - a * hd >= hi_open
 
-    def distance_to(self, x: Fraction) -> Fraction:
-        """Distance from x to the closure of the span."""
-        if x < self.lo:
-            return self.lo - x
-        if x > self.hi:
-            return x - self.hi
-        return ZERO
+    def contains(self, x: RatLike) -> bool:
+        x = rat(x)
+        return self.holds(x.numerator, x.denominator)
+
+    def gap(self, a: int, b: int) -> Tuple[int, int]:
+        """The distance from x = a/b (b > 0) to the closure of the span, as
+        (num, den)."""
+        (ln, ld, _), (hn, hd, _) = self
+        return (ln * b - a * ld, ld * b) if a * ld < ln * b else (max(a * hd - hn * b, 0), hd * b)
+
+    def __getnewargs__(self) -> Tuple[Fraction, Fraction, bool, bool]:
+        """Copies and pickles rebuild the span by its public constructor."""
+        return self.lo, self.hi, self.lo_open, self.hi_open
 
     def __str__(self) -> str:
         if self.is_point:
@@ -83,56 +125,44 @@ class Span:
         return f"{lb}{self.lo}, {self.hi}{rb}"
 
 
-def _make_span(lo: Fraction, hi: Fraction, lo_open: bool, hi_open: bool) -> Optional[Span]:
-    """Build a span, returning None when the data describes the empty set."""
-    if lo > hi:
+def span_between(lo: End, hi: End) -> Optional[Span]:
+    """The span between two ends, or None when they describe the empty set."""
+    order = hi[0] * lo[1] - lo[0] * hi[1]
+    if order < 0 or order == 0 and (lo[2] or hi[2]):
         return None
-    if lo == hi and (lo_open or hi_open):
-        return None
-    return Span(lo, hi, lo_open, hi_open)
-
-
-def _merge(a: Span, b: Span) -> Optional[Span]:
-    """Union of two spans when it is again a span; None when disjoint.
-
-    Assumes a.lo <= b.lo (sorted order).
-    """
-    if b.lo > a.hi:
-        return None
-    if b.lo == a.hi and a.hi_open and b.lo_open:
-        return None
-    # Pick the larger right endpoint; on ties the point is kept if either
-    # span keeps it.
-    if b.hi > a.hi:
-        hi, hi_open = b.hi, b.hi_open
-    elif b.hi < a.hi:
-        hi, hi_open = a.hi, a.hi_open
-    else:
-        hi, hi_open = a.hi, a.hi_open and b.hi_open
-    if a.lo == b.lo:
-        lo_open = a.lo_open and b.lo_open
-    else:
-        lo_open = a.lo_open
-    return Span(a.lo, hi, lo_open, hi_open)
+    return tuple.__new__(Span, (lo, hi))
 
 
 def span_intersection(a: Span, b: Span) -> Optional[Span]:
     """Intersection of two spans, or None when empty."""
-    if b.lo > a.hi or a.lo > b.hi:
-        return None
-    if a.lo > b.lo:
-        lo, lo_open = a.lo, a.lo_open
-    elif b.lo > a.lo:
-        lo, lo_open = b.lo, b.lo_open
-    else:
-        lo, lo_open = a.lo, a.lo_open or b.lo_open
-    if a.hi < b.hi:
-        hi, hi_open = a.hi, a.hi_open
-    elif b.hi < a.hi:
-        hi, hi_open = b.hi, b.hi_open
-    else:
-        hi, hi_open = a.hi, a.hi_open or b.hi_open
-    return _make_span(lo, hi, lo_open, hi_open)
+    return span_between(inner(a[0], b[0], 1), inner(a[1], b[1], -1))
+
+
+# Spans in the order of their lower ends, a closed end before an open one
+# at the same x: the order in which ``_sweep`` merges them.
+_BY_LOWER_END = cmp_to_key(lambda s, t: s[0][0] * t[0][1] - t[0][0] * s[0][1]
+                           or s[0][2] - t[0][2])
+
+
+def _sweep(spans: Iterable[Span]) -> Iterator[Span]:
+    """The maximal connected parts of spans in the order of their lower ends,
+    each built once, when the next span leaves it: a span joins the part
+    unless it starts past the part's upper end, or at it with both ends left
+    out. The part's upper end is the outer of the two, closed where either
+    is."""
+    lo = hi = None
+    for s_lo, s_hi in spans:
+        if hi is not None:
+            order = s_lo[0] * hi[1] - hi[0] * s_lo[1]
+            if order < 0 or order == 0 and not (hi[2] and s_lo[2]):
+                order = s_hi[0] * hi[1] - hi[0] * s_hi[1]
+                if order > 0 or order == 0 and not s_hi[2]:
+                    hi = s_hi
+                continue
+            yield tuple.__new__(Span, (lo, hi))
+        lo, hi = s_lo, s_hi
+    if hi is not None:
+        yield tuple.__new__(Span, (lo, hi))
 
 
 class XSet:
@@ -141,18 +171,12 @@ class XSet:
     __slots__ = ("spans",)
 
     def __init__(self, spans: Iterable[Span] = ()) -> None:
-        items = sorted(spans, key=lambda s: (s.lo, s.lo_open, s.hi, s.hi_open))
-        merged: list[Span] = []
+        items = sorted(spans, key=_BY_LOWER_END)
         for span in items:
-            if span.lo < ZERO or span.hi > ONE:
+            (ln, _, _), (hn, hd, _) = span
+            if ln < 0 or hn > hd:
                 raise ValueError(f"span {span} outside [0, 1]")
-            if merged:
-                joined = _merge(merged[-1], span)
-                if joined is not None:
-                    merged[-1] = joined
-                    continue
-            merged.append(span)
-        object.__setattr__(self, "spans", tuple(merged))
+        object.__setattr__(self, "spans", tuple(_sweep(items)))
 
     # -- constructors -------------------------------------------------
 
@@ -169,17 +193,18 @@ class XSet:
 
     @classmethod
     def point(cls, x: RatLike) -> "XSet":
-        x = rat(x)
         return cls((Span(x, x),))
 
     @classmethod
     def points(cls, xs: Iterable[RatLike]) -> "XSet":
-        return cls(tuple(Span(rat(x), rat(x)) for x in xs))
+        return cls(Span(x, x) for x in xs)
 
     @classmethod
     def interval(cls, lo: RatLike, hi: RatLike, lo_open: bool = False,
                  hi_open: bool = False) -> "XSet":
-        span = _make_span(rat(lo), rat(hi), lo_open, hi_open)
+        lo, hi = rat(lo), rat(hi)
+        span = span_between((lo.numerator, lo.denominator, bool(lo_open)),
+                          (hi.numerator, hi.denominator, bool(hi_open)))
         return cls(() if span is None else (span,))
 
     # -- queries ------------------------------------------------------
@@ -196,29 +221,24 @@ class XSet:
 
     def contains(self, x: RatLike) -> bool:
         x = rat(x)
-        return any(s.contains(x) for s in self.spans)
+        return any(s.holds(x.numerator, x.denominator) for s in self.spans)
 
     def contains_interval(self) -> bool:
         """True when some span has nonempty interior."""
-        return any(s.lo < s.hi for s in self.spans)
+        return not all(s.is_point for s in self.spans)
 
     def widest_interval(self) -> Optional[Span]:
-        return max((s for s in self.spans if s.lo < s.hi), key=lambda s: s.width, default=None)
+        return max((s for s in self.spans if not s.is_point), key=lambda s: s.width, default=None)
 
     def isolated_points(self) -> list[Fraction]:
         return [s.lo for s in self.spans if s.is_point]
 
-    def distance_to(self, x: RatLike) -> Optional[Fraction]:
-        """Distance from x to the closure of the set; None when empty."""
-        x = rat(x)
-        if not self.spans:
-            return None
-        return min(s.distance_to(x) for s in self.spans)
-
     # -- algebra ------------------------------------------------------
 
     def union(self, other: "XSet") -> "XSet":
-        return XSet(self.spans + other.spans)
+        """One sweep over both span lists, merged in the order of their lower
+        ends."""
+        return XSet._normalized(_sweep(merge(self.spans, other.spans, key=_BY_LOWER_END)))
 
     __or__ = union
 
@@ -226,11 +246,10 @@ class XSet:
         """Complement within [0, 1]: the gaps between 0, the spans and 1. The
         gaps of a normalized set are sorted, and a point span keeps its two
         neighbours apart (both open at it), so they are normalized too."""
-        ends = [(ZERO, False), *((e, not e_open) for s in self.spans
-                                 for e, e_open in ((s.lo, s.lo_open), (s.hi, s.hi_open))),
-                (ONE, False)]
-        return XSet._normalized(gap for (lo, lo_open), (hi, hi_open) in zip(ends[::2], ends[1::2])
-                                if (gap := _make_span(lo, hi, lo_open, hi_open)) is not None)
+        ends = [(0, 1, False), *((n, d, not left_out) for s in self.spans
+                                 for n, d, left_out in s), (1, 1, False)]
+        return XSet._normalized(gap for lo, hi in zip(ends[::2], ends[1::2])
+                                if (gap := span_between(lo, hi)) is not None)
 
     def intersection(self, other: "XSet") -> "XSet":
         """One walk over both span lists, past whichever span ends first. A
@@ -240,7 +259,8 @@ class XSet:
         while i < len(a) and j < len(b):
             if (meet := span_intersection(a[i], b[j])) is not None:
                 got.append(meet)
-            i, j = (i + 1, j) if a[i].hi <= b[j].hi else (i, j + 1)
+            (an, ad, _), (bn, bd, _) = a[i][1], b[j][1]
+            i, j = (i + 1, j) if an * bd <= bn * ad else (i, j + 1)
         return XSet._normalized(got)
 
     __and__ = intersection
@@ -264,14 +284,3 @@ class XSet:
         if not self.spans:
             return "XSet()"
         return "XSet(" + " u ".join(str(s) for s in self.spans) + ")"
-
-
-def rational_sqrt(value: Fraction) -> Optional[Fraction]:
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    if value < 0:
-        raise ValueError("negative radicand")
-    if value == 0:
-        return ZERO
-    num, den = value.numerator, value.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    return Fraction(rn, rd) if rn * rn == num and rd * rd == den else None

@@ -38,7 +38,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .geometry import Piece, RationalGraph, band_cut, float_range, value_floats
-from .intervals import ONE, ZERO, RatLike, Span, rat
+from .intervals import ONE, ZERO, RatLike, Span, XSet, rat
 from .synthesis import SynthFunction
 
 
@@ -164,7 +164,10 @@ def _graph_floats(piece: Piece, g: RationalGraph) -> List[float]:
 
 
 def _span_floats(spans: Sequence[Span]) -> Tuple[np.ndarray, np.ndarray]:
-    return np.array([float(s.lo) for s in spans]), np.array([float(s.hi) for s in spans])
+    """The spans' lower and upper ends as floats, each num/den correctly
+    rounded."""
+    ends = np.array([[n / d for n, d, _ in s] for s in spans]).reshape(-1, 2)
+    return ends[:, 0], ends[:, 1]
 
 
 def _coefficients(graphs: Sequence[RationalGraph], table: np.ndarray) -> List[np.ndarray]:
@@ -178,23 +181,26 @@ def _coefficients(graphs: Sequence[RationalGraph], table: np.ndarray) -> List[np
 def _side(coef: List[np.ndarray], theta: np.ndarray, theta_err: np.ndarray,
           up: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Float bounds on the x of each graph where y >= theta (up = 1) or
-    y <= theta (up = -1), cut as ``RationalGraph.shadow`` cuts them at r = b/a,
+    y <= theta (up = -1), cut as ``RationalGraph.cut`` cuts them at r = b/a,
     a = n1 - theta d1, b = theta d0 - n0 (d1 x + d0 > 0): whether it is surely
     empty (a flat graph keeps all or nothing), a lower bound on its lower end
     and an upper bound on its upper end, neither where the sign of a is not
-    sure. The errors of a, b and r follow from ``theta_err`` and each
-    rounding."""
+    sure or r or its error leaves float range. The errors of a, b and r
+    follow from ``theta_err`` and each rounding; overflow and inf - inf read
+    as not sure, not as warnings."""
     n1, n0, d1, d0, flat = coef
-    a, b = n1 - theta * d1, theta * d0 - n0
-    a_err = _REL * (abs(n1) + abs(theta * d1)) + 2 * abs(d1) * theta_err
-    b_err = _REL * (abs(n0) + abs(theta * d0)) + 2 * abs(d0) * theta_err
-    sure = abs(a) > 4 * a_err
-    a = np.where(sure, a, 1.0)
-    r = b / a
-    r_err = 2 * (b_err + abs(r) * a_err) / abs(a) + _REL * abs(r)
-    lo_end = np.where(sure & (up * a > 0), r - r_err, -np.inf)
-    hi_end = np.where(sure & (up * a < 0), r + r_err, np.inf)
-    return flat & (up * b > b_err), lo_end, hi_end
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b = n1 - theta * d1, theta * d0 - n0
+        a_err = _REL * (abs(n1) + abs(theta * d1)) + 2 * abs(d1) * theta_err
+        b_err = _REL * (abs(n0) + abs(theta * d0)) + 2 * abs(d0) * theta_err
+        sure = abs(a) > 4 * a_err
+        a = np.where(sure, a, 1.0)
+        r = b / a
+        r_err = 2 * (b_err + abs(r) * a_err) / abs(a) + _REL * abs(r)
+        sure &= np.isfinite(r_err)  # r_err >= |r| 2^-49: r is finite too
+        lo_end = np.where(sure & (up * a > 0), r - r_err, -np.inf)
+        hi_end = np.where(sure & (up * a < 0), r + r_err, np.inf)
+        return flat & (up * b > b_err), lo_end, hi_end
 
 
 class _Radii:
@@ -229,22 +235,19 @@ class _Radii:
         self.d_levels = f.analysis.d_levels(depth) if f.regime.baire1 else []
         self.w_parts = [w for _, w in f.analysis.w_parts(depth)[:depth]] if unbounded else []
         # Per level, the float spans of terms 0 and 1, and of term 2 by kind.
-        self.gap_spans = [[_span_floats([Span(p, p)]) for p in points]
+        self.gap_spans = [[(np.array([float(p)]),) * 2 for p in points]
                           for points in (self.a_first, self.c_first)]
         self.sep_spans = {"A": [_span_floats(dn.spans) for dn in self.d_levels],
                           "B": [_span_floats([w]) for w in self.w_parts], "C": []}
         bands = [(piece, band) for piece in f.target.pieces for band in piece.bands()
                  if not unbounded or cap is not None and band_cut(band, -cap, cap)]
         self.bands = [band for _, band in bands]
-        # Per band: its domain, then (n1, n0, d1, d0) of its lower and of its
-        # upper graph.
-        table = np.array([
-            [float(lower.dom.lo), float(lower.dom.hi)]
-            + _graph_floats(piece, lower) + _graph_floats(piece, upper)
-            for piece, (lower, upper) in bands]).reshape(-1, 10)
-        self.domain = table[:, 0], table[:, 1]
+        self.domain = _span_floats([lower.dom for lower, _ in self.bands])
+        # Per band, (n1, n0, d1, d0) of its lower and of its upper graph.
+        table = np.array([_graph_floats(piece, lower) + _graph_floats(piece, upper)
+                          for piece, (lower, upper) in bands]).reshape(-1, 8)
         self.lower, self.upper = (_coefficients([band[k] for band in self.bands], table[:, c:c + 4])
-                                  for k, c in ((0, 2), (1, 6)))
+                                  for k, c in ((0, 0), (1, 4)))
         self._pairs: Dict[Optional[int], tuple] = {}
 
     def pairs(self, kx: Optional[int]) -> tuple:
@@ -314,19 +317,23 @@ class _Radii:
             for lower, j in zip(bounds[i], terms[i]):
                 if lower > limit:
                     break
+                # Each term's distances to x as (num, den), compared with the
+                # bound by cross-multiplication: a Fraction only below it.
                 if j < 2:
-                    point = (self.a_first, self.c_first)[j][i]
-                    term = abs(x - point) if point != x else None
+                    p = (self.a_first, self.c_first)[j][i]
+                    pn, pd = p.numerator, p.denominator
+                    gaps = [(abs(xn * pd - pn * xd), xd * pd)] if p != x else []
                 elif j == 2:
                     # Level n's separation set: D_n, or W_n unless it holds x.
                     if kind == "A":
-                        term = self.d_levels[i].distance_to(x)
+                        spans = self.d_levels[i].spans
                         clash = "net point {x} touches diameter level set {n}"
                     else:
                         w = self.w_parts[i]
-                        term = None if w.contains(x) else w.distance_to(x)
+                        spans = [] if w.holds(xn, xd) else [w]
                         clash = "backbone center {x} touches a foreign level part"
-                    if term == 0:
+                    gaps = [s.gap(xn, xd) for s in spans]
+                    if any(num == 0 for num, _ in gaps):
                         raise ScheduleInfeasibleError(clash.format(x=x, n=n))
                 else:
                     # Offending r: f0(r) >= f0(x) + 1/n (and <= k_x), on one
@@ -336,18 +343,14 @@ class _Radii:
                         band = (fx + inv, None) if kx is None else (max(fx + inv, -kx), kx)
                     if (cut := band_cut(self.bands[e], *band, v)) is None:
                         continue
-                    # Its distance to x, num/den: a Fraction only below the bound.
-                    (n0, d0, _), (n1, d1, _) = cut
-                    num, den = ((n0 * xd - xn * d0, d0 * xd) if xn * d0 < n0 * xd
-                                else (max(xn * d1 - n1 * xd, 0), d1 * xd))
-                    if num == 0:
+                    gaps = [cut.gap(xn, xd)]
+                    if gaps[0][0] == 0:
                         raise ScheduleInfeasibleError(
                             f"overlap condition unsatisfiable at center {x}, level {n}")
-                    lowers = num * bound.denominator < bound.numerator * den
-                    term = Fraction(num, den) if lowers else None
-                if term is not None and term < bound:
-                    bound = term
-                    limit = float(bound) * _ABOVE
+                for num, den in gaps:
+                    if num * bound.denominator < bound.numerator * den:
+                        bound = Fraction(num, den)
+                        limit = float(bound) * _ABOVE
             if bound <= 0:
                 raise ScheduleInfeasibleError(
                     f"radius collapsed to {bound} at center {x}, level {n}")
@@ -487,10 +490,8 @@ def verify_strips(family: StripFamily, f: SynthFunction) -> StripReport:
     sep = np.full(len(cols), np.inf)
     sep[list(sched.sep_index)] = list(sched.sep_index.values())
     classes, backbone = (kinds == "A", kinds == "C"), kinds == "B"
-    exact = np.array(sched.columns, dtype=object)
-    for s in f.analysis.d_set:
-        backbone[np.searchsorted(exact, s.lo, "right" if s.lo_open else "left"):
-                 np.searchsorted(exact, s.hi, "left" if s.hi_open else "right")] = False
+    in_d = {s[0][:2] for s in XSet.points(sched.columns) & f.analysis.d_set}
+    backbone &= [(x.numerator, x.denominator) not in in_d for x in sched.columns]
     cb, padded = cols[backbone], np.append(fv, 0.0)  # a window may end at len(fv)
 
     reports: List[StripLevelReport] = []

@@ -145,7 +145,7 @@ class _Placer:
             if (a, b) in self.taken:
                 continue
             y2 = y
-            if graph.holds(a, b):
+            if graph.dom.holds(a, b):
                 # The displacement test 1/q^2 + dy^2 > 1/m^2, in integers, on
                 # the unreduced dy = p/r - y: the test is homogeneous in it.
                 p, r = n1 * a + n0 * b, d1 * a + d0 * b
@@ -164,7 +164,7 @@ class _Placer:
                 continue
             g = gcd(top, bot)
             a, b = top // g, bot // g
-            if (a, b) in self.taken or not graph.holds(a, b) or \
+            if (a, b) in self.taken or not graph.dom.holds(a, b) or \
                     ((a * den - num * b) * q * m) ** 2 > (b * den) ** 2 * (q * q - m * m):
                 continue
             self.taken.add((a, b))

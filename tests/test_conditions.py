@@ -1,5 +1,6 @@
 """Regime hypothesis checks and the target analysis behind them."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -7,15 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from accumgraph.conditions import (
-    Regime,
-    TargetAnalysis,
-    _bracket_irrational_roots,
-    check_regime,
-)
+from accumgraph.conditions import Regime, TargetAnalysis, _quad_ge_zero, _roots, check_regime
 from accumgraph.demos import demo_set, sect6_pole_points
 from accumgraph.geometry import Box, Hyper, PLine, Point, TargetSet
-from accumgraph.intervals import Span, XSet, rational_sqrt
+from accumgraph.intervals import Span, XSet
+from test_intervals import (eighths, fraction_span, fraction_spans, reference_complement,
+                            reference_make, reference_meet, reference_normalize, spans)
 
 
 # ---------------------------------------------------------------------------
@@ -170,18 +168,94 @@ def bisection_brackets(a, b, c):
 
 
 def test_irrational_root_brackets_match_bisection():
+    """The integer brackets of ``_roots``, on the coefficients over their
+    common denominator, are the bisection's cells."""
     rng = random.Random(20151)
     checked = 0
     while checked < 200:
         scale = F(10) ** rng.randint(-4, 4)
         a, b, c = (F(rng.randint(-50, 50), rng.randint(1, 30)) * s
                    for s in (scale, 1, 1 / scale))
-        disc = b * b - 4 * a * c
-        if a == 0 or disc <= 0 or rational_sqrt(disc) is not None:
+        m = math.lcm(a.denominator, b.denominator, c.denominator)
+        ai, bi, ci = (int(v * m) for v in (a, b, c))
+        disc = bi * bi - 4 * ai * ci
+        if a == 0 or disc <= 0 or math.isqrt(disc) ** 2 == disc:
             continue
-        vertex = -b / (2 * a)
-        assert _bracket_irrational_roots(a, disc, vertex) == bisection_brackets(a, b, c), (a, b, c)
+        got = tuple(F(num, den) for num, den, _ in _roots(ai, bi, disc))
+        assert got == bisection_brackets(a, b, c), (a, b, c)
         checked += 1
+
+
+# -- the former Fraction rule of the quadratic sign sets ----------------------
+
+
+def rational_sqrt(value):
+    """Exact square root of a nonnegative rational, or None if irrational."""
+    num, den = value.numerator, value.denominator
+    rn, rd = math.isqrt(num), math.isqrt(den)
+    return F(rn, rd) if rn * rn == num and rd * rd == den else None
+
+
+def reference_irrational_roots(a, disc, vertex):
+    """The former Fraction brackets: the dyadic cells of pitch w/2^80 through
+    the vertex, w the least power of two >= 1 above delta."""
+    delta_sq = disc / (4 * a * a)
+    w = F(1)
+    while w * w <= delta_sq:
+        w *= 2
+    h = w / 2 ** 80
+    m = math.isqrt(math.floor(delta_sq / (h * h)))
+    cells = m + 1 if a > 0 else m
+    return vertex - cells * h, vertex + cells * h
+
+
+def reference_quad_ge_zero(a, b, c, dom):
+    """The former ``_quad_ge_zero`` on Fraction coefficients and Fraction
+    spans: the domain met with the closed intervals of [0, 1] where
+    a x^2 + b x + c >= 0, or their inner stand-ins at irrational roots."""
+    def closed(lo, hi):
+        span = reference_make(max(lo, F(0)), min(hi, F(1)), False, False)
+        return [m for m in [span and reference_meet(dom, span)] if m]
+
+    if a == 0:
+        if b == 0:
+            return [dom] if c >= 0 else []
+        return closed(-c / b, F(1)) if b > 0 else closed(F(0), -c / b)
+    disc, vertex = b * b - 4 * a * c, -b / (2 * a)
+    if disc <= 0:
+        return [dom] if a > 0 else closed(vertex, vertex) if disc == 0 else []
+    sq = rational_sqrt(disc)
+    if sq is not None:
+        r1, r2 = sorted([(-b - sq) / (2 * a), (-b + sq) / (2 * a)])
+    else:
+        r1, r2 = reference_irrational_roots(a, disc, vertex)
+    if a > 0:
+        return reference_normalize(closed(F(0), r1) + closed(r2, F(1)))
+    return closed(r1, r2)
+
+
+@st.composite
+def quadratics(draw):
+    """Integer coefficients: k (p x - q)(r x - s), with rational roots, often
+    in [0, 1], a double one or a linear factor (r = 0), or any small a, b, c,
+    mostly with irrational roots or none."""
+    if draw(st.booleans()):
+        k = draw(st.sampled_from([-3, -1, 1, 2]))
+        p, r = draw(st.integers(1, 12)), draw(st.integers(0, 12))
+        q, s = draw(st.integers(-2, 14)), draw(st.integers(-2, 14))
+        return k * p * r, -k * (p * s + q * r), k * q * s
+    return tuple(draw(st.integers(-40, 40)) for _ in range(3))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(quadratics(), spans() | spans(eighths))
+def test_quad_sign_sets_match_the_fraction_rule(coefs, dom):
+    """The integer sign sets with integer root ends are the former Fraction
+    rule's sets: on rational, double and irrational roots, linear and
+    constant forms, and open, closed and point domains."""
+    a, b, c = coefs
+    got = _quad_ge_zero(a, b, c, dom)
+    assert fraction_spans(got) == reference_quad_ge_zero(F(a), F(b), F(c), fraction_span(dom))
 
 
 _LINE_UP = PLine(((F(0), F(1)), (F(1), F(2))))
@@ -376,6 +450,42 @@ def test_projection_partition(t):
     c_set = TargetAnalysis(t).c_set
     assert c_set | t.x_projection() == XSet.interval(0, 1)
     assert (c_set & t.x_projection()).is_empty
+
+
+def reference_band_shadow(band, lo, hi):
+    """The x of the band's domain where it meets lo <= y <= hi, by the
+    Fraction rule of the linear sign sets: the upper graph's y >= lo where
+    (n1 - lo d1) x + n0 - lo d0 >= 0 (its denominator is positive), and the
+    lower graph's y <= hi likewise."""
+    lower, upper = band
+    if lo is not None and hi is not None and lo > hi:
+        return []
+    dom = fraction_span(lower.dom)
+    parts = [dom]
+    for g, theta, sign in ((upper, lo, 1), (lower, hi, -1)):
+        if theta is not None:
+            cut = reference_quad_ge_zero(F(0), sign * (g.n1 - theta * g.d1),
+                                         sign * (g.n0 - theta * g.d0), dom)
+            parts = [m for p in parts for q in cut if (m := reference_meet(p, q))]
+    return parts
+
+
+band_bounds = st.none() | st.builds(F, st.integers(-8, 8), st.sampled_from([1, 2, 3]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(random_target(), band_bounds, band_bounds)
+def test_shadows_and_projections_match_the_fraction_rules(t, lo, hi):
+    """Band shadows (so every U_k), x-projections and empty-slice sets of
+    random targets, sorted and merged once over integer ends, are the sets
+    the former Fraction rules normalize to."""
+    shadow = reference_normalize([s for piece in t.pieces for band in piece.bands()
+                                  for s in reference_band_shadow(band, lo, hi)])
+    assert fraction_spans(t.shadow(lo, hi)) == shadow, (lo, hi)
+    projection = reference_normalize([fraction_span(g.dom) for piece in t.pieces
+                                      for g in piece.graphs()])
+    assert fraction_spans(t.x_projection()) == projection
+    assert fraction_spans(TargetAnalysis(t).c_set) == reference_complement(projection)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -793,7 +793,7 @@ def test_slice_matches_oracle(pieces, x):
 
 
 def _reference_shadow(graph, lo, hi):
-    """The Fraction rule of ``RationalGraph.shadow``: each bound moves one
+    """The Fraction rule of ``RationalGraph.cut``: each bound moves one
     end to r = b/a as a Fraction, and the result is the domain met with the
     closed span between the ends."""
     x0, x1 = graph.dom.lo, graph.dom.hi
@@ -833,9 +833,9 @@ def test_shadow_matches_the_fraction_rule(piece, data):
                           st.builds(F, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4])))
         lo, hi = data.draw(bound), data.draw(bound)
         for g in band:
-            assert g.shadow(lo, hi) == _reference_shadow(g, lo, hi), (g, lo, hi)
+            assert g.cut(lo, hi) == _reference_shadow(g, lo, hi), (g, lo, hi)
         expected = _reference_band_shadow(band, lo, hi)
-        assert geometry._span(band_cut(band, lo, hi)) == expected, (band, lo, hi)
+        assert band_cut(band, lo, hi) == expected, (band, lo, hi)
         assert TargetSet((piece,)).shadow(lo, hi) == XSet(
             s for b in piece.bands() if (s := _reference_band_shadow(b, lo, hi)) is not None)
 
@@ -964,7 +964,7 @@ _WIDE = st.builds(lambda m, e: F(m) * F(10) ** e, st.integers(-9, 9), st.integer
        gap=st.fractions(0, 1, max_denominator=100),
        coef=_WIDE.filter(bool), probes=st.lists(_UNIT, min_size=1, max_size=8))
 def test_integer_graph_forms_match_the_fraction_formulas(xs, ys, ends, gap, coef, probes):
-    """``RationalGraph.y_at`` and ``holds``, in integers over one common
+    """``RationalGraph.y_at`` and ``Span.holds``, in integers over one common
     denominator, and the polyline net nodes equal the Fraction formulas, on
     polyline segments and on arcs right and left of their pole, at domain
     ends and inside and outside the domain; the denominator is positive on
@@ -977,9 +977,12 @@ def test_integer_graph_forms_match_the_fraction_formulas(xs, ys, ends, gap, coef
     formulas += [lambda x, arc=arc: arc.coef / (x - arc.pole) for arc in arcs]
     for graph, formula in zip(pline.graphs() + [arc.graphs()[0] for arc in arcs], formulas):
         assert all(isinstance(v, int) for v in (graph.n1, graph.n0, graph.d1, graph.d0))
-        for x in [graph.dom.lo, graph.dom.hi, *probes]:
-            assert graph.holds(x.numerator, x.denominator) == graph.dom.contains(x)
-            if graph.dom.contains(x):
+        dom = graph.dom
+        for x in [dom.lo, dom.hi, *probes]:
+            inside = (dom.lo < x < dom.hi or x == dom.lo and not dom.lo_open
+                      or x == dom.hi and not dom.hi_open)
+            assert dom.holds(x.numerator, x.denominator) == inside
+            if inside:
                 assert graph.d1 * x + graph.d0 > 0 and graph.y_at(x) == formula(x)
             elif graph.d1 * x + graph.d0 != 0:
                 assert graph.y_at(x) == formula(x)

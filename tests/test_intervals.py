@@ -1,5 +1,7 @@
-"""Exact interval-set algebra."""
+"""Exact interval-set algebra, against the former Fraction rules."""
 
+import copy
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -7,14 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from accumgraph.geometry import Box, EmptySliceError, Point, TargetSet
-from accumgraph.intervals import (
-    Span,
-    XSet,
-    _make_span,
-    rat,
-    rational_sqrt,
-    span_intersection,
-)
+from accumgraph.intervals import Span, XSet, rat, span_intersection
 from accumgraph.synthesis import backbone
 
 # -- strategies -------------------------------------------------------------
@@ -26,10 +21,16 @@ rationals = st.builds(
 ).map(lambda f: min(f, F(1)))
 
 
+# Ends on a grid of eighths, so spans of two sets often share an end with
+# the same or the other openness.
+eighths = st.integers(0, 8).map(lambda k: F(k, 8))
+
+
 @st.composite
-def spans(draw):
-    a = draw(rationals)
-    b = draw(rationals)
+def spans(draw, ends=rationals):
+    """Closed, open and half-open spans, and points (one end drawn twice)."""
+    a = draw(ends)
+    b = draw(st.just(a) | ends)
     lo, hi = min(a, b), max(a, b)
     if lo == hi:
         return Span(lo, hi)
@@ -37,6 +38,7 @@ def spans(draw):
 
 
 xsets = st.lists(spans(), max_size=6).map(XSet)
+coarse_xsets = st.lists(spans(eighths), max_size=6).map(XSet)
 
 probe_points = st.builds(
     F,
@@ -113,15 +115,109 @@ def test_contains_matches_point_intersection(s, x):
         assert s.contains(p) == bool(s & XSet.point(p))
 
 
-def _gaps(s):
-    """The gaps between 0, the spans of s and 1, as the former complement
-    walked them."""
+# -- the former Fraction rules ----------------------------------------------
+#
+# A span as the tuple (lo, hi, lo_open, hi_open) of Fractions and flags, and
+# the rules that met, merged, normalized and complemented spans in that form
+# before spans held integer ends.
+
+
+def fraction_span(span):
+    return span.lo, span.hi, span.lo_open, span.hi_open
+
+
+def reference_make(lo, hi, lo_open, hi_open):
+    if lo > hi or lo == hi and (lo_open or hi_open):
+        return None
+    return lo, hi, lo_open, hi_open
+
+
+def reference_meet(a, b):
+    """The former ``span_intersection``."""
+    (alo, ahi, alo_open, ahi_open), (blo, bhi, blo_open, bhi_open) = a, b
+    if blo > ahi or alo > bhi:
+        return None
+    if alo != blo:
+        lo, lo_open = (alo, alo_open) if alo > blo else (blo, blo_open)
+    else:
+        lo, lo_open = alo, alo_open or blo_open
+    if ahi != bhi:
+        hi, hi_open = (ahi, ahi_open) if ahi < bhi else (bhi, bhi_open)
+    else:
+        hi, hi_open = ahi, ahi_open or bhi_open
+    return reference_make(lo, hi, lo_open, hi_open)
+
+
+def reference_merge(a, b):
+    """The former ``_merge``: the union of a and b (a.lo <= b.lo) when it is
+    one span, else None."""
+    (alo, ahi, alo_open, ahi_open), (blo, bhi, blo_open, bhi_open) = a, b
+    if blo > ahi or blo == ahi and ahi_open and blo_open:
+        return None
+    if bhi != ahi:
+        hi, hi_open = (bhi, bhi_open) if bhi > ahi else (ahi, ahi_open)
+    else:
+        hi, hi_open = ahi, ahi_open and bhi_open
+    return alo, hi, alo_open and blo_open if alo == blo else alo_open, hi_open
+
+
+def reference_normalize(spans):
+    """The former ``XSet.__init__``: sort by (lo, lo_open, hi, hi_open) and
+    merge each span into the last while the union is one span."""
+    merged = []
+    for span in sorted(spans, key=lambda s: (s[0], s[2], s[1], s[3])):
+        joined = merged and reference_merge(merged[-1], span)
+        if joined:
+            merged[-1] = joined
+        else:
+            merged.append(span)
+    return merged
+
+
+def reference_complement(spans):
+    """The former complement walk over normalized spans: the gaps between 0,
+    the spans and 1."""
     gaps, cursor, cursor_open = [], F(0), False
-    for span in s.spans:
-        gaps.append(_make_span(cursor, span.lo, cursor_open, not span.lo_open))
-        cursor, cursor_open = span.hi, not span.hi_open
-    gaps.append(_make_span(cursor, F(1), cursor_open, False))
+    for lo, hi, lo_open, hi_open in spans:
+        gaps.append(reference_make(cursor, lo, cursor_open, not lo_open))
+        cursor, cursor_open = hi, not hi_open
+    gaps.append(reference_make(cursor, F(1), cursor_open, False))
     return [gap for gap in gaps if gap is not None]
+
+
+def fraction_spans(s):
+    return [fraction_span(span) for span in s.spans]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(spans() | spans(eighths), spans() | spans(eighths))
+def test_span_rules_match_the_fraction_rules(a, b):
+    """Integer ends meet and merge as the Fraction rules did, on open,
+    closed, half-open and point spans with shared ends; the printed form
+    and the Fraction reads are the former ones."""
+    meet = span_intersection(a, b)
+    assert (meet and fraction_span(meet)) == reference_meet(fraction_span(a), fraction_span(b))
+    first, second = sorted([fraction_span(a), fraction_span(b)])
+    merged = reference_merge(first, second)
+    assert fraction_spans(XSet([a, b])) == ([merged] if merged else [first, second])
+    lo, hi, lo_open, hi_open = fraction_span(a)
+    assert Span(lo, hi, lo_open, hi_open) == a and hash(Span(lo, hi, lo_open, hi_open)) == hash(a)
+    assert pickle.loads(pickle.dumps(XSet([a]))) == copy.deepcopy(XSet([a])) == XSet([a])
+    assert str(a) == (f"{{{lo}}}" if lo == hi else
+                      f"{'(' if lo_open else '['}{lo}, {hi}{')' if hi_open else ']'}")
+    assert a.width == hi - lo and a.is_point == (lo == hi)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(spans() | spans(eighths), max_size=8), coarse_xsets | xsets)
+def test_normalization_matches_the_fraction_rule(items, other):
+    """XSet normalizes, unites and complements as the Fraction rules did."""
+    s = XSet(items)
+    assert fraction_spans(s) == reference_normalize([fraction_span(i) for i in items])
+    assert fraction_spans(s | other) == reference_normalize(fraction_spans(s)
+                                                            + fraction_spans(other))
+    assert fraction_spans(s.complement()) == reference_normalize(
+        reference_complement(fraction_spans(s)))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -129,7 +225,8 @@ def _gaps(s):
 def test_complement_needs_no_normalizing(s):
     """The gaps of a normalized set are normalized already: the complement,
     which skips the sort and merge, is the set those gaps normalize to."""
-    assert s.complement().spans == XSet(_gaps(s)).spans
+    gaps = reference_complement(fraction_spans(s))
+    assert fraction_spans(s.complement()) == gaps == reference_normalize(gaps)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -161,22 +258,6 @@ def test_span_intersection_matches_xset(a, b):
     assert (XSet([got]) if got is not None else XSet.empty()) == expected
 
 
-# Ends on a grid of eighths, so spans of two sets often share an end with
-# the same or the other openness.
-eighths = st.integers(0, 8).map(lambda k: F(k, 8))
-
-
-@st.composite
-def coarse_spans(draw):
-    lo, hi = sorted([draw(eighths), draw(eighths)])
-    if lo == hi:
-        return Span(lo, hi)
-    return Span(lo, hi, draw(st.booleans()), draw(st.booleans()))
-
-
-coarse_xsets = st.lists(coarse_spans(), max_size=6).map(XSet)
-
-
 def _reference_intersection(a, b):
     """The all-pairs rule: every pair of spans met, then normalized."""
     return XSet(got for s in a.spans for t in b.spans
@@ -196,11 +277,11 @@ def test_intersection_matches_all_pairs(a, b):
 
 
 def test_distance_to_closure():
-    s = XSet.interval(F(1, 4), F(1, 2), lo_open=True)
-    assert s.distance_to(F(1, 4)) == 0  # closure distance
-    assert s.distance_to(F(1, 8)) == F(1, 8)
-    assert s.distance_to(F(3, 4)) == F(1, 4)
-    assert XSet.empty().distance_to(F(1, 2)) is None
+    """``Span.gap``: the distance to the closure, as (num, den)."""
+    s = Span(F(1, 4), F(1, 2), lo_open=True)
+    for x, d in ((F(1, 4), 0), (F(1, 8), F(1, 8)), (F(3, 4), F(1, 4)), (F(1, 3), 0)):
+        num, den = s.gap(x.numerator, x.denominator)
+        assert den > 0 and F(num, den) == d
 
 
 def test_widest_interval():
@@ -245,18 +326,6 @@ def test_singleton_slice():
     t = TargetSet((Point(0, -12),))
     assert t.bands_at(0) == [(F(-12), F(-12))]
     assert backbone(t, 0, True)[0] == -12 and backbone(t, 0, False)[1] == 12
-
-
-# -- rational square roots ---------------------------------------------------
-
-
-def test_rational_sqrt():
-    assert rational_sqrt(F(9, 4)) == F(3, 2)
-    assert rational_sqrt(F(0)) == 0
-    assert rational_sqrt(F(2)) is None
-    assert rational_sqrt(F(4, 3)) is None
-    with pytest.raises(ValueError):
-        rational_sqrt(F(-1))
 
 
 def test_rat_coercions():

@@ -308,7 +308,7 @@ def test_arc_nodes_match_the_recursion_on_random_arcs():
         want, fuel_bound, limit = reference_arc_nodes(arc, n, _curve_spacing(n))
         assert _arc_nodes(arc, n) == want, (arc, n)
         assert not fuel_bound, (arc, n)
-        shadow = arc.graphs()[0].shadow(F(-n), F(n))
+        shadow = arc.graphs()[0].cut(F(-n), F(n))
         band = "beyond" if shadow is None else "inside" if shadow == arc.domain() else "cut"
         seen.update([where, band, arc.coef > 0, "steep" if limit > 64 else "mild"])
     assert all(seen[k] for k in ("left", "right", "outside", "beyond", "inside", "cut",
