@@ -18,28 +18,28 @@ radii obey, per level n:
   point r in the shadow (within the same level part) has
   f0(r) - f0(x) < 1/n.
 
-Each radius is the least of its level's terms, shrunk, in exact rationals;
-floats only pick the binding term (see ``_Radii``). The overlap term comes
-from monotone inverse images: each rational graph of a piece is monotone on
-its span, so the x where it meets the band {y >= f0(x) + 1/n} (capped at the
-level band in the unbounded case), within one span of the center's own
-level part, is one sub-span whose integer ends (``band_cut``) are compared
-and measured from x by cross-multiplication.
+Each radius is the least of its level's terms, shrunk, exact in integer
+pairs and one Fraction when returned; floats only pick the binding term
+(see ``_Radii``). The overlap term comes from monotone inverse images: each
+rational graph of a piece is monotone on its span, so the x where it meets
+the band {y >= f0(x) + 1/n} (capped at the level band in the unbounded
+case), within one span of the center's own level part, is one sub-span
+whose integer ends (``band_cut``) are measured from x by cross-multiplication.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .geometry import Piece, RationalGraph, band_cut, float_range, value_floats
 from .intervals import ONE, ZERO, RatLike, Span, XSet, rat
-from .synthesis import SynthFunction
+from .synthesis import SynthFunction, backbones
 
 
 class ScheduleInfeasibleError(Exception):
@@ -72,6 +72,12 @@ class EpsilonSchedule:
     eps: Tuple[Tuple[Fraction, ...], ...]  # [column][level-1]
     sep_index: Dict[int, int]              # column index -> separation level
 
+    @cached_property
+    def eps_floats(self) -> np.ndarray:
+        """``eps`` as float64 (column, level), each num/den correctly rounded."""
+        rows = [[e.numerator / e.denominator for e in row] for row in self.eps]
+        return np.array(rows, dtype=float).reshape(len(rows), self.depth)
+
 
 @dataclass(frozen=True)
 class StripLevel:
@@ -98,30 +104,29 @@ def epsilon_schedule(f: SynthFunction, centers: Sequence[RatLike]) -> EpsilonSch
     """Choose legal ball radii for every center and level up to f's depth.
 
     Centers are completed with all net points and empty-slice points; the
-    caller supplies at least the verification grid. Columns of one kind and
-    one level part share their float work (see ``_Radii``).
+    caller supplies at least the verification grid. Columns are sorted by
+    float x, and exactly only where floats tie (rounding is monotone); the
+    backbone columns take (f0, n_x) off one walk (``backbones``). Columns of
+    one kind and one level part share their float work (see ``_Radii``).
     """
-    depth = f.depth
-    col_set = {rat(c) for c in centers}
-    col_set.update(f.a_values.keys())
-    col_set.update(f.c_values.keys())
-    columns = tuple(sorted(col_set))
-
-    # A net or enumeration column separates at its rank in its sequence.
-    rank = {"A": {x: i + 1 for i, x in enumerate(f.approx.a_enumeration)},
-            "C": {c: i + 1 for i, c in enumerate(f.c_points)}}
-
-    kinds: List[str] = []
+    # (float x, x, kind, f(x), rank) by x in lowest terms; net points win, as in f.column.
+    cols = {(x.numerator, x.denominator): (x.numerator / x.denominator, x, "B", None, 0)
+            for x in map(rat, centers)}
+    for kind, points in (("C", f.c_values.items()),
+                         ("A", (p for level in f.approx.levels for p in level.points))):
+        for rank, (x, y) in enumerate(points, 1):
+            cols[x.numerator, x.denominator] = (x.numerator / x.denominator, x, kind, y, rank)
+    rows = sorted(cols.values())
+    walk = backbones(f.target, ((x.numerator, x.denominator) for _, x, kind, _, _ in rows
+                                if kind == "B"), f.regime.bounded)
     values: List[Fraction] = []
-    sep_index: Dict[int, int] = {}
     groups: Dict[Tuple[str, Optional[int]], List[int]] = {}
-    for idx, x in enumerate(columns):
-        kind, fx, kx = f.column(x)
-        if kind in rank:
-            sep_index[idx] = rank[kind][x]
-        kinds.append(kind)
+    for idx, (_, _, kind, fx, _) in enumerate(rows):
+        fx, kx = next(walk)[:2] if kind == "B" else (fx, None)
         values.append(fx)
         groups.setdefault((kind, kx), []).append(idx)
+    columns = tuple(row[1] for row in rows)
+    sep_index = {idx: rank for idx, (*_, rank) in enumerate(rows) if rank}
 
     radii = _Radii(f, max((kx for kind, kx in groups if kx is not None), default=None))
     eps_rows: List[Tuple[Fraction, ...]] = [()] * len(columns)
@@ -129,7 +134,8 @@ def epsilon_schedule(f: SynthFunction, centers: Sequence[RatLike]) -> EpsilonSch
         xs, fs = [columns[i] for i in idxs], [values[i] for i in idxs]
         for idx, x, fx, (bounds, terms) in zip(idxs, xs, fs, radii.lower_bounds(kind, kx, xs, fs)):
             eps_rows[idx] = radii.row(x, kind, fx, kx, bounds, terms)
-    return EpsilonSchedule(depth, columns, tuple(kinds), tuple(values), tuple(eps_rows), sep_index)
+    return EpsilonSchedule(f.depth, columns, tuple(row[2] for row in rows), tuple(values),
+                           tuple(eps_rows), sep_index)
 
 
 # Float lower bounds: each is the float term less an allowance for its
@@ -212,10 +218,10 @@ class _Radii:
     overlap shadow met with a span of its level part (terms 3 on). Taken in
     rising float lower bounds, a term is computed exactly only while its
     bound is not above the least exact term so far: each radius is still
-    the least exact term of its level, 1/n and the previous radius. An
-    overlap term is integers until it lowers the bound: the cut's ends over
-    their own denominators, and its distance to x as num/den, compared with
-    the bound by cross-multiplication; only a lower one becomes a Fraction.
+    the least exact term of its level, 1/n and the previous radius. All are
+    integer (num, den) pairs compared by cross-multiplication (an overlap
+    term: the cut's ends, and its distance to x); a row builds one Fraction
+    per radius, when it takes it, and f0(x) + 1/n once for the cuts.
 
     The float tables are built once: the levels' points and spans, and per
     band of the target the coefficients of its upper graph (for y >= theta_n)
@@ -228,14 +234,13 @@ class _Radii:
     def __init__(self, f: SynthFunction, cap: Optional[int]):
         depth, unbounded = f.depth, not f.regime.bounded
         self.f, self.depth = f, depth
-        self.inv = [Fraction(1, n) for n in range(1, depth + 1)]
         self.inv_f = 1.0 / np.arange(1, depth + 1)
-        self.a_first = f.approx.a_enumeration[:depth]
-        self.c_first = list(f.c_points)[:depth] if unbounded else []
+        self.a_first = [(p.numerator, p.denominator) for p in f.approx.a_enumeration[:depth]]
+        self.c_first = [(p.numerator, p.denominator) for p in f.c_points[:depth] if unbounded]
         self.d_levels = f.analysis.d_levels(depth) if f.regime.baire1 else []
         self.w_parts = [w for _, w in f.analysis.w_parts(depth)[:depth]] if unbounded else []
         # Per level, the float spans of terms 0 and 1, and of term 2 by kind.
-        self.gap_spans = [[(np.array([float(p)]),) * 2 for p in points]
+        self.gap_spans = [[(np.array([num / den]),) * 2 for num, den in points]
                           for points in (self.a_first, self.c_first)]
         self.sep_spans = {"A": [_span_floats(dn.spans) for dn in self.d_levels],
                           "B": [_span_floats([w]) for w in self.w_parts], "C": []}
@@ -305,24 +310,23 @@ class _Radii:
         """The exact radii of one column (f0(x) = fx at a backbone center)
         from the lower bounds and term numbers of each level."""
         row: List[Fraction] = []
-        prev: Optional[Fraction] = None
         xn, xd = x.numerator, x.denominator
-        for i, inv in enumerate(self.inv):
+        pn, pd = 1, 0  # the previous radius, (1, 0) above every 1/n
+        for i in range(self.depth):
             n = i + 1
             # A term first read at level m is at least that level's unshrunk
             # bound, hence above prev: only level n's own terms can lower it.
-            bound = prev if prev is not None and prev < inv else inv
-            limit = float(bound) * _ABOVE
+            bn, bd = (pn, pd) if pn * n < pd else (1, n)
+            limit = bn / bd * _ABOVE
             band: Optional[Tuple[Fraction, Optional[int]]] = None
             for lower, j in zip(bounds[i], terms[i]):
                 if lower > limit:
                     break
                 # Each term's distances to x as (num, den), compared with the
-                # bound by cross-multiplication: a Fraction only below it.
+                # bound by cross-multiplication.
                 if j < 2:
-                    p = (self.a_first, self.c_first)[j][i]
-                    pn, pd = p.numerator, p.denominator
-                    gaps = [(abs(xn * pd - pn * xd), xd * pd)] if p != x else []
+                    qn, qd = (self.a_first, self.c_first)[j][i]
+                    gaps = [(abs(xn * qd - qn * xd), xd * qd)] if (qn, qd) != (xn, xd) else []
                 elif j == 2:
                     # Level n's separation set: D_n, or W_n unless it holds x.
                     if kind == "A":
@@ -339,8 +343,9 @@ class _Radii:
                     # Offending r: f0(r) >= f0(x) + 1/n (and <= k_x), on one
                     # band of the target, in one span of the level part.
                     e, v = self.pairs(kx)[3][j - 3]
-                    if band is None:
-                        band = (fx + inv, None) if kx is None else (max(fx + inv, -kx), kx)
+                    if band is None:  # theta = fx + 1/n as one pair, at least -k_x
+                        tn, td = fx.numerator * n + fx.denominator, fx.denominator * n
+                        band = (Fraction(tn, td) if kx is None or tn >= -kx * td else -kx, kx)
                     if (cut := band_cut(self.bands[e], *band, v)) is None:
                         continue
                     gaps = [cut.gap(xn, xd)]
@@ -348,15 +353,14 @@ class _Radii:
                         raise ScheduleInfeasibleError(
                             f"overlap condition unsatisfiable at center {x}, level {n}")
                 for num, den in gaps:
-                    if num * bound.denominator < bound.numerator * den:
-                        bound = Fraction(num, den)
-                        limit = float(bound) * _ABOVE
-            if bound <= 0:
+                    if num * bd < bn * den:
+                        bn, bd = num, den
+                        limit = num / den * _ABOVE
+            if bn <= 0:
                 raise ScheduleInfeasibleError(
-                    f"radius collapsed to {bound} at center {x}, level {n}")
-            bound *= _SHRINK
-            row.append(bound)
-            prev = bound
+                    f"radius collapsed to {Fraction(bn, bd)} at center {x}, level {n}")
+            row.append(Fraction(bn * _SHRINK.numerator, bd * _SHRINK.denominator))
+            pn, pd = row[-1].numerator, row[-1].denominator
         return tuple(row)
 
 
@@ -381,7 +385,7 @@ def build_strip(sched: EpsilonSchedule, n: int,
     float rounding of a tiny radius still covers that column with f_i -+ e_i.
     """
     m = len(col_floats)
-    e = np.fromiter(map(float, map(itemgetter(n - 1), sched.eps)), float, m)
+    e = sched.eps_floats[:, n - 1]
     e2 = e * e
     left = np.searchsorted(col_floats, col_floats - e, side="right")
     right = np.searchsorted(col_floats, col_floats + e, side="left")
@@ -414,10 +418,7 @@ def build_strip(sched: EpsilonSchedule, n: int,
 def build_strip_family(sched: EpsilonSchedule) -> StripFamily:
     col_floats = np.array([float(x) for x in sched.columns])
     f_floats = np.array([float(v) for v in sched.values])
-    levels = tuple(
-        build_strip(sched, n, col_floats, f_floats)
-        for n in range(1, sched.depth + 1)
-    )
+    levels = tuple(build_strip(sched, n, col_floats, f_floats) for n in range(1, sched.depth + 1))
     return StripFamily(sched, col_floats, f_floats, levels)
 
 
@@ -464,10 +465,10 @@ class StripReport:
         return out
 
 
-def _own_chord_covers(eps: Fraction, f: float, lo: float, hi: float) -> bool:
+def _own_chord_covers(eps: Fraction, e: float, f: float, lo: float, hi: float) -> bool:
     """Whether f on an end of its float cross-section (lo, hi) is inside its
-    own chord: the end rounds onto f, and the exact eps > 0 decides."""
-    h = math.sqrt(float(eps) ** 2)  # the float half-chord at the column
+    own chord, radius eps (e as a float): the end rounds onto f, and eps > 0 decides."""
+    h = math.sqrt(e ** 2)  # the float half-chord at the column
     return eps > 0 and (lo < f or f - h == lo) and (f < hi or f + h == hi)
 
 
@@ -500,7 +501,8 @@ def verify_strips(family: StripFamily, f: SynthFunction) -> StripReport:
         nesting_ok = prev is None or bool(np.all(level.lo >= prev.lo)
                                           and np.all(level.hi <= prev.hi))
         inside = (level.lo < fv) & (fv < level.hi)
-        coverage_ok = all(_own_chord_covers(sched.eps[i][n - 1], fv[i], level.lo[i], level.hi[i])
+        coverage_ok = all(_own_chord_covers(sched.eps[i][n - 1], float(sched.eps_floats[i, n - 1]),
+                                            fv[i], level.lo[i], level.hi[i])
                           for i in np.flatnonzero(~inside))
         widths = level.hi - level.lo
         # Net and empty-slice columns past their separation index.

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .conditions import Regime, TargetAnalysis, Verdict
 from .geometry import EmptySliceError, RationalGraph, TargetSet, quotient_float
@@ -236,6 +236,20 @@ def backbone_at(bands: Sequence[Tuple[RationalGraph, RationalGraph]], a: int, b:
     best = max(h[2] for h in his)
     return max(Fraction(h[0], h[1]) if n is None or h[0] < n * h[1] else Fraction(n)
                for h in his if h[2] == best), n, best
+
+
+def backbones(target: TargetSet, xs: Iterable[Tuple[int, int]], bounded: bool) -> Iterator[tuple]:
+    """``backbone_at`` at each x = a/b (b > 0) of an ascending sequence, off
+    one walk over the target's sorted span ends by cross-multiplication: x
+    takes the bands of end k where it is end k, else of the cell before it."""
+    ends, alive = target._index
+    keys, k = [(e.numerator, e.denominator) for e in ends] + [(1, 0)], 0  # (1, 0): past every x
+    for a, b in xs:
+        if not 0 <= a <= b:
+            raise ValueError(f"x={Fraction(a, b)} outside [0, 1]")
+        while keys[k][0] * b < a * keys[k][1]:
+            k += 1
+        yield backbone_at(alive[2 * k + (keys[k][0] * b == a * keys[k][1])], a, b, bounded)
 
 
 # ---------------------------------------------------------------------------

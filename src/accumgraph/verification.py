@@ -31,7 +31,7 @@ import numpy as np
 
 from .geometry import ProbeBlocks, TargetSet, quotient_float, value_floats
 from .intervals import RatLike, rat
-from .synthesis import SynthFunction, backbone_at
+from .synthesis import SynthFunction, backbones
 
 
 # ---------------------------------------------------------------------------
@@ -62,9 +62,9 @@ class GraphSample:
 
 def sample_graph(f: SynthFunction, pitch: RatLike = Fraction(1, 1024)) -> GraphSample:
     """Net and enumeration values at their x, the backbone at the rest of
-    the uniform grid u/q (u = i p for pitch p/q, and u = q), off one walk
-    over the target's sorted span ends. Samples are sorted by float x, and
-    exactly only where floats tie: rounding is monotone."""
+    the uniform grid u/q (u = i p for pitch p/q, and u = q), off the one
+    walk of ``backbones``. Samples are sorted by float x, and exactly only
+    where floats tie: rounding is monotone."""
     pitch = rat(pitch)
     if pitch <= 0:
         raise ValueError("pitch must be positive")
@@ -72,15 +72,9 @@ def sample_graph(f: SynthFunction, pitch: RatLike = Fraction(1, 1024)) -> GraphS
     taken = {u for x in (*f.a_values, *f.c_values)
              for u, r in [divmod(x.numerator * q, x.denominator)]
              if not r and (u % p == 0 or u == q)}
-    ends, alive = f.target._index
-    # Each end a/b as (a q, b), against x = u/q; (1, 0) lies past every x.
-    keys, k, rows = [(e.numerator * q, e.denominator) for e in ends] + [(1, 0)], 0, []
-    for u in sorted({*range(0, q + 1, p), q} - taken):
-        while keys[k][0] < u * keys[k][1]:
-            k += 1
-        bands = alive[2 * k + (keys[k][0] == u * keys[k][1])]
-        y, _, fy = backbone_at(bands, u, q, f.regime.bounded)
-        rows.append((Fraction(u, q), y, u / q, fy))
+    us = sorted({*range(0, q + 1, p), q} - taken)
+    rows = [(Fraction(u, q), y, u / q, fy) for u, (y, _, fy)
+            in zip(us, backbones(f.target, ((u, q) for u in us), f.regime.bounded))]
     rows += [(x, y, float(x), quotient_float(y.numerator, y.denominator))
              for values in (f.a_values, f.c_values) for x, y in values.items()]
     fx = np.array([row[2] for row in rows])

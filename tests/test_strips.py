@@ -5,6 +5,7 @@ import io
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -40,7 +41,7 @@ from accumgraph.strips import (
     epsilon_schedule,
     verify_strips,
 )
-from accumgraph.synthesis import synthesize
+from accumgraph.synthesis import backbones, synthesize
 
 
 def small_grid(m=256):
@@ -314,6 +315,60 @@ def test_schedule_matches_reference_random_targets():
         assert epsilon_schedule(f, grid).eps == reference_eps(f, grid), (target, regime)
 
 
+def assert_walk_matches_column(f, centers):
+    """The schedule's kinds, values and separation ranks, and n_x and the
+    float of f0 off the walk of ``backbones``, equal ``SynthFunction.column``
+    (a bisect over the target's span ends per x) and each net and
+    enumeration point's rank in its sequence, at every column."""
+    sched = epsilon_schedule(f, centers)
+    assert list(sched.columns) == sorted({*centers, *f.a_values, *f.c_values})
+    rank = {**{c: i for i, c in enumerate(f.c_points, 1)},
+            **{a: i for i, a in enumerate(f.approx.a_enumeration, 1)}}
+    spine = [x for x, kind in zip(sched.columns, sched.kinds) if kind == "B"]
+    walked = dict(zip(spine, backbones(f.target, [(x.numerator, x.denominator) for x in spine],
+                                       f.regime.bounded)))
+    for i, (x, kind, value) in enumerate(zip(sched.columns, sched.kinds, sched.values)):
+        assert (kind, value, walked[x][1] if kind == "B" else None) == f.column(x), x
+        assert sched.sep_index.get(i) == (None if kind == "B" else rank[x]), x
+        assert kind != "B" or walked[x][2] == float(value), x
+
+
+def _walk_centers(f):
+    """A grid, every span end of the target (band ends and open pole ends)
+    with its neighbours 2^-60 away, the first net and enumeration points
+    and the midpoint between each two of them."""
+    ends = [e for e in f.target._index[0] if 0 <= e <= 1]
+    near = [e + d for e in ends for d in (-_TINY, _TINY) if 0 <= e + d <= 1]
+    marked = sorted({*f.approx.a_enumeration[:40], *f.c_points[:10]})
+    return [*small_grid(32), *ends, *near, *marked, *((a + b) / 2 for a, b in zip(marked, marked[1:]))]
+
+
+_WALK_DEMOS = [("constant", Regime.B1, False), ("square", Regime.B2_BOUNDED, False),
+               ("hyperbola", Regime.B1, False), ("hyperbola", Regime.B2, True),
+               ("sect6", Regime.B1, True), ("sect6", Regime.B2, False)]
+
+
+@pytest.mark.parametrize("demo,regime,signed", _WALK_DEMOS,
+                         ids=[f"{d}-{r.value}{'-signed' if s else ''}" for d, r, s in _WALK_DEMOS])
+def test_walk_matches_column_on_demos(demo, regime, signed):
+    f = synthesize(demo_set(demo, 6), regime, depth=6, signed=signed, c_order=demo_c_order(demo, 6))
+    assert_walk_matches_column(f, _walk_centers(f))
+
+
+def test_walk_matches_column_on_random_targets():
+    """``_graph_target`` draws in each regime they pass, poles at span ends
+    or outside them."""
+    rng = random.Random(20261020)
+    cases = 0
+    while cases < 24:
+        target = _graph_target(rng, poles_at_ends=cases % 2 == 1)
+        for regime in Regime:
+            if check_regime(target, regime).passed:
+                f = synthesize(target, regime, depth=3)
+                assert_walk_matches_column(f, _walk_centers(f))
+                cases += 1
+
+
 # The tie cases: a base segment y = 0 on [0, 1], so f0 = 0 at the center
 # 1/3 (no net point), with pieces whose overlap shadows lie at distance
 # 1/16 from it, below every gap to a_1..a_3.
@@ -434,11 +489,19 @@ def test_overlap_cut_at_distance_zero_is_infeasible(regime):
 
 
 def test_schedule_completes_columns():
+    """Centers and net points make one column each, a repeated center or
+    one on a net point too; a center off [0, 1] is refused."""
     f = synthesize(demo_set("constant"), Regime.B2, depth=4)
-    sched = epsilon_schedule(f, [F(0), F(1, 2), F(1)])
-    cols = set(sched.columns)
-    assert set(f.a_values) <= cols
-    assert {F(0), F(1, 2), F(1)} <= cols
+    a = f.approx.a_enumeration[0]
+    for centers in ([F(0), F(1, 2), F(1)], [F(0), F(1, 2), F(1), F(1, 2), a, a]):
+        sched = epsilon_schedule(f, centers)
+        cols = set(sched.columns)
+        assert set(f.a_values) <= cols
+        assert {F(0), F(1, 2), F(1)} <= cols
+        assert len(sched.columns) == len(cols) == len({*f.a_values, *f.c_values, *centers})
+    for x in (F(-1, 2), F(3, 2)):
+        with pytest.raises(ValueError, match=re.escape(f"x={x} outside [0, 1]")):
+            epsilon_schedule(f, [F(0), x, F(1)])
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +560,12 @@ def reference_build_strip(sched, n, col_floats, f_floats):
 
 
 def assert_levels_match_reference(sched):
-    """Every level of the blocked build equals the per-ball one, bit for bit."""
+    """Every level of the blocked build equals the per-ball one, bit for bit,
+    and the float radius table holds float(eps) at every column and level."""
+    table = sched.eps_floats
+    want = np.array([[float(e) for e in row] for row in sched.eps]).reshape(table.shape)
+    assert table.dtype == np.float64 and table.shape == (len(sched.columns), sched.depth)
+    assert np.array_equal(table.view(np.int64), want.view(np.int64))
     family = build_strip_family(sched)
     for level in family.levels:
         ref = reference_build_strip(sched, level.n, family.col_floats, family.f_floats)
@@ -706,7 +774,8 @@ def reference_verify_strips(family, f):
                 np.all(level.lo >= prev.lo) and np.all(level.hi <= prev.hi)
             )
         inside = (level.lo < fv) & (fv < level.hi)
-        coverage_ok = all(_own_chord_covers(sched.eps[i][n - 1], fv[i], level.lo[i], level.hi[i])
+        coverage_ok = all(_own_chord_covers(sched.eps[i][n - 1], float(sched.eps[i][n - 1]), fv[i],
+                                            level.lo[i], level.hi[i])
                           for i in np.flatnonzero(~inside))
         widths = level.hi - level.lo
         bound = 2.0 / n + _WIDTH_TOL
