@@ -37,7 +37,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import Piece, RationalGraph, band_cut, float_range, value_floats
+from .geometry import Piece, RationalGraph, band_cut, float_range, quotient_float, value_floats
 from .intervals import ONE, ZERO, RatLike, Span, XSet, rat
 from .synthesis import SynthFunction, backbones
 
@@ -110,8 +110,8 @@ def epsilon_schedule(f: SynthFunction, centers: Sequence[RatLike]) -> EpsilonSch
     one kind and one level part share their float work (see ``_Radii``).
     """
     # (float x, x, kind, f(x), rank) by x in lowest terms; net points win, as in f.column.
-    cols = {(x.numerator, x.denominator): (x.numerator / x.denominator, x, "B", None, 0)
-            for x in map(rat, centers)}
+    cols = {(x.numerator, x.denominator): (quotient_float(x.numerator, x.denominator),
+                                           x, "B", None, 0) for x in map(rat, centers)}
     for kind, points in (("C", f.c_values.items()),
                          ("A", (p for level in f.approx.levels for p in level.points))):
         for rank, (x, y) in enumerate(points, 1):

@@ -340,7 +340,8 @@ def _walk_centers(f):
     ends = [e for e in f.target._index[0] if 0 <= e <= 1]
     near = [e + d for e in ends for d in (-_TINY, _TINY) if 0 <= e + d <= 1]
     marked = sorted({*f.approx.a_enumeration[:40], *f.c_points[:10]})
-    return [*small_grid(32), *ends, *near, *marked, *((a + b) / 2 for a, b in zip(marked, marked[1:]))]
+    mids = [(a + b) / 2 for a, b in zip(marked, marked[1:])]
+    return [*small_grid(32), *ends, *near, *marked, *mids]
 
 
 _WALK_DEMOS = [("constant", Regime.B1, False), ("square", Regime.B2_BOUNDED, False),
@@ -490,7 +491,8 @@ def test_overlap_cut_at_distance_zero_is_infeasible(regime):
 
 def test_schedule_completes_columns():
     """Centers and net points make one column each, a repeated center or
-    one on a net point too; a center off [0, 1] is refused."""
+    one on a net point too; a center off [0, 1] is refused, as f.column
+    refuses it."""
     f = synthesize(demo_set("constant"), Regime.B2, depth=4)
     a = f.approx.a_enumeration[0]
     for centers in ([F(0), F(1, 2), F(1)], [F(0), F(1, 2), F(1), F(1, 2), a, a]):
@@ -499,7 +501,7 @@ def test_schedule_completes_columns():
         assert set(f.a_values) <= cols
         assert {F(0), F(1, 2), F(1)} <= cols
         assert len(sched.columns) == len(cols) == len({*f.a_values, *f.c_values, *centers})
-    for x in (F(-1, 2), F(3, 2)):
+    for x in (F(-1, 2), F(3, 2), F(10**400)):  # the last is past float range
         with pytest.raises(ValueError, match=re.escape(f"x={x} outside [0, 1]")):
             epsilon_schedule(f, [F(0), x, F(1)])
 
