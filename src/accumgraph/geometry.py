@@ -716,10 +716,10 @@ class TargetSet:
         allowance 1e-9 (1 + d) of distance_to plus room to round large
         coordinates. Where an arc's c c underflows, ``_arc_distance`` reads it
         off its asymptote rays, which it lies within sqrt|c| < 1e-77 of, far
-        inside the allowance. A gap bounds a piece from below: an arc's
-        quartic runs only where its gap is below the hi from the closed forms
-        and each arc's point at x (or its end on that side), and y c and c c
-        are finite; elsewhere the gap counts."""
+        inside the allowance. A gap bounds a piece from below, an arc's point at
+        x (or its end on that side) an arc from above; the quartic runs only
+        where that bracket is wider than 1e-9 (1 + |y| + size), the gap is below
+        the closed forms' hi, and y c and c c are finite. Elsewhere the bracket holds."""
         reach, size, boxes, segments, arcs = self._float_pieces
         x, y = points[:, :1], points[:, 1:]
         slack = 1e-9 * (1.0 + np.abs(y) + size)
@@ -742,8 +742,10 @@ class TargetSet:
             upper, u = dist.copy(), np.clip(a, u_lo, u_hi)
             upper[:, k] = np.hypot(a - u, y - coef / u)
             hi = np.fmin.reduce(upper * (1 + 1e-9) + slack, axis=1, initial=np.inf)
-            rows, cols = np.nonzero((gap[:, k] < hi[:, None]) & np.isfinite(y * coef)
-                                    & np.isfinite(coef * coef))
+            pair = np.nonzero((gap[:, k] < hi[:, None]) & np.isfinite(y * coef)
+                              & np.isfinite(coef * coef))
+            at = pair[0], k[pair[1]]
+            rows, cols = np.compress(upper[at] > gap[at] + slack[at], pair, axis=1)
             dist[rows, k[cols]] = _arc_distance(a[rows, cols], y[rows, 0], coef[cols],
                                                 u_lo[cols], u_hi[cols])
             hi = np.fmin.reduce(np.fmin(upper, dist) * (1 + 1e-9) + slack, axis=1, initial=np.inf)

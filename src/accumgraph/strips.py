@@ -38,7 +38,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .geometry import Piece, RationalGraph, band_cut, float_range, quotient_float, value_floats
-from .intervals import ONE, ZERO, RatLike, Span, XSet, rat
+from .intervals import ONE, ZERO, RatLike, Span, rat
 from .synthesis import SynthFunction, backbones
 
 
@@ -491,8 +491,11 @@ def verify_strips(family: StripFamily, f: SynthFunction) -> StripReport:
     sep = np.full(len(cols), np.inf)
     sep[list(sched.sep_index)] = list(sched.sep_index.values())
     classes, backbone = (kinds == "A", kinds == "C"), kinds == "B"
-    in_d = {s[0][:2] for s in XSet.points(sched.columns) & f.analysis.d_set}
-    backbone &= [(x.numerator, x.denominator) not in in_d for x in sched.columns]
+    spans, j = (*f.analysis.d_set.spans, Span(2, 2)), 0  # the last span lies past every column
+    for i, x in enumerate(sched.columns):  # ascending: one walk along the spans of D
+        while (e := spans[j][1])[0] * x.denominator - x.numerator * e[1] < e[2]:
+            j += 1
+        backbone[i] &= not spans[j].holds(x.numerator, x.denominator)
     cb, padded = cols[backbone], np.append(fv, 0.0)  # a window may end at len(fv)
 
     reports: List[StripLevelReport] = []

@@ -181,9 +181,18 @@ def _probe_count(target: TargetSet, pitch: float) -> float:
 # Elements of one probe x candidate distance array.
 _CHUNK = 1 << 15
 
-# Blocks in the backward sweep's first batch, and the factor each next batch
-# grows by.
-_BATCH, _GROWTH = 4, 2
+# Blocks in the backward sweep's first batch, the factor each next batch
+# grows by, and the blocks of a group in its bound pass.
+_BATCH, _GROWTH, _GROUP = 4, 2, 16
+_SPREAD = np.array([int(f"{i:b}", 4) for i in range(64)])  # Morton bits: binary read in base 4
+
+
+def _box_sq(lo: np.ndarray, hi: np.ndarray, c: np.ndarray, farthest: bool) -> np.ndarray:
+    """Squared distance from points c, x and y along axis 0, to the farthest
+    corner (-fl(a - b) == fl(b - a)) or the nearest point of boxes [lo, hi]."""
+    dx, dy = (np.maximum(h - v, v - l) if farthest else np.maximum(np.maximum(l - v, 0.0), v - h)
+              for l, h, v in zip(lo, hi, c))
+    return dx * dx + dy * dy
 
 
 def _backward(blocks: List[ProbeBlocks], cands: np.ndarray) -> float:
@@ -191,26 +200,38 @@ def _backward(blocks: List[ProbeBlocks], cands: np.ndarray) -> float:
     equal to the dense sweep bit for bit.
 
     A block's bound U is the least distance from a candidate to its farthest
-    bounding-box corner. Blocks are visited by falling U, in growing batches,
-    until U is at most the running maximum: no probe left can raise it, and
-    none is built. Nor can a probe within the maximum of the candidate that
-    gives U; the others meet the candidates with gap at most U to their
-    block's box, in (probe, candidate) pair arrays of about ``_CHUNK``, and
-    ``np.minimum.reduceat`` takes each probe's nearest. Float subtraction,
-    squaring, addition and sqrt are monotone, so the bounds hold for the
-    rounded distances too.
+    bounding-box corner. Blocks go in groups of ``_GROUP``, in Morton order
+    of their box centres on a 64 by 64 grid; a group's UG is the least such
+    distance for the group's box, and a block's U is taken in index order
+    over the candidates within UG of that box, which hold its first nearest.
+    Blocks are visited by falling U, in growing batches, until U is at most
+    the running maximum: no probe left can raise it, and none is built. Nor
+    can a probe within the maximum of the candidate that gives U; the others
+    meet the candidates with gap at most U to their block's box, in (probe,
+    candidate) pair arrays of about ``_CHUNK``, and ``np.minimum.reduceat``
+    takes each probe's nearest. Float subtraction, squaring, addition and
+    sqrt are monotone, so the bounds hold for the rounded distances too.
     """
-    lo, hi = (np.concatenate([part[side] for part in blocks]) for side in (0, 1))
+    lo, hi = (np.concatenate([part[side] for part in blocks]).T for side in (0, 1))
     first = np.cumsum([0, *(len(part[0]) for part in blocks)])
-    (cx, cy), rows = cands.T, max(1, _CHUNK // len(cands))
-    far, arg = np.empty(len(lo)), np.empty(len(lo), dtype=np.int64)
-    for s in range(0, len(lo), rows):
-        # The farthest corner's offsets: -fl(a - b) == fl(b - a).
-        fx = np.maximum(hi[s:s + rows, 0:1] - cx, cx - lo[s:s + rows, 0:1])
-        fy = np.maximum(hi[s:s + rows, 1:2] - cy, cy - lo[s:s + rows, 1:2])
-        f = fx * fx + fy * fy
-        arg[s:s + rows] = j = f.argmin(axis=1)
-        far[s:s + rows] = f[np.arange(len(j)), j]
+    cxy, rows, n = cands.T.copy(), max(1, _CHUNK // len(cands)), int(first[-1])
+    mid = lo + hi - (lo + hi).min(axis=1, keepdims=True)
+    ix, iy = (mid * (63 / np.maximum(mid.max(axis=1, keepdims=True), 1e-300))).astype(np.int64)
+    order, group = np.argsort(2 * _SPREAD[ix] + _SPREAD[iy], kind="stable"), min(_GROUP, n)
+    # Rows: groups in Morton order, and their candidates in index order, each padded by its last.
+    order = order[np.minimum(np.arange(-(-n // group) * group), n - 1)].reshape(-1, group)
+    blo, bhi = lo.take(order, axis=1), hi.take(order, axis=1)
+    far, arg, step = np.empty(n), np.empty(n, dtype=np.int64), -(-rows // group)
+    for s in range(0, len(order), step):
+        box = blo[:, s:s + step].min(axis=2)[..., None], bhi[:, s:s + step].max(axis=2)[..., None]
+        f = _box_sq(*box, cxy[:, None], True)
+        g, j = np.nonzero(_box_sq(*box, cxy[:, None], False) <= f.min(axis=1, keepdims=True))
+        last = np.cumsum(count := np.bincount(g))[:, None] - 1
+        cand = j[np.minimum(last - count[:, None] + 1 + np.arange(count.max()), last)]
+        f = _box_sq(blo[:, s:s + step, :, None], bhi[:, s:s + step, :, None],
+                    cxy.take(cand, axis=1)[:, :, None], True)
+        far[order[s:s + step]] = f.min(axis=2)
+        arg[order[s:s + step]] = np.take_along_axis(cand, f.argmin(axis=2), 1)
     bound = np.sqrt(far)
     order = np.argsort(-bound, kind="stable")
     best, done, size = 0.0, 0, _BATCH
@@ -224,9 +245,8 @@ def _backward(blocks: List[ProbeBlocks], cands: np.ndarray) -> float:
         d = probes - cands[arg[batch][owner]]
         live = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) > best
         probes, owner = probes[live], owner[live]
-        gx = np.maximum(np.maximum(lo[batch, 0:1] - cx, 0.0), cx - hi[batch, 0:1])
-        gy = np.maximum(np.maximum(lo[batch, 1:2] - cy, 0.0), cy - hi[batch, 1:2])
-        row, near = np.nonzero(gx * gx + gy * gy <= far[batch, None])
+        box = lo.take(batch, axis=1)[..., None], hi.take(batch, axis=1)[..., None]
+        row, near = np.nonzero(_box_sq(*box, cxy[:, None], False) <= far[batch, None])
         count = np.bincount(row, minlength=len(batch))
         start, step = np.cumsum(count) - count, max(1, _CHUNK // int(count.max()))
         for s in range(0, len(probes), step):

@@ -909,8 +909,10 @@ def test_distance_bounds_hold_the_exact_distance(pieces, xs):
 
 
 def test_distance_bounds_prune_the_arc_quartic(monkeypatch):
-    """A point on one sect6 arc is bounded by its vertical distance there:
-    the quartic runs only for the arcs whose reach gap is below that."""
+    """A point on a sect6 arc is bounded by its vertical distance there, so
+    its closed-form bracket is already within the allowance: no quartic row
+    runs. Off every arc by more, the quartic runs only for the arcs whose
+    reach gap is below the closed-form hi, the nearest among them."""
     t = demo_set("sect6", 10)
     arc_distance, sizes = geometry._arc_distance, []
 
@@ -922,7 +924,20 @@ def test_distance_bounds_prune_the_arc_quartic(monkeypatch):
     x = F(5, 12) + F(1, 100)
     lo, hi = t.distance_bounds(np.array([(float(x), float(y)) for y, _ in t.bands_at(x)]))
     assert list(lo) == [0.0] * len(lo) and max(hi) < 1e-6
-    assert sum(sizes) < len(t.pieces)
+    assert sum(sizes) == 0
+    xs = [F(k, 97) for k in range(98)]
+    on_arcs = np.array([(float(x), float(y)) for x in xs for y, _ in t.bands_at(x)])
+    lo, hi = t.distance_bounds(on_arcs)
+    assert len(on_arcs) > 90 and not lo.any() and max(hi) < 1e-5
+    assert sum(sizes) == 0
+    (y, _), = t.bands_at(x)
+    for d in (F(1, 1000), F(1, 10), F(1), F(-1, 10)):
+        sizes.clear()
+        lo, hi = t.distance_bounds(np.array([(float(x), float(y + d))]))
+        run = sum(sizes)
+        exact = t.distance_to((x, y + d))
+        # The vertical distance |d| is the bracket's top without the quartic.
+        assert 0 < run < len(t.pieces) and lo[0] <= exact <= hi[0] < abs(float(d)) / 10
 
 
 # ---------------------------------------------------------------------------

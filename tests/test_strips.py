@@ -864,6 +864,22 @@ def test_verify_strips_matches_reference_on_demos(demo, regime, signed):
     assert assert_matches_reference(family, f).passed
 
 
+def test_backbone_check_skips_the_columns_in_d():
+    """A backbone column in D leaves the backbone check, one beside D stays
+    in it: a strip made wide at such a column reads as the reference's, which
+    asks D per column. D's spans here end at net points; the columns lie on
+    both sides of an open end and of a closed one."""
+    for text, inside, beside in [("pline 0:0 1:1\npline 0:1 1:0\n", [63, 65], []),
+                                 ("box 1/4 3/4 0 1\npline 0:0 1:0\n", [63], [31, 97])]:
+        f = synthesize(parse_target_text(text), Regime.B2, depth=6)
+        family = build_strip_family(epsilon_schedule(f, small_grid(128)))
+        sched, n = family.schedule, family.levels[-1].n
+        for k in inside + beside:
+            i = sched.columns.index(F(k, 128))
+            assert sched.kinds[i] == "B" and f.analysis.d_set.contains(F(k, 128)) == (k in inside)
+            assert_matches_reference(_mutate(family, n, lo=_set(i, -100.0), hi=_set(i, 100.0)), f)
+
+
 def _mutate(family, n, **arrays):
     """The family with level n's arrays replaced by functions of them."""
     i = n - 1

@@ -331,15 +331,17 @@ def test_block_bounded_backward_is_bit_identical(monkeypatch):
                 == _dense_backward(probes, cands))
 
 
-def _hausdorff_inputs(argv, text=""):
-    """The estimate, target and y cap that a verify command compares."""
-    seen = []
+def _cli_inputs(name, argv, text=""):
+    """The arguments of each call a command makes to the cli's ``name``:
+    for ``hausdorff_to_target`` the estimate, target and y cap it compares,
+    for ``remark31_check`` the sample, witness and eps."""
+    seen, check = [], getattr(cli, name)
 
-    def record(est, target, y_cap):
-        seen.append((est, target, y_cap))
-        return hausdorff_to_target(est, target, y_cap)
+    def record(*args):
+        seen.append(args)
+        return check(*args)
 
-    with mock.patch.object(cli, "hausdorff_to_target", record):
+    with mock.patch.object(cli, name, record):
         _run(argv, text)
     return seen
 
@@ -353,33 +355,36 @@ def _assert_backward_is_dense(est, target, y_cap):
     assert hausdorff_to_target(est, target, y_cap)[1] == dense, (target, y_cap)
 
 
-def _backward_cases():
-    """The four demos at the CLI's default eps and y cap, and each random
-    target's witness in its first passing regime at the fuzz flags."""
+def _verify_cases(name="hausdorff_to_target"):
+    """The inputs of the cli's ``name`` in verify on the four demos at the
+    CLI's defaults (depth 10), and on each random target's witness in its
+    first passing regime at the fuzz flags."""
     cases = [case for demo, regime in [("constant", "b1"), ("square", "b2-bounded"),
                                        ("hyperbola", "b1"), ("sect6", "b1")]
-             for case in _hausdorff_inputs(["verify", demo, "--regime", regime])]
+             for case in _cli_inputs(name, ["verify", demo, "--regime", regime])]
     for seed in range(20):
         # The witness needs every slice nonempty: a pline covers [0, 1].
         pieces = [*_random_target(seed).pieces, PLine(((0, seed % 7 - 3), (1, 3 - seed % 5)))]
         text = "".join(f"{piece}\n" for piece in pieces)
         regime = _passing_regimes(text)[0].value
-        cases += _hausdorff_inputs(["verify", "-", "--regime", regime, *FUZZ_FLAGS], text)
+        cases += _cli_inputs(name, ["verify", "-", "--regime", regime, *FUZZ_FLAGS], text)
     return cases
 
 
 def test_backward_matches_the_dense_sweep(monkeypatch):
     """Bit for bit, on the demos, the random targets and the synthetic
-    cases; then again with tiles, runs, batches and chunks cut tiny."""
-    cases = _backward_cases()
+    cases; then again with tiles, runs, batches and chunks cut tiny, and
+    groups of one block or of more blocks than there are."""
+    cases = _verify_cases()
     assert len(cases) == 24
     for case in cases:
         _assert_backward_is_dense(*case)
-    for tile, run, batch, growth in [(1, 1, 1, 1), (3, 2, 2, 3)]:
+    for tile, run, batch, growth, group in [(1, 1, 1, 1, 1), (3, 2, 2, 3, 1 << 20)]:
         monkeypatch.setattr(geometry, "_TILE", tile)
         monkeypatch.setattr(geometry, "_RUN", run)
         monkeypatch.setattr(verification, "_BATCH", batch)
         monkeypatch.setattr(verification, "_GROWTH", growth)
+        monkeypatch.setattr(verification, "_GROUP", group)
         monkeypatch.setattr(verification, "_CHUNK", 256)
         for case in cases[:1] + cases[2:]:  # all but the square, too many tiles of one probe
             _assert_backward_is_dense(*case)
@@ -401,6 +406,39 @@ def test_square_builds_few_probes(monkeypatch):
     code, out = _run(["verify", "square", "--regime", "b2-bounded"], "")
     assert code == EXIT_OK, out
     assert 0 < sum(built) < 0.05 * 1025 ** 2
+
+
+def test_square_bounds_few_block_pairs(monkeypatch):
+    """The square's default verify bounds its 4,225 blocks against its 595
+    candidates with under a quarter of the (block, candidate) pairs: a block
+    meets only the candidates its group's bound leaves open. Its bounds are
+    those of all candidates: it builds the tiles that groups of one block
+    build, in the same order."""
+    box_sq, pairs, tiles = verification._box_sq, [], []
+    blocks_of = Box.probe_blocks
+
+    def counted(lo, hi, c, farthest):
+        out = box_sq(lo, hi, c, farthest)
+        pairs.append(out.size if farthest else 0)
+        return out
+
+    def recorded(self, pitch):
+        lo, hi, probes_of = blocks_of(self, pitch)
+        return lo, hi, lambda k: tiles.append(k) or probes_of(k)
+
+    monkeypatch.setattr(verification, "_box_sq", counted)
+    monkeypatch.setattr(Box, "probe_blocks", recorded)
+    (est, target, y_cap), = _cli_inputs("hausdorff_to_target",
+                                         ["verify", "square", "--regime", "b2-bounded"])
+    banded = target.clipped(F(-y_cap), F(y_cap))
+    cands = [(cx, cy) for cx, cy in est.candidates if abs(cy) - est.eps / 2 <= y_cap]
+    blocks = sum(len(p.probe_blocks(est.eps / 2)[0]) for p in banded.pieces)
+    assert (blocks, len(cands)) == (4225, 595)
+    assert 0 < sum(pairs) < 0.25 * blocks * len(cands)
+    grouped, tiles[:] = list(tiles), []
+    monkeypatch.setattr(verification, "_GROUP", 1)
+    hausdorff_to_target(est, target, y_cap)
+    assert tiles == grouped and len(grouped) == 56
 
 
 def test_slices_read_the_index(monkeypatch):
@@ -490,6 +528,16 @@ def test_remark31_sample_at_distance_eps():
     pts = sample_graph(f, F(1, 256))
     for eps in (1.0, 0.25, 1 / 64):
         assert remark31_check(pts, f, eps).count_far == _exact_far_count(pts, f.target, eps)
+
+
+def test_remark31_count_is_the_exact_count():
+    """Over every sample, the far count is the number of samples whose exact
+    distance exceeds eps: the float bounds decide only what they can."""
+    cases = _verify_cases("remark31_check")
+    assert len(cases) == 24
+    for sample, f, eps in cases:
+        exact = sum(f.target.distance_to(p) > eps for p in sample.points)
+        assert remark31_check(sample, f, eps).count_far == exact, (f.target, eps)
 
 
 def test_remark31_on_target_takes_no_exact_distance(monkeypatch):
