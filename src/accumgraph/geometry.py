@@ -24,9 +24,11 @@ its integer ends (``intervals.End``) cut from the domain's by
 its own y-range.
 
 Slicing, projection and band clipping are exact; floating point is used
-only by the arc distance and by ``distance_bounds``, float bounds that
-spare callers most exact distances. A segment's or a point's exact distance
-is integer arithmetic over one common denominator.
+only by the arc distance, by ``distance_bounds``, float bounds that spare
+callers most exact distances, by each piece's float reach that orders
+pieces for them (``_float_reach``), and by verify's probes (``probes`` by
+graph degree, a box's tiles). A segment's or a point's exact distance is
+integer arithmetic over one common denominator.
 """
 
 from __future__ import annotations
@@ -226,6 +228,31 @@ class RationalGraph:
         nodes += [self._node(t, limit) for t in sorted(emitted)]
         return [(x, y, self) for x, y in (nodes[::-1] if self.d1 < 0 else nodes)]
 
+    def probes(self, pitch: float) -> np.ndarray:
+        """Float probes along the graph, from ``dom.lo``, by degree. A segment
+        (d1 = 0) takes evenly spaced t of its float ends, at most the pitch
+        apart (a point its one probe). An arc steps x by the pitch over
+        1 + |y'| (no less than a sliver), moved in by the sliver at an open
+        pole end; where x rounds onto the pole, y is that end's exact y."""
+        lo, hi = self.dom.lo, self.dom.hi
+        x0, x1 = float(lo), float(hi)
+        if self.d1 == 0:
+            y0, y1 = float(self.y_at(lo)), float(self.y_at(hi))
+            steps = max(1, math.ceil(math.hypot(x1 - x0, y1 - y0) / pitch))
+            t = np.arange(steps + 1) / steps if lo < hi else np.zeros(1)
+            return np.column_stack((x0 + t * (x1 - x0), y0 + t * (y1 - y0)))
+        p, c = float(Fraction(-self.d0, self.d1)), float(Fraction(self.n0, self.d1))
+        tiny = max(1e-12, 1e-9 * (x1 - x0))
+        x0, x1 = x0 + tiny * self.dom.lo_open, x1 - tiny * self.dom.hi_open
+        out: List[Tuple[float, float]] = []
+        x = x0
+        while x < x1:
+            out.append((x, c / (x - p) if x != p else float(self.y_at(lo))))
+            square = (x - p) ** 2  # 0.0 where it underflows: an infinite slope
+            x += max(pitch / (1.0 + abs(c) / square), tiny) if square else tiny
+        out.append((x1, c / (x1 - p) if x1 != p else float(self.y_at(hi))))
+        return np.array(out)
+
     def piece(self, span: Span) -> Piece:
         """The graph over a sub-span of ``dom`` as a piece: a point when the
         span is degenerate, else a segment (d1 = 0) or an arc (n1 = 0)."""
@@ -281,6 +308,15 @@ def _grid(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return grid.reshape(-1, 2)
 
 
+def _runs(probes: np.ndarray) -> ProbeBlocks:
+    """The probes in runs of ``_RUN``: each run's bounding box and its
+    probes. Consecutive probes of a curve are neighbours on it, so a run's
+    box is small."""
+    starts = np.arange(0, len(probes), _RUN)
+    return (np.minimum.reduceat(probes, starts), np.maximum.reduceat(probes, starts),
+            lambda k: probes[k * _RUN:(k + 1) * _RUN])
+
+
 def format_rational(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
@@ -328,14 +364,10 @@ class _Piece:
         return [g.piece(s) for g in self.graphs() if (s := g.cut(ylo, yhi)) is not None]
 
     def probe_blocks(self, pitch: float) -> ProbeBlocks:
-        """The float probes in runs of ``_RUN``: each run's bounding box and
-        its probes. Consecutive probes of a curve are neighbours on it, so a
-        run's box is small."""
+        """The float probes of its graphs by degree, one graph after another
+        (a polyline's in vertex order), in runs of ``_RUN`` (``_runs``)."""
         with float_range(self):
-            probes = self.probes(pitch)
-        starts = np.arange(0, len(probes), _RUN)
-        return (np.minimum.reduceat(probes, starts), np.maximum.reduceat(probes, starts),
-                lambda k: probes[k * _RUN:(k + 1) * _RUN])
+            return _runs(np.concatenate([g.probes(pitch) for g in self.graphs()]))
 
 
 @dataclass(frozen=True)
@@ -354,9 +386,6 @@ class Point(_Piece):
     @cached_property
     def _graphs(self) -> List[RationalGraph]:
         return [_graph(Span(self.x, self.x), ZERO, self.y)]
-
-    def probes(self, pitch: float) -> np.ndarray:
-        return np.array([(float(self.x), float(self.y))])
 
 
 @dataclass(frozen=True)
@@ -386,7 +415,8 @@ class Box(_Piece):
     def distance(self, px: Fraction, py: Fraction) -> float:
         dx = self.x0 - px if px < self.x0 else px - self.x1 if px > self.x1 else ZERO
         dy = self.y0 - py if py < self.y0 else py - self.y1 if py > self.y1 else ZERO
-        return math.sqrt(float(dx * dx + dy * dy))
+        sq = dx * dx + dy * dy
+        return _root(sq.numerator, sq.denominator)
 
     @cached_property
     def _graphs(self) -> List[RationalGraph]:
@@ -469,15 +499,6 @@ class PLine(_Piece):
             out.append(_graph(Span(xa, xb), m, ya - m * xa))
         return out
 
-    def probes(self, pitch: float) -> np.ndarray:
-        out = []
-        for (xa, ya), (xb, yb) in self.segments():
-            ax, ay, bx, by = float(xa), float(ya), float(xb), float(yb)
-            steps = max(1, math.ceil(math.hypot(bx - ax, by - ay) / pitch))
-            t = np.arange(steps + 1) / steps
-            out.append(np.column_stack((ax + t * (bx - ax), ay + t * (by - ay))))
-        return np.concatenate(out)
-
 
 @dataclass(frozen=True)
 class Hyper(_Piece):
@@ -507,48 +528,18 @@ class Hyper(_Piece):
     def excluded_pole(self) -> Optional[Fraction]:
         return self.pole if self.pole in (self.x0, self.x1) else None
 
-    @property
-    def side(self) -> int:
-        """Constant sign of x - pole on the domain: +1 when the arc lies
-        right of its pole, -1 when it lies left."""
-        return 1 if self.pole <= self.x0 else -1
-
-    def y_at(self, x: Fraction) -> Fraction:
-        return self.graphs()[0].y_at(x)
-
     def divergence_sign(self) -> int:
-        """Sign of y as x approaches an excluded pole endpoint; 0 if none.
-
-        Near the pole y has the sign of coef * (x - pole), that is of
-        coef times ``side``.
-        """
+        """Sign of y as x approaches an excluded pole endpoint; 0 if none:
+        the sign of the graph's numerator, over its positive denominator."""
         if self.excluded_pole is None:
             return 0
-        return self.side if self.coef > 0 else -self.side
+        return 1 if self.graphs()[0].n0 > 0 else -1
 
     @cached_property
     def _graphs(self) -> List[RationalGraph]:
-        s = self.side  # the sign of x - pole; the span is open at a pole end
+        s = 1 if self.pole <= self.x0 else -1  # the sign of x - pole; open at a pole end
         dom = Span(self.x0, self.x1, self.pole == self.x0, self.pole == self.x1)
         return [_graph(dom, ZERO, s * self.coef, s * ONE, -s * self.pole)]
-
-    def probes(self, pitch: float) -> np.ndarray:
-        p, c = float(self.pole), float(self.coef)
-        x0, x1 = float(self.x0), float(self.x1)
-        tiny = max(1e-12, 1e-9 * (x1 - x0))
-        if self.pole == self.x0:
-            x0 += tiny
-        elif self.pole == self.x1:
-            x1 -= tiny
-        # Only an end in the domain can round onto the pole: its y is exact.
-        out: List[Tuple[float, float]] = []
-        x = x0
-        while x < x1:
-            out.append((x, c / (x - p) if x != p else float(self.y_at(self.x0))))
-            square = (x - p) ** 2  # 0.0 where it underflows: an infinite slope
-            x += max(pitch / (1.0 + abs(c) / square), tiny) if square else tiny
-        out.append((x1, c / (x1 - p) if x1 != p else float(self.y_at(self.x1))))
-        return np.array(out)
 
 
 Piece = Union[Point, Box, PLine, Hyper]

@@ -211,8 +211,13 @@ def _backward(blocks: List[ProbeBlocks], cands: np.ndarray) -> float:
     candidate) pair arrays of about ``_CHUNK``, and ``np.minimum.reduceat``
     takes each probe's nearest. Float subtraction, squaring, addition and
     sqrt are monotone, so the bounds hold for the rounded distances too.
+    Where a coordinate reaches 2^510, all are divided by one power of two,
+    exactly, so that no square of a difference leaves float range.
     """
     lo, hi = (np.concatenate([part[side] for part in blocks]).T for side in (0, 1))
+    top = max(np.abs(lo).max(), np.abs(hi).max(), np.abs(cands).max())
+    unit = 2.0 ** max(0, math.frexp(top)[1] - 510)
+    lo, hi, cands = lo / unit, hi / unit, cands / unit
     first = np.cumsum([0, *(len(part[0]) for part in blocks)])
     cxy, rows, n = cands.T.copy(), max(1, _CHUNK // len(cands)), int(first[-1])
     mid = lo + hi - (lo + hi).min(axis=1, keepdims=True)
@@ -241,7 +246,7 @@ def _backward(blocks: List[ProbeBlocks], cands: np.ndarray) -> float:
         part = np.searchsorted(first, batch, side="right") - 1
         probes = [blocks[p][2](b - first[p]) for p, b in zip(part.tolist(), batch.tolist())]
         owner = np.repeat(np.arange(len(batch)), [len(block) for block in probes])
-        probes = np.concatenate(probes)
+        probes = np.concatenate(probes) / unit
         d = probes - cands[arg[batch][owner]]
         live = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) > best
         probes, owner = probes[live], owner[live]
@@ -256,7 +261,7 @@ def _backward(blocks: List[ProbeBlocks], cands: np.ndarray) -> float:
                 near[np.repeat(start[owner[s:s + step]] - at, n) + np.arange(at[-1] + n[-1])]]
             d *= d
             best = max(best, float(np.sqrt(np.minimum.reduceat(d[:, 0] + d[:, 1], at)).max()))
-    return best
+    return best * unit
 
 
 def hausdorff_to_target(est: AccumulationEstimate, target: TargetSet,

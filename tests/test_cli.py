@@ -397,6 +397,19 @@ def test_verify_target_on_band_edge_passes(capsys, monkeypatch):
     assert "d_backward=inf" not in out
 
 
+def test_verify_at_a_far_scale_passes(capsys):
+    """At eps 1e160 every cell centre lies about 1e160 from the square, so
+    squared distances leave float range though no distance does: both
+    distances are the same finite value, with nothing on stderr."""
+    code = main(["verify", "square", "--regime", "b2-bounded", "--depth", "4", "--grid", "64",
+                 "--eps", "1e160"])
+    out, err = capsys.readouterr()
+    assert code == EXIT_OK and err == "", (out, err)
+    d_forward, d_backward = (float(out.split(f"{name}=")[1].split()[0])
+                             for name in ("d_forward", "d_backward"))
+    assert math.isfinite(d_backward) and d_backward == d_forward == pytest.approx(7.07e159, rel=1e-3)
+
+
 @pytest.mark.parametrize("command", ["synth", "strips", "verify"])
 @pytest.mark.parametrize("where", ["missing-directory", "directory"])
 def test_out_error_names_the_given_path(command, where, tmp_path, capsys):

@@ -31,6 +31,7 @@ from accumgraph.geometry import (
 from accumgraph.conditions import TargetAnalysis
 from accumgraph.intervals import Span, XSet, span_intersection
 from accumgraph.synthesis import backbone
+from test_verification import _random_target
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +297,7 @@ def _band_edges(piece):
         return [piece.y0, piece.y1]
     if isinstance(piece, PLine):
         return [v for _, v in piece.vertices]
-    return [piece.y_at(x) for x in (piece.x0, piece.x1) if x != piece.pole]
+    return [piece.graphs()[0].y_at(x) for x in (piece.x0, piece.x1) if x != piece.pole]
 
 
 def _piece_ends(piece):
@@ -372,7 +373,7 @@ def _reference_interval(piece, x):
     if not piece.domain().contains(x):
         return None
     if isinstance(piece, Hyper):
-        y = piece.y_at(x)
+        y = piece.graphs()[0].y_at(x)
         return y, y
     for (xa, ya), (xb, yb) in piece.segments():
         if xa <= x <= xb:
@@ -384,8 +385,30 @@ def _reference_slice(t, x):
     return merged(iv for piece in t.pieces if (iv := _reference_interval(piece, x)) is not None)
 
 
+def _reference_divergence_sign(arc):
+    """The former rule, off the arc's fields: 0 without an excluded pole,
+    else ``side`` times the sign of coef, ``side`` +1 when pole <= x0."""
+    if arc.excluded_pole is None:
+        return 0
+    side = 1 if arc.pole <= arc.x0 else -1
+    return side if arc.coef > 0 else -side
+
+
 def _reference_pole_signs(t, x):
-    return {p.divergence_sign() for p in t.pieces if p.excluded_pole == x}
+    return {_reference_divergence_sign(p) for p in t.pieces if p.excluded_pole == x}
+
+
+def test_divergence_sign_matches_the_former_rule():
+    """An arc's divergence sign, read off its graph's numerator, equals the
+    former rule on every arc of the verify tests' random targets and of
+    random band pieces, whose poles lie left, right and outside."""
+    rng = random.Random(20261021)
+    pieces = [p for seed in range(20) for p in _random_target(seed).pieces]
+    arcs = [p for p in pieces + [_random_band_piece(rng) for _ in range(400)]
+            if isinstance(p, Hyper)]
+    assert set(map(_reference_divergence_sign, arcs)) == {-1, 0, 1}
+    for arc in arcs:
+        assert arc.divergence_sign() == _reference_divergence_sign(arc), arc
 
 
 def _random_index_target(rng):
@@ -675,11 +698,13 @@ def test_distance_to_arcs_whose_squares_leave_float_range():
 
 
 def test_segment_distance_past_float_squares():
-    """A point or segment whose squared distance leaves float range keeps a
-    finite distance, and a polyline segment that far does not hide a near
-    one."""
+    """A point, box or segment whose squared distance leaves float range
+    keeps a finite distance, and a polyline segment that far does not hide
+    a near one."""
     point = TargetSet((Point(F(1, 2), 10**200),))
     assert point.distance_to((F(1, 2), -10**200)) == 2e200
+    box = TargetSet((Box(0, 1, 0, 1),))
+    assert box.distance_to((F(1, 2), F(-10**200))) == 1e200
     pline = TargetSet((PLine(((0, 10**200), (F(1, 2), 10**200), (1, 0))),))
     assert pline.distance_to((F(1), F(0))) == 0.0
     for p in [(F(1, 2), F(-10**200)), (F(0), F(-10**300))]:

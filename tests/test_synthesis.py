@@ -239,10 +239,10 @@ def reference_arc_nodes(arc, n, spacing):
     def clamped(x):
         if x == pole:
             return band if arc.divergence_sign() > 0 else -band
-        return min(max(arc.y_at(x), -band), band)
+        return min(max(arc.graphs()[0].y_at(x), -band), band)
 
     def in_band(x):
-        return x != pole and abs(arc.y_at(x)) <= band
+        return x != pole and abs(arc.graphs()[0].y_at(x)) <= band
 
     def rec(a, b, fuel):
         ca, cb = clamped(a), clamped(b)
@@ -253,7 +253,7 @@ def reference_arc_nodes(arc, n, spacing):
                 fuel_bound.append((a, b))
             for x in (a, b):
                 if in_band(x):
-                    nodes.setdefault(x, arc.y_at(x))
+                    nodes.setdefault(x, arc.graphs()[0].y_at(x))
             return
         mid = (a + b) / 2
         rec(a, mid, fuel - 1)
@@ -263,7 +263,7 @@ def reference_arc_nodes(arc, n, spacing):
     for edge in (band, -band):
         x = pole + arc.coef / edge
         if arc.domain().contains(x):
-            nodes.setdefault(x, arc.y_at(x))
+            nodes.setdefault(x, arc.graphs()[0].y_at(x))
     return [(x, nodes[x]) for x in sorted(nodes)], bool(fuel_bound), limit
 
 

@@ -8,7 +8,6 @@ import io
 import math
 import random
 from fractions import Fraction as F
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -275,13 +274,22 @@ def test_banded_probes_pinned_random_targets():
     assert got == BANDED_PROBE_DIGESTS["random"]
 
 
-def test_clipping_has_one_rule():
-    """Band clipping is each graph over its shadow, defined once on the
-    piece base; a box clips its own edges and a target loops over pieces."""
-    owners = {name for name, cls in vars(geometry).items()
-              if inspect.isclass(cls) and cls.__module__ == geometry.__name__
-              and "clipped" in vars(cls)}
-    assert owners == {"_Piece", "Box", "TargetSet"}
+_OWNERS = {
+    "probes": {"RationalGraph"},
+    "probe_blocks": {"_Piece", "Box"},
+    "clipped": {"_Piece", "Box", "TargetSet"},
+    "distance": {"RationalGraph", "_Piece", "Box"},
+    "net_samples": {"RationalGraph", "_Piece", "Box"},
+}
+
+
+@pytest.mark.parametrize("behaviour, owners", _OWNERS.items(), ids=list(_OWNERS))
+def test_band_behaviour_has_one_owner(behaviour, owners):
+    """Each band behaviour is defined by its graph degree or once on the
+    piece base; a box keeps its own, and a target loops over pieces."""
+    assert owners == {name for name, cls in vars(geometry).items()
+                      if inspect.isclass(cls) and cls.__module__ == geometry.__name__
+                      and behaviour in vars(cls)}
 
 
 def _dense_backward(probes, cands):
@@ -296,8 +304,8 @@ def _dense_backward(probes, cands):
 
 
 def _runs(probes):
-    """Blocks over any probe array: the piece default's runs of it."""
-    return geometry._Piece.probe_blocks(SimpleNamespace(probes=lambda pitch: probes), 0.0)
+    """Blocks over any probe array: the curves' runs of it."""
+    return geometry._runs(probes)
 
 
 def _synthetic_cases():
@@ -318,12 +326,17 @@ def _synthetic_cases():
 
 def test_block_bounded_backward_is_bit_identical(monkeypatch):
     """Any split of the probes into blocks keeps the result: runs of an
-    unsorted array too, and a probe set cut in two pieces' blocks."""
+    unsorted array too, and a probe set cut in two pieces' blocks. At a
+    scale of 2^600, where the squares leave float range, the result is the
+    dense one scaled."""
     cases = _synthetic_cases()
     for run in (1, 7, 32, 5000):
         monkeypatch.setattr(geometry, "_RUN", run)
         for probes, cands in cases:
             assert verification._backward([_runs(probes)], cands) == _dense_backward(probes, cands)
+    for probes, cands in cases[::5]:
+        far = verification._backward([_runs(probes * 2.0 ** 600)], cands * 2.0 ** 600)
+        assert far == _dense_backward(probes, cands) * 2.0 ** 600
     monkeypatch.setattr(verification, "_CHUNK", 64)  # many chunks per array
     for probes, cands in cases[-6:]:
         half = len(probes) // 2
@@ -722,7 +735,7 @@ def _closure_fails_unsigned(t, depth):
     3/depth exactly when none of them has an arc diverging up."""
     arcs = [p for p in t.pieces if isinstance(p, Hyper) and p.excluded_pole is not None]
     poles = sorted({arc.pole for arc in arcs})
-    up = {arc.pole for arc in arcs if arc.y_at(arc.x1 if arc.pole == arc.x0 else arc.x0) > 0}
+    up = {arc.pole for arc in arcs if arc.graphs()[0].y_at(arc.x1 if arc.pole == arc.x0 else arc.x0) > 0}
     for c in poles:
         near = [d for d in poles if d != c and abs(d - c) <= F(3, depth)]
         if len(near) >= 3 and not up & {c, *near}:
