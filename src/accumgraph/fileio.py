@@ -1,6 +1,7 @@
 """Line-oriented target-set files.
 
-Grammar (UTF-8 text, '#' starts a comment, numbers are decimals or p/q):
+Grammar (UTF-8 text, '#' starts a comment, numbers are decimals or p/q;
+a decimal exponent is at most ``MAX_EXPONENT`` in magnitude):
 
     point <x> <y>
     box <x0> <x1> <y0> <y1>
@@ -21,6 +22,8 @@ from typing import List, Tuple, Union
 from .geometry import Box, Hyper, Piece, PLine, Point, TargetSet
 
 _TOKEN = re.compile(r"\S+")
+MAX_EXPONENT = 4096  # 1eE has E + 1 digits: Fraction('1e10000000') takes seconds
+_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)$")
 
 
 class ParseError(Exception):
@@ -31,6 +34,10 @@ class ParseError(Exception):
 
 
 def _parse_number(token: str, line: int, column: int) -> Fraction:
+    if "e" in token or "E" in token:
+        digits = (m := _EXPONENT.search(token)) and m.group(1).replace("_", "").lstrip("0")
+        if digits and (len(digits) > 4 or int(digits) > MAX_EXPONENT):
+            raise ParseError(f"exponent of {token!r} beyond +-{MAX_EXPONENT}", line, column)
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
@@ -53,18 +60,12 @@ def parse_target_text(text: str) -> TargetSet:
     return TargetSet(tuple(pieces))
 
 
+# Each fixed-arity piece kind: its class and its arguments.
+_KINDS = {"point": (Point, "<x> <y>"), "box": (Box, "<x0> <x1> <y0> <y1>"),
+          "hyper": (Hyper, "<pole> <x0> <x1> <coef>")}
+
+
 def _parse_piece(keyword: str, args: List[Tuple[str, int]], line: int, col: int) -> Piece:
-    if keyword == "point":
-        if len(args) != 2:
-            raise ParseError("point needs <x> <y>", line, col)
-        x = _parse_number(args[0][0], line, args[0][1])
-        y = _parse_number(args[1][0], line, args[1][1])
-        return Point(x, y)
-    if keyword == "box":
-        if len(args) != 4:
-            raise ParseError("box needs <x0> <x1> <y0> <y1>", line, col)
-        vals = [_parse_number(t, line, c) for t, c in args]
-        return Box(*vals)
     if keyword == "pline":
         if len(args) < 2:
             raise ParseError("pline needs at least two <x>:<y> pairs", line, col)
@@ -76,12 +77,12 @@ def _parse_piece(keyword: str, args: List[Tuple[str, int]], line: int, col: int)
             vertices.append((_parse_number(xs, line, c),
                              _parse_number(ys, line, c + len(xs) + 1)))
         return PLine(tuple(vertices))
-    if keyword == "hyper":
-        if len(args) != 4:
-            raise ParseError("hyper needs <pole> <x0> <x1> <coef>", line, col)
-        vals = [_parse_number(t, line, c) for t, c in args]
-        return Hyper(*vals)
-    raise ParseError(f"unknown piece kind {keyword!r}", line, col)
+    if keyword not in _KINDS:
+        raise ParseError(f"unknown piece kind {keyword!r}", line, col)
+    kind, usage = _KINDS[keyword]
+    if len(args) != usage.count("<"):
+        raise ParseError(f"{keyword} needs {usage}", line, col)
+    return kind(*(_parse_number(t, line, c) for t, c in args))
 
 
 def parse_target_file(path: Union[str, Path]) -> TargetSet:

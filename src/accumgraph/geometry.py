@@ -8,13 +8,14 @@ at an excluded pole endpoint), so any finite union of pieces is closed.
 A piece is its bands of single-valued rational graphs (a box's band lies
 between its flat edges), which the target analysis compares. Distance and
 the Lemma 3.1 net samples go by graph degree, a segment or point (d1 = 0)
-or an arc; a box keeps its own. Each net sample carries the graph it lies
-on (a box row is a flat line), and slides along it. A ``TargetSet``
-answers slices and nearest-piece distance from one x-sorted index of its
-pieces' graph ends, built once: one ``bisect`` finds the bands alive at x,
-their y-ranges are the slice, and each slice question (the slice max,
-n_x, the count of extended D) is one reduction over them. The infinities
-of the extended closure's slice are ``pole_signs``.
+or an arc; a box keeps its own. Each net sample is x and y as integer
+pairs in lowest terms, and the graph it lies on (a box row is a flat
+line), along which it slides. A ``TargetSet`` answers slices and
+nearest-piece distance from one x-sorted index of its pieces' graph ends,
+built once: one ``bisect`` finds the bands alive at x, their y-ranges are
+the slice, and each slice question (the slice max, n_x, the count of
+extended D) is one reduction over them. The infinities of the extended
+closure's slice are ``pole_signs``.
 
 Where a piece meets a horizontal band is ``band_cut``, read off its
 rational graphs in integers: each is monotone, so the shadow of a band is
@@ -44,7 +45,8 @@ from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, Optiona
 
 import numpy as np
 
-from .intervals import ONE, ZERO, RatLike, Span, XSet, end_at, inner, rat, span_between
+from .intervals import (ONE, ZERO, Pair, RatLike, Span, XSet, end_at, inner, lowest, rat,
+                        span_between)
 
 
 class EmptySliceError(Exception):
@@ -70,7 +72,7 @@ class RationalGraph:
         return Fraction(self.n1 * a + self.n0 * b, self.d1 * a + self.d0 * b)
 
     @cached_property
-    def _walk(self) -> Tuple[int, int, int, Dict[Tuple[int, int], Tuple[Fraction, Fraction]]]:
+    def _walk(self) -> Tuple[int, int, int, Dict[Pair, Tuple[Pair, Pair]]]:
         """(x0, dx, den, table): node t of [0, 1] lies at x = (x0 + t dx)/den,
         from the near end (``dom.hi`` where d1 < 0, so an arc's |y| falls
         with t), and the table holds every node (x, y) evaluated so far."""
@@ -78,22 +80,22 @@ class RationalGraph:
         lo, hi, den = a * d, c * b, b * d
         return (hi, lo - hi, den, {}) if self.d1 < 0 else (lo, hi - lo, den, {})
 
-    def _node(self, t: int, k: int) -> Tuple[Fraction, Fraction]:
-        """(x, y) at node t/2^k of the walk, read off the table, which keys
-        it in lowest terms: each node is evaluated once, at whatever k."""
+    def _node(self, t: int, k: int) -> Tuple[Pair, Pair]:
+        """(x, y) at node t/2^k of the walk as pairs, read off the table, which
+        keys it in lowest terms: each node is evaluated once, at whatever k."""
         z = (t & -t).bit_length() - 1
         key = (t >> z, k - z) if t else (0, 0)
         x0, dx, den, table = self._walk
         if key not in table:
-            x = Fraction((x0 << key[1]) + key[0] * dx, den << key[1])
-            table[key] = x, self.y_at(x)
+            a, b = lowest((x0 << key[1]) + key[0] * dx, den << key[1])
+            table[key] = (a, b), lowest(self.n1 * a + self.n0 * b, self.d1 * a + self.d0 * b)
         return table[key]
 
-    def _crossing(self, edge: int) -> Tuple[Fraction, Fraction]:
+    def _crossing(self, edge: int) -> Tuple[Pair, Pair]:
         """(x, y) where y = edge: x = (d0 edge - n0)/(n1 - d1 edge)."""
-        return Fraction(self.d0 * edge - self.n0, self.n1 - self.d1 * edge), Fraction(edge)
+        return lowest(self.d0 * edge - self.n0, self.n1 - self.d1 * edge), (edge, 1)
 
-    def _dyadic_nodes(self, pitch: Fraction, band: int) -> List[Tuple[Fraction, Fraction]]:
+    def _dyadic_nodes(self, pitch: Fraction, band: int) -> List[Tuple[Pair, Pair]]:
         """A line's (d1 = 0) walk nodes t = i/2^k for the least k with step
         size/2^k <= pitch, the size its width plus |rise| (the one node t = 0
         of a point), where y lies in [-band, band], and around them the band
@@ -169,8 +171,8 @@ class RationalGraph:
         return _root(sq * norm - dot * dot, norm * den) if 0 < dot < norm else _root(sq, den)
 
     def net_samples(self, n: int, s: Fraction) -> List[NetSample]:
-        """The Lemma 3.1 samples in the band |y| <= n, with the graph, by
-        degree, s the curve spacing, each node off the walk's table, which
+        """The Lemma 3.1 samples in the band |y| <= n, x and y as pairs, with
+        the graph, by degree, s the curve spacing, each node off the walk's table, which
         lasts across levels. A segment (d1 = 0; a point is one over a
         one-point domain) takes ``_dyadic_nodes``, band crossings included.
 
@@ -284,9 +286,10 @@ def band_cut(band: Tuple[RationalGraph, RationalGraph], lo: Optional[Fraction],
     return lower.cut(None, None, within) if met else None
 
 
-# A net sample: (x, y, graph). The sample slides along its graph to a nearby
-# x2 in the graph's domain; a point's one-point graph holds no other x.
-NetSample = Tuple[Fraction, Fraction, RationalGraph]
+# A net sample: (x, y, graph), x and y as pairs. The sample slides along its
+# graph to a nearby x2 in the graph's domain; a point's one-point graph
+# holds no other x.
+NetSample = Tuple[Pair, Pair, RationalGraph]
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +448,7 @@ class Box(_Piece):
                 lambda k: _grid(xs[k // m * _TILE:][:_TILE], ys[k % m * _TILE:][:_TILE]))
 
     @cached_property
-    def _rows(self) -> Tuple[RationalGraph, Dict[Fraction, RationalGraph]]:
+    def _rows(self) -> Tuple[RationalGraph, Dict[Pair, RationalGraph]]:
         """The line y = x over [y0, y1], whose nodes at twice a pitch (its size
         is twice the height) are the rows, and each row's flat graph, built once."""
         return _graph(Span(self.y0, self.y1), ONE, ZERO), {}
@@ -459,7 +462,7 @@ class Box(_Piece):
         xs = [x for x, _ in bottom._dyadic_nodes(grid_pitch, math.ceil(abs(self.y0)))]
         out: List[NetSample] = []
         for _, y in rise._dyadic_nodes(2 * grid_pitch, n):
-            row = rows.get(y) or rows.setdefault(y, _graph(bottom.dom, ZERO, y))
+            row = rows.get(y) or rows.setdefault(y, _graph(bottom.dom, ZERO, Fraction(*y)))
             out.extend((x, y, row) for x in xs)
         return out
 

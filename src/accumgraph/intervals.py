@@ -27,6 +27,8 @@ RatLike = Union[Fraction, int, float, str]
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+Pair = Tuple[int, int]  # num/den as (num, den) in lowest terms, den > 0
+
 # One end of a span: x = num/den in lowest terms (den > 0), and whether x
 # is left out.
 End = Tuple[int, int, bool]
@@ -39,10 +41,15 @@ def rat(value: RatLike) -> Fraction:
     return Fraction(value)
 
 
+def lowest(num: int, den: int) -> Pair:
+    """num/den (den != 0) as a ``Pair``."""
+    g = gcd(num, den) if den > 0 else -gcd(num, den)
+    return num // g, den // g
+
+
 def end_at(num: int, den: int) -> End:
     """The closed end at x = num/den (den != 0), in lowest terms."""
-    g = gcd(num, den) if den > 0 else -gcd(num, den)
-    return num // g, den // g, False
+    return (*lowest(num, den), False)
 
 
 def inner(p: End, q: End, side: int) -> End:

@@ -114,8 +114,8 @@ def epsilon_schedule(f: SynthFunction, centers: Sequence[RatLike]) -> EpsilonSch
                                            x, "B", None, 0) for x in map(rat, centers)}
     for kind, points in (("C", f.c_values.items()),
                          ("A", (p for level in f.approx.levels for p in level.points))):
-        for rank, (x, y) in enumerate(points, 1):
-            cols[x.numerator, x.denominator] = (x.numerator / x.denominator, x, kind, y, rank)
+        for rank, ((a, b), y) in enumerate(points, 1):
+            cols[a, b] = (a / b, Fraction(a, b), kind, Fraction(*y), rank)
     rows = sorted(cols.values())
     walk = backbones(f.target, ((x.numerator, x.denominator) for _, x, kind, _, _ in rows
                                 if kind == "B"), f.regime.bounded)
@@ -235,7 +235,7 @@ class _Radii:
         depth, unbounded = f.depth, not f.regime.bounded
         self.f, self.depth = f, depth
         self.inv_f = 1.0 / np.arange(1, depth + 1)
-        self.a_first = [(p.numerator, p.denominator) for p in f.approx.a_enumeration[:depth]]
+        self.a_first = f.approx.a_enumeration[:depth]
         self.c_first = [(p.numerator, p.denominator) for p in f.c_points[:depth] if unbounded]
         self.d_levels = f.analysis.d_levels(depth) if f.regime.baire1 else []
         self.w_parts = [w for _, w in f.analysis.w_parts(depth)[:depth]] if unbounded else []

@@ -18,21 +18,22 @@ sample site of level n is revisited by every deeper level: the finite
 analogue of the net's defining property, which lets a cluster-based
 estimator recover two-dimensional and curved regions of the target. A
 graph's node table lasts across levels, so each node is evaluated once.
-Placement keys x by (numerator, denominator): a new x stays (the fast
-path), a revisited one slides by 1/q in x, or in y along a graph too steep
-for that, x from its exact inverse.
+Net points are integer pairs (numerator, denominator) in lowest terms from
+the node table to the graph sample; a Fraction is built only where a caller
+reads an exact value. Placement keys x by its pair: a new x stays (the
+fast path), a revisited one slides by 1/q in x, or in y along a graph too
+steep for that, x from its exact inverse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .conditions import Regime, TargetAnalysis, Verdict
 from .geometry import EmptySliceError, RationalGraph, TargetSet, quotient_float
-from .intervals import ONE, ZERO, RatLike, XSet, rat
+from .intervals import ONE, ZERO, Pair, RatLike, XSet, lowest, rat
 
 
 class RegimeUnsatisfiedError(Exception):
@@ -59,7 +60,7 @@ class NetPlacementError(Exception):
 @dataclass(frozen=True)
 class NetLevel:
     n: int
-    points: Tuple[Tuple[Fraction, Fraction], ...]
+    points: Tuple[Tuple[Pair, Pair], ...]
 
 
 @dataclass(frozen=True)
@@ -68,11 +69,11 @@ class CountableApprox:
     depth: int
 
     @property
-    def a_enumeration(self) -> List[Fraction]:
+    def a_enumeration(self) -> List[Pair]:
         """All net x coordinates in construction order: a_1, a_2, ..."""
         return [x for level in self.levels for x, _ in level.points]
 
-    def a_values(self) -> Dict[Fraction, Fraction]:
+    def a_values(self) -> Dict[Pair, Pair]:
         return {x: y for level in self.levels for x, y in level.points}
 
     def level_sizes(self) -> List[int]:
@@ -104,13 +105,14 @@ def _grid_pitch(n: int) -> Fraction:
 class _Placer:
     """Assigns final x coordinates: pairwise distinct, off the avoid set.
 
-    ``taken`` keys each used or avoided x by (numerator, denominator), so
-    the avoid set must be finite. A sample whose x in [0, 1] is not taken
-    stays put (the fast path). Otherwise it slides by +-1/q, positive side
-    first, halving q after each pair: along its graph where the graph's
-    domain holds the new x, and level otherwise. The first offset is the
-    least of 1/(16 n j) at global index j (well under the 1/(4 n j) budget)
-    and 2^-12, so collocated samples from different levels stay inside one
+    Samples come and go as (x, y) pairs, the net's through to the graph
+    sample. ``taken`` keys each used or avoided x by its pair, so the avoid
+    set must be finite. A sample whose x in [0, 1] is not taken stays put
+    (the fast path). Otherwise it slides by +-1/q, positive side first,
+    halving q after each pair: along its graph where the graph's domain
+    holds the new x, and level otherwise. The first offset is the least of
+    1/(16 n j) at global index j (well under the 1/(4 n j) budget) and
+    2^-12, so collocated samples from different levels stay inside one
     clustering cell; the displacement is at most min(1/(16 n), 2^-10).
     Where every x offset moves y too far along a steep graph, the same
     offsets move y, and x comes from the graph's exact inverse.
@@ -124,15 +126,14 @@ class _Placer:
         self.taken = {(x.numerator, x.denominator) for x in avoid.isolated_points()}
         self.index = 0
 
-    def place(self, x: Fraction, y: Fraction, n: int,
-              graph: RationalGraph) -> Tuple[Fraction, Fraction]:
+    def place(self, x: Pair, y: Pair, n: int, graph: RationalGraph) -> Tuple[Pair, Pair]:
         self.index += 1
-        num, den = x.numerator, x.denominator
-        if 0 <= num <= den and (num, den) not in self.taken:
-            self.taken.add((num, den))
+        num, den = x
+        if 0 <= num <= den and x not in self.taken:
+            self.taken.add(x)
             return x, y
         q0, m = max(16 * n * self.index, self._ABS_CAP.denominator), max(16 * n, 1024)
-        yn, yd = y.numerator, y.denominator
+        yn, yd = y
         n1, n0, d1, d0 = graph.n1, graph.n0, graph.d1, graph.d0
         for k in range(399):
             # The offsets +1/q0, -1/q0, then half the step: q >= q0 >= m.
@@ -140,8 +141,7 @@ class _Placer:
             top, bot = num * q + (-den if k % 2 else den), den * q
             if not 0 <= top <= bot:
                 continue
-            g = gcd(top, bot)
-            a, b = top // g, bot // g
+            a, b = lowest(top, bot)
             if (a, b) in self.taken:
                 continue
             y2 = y
@@ -151,25 +151,23 @@ class _Placer:
                 p, r = n1 * a + n0 * b, d1 * a + d0 * b
                 if ((p * yd - yn * r) * q * m) ** 2 > (r * yd) ** 2 * (q * q - m * m):
                     continue
-                y2 = Fraction(p, r)
+                y2 = lowest(p, r)
             self.taken.add((a, b))
-            return Fraction(a, b), y2
+            return (a, b), y2
         for k in range(399):
             # The same offsets in y, x = (D0 y - N0)/(N1 - D1 y) on the graph.
             q = q0 << (k // 2)
             tn, td = yn * q + (-yd if k % 2 else yd), yd * q
-            top, bot = d0 * tn - n0 * td, n1 * td - d1 * tn
-            top, bot = (-top, -bot) if bot < 0 else (top, bot)
-            if not 0 <= top <= bot or not bot:
+            if n1 * td == d1 * tn:
                 continue
-            g = gcd(top, bot)
-            a, b = top // g, bot // g
-            if (a, b) in self.taken or not graph.dom.holds(a, b) or \
+            a, b = lowest(d0 * tn - n0 * td, n1 * td - d1 * tn)
+            if not 0 <= a <= b or (a, b) in self.taken or not graph.dom.holds(a, b) or \
                     ((a * den - num * b) * q * m) ** 2 > (b * den) ** 2 * (q * q - m * m):
                 continue
             self.taken.add((a, b))
-            return Fraction(a, b), Fraction(tn, td)
-        raise NetPlacementError(f"could not place a net point near x={x} off the avoid set")
+            return (a, b), lowest(tn, td)
+        raise NetPlacementError(
+            f"could not place a net point near x={Fraction(*x)} off the avoid set")
 
 
 def lemma31_net(target: TargetSet, depth: int, avoid: XSet = XSet.empty()) -> CountableApprox:
@@ -258,20 +256,15 @@ def backbones(target: TargetSet, xs: Iterable[Tuple[int, int]], bounded: bool) -
 
 
 def f_on_c(c_points: Sequence[Fraction], target: TargetSet,
-           signed: bool) -> Dict[Fraction, Fraction]:
-    """Assign |f(c_k)| = k along the enumeration.
+           signed: bool) -> Dict[Pair, Pair]:
+    """Assign |f(c_k)| = k along the enumeration, by c_k, as pairs.
 
     Unsigned: f(c_k) = k. Signed: the sign follows the divergence direction
     of the extended closure above c_k, positive winning when both or
     neither direction occurs.
     """
-    out: Dict[Fraction, Fraction] = {}
-    for k, c in enumerate(c_points, start=1):
-        value = Fraction(k)
-        if signed and target.pole_signs(c) == {-1}:
-            value = -value
-        out[c] = value
-    return out
+    return {(c.numerator, c.denominator): (-k if signed and target.pole_signs(c) == {-1} else k, 1)
+            for k, c in enumerate(c_points, start=1)}
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +278,8 @@ class SynthFunction:
 
     Evaluation order: net value if x carries a net point, else the
     enumeration value if x is in the empty-slice set, else the backbone.
-    ``analysis`` is the target's analysis that synthesis used; the strip
-    certificates read the same one.
+    ``a_values`` and ``c_values`` map x to f(x) as pairs. ``analysis``, the
+    target's analysis that synthesis used, is the strips' too.
     """
 
     regime: Regime
@@ -294,10 +287,10 @@ class SynthFunction:
     analysis: TargetAnalysis = field(repr=False, compare=False)
     approx: CountableApprox
     c_points: Tuple[Fraction, ...]
-    c_values: Dict[Fraction, Fraction]
+    c_values: Dict[Pair, Pair]
     signed: bool
     depth: int
-    a_values: Dict[Fraction, Fraction] = field(repr=False, default_factory=dict)
+    a_values: Dict[Pair, Pair] = field(repr=False, default_factory=dict)
 
     def column(self, x: RatLike) -> Tuple[str, Fraction, Optional[int]]:
         """(kind, f(x), n_x) at x: "A" and the net value, "C" and the
@@ -306,12 +299,10 @@ class SynthFunction:
         x = rat(x)
         if not ZERO <= x <= ONE:
             raise ValueError(f"x={x} outside [0, 1]")
-        hit = self.a_values.get(x)
-        if hit is not None:
-            return "A", hit, None
-        hit = self.c_values.get(x)
-        if hit is not None:
-            return "C", hit, None
+        key = x.numerator, x.denominator
+        for kind, values in (("A", self.a_values), ("C", self.c_values)):
+            if key in values:
+                return kind, Fraction(*values[key]), None
         return ("B", *backbone(self.target, x, self.regime.bounded))
 
     def evaluate(self, x: RatLike) -> Fraction:

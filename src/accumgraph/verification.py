@@ -23,6 +23,7 @@ set.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Tuple
@@ -30,7 +31,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .geometry import ProbeBlocks, TargetSet, quotient_float, value_floats
-from .intervals import RatLike, rat
+from .intervals import Pair, RatLike, rat
 from .synthesis import SynthFunction, backbones
 
 
@@ -39,10 +40,28 @@ from .synthesis import SynthFunction, backbones
 # ---------------------------------------------------------------------------
 
 
+class _ExactPoints(Sequence):
+    """Points (x, f(x)) kept as pairs ((a, b), (p, r)), made Fractions as read."""
+
+    def __init__(self, pairs: List[Tuple[Pair, Pair]]):
+        self.pairs = pairs
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def __getitem__(self, i: int) -> Tuple[Fraction, Fraction]:
+        (a, b), (p, r) = self.pairs[i]
+        return Fraction(a, b), Fraction(p, r)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Sequence) and tuple(self) == tuple(other)
+
+
 @dataclass(frozen=True)
 class GraphSample:
-    """Exact pairs (x, f(x)) at strictly increasing x, and ``xy``, the same
-    pairs as one float64 (N, 2) array: the one conversion every check reads."""
+    """Exact pairs (x, f(x)) at strictly increasing x (``sample_graph``'s
+    built where read), and ``xy``, the same pairs as one float64 (N, 2)
+    array: the one conversion every check reads."""
 
     points: Tuple[Tuple[Fraction, Fraction], ...]
     xy: np.ndarray = field(init=False, repr=False, compare=False)
@@ -57,31 +76,31 @@ class GraphSample:
             raise ValueError("graph sample x must strictly increase")
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.xy)
 
 
 def sample_graph(f: SynthFunction, pitch: RatLike = Fraction(1, 1024)) -> GraphSample:
     """Net and enumeration values at their x, the backbone at the rest of
     the uniform grid u/q (u = i p for pitch p/q, and u = q), off the one
-    walk of ``backbones``. Samples are sorted by float x, and exactly only
-    where floats tie: rounding is monotone."""
+    walk of ``backbones``, as integer pairs and their correctly rounded
+    quotients. Samples are sorted by float x, and exactly only where floats
+    tie: rounding is monotone."""
     pitch = rat(pitch)
     if pitch <= 0:
         raise ValueError("pitch must be positive")
     p, q = pitch.numerator, pitch.denominator
-    taken = {u for x in (*f.a_values, *f.c_values)
-             for u, r in [divmod(x.numerator * q, x.denominator)]
-             if not r and (u % p == 0 or u == q)}
+    taken = {u for a, b in (*f.a_values, *f.c_values)
+             for u, r in [divmod(a * q, b)] if not r and (u % p == 0 or u == q)}
     us = sorted({*range(0, q + 1, p), q} - taken)
-    rows = [(Fraction(u, q), y, u / q, fy) for u, (y, _, fy)
+    rows = [((u, q), (y.numerator, y.denominator), u / q, fy) for u, (y, _, fy)
             in zip(us, backbones(f.target, ((u, q) for u in us), f.regime.bounded))]
-    rows += [(x, y, float(x), quotient_float(y.numerator, y.denominator))
+    rows += [(x, y, x[0] / x[1], quotient_float(*y))
              for values in (f.a_values, f.c_values) for x, y in values.items()]
     fx = np.array([row[2] for row in rows])
     order = np.argsort(fx, kind="stable").tolist()
     if (np.diff(fx[order]) == 0).any():
-        order.sort(key=lambda i: (fx[i], rows[i][0]))
-    points = tuple(rows[i][:2] for i in order)
+        order.sort(key=lambda i: (fx[i], Fraction(*rows[i][0])))
+    points = _ExactPoints([rows[i][:2] for i in order])
     xy = np.array([rows[i][2:] for i in order])
     if np.isinf(xy[:, 1]).any():
         value_floats(points)  # raises, naming the first x whose value leaves float range
@@ -376,7 +395,8 @@ def closure_direction_check(f: SynthFunction) -> ClosureDirectionReport:
         near = [d for d in f.c_points if d != c and abs(float(d - c)) <= radius]
         if len(near) < 3:
             continue
-        signs = {1 if f.c_values[d] > 0 else -1 for d in near if abs(f.c_values[d]) >= 2}
+        values = [f.c_values[d.numerator, d.denominator][0] for d in near]
+        signs = {1 if v > 0 else -1 for v in values if abs(v) >= 2}
         allowed = set().union(*(f.target.pole_signs(d) for d in [c, *near]))
         checked.append(ClusterDirection(c, tuple(sorted(signs)), tuple(sorted(allowed)),
                                         signs <= allowed))

@@ -201,15 +201,16 @@ def test_criterion_2_net_invariants(synths):
         for level in f.approx.levels:
             n = level.n
             band = target.clipped(F(-n), F(n))
-            for x, y in level.points:
+            points = [(F(*x), F(*y)) for x, y in level.points]
+            for x, y in points:
                 all_x.append(x)
                 if band.distance_to((x, y)) > 1 / n + 1e-9:
                     failures.append(f"{name}/{regime.value} H_{n} point off band")
-            if level.points:
+            if points:
                 key = (name, n)
                 if key not in probe_cache:
                     probe_cache[key] = _probe_band(target, n, 1 / (4 * n))
-                grid_points = [(float(x), float(y)) for x, y in level.points]
+                grid_points = [(float(x), float(y)) for x, y in points]
                 cells = _CellHash(grid_points, 1.0 / n)
                 budget = 1 / n + 1 / (2 * n)
                 for px, py in probe_cache[key]:
@@ -219,7 +220,7 @@ def test_criterion_2_net_invariants(synths):
                         break
         if len(set(all_x)) != len(all_x):
             failures.append(f"{name}/{regime.value}: duplicate net x")
-        a_set = set(f.a_values)
+        a_set = {F(*a) for a in f.a_values}
         if regime.baire1:
             d = TargetAnalysis(target).d_set
             if any(d.contains(a) for a in a_set):
@@ -244,7 +245,7 @@ def test_criterion_3_backbone_laws(synths):
     for (name, regime, signed), f in synths.items():
         if signed:
             continue
-        special = set(f.a_values) | set(f.c_points)
+        special = {F(*a) for a in f.a_values} | set(f.c_points)
         for i in range(GRID + 1):
             x = F(i, GRID)
             if x in special:

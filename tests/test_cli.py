@@ -167,6 +167,24 @@ def test_beyond_float_value_names_its_x(cmd, name, x, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: f(x) leaves float range at x={x}\n"
 
 
+def test_huge_decimal_exponent_is_a_prompt_usage_error(tmp_path, capsys):
+    """A one-line target whose exponent would make a 10^8-digit integer is
+    refused at its token, at once; the exponents the tests use still parse."""
+    path = tmp_path / "huge-exponent.txt"
+    path.write_text("point 1/2 1e100000000\n")
+    started = time.perf_counter()
+    code = main(["check", str(path), "--regime", "b2"])
+    assert time.perf_counter() - started < 1.0
+    out, err = capsys.readouterr()
+    assert code == EXIT_USAGE and out == "" and "Traceback" not in err
+    assert err.splitlines() == [
+        "error: line 1, column 11: exponent of '1e100000000' beyond +-4096"]
+    for token in ("1e400", "1e-400", "1e700", "1e-700", "-1e400", "1E+4096", "1e-4096"):
+        (tmp_path / "t.txt").write_text(f"point 1/2 {token}\nbox 0 1 0 1\n")
+        assert main(["check", str(tmp_path / "t.txt"), "--regime", "b2"]) == EXIT_OK, token
+        capsys.readouterr()
+
+
 def test_demo_writes_file_atomically(tmp_path, capsys, monkeypatch):
     out_path = tmp_path / "demo.txt"
     code, _, _ = run_cli(["demo", "square", "--out", str(out_path)],

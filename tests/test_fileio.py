@@ -31,6 +31,19 @@ def test_parse_rational_and_decimal_numbers():
     assert t.pieces[0] == Point(F(1, 3), F(-1, 4))
 
 
+@pytest.mark.parametrize("token, value", [
+    ("1e4096", F(10) ** 4096), ("-2.5E-4096", F(-25, 10) / F(10) ** 4096),
+    ("1e+0_004_096", F(10) ** 4096), ("1e0000000000009", F(10) ** 9), ("7", F(7))])
+def test_parse_reads_exponents_up_to_the_bound(token, value):
+    assert parse_target_text(f"point 1/2 {token}\n").pieces[0] == Point(F(1, 2), value)
+
+
+@pytest.mark.parametrize("token", ["1e4097", "1e-4097", "1E100000000", "1e1_0000", "1e" + "9" * 5000])
+def test_parse_refuses_exponents_past_the_bound(token):
+    with pytest.raises(ParseError, match=r"line 2, column 13: exponent of .* beyond \+-4096"):
+        parse_target_text(f"box 0 1 0 1\npline 0:0 1:{token}\n")
+
+
 def test_parse_rejects_x_out_of_range():
     with pytest.raises(ParseError) as err:
         parse_target_text("box 0 2 0 1\n")

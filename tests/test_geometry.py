@@ -989,7 +989,7 @@ def _former_pline_samples(pline, n, spacing):
                     ts.append(t)
         ts.sort()
         out.extend((xa + t * (xb - xa), ya + t * dy, graph) for t in ts)
-    return out
+    return [((x.numerator, x.denominator), (y.numerator, y.denominator), g) for x, y, g in out]
 
 
 _UNIT = st.fractions(0, 1, max_denominator=1000)

@@ -48,6 +48,11 @@ def small_grid(m=256):
     return [F(i, m) for i in range(m + 1)]
 
 
+def _exact(pairs):
+    """Net or enumeration x's, held as (numerator, denominator), as Fractions."""
+    return [F(*x) for x in pairs]
+
+
 def closure_distance(spans, x):
     """The distance from x to the closure of the spans, from their Fraction
     ends."""
@@ -62,7 +67,7 @@ def closure_distance(spans, x):
 def assert_schedule_legal(f, sched, sample_stride=37):
     """Size, monotonicity, separation and overlap conditions, by evaluation."""
     depth = sched.depth
-    a_first = f.approx.a_enumeration[:depth]
+    a_first = _exact(f.approx.a_enumeration[:depth])
     c_first = list(f.c_points)[:depth]
     unbounded = not f.regime.bounded
     for i in range(0, len(sched.columns), sample_stride):
@@ -203,7 +208,7 @@ def reference_eps(f, centers):
     from clipped projections)."""
     depth = f.depth
     unbounded = not f.regime.bounded
-    a_first = f.approx.a_enumeration[:depth]
+    a_first = _exact(f.approx.a_enumeration[:depth])
     c_first = list(f.c_points)[:depth] if unbounded else []
     d_levels = f.analysis.d_levels(depth) if f.regime.baire1 else []
     w_parts = f.analysis.w_parts(depth)[:depth] if unbounded else []
@@ -212,7 +217,7 @@ def reference_eps(f, centers):
         return f.target.clipped(F(-k), F(k)).x_projection()
 
     rows = []
-    for x in sorted({*centers, *f.a_values, *f.c_values}):
+    for x in sorted({*centers, *_exact(f.a_values), *_exact(f.c_values)}):
         kind, fx, k = f.column(x)
         row = []
         for n in range(1, depth + 1):
@@ -321,9 +326,9 @@ def assert_walk_matches_column(f, centers):
     (a bisect over the target's span ends per x) and each net and
     enumeration point's rank in its sequence, at every column."""
     sched = epsilon_schedule(f, centers)
-    assert list(sched.columns) == sorted({*centers, *f.a_values, *f.c_values})
+    assert list(sched.columns) == sorted({*centers, *_exact(f.a_values), *_exact(f.c_values)})
     rank = {**{c: i for i, c in enumerate(f.c_points, 1)},
-            **{a: i for i, a in enumerate(f.approx.a_enumeration, 1)}}
+            **{a: i for i, a in enumerate(_exact(f.approx.a_enumeration), 1)}}
     spine = [x for x, kind in zip(sched.columns, sched.kinds) if kind == "B"]
     walked = dict(zip(spine, backbones(f.target, [(x.numerator, x.denominator) for x in spine],
                                        f.regime.bounded)))
@@ -339,7 +344,7 @@ def _walk_centers(f):
     and the midpoint between each two of them."""
     ends = [e for e in f.target._index[0] if 0 <= e <= 1]
     near = [e + d for e in ends for d in (-_TINY, _TINY) if 0 <= e + d <= 1]
-    marked = sorted({*f.approx.a_enumeration[:40], *f.c_points[:10]})
+    marked = sorted({*_exact(f.approx.a_enumeration[:40]), *f.c_points[:10]})
     mids = [(a + b) / 2 for a, b in zip(marked, marked[1:])]
     return [*small_grid(32), *ends, *near, *marked, *mids]
 
@@ -415,7 +420,7 @@ def test_filter_keeps_gap_equal_to_shadow_distance():
     halfway between a_1 and the left end of a box's shadow."""
     e = F(2, 3)
     target = TargetSet((_BASE, Box(e, F(7, 8), 0, 1)))
-    a_1 = synthesize(target, Regime.B2_BOUNDED, depth=3).approx.a_enumeration[0]
+    a_1 = F(*synthesize(target, Regime.B2_BOUNDED, depth=3).approx.a_enumeration[0])
     assert a_1 < e
     x = (a_1 + e) / 2
     _assert_radius(target, Regime.B2_BOUNDED, x, 1, e - x)
@@ -494,13 +499,14 @@ def test_schedule_completes_columns():
     one on a net point too; a center off [0, 1] is refused, as f.column
     refuses it."""
     f = synthesize(demo_set("constant"), Regime.B2, depth=4)
-    a = f.approx.a_enumeration[0]
+    a = F(*f.approx.a_enumeration[0])
     for centers in ([F(0), F(1, 2), F(1)], [F(0), F(1, 2), F(1), F(1, 2), a, a]):
         sched = epsilon_schedule(f, centers)
         cols = set(sched.columns)
-        assert set(f.a_values) <= cols
+        assert set(_exact(f.a_values)) <= cols
         assert {F(0), F(1, 2), F(1)} <= cols
-        assert len(sched.columns) == len(cols) == len({*f.a_values, *f.c_values, *centers})
+        assert len(sched.columns) == len(cols) == len({*_exact(f.a_values), *_exact(f.c_values),
+                                                       *centers})
     for x in (F(-1, 2), F(3, 2), F(10**400)):  # the last is past float range
         with pytest.raises(ValueError, match=re.escape(f"x={x} outside [0, 1]")):
             epsilon_schedule(f, [F(0), x, F(1)])

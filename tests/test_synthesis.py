@@ -83,18 +83,32 @@ def oracle_band_probes(target, n, pitch):
     return probes
 
 
+def _exact(points):
+    """(x, y) points held as (numerator, denominator) pairs, as Fractions."""
+    return [(F(*x), F(*y)) for x, y in points]
+
+
+def _exact_samples(samples):
+    """Net samples (x, y, graph), x and y as Fractions."""
+    return [(F(*x), F(*y), graph) for x, y, graph in samples]
+
+
+def _pair(v):
+    return F(v).numerator, F(v).denominator
+
+
 def assert_net_invariants(target, net, check_cover=True):
     seen_x = set()
     for level in net.levels:
         n = level.n
         band = target.clipped(F(-n), F(n))
-        for x, y in level.points:
+        for x, y in _exact(level.points):
             assert x not in seen_x, f"duplicate x={x}"
             seen_x.add(x)
             assert band.distance_to((x, y)) <= 1 / n + 1e-9
         if check_cover and level.points:
             pitch = 1 / (4 * n)
-            pts = [(float(x), float(y)) for x, y in level.points]
+            pts = [(float(x), float(y)) for x, y in _exact(level.points)]
             for px, py in oracle_band_probes(target, n, pitch):
                 nearest = min(math.hypot(px - qx, py - qy) for qx, qy in pts)
                 assert nearest <= 1 / n + 1 / (2 * n) + 1e-9, (
@@ -113,7 +127,7 @@ def test_net_single_point_target():
     assert [len(l.points) for l in net.levels] == [1, 1, 1]
     xs = [l.points[0][0] for l in net.levels]
     assert len(set(xs)) == 3
-    for n, (x, y) in enumerate(((p[0], p[1]) for l in net.levels for p in l.points), 1):
+    for n, (x, y) in enumerate(((p[0], p[1]) for l in net.levels for p in _exact(l.points)), 1):
         assert t.distance_to((x, y)) <= 1 / n
 
 
@@ -121,12 +135,12 @@ def test_net_square_cover_depth2():
     t = demo_set("square")
     net = lemma31_net(t, 2)
     assert len(net.levels[0].points) >= 1
-    pts1 = [(float(x), float(y)) for x, y in net.levels[0].points]
+    pts1 = [(float(x), float(y)) for x, y in _exact(net.levels[0].points)]
     for corner in ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)):
         assert min(math.hypot(corner[0] - x, corner[1] - y) for x, y in pts1) <= 1.0
     # Full cover oracle on a 1e-2 grid.
     for px, py in oracle_band_probes(t, 2, 0.01):
-        pts2 = [(float(x), float(y)) for x, y in net.levels[1].points]
+        pts2 = [(float(x), float(y)) for x, y in _exact(net.levels[1].points)]
         nearest = min(math.hypot(px - x, py - y) for x, y in pts2)
         assert nearest <= 0.5 + 1e-9
 
@@ -142,7 +156,7 @@ def test_net_avoid_respected():
     avoid = XSet.points([F(i, 16) for i in range(17)])
     net = lemma31_net(t, 4, avoid=avoid)
     for level in net.levels:
-        for x, _ in level.points:
+        for x, _ in _exact(level.points):
             assert not avoid.contains(x)
 
 
@@ -165,9 +179,9 @@ def test_net_collocation_across_levels():
         deeper = [
             (float(x), float(y))
             for lvl in net.levels[n:]
-            for x, y in lvl.points
+            for x, y in _exact(lvl.points)
         ]
-        for x, y in net.levels[n - 1].points:
+        for x, y in _exact(net.levels[n - 1].points):
             nearest = min(math.hypot(float(x) - qx, float(y) - qy) for qx, qy in deeper)
             assert nearest <= 2e-3, f"level {n} point ({x}, {y}) not revisited"
 
@@ -176,12 +190,12 @@ def _slid(x, y, graph, taken=()):
     """Place (x, y) at level 1 once x and ``taken`` are used, so it slides."""
     placer = _Placer(XSet.empty())
     placer.taken |= {(v.numerator, v.denominator) for v in (x, *taken)}
-    return placer.place(x, y, 1, graph)
+    return _exact([placer.place(_pair(x), _pair(y), 1, graph)])[0]
 
 
 def _sample(piece, x, graph_ends_at=None):
     """The level-1 net sample of ``piece`` at x, with its graph."""
-    for sx, sy, graph in piece.net_samples(1, F(1, 2), F(1, 2)):
+    for sx, sy, graph in _exact_samples(piece.net_samples(1, F(1, 2), F(1, 2))):
         if sx == x and (graph_ends_at is None or graph.dom.hi == graph_ends_at):
             return sx, sy, graph
     raise AssertionError(f"no sample at x={x}")
@@ -268,7 +282,7 @@ def reference_arc_nodes(arc, n, spacing):
 
 
 def _arc_nodes(arc, n):
-    return [(x, y) for x, y, _ in arc.net_samples(n, _grid_pitch(n), _curve_spacing(n))]
+    return _exact((x, y) for x, y, _ in arc.net_samples(n, _grid_pitch(n), _curve_spacing(n)))
 
 
 @pytest.mark.parametrize("demo", ["constant", "square", "hyperbola", "sect6"])
@@ -370,7 +384,7 @@ def test_box_and_pline_nodes_match_the_full_enumeration():
     seen = Counter()
     for _ in range(400):
         piece, n = _random_box_or_pline(rng), rng.choice([1, 2, 3, 6, 10])
-        got = [(x, y) for x, y, _ in piece.net_samples(n, _grid_pitch(n), _curve_spacing(n))]
+        got = _exact((x, y) for x, y, _ in piece.net_samples(n, _grid_pitch(n), _curve_spacing(n)))
         assert got == reference_box_pline_nodes(piece, n), (piece, n)
         ys = [y for g in piece.graphs() for y in (g.y_at(g.dom.lo), g.y_at(g.dom.hi))]
         seen.update([type(piece).__name__, "flat" if min(ys) == max(ys) else "sloped",
@@ -391,16 +405,17 @@ def test_arc_nodes_are_evaluated_once(piece):
     graph's table: the table's entries have distinct x (or row y), each was
     emitted, and every other sample lies on a band edge |y| = n of its
     level, a crossing."""
-    samples = [(n, x, y, g) for n in range(1, 21)
-               for x, y, g in piece.net_samples(n, _grid_pitch(n), _curve_spacing(n))]
+    samples = [(n, x, y, g) for n in range(1, 21) for x, y, g
+               in _exact_samples(piece.net_samples(n, _grid_pitch(n), _curve_spacing(n)))]
     if isinstance(piece, Box):
         # The rows are node y's of the box's rise line, the columns node x's
         # of its bottom edge.
-        walks = [(piece._rows[0], lambda node: node[1], [(n, y, y) for n, _, y, _ in samples]),
-                 (piece.graphs()[0], lambda node: node[0], [(n, x, None) for n, x, _, _ in samples])]
+        walks = [(piece._rows[0], lambda node: F(*node[1]), [(n, y, y) for n, _, y, _ in samples]),
+                 (piece.graphs()[0], lambda node: F(*node[0]),
+                  [(n, x, None) for n, x, _, _ in samples])]
     else:
-        walks = [(g, lambda node: node, [(n, (x, y), y) for n, x, y, h in samples if h is g])
-                 for g in piece.graphs()]
+        walks = [(g, lambda node: _exact([node])[0],
+                  [(n, (x, y), y) for n, x, y, h in samples if h is g]) for g in piece.graphs()]
     for graph, value, emitted in walks:
         table = [value(node) for node in graph._walk[3].values()]
         nodes = set(table)
@@ -490,9 +505,12 @@ def _placements(placer, samples):
     """Each sample's placed point, or "raised"; then the taken x's, used or
     avoided, as (numerator, denominator) keys."""
     out = []
-    for sample in samples:
+    for x, y, n, graph in samples:
         try:
-            out.append(placer.place(*sample))
+            if isinstance(placer, _Placer):
+                out.append(_exact([placer.place(_pair(x), _pair(y), n, graph)])[0])
+            else:
+                out.append(placer.place(x, y, n, graph))
         except NetPlacementError:
             out.append("raised")
     if isinstance(placer, _Placer):
@@ -504,7 +522,8 @@ def _placements(placer, samples):
 def _net_samples(target, depth):
     """The samples ``lemma31_net`` places, in its order, with their level."""
     return [(x, y, n, graph) for n in range(1, depth + 1) for piece in target.pieces
-            for x, y, graph in piece.net_samples(n, _grid_pitch(n), _curve_spacing(n))]
+            for x, y, graph in _exact_samples(piece.net_samples(n, _grid_pitch(n),
+                                                                _curve_spacing(n)))]
 
 
 # D = {1/4, 1/2}: two points off a rising line, both at its net nodes.
@@ -529,7 +548,7 @@ def test_placer_matches_the_former_placer_at_the_ends():
     room left raises in both. A point's sample carries its one-point graph."""
     row = Box(0, 1, 0, 1).net_samples(1, F(1, 2), F(1, 2))
     arc = Hyper(0, 0, 1, F(1, 100)).net_samples(3, F(1, 8), F(1, 8))
-    ends = [(x, y, n, g) for n in (1, 2, 7) for x, y, g in row + arc if x in (0, 1)]
+    ends = [(x, y, n, g) for n in (1, 2, 7) for x, y, g in _exact_samples(row + arc) if x in (0, 1)]
     points = [Point(0, 2).graphs()[0], Point(1, -1).graphs()[0]]
     ends += [(F(0), F(2), 3, points[0]), (F(1), F(-1), 3, points[1])] * 3
     for avoid in (XSet.empty(), XSet.points([F(1, 4096), 1 - F(1, 8192)])):
@@ -553,7 +572,7 @@ def _placed_nets_hold(target, depth):
     most min(1/(16 n), 2^-10). Returns the count of points moved in y."""
     f = synthesize(target, Regime.B2, depth=depth)
     samples = _net_samples(target, depth)
-    placed = [p for level in f.approx.levels for p in level.points]
+    placed = [p for level in f.approx.levels for p in _exact(level.points)]
     assert len(placed) == len(samples)
     assert len({x for x, _ in placed}) == len(placed)
     avoid = TargetAnalysis(target).c_set
@@ -740,7 +759,7 @@ def test_f_on_c_sect6_unsigned():
     depth = 5
     t = demo_set("sect6", depth)
     order = sect6_c_order(depth)
-    values = f_on_c(order, t, signed=False)
+    values = dict(_exact(f_on_c(order, t, signed=False).items()))
     assert values[F(0)] == 1
     assert values[F(1)] == 2
     assert values[F(1, 2)] == 3
@@ -751,14 +770,14 @@ def test_f_on_c_sect6_signed():
     depth = 5
     t = demo_set("sect6", depth)
     order = sect6_c_order(depth)
-    values = f_on_c(order, t, signed=True)
+    values = dict(_exact(f_on_c(order, t, signed=True).items()))
     for k, c in enumerate(order, start=1):
         assert values[c] == -k
 
 
 def test_f_on_c_hyperbola_signed():
     t = demo_set("hyperbola")
-    assert f_on_c([F(0)], t, signed=True)[F(0)] == 1
+    assert f_on_c([F(0)], t, signed=True)[0, 1] == (1, 1)
 
 
 @pytest.mark.parametrize("pieces, value", [
@@ -772,7 +791,7 @@ def test_f_on_c_hyperbola_signed():
 def test_f_on_c_signed_at_a_pole(pieces, value):
     """The sign is negative only when the arcs at x diverge down alone:
     positive wins when both directions occur, or neither."""
-    assert f_on_c([F(1, 2)], TargetSet(pieces), signed=True) == {F(1, 2): value}
+    assert f_on_c([F(1, 2)], TargetSet(pieces), signed=True) == {(1, 2): (value, 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -790,9 +809,9 @@ def test_synthesize_constant_graph():
     f = synthesize(demo_set("constant"), Regime.B1_BOUNDED, depth=6)
     for i in range(65):
         x = F(i, 64)
-        if x not in f.a_values:
+        if _pair(x) not in f.a_values:
             assert f(x) == 0
-    for x, y in f.a_values.items():
+    for x, y in _exact(f.a_values.items()):
         assert f.target.distance_to((x, y)) <= 1.0
 
 
@@ -800,7 +819,7 @@ def test_synthesize_square_backbone_and_net():
     f = synthesize(demo_set("square"), Regime.B2_BOUNDED, depth=6)
     for i in range(0, 33):
         x = F(i, 32)
-        if x not in f.a_values:
+        if _pair(x) not in f.a_values:
             assert f(x) == 1
     assert_net_invariants(f.target, f.approx, check_cover=False)
 
@@ -810,10 +829,10 @@ def test_synthesize_avoids_by_regime():
     f = synthesize(t, Regime.B1, depth=6)
     c = set(sect6_pole_points(6))
     assert set(f.c_points) == c
-    assert not (set(f.a_values) & c)
+    assert not ({F(*a) for a in f.a_values} & c)
     d = TargetAnalysis(t).d_set
     for a in f.a_values:
-        assert not d.contains(a)
+        assert not d.contains(F(*a))
 
 
 def test_synthesize_signed_changes_only_c():
@@ -823,7 +842,7 @@ def test_synthesize_signed_changes_only_c():
     fs = synthesize(t, Regime.B1, depth=6, signed=True, c_order=order)
     assert set(fu.a_values) == set(fs.a_values)
     for x in [F(i, 128) for i in range(129)]:
-        if x in fu.c_values:
+        if _pair(x) in fu.c_values:
             assert abs(fu(x)) == abs(fs(x))
         else:
             assert fu(x) == fs(x)
@@ -835,12 +854,12 @@ def test_synthesize_c_order_validation():
         synthesize(t, Regime.B1, depth=3, c_order=[F(1, 2)])
     f = synthesize(t, Regime.B1, depth=3, c_order=[F(0)])
     assert f(F(0)) == 1 and f.column(F(0)) == ("C", 1, None)
-    assert F(3, 10) not in f.a_values and f.column(F(3, 10)) == ("B", F(10, 3), 4)
+    assert (3, 10) not in f.a_values and f.column(F(3, 10)) == ("B", F(10, 3), 4)
 
 
 def test_evaluate_stored_net_value():
     f = synthesize(demo_set("square"), Regime.B2_BOUNDED, depth=3)
-    a = f.approx.levels[0].points[0]
+    a = _exact(f.approx.levels[0].points)[0]
     assert f(a[0]) == a[1] and f.column(a[0]) == ("A", a[1], None)
 
 

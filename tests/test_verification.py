@@ -19,7 +19,7 @@ from accumgraph import cli, geometry, verification
 from accumgraph.cli import EXIT_OK, main
 from accumgraph.conditions import Regime, TargetAnalysis, check_regime
 from accumgraph.fileio import parse_target_text
-from accumgraph.demos import demo_set, sect6_c_order
+from accumgraph.demos import demo_c_order, demo_set, sect6_c_order
 from accumgraph.geometry import Box, Hyper, PLine, Point, TargetSet
 from accumgraph.synthesis import synthesize
 from accumgraph.verification import (
@@ -32,13 +32,15 @@ from accumgraph.verification import (
     sample_graph,
 )
 
+from test_strips import _graph_target
+
 
 def test_sample_graph_grid_and_special_points():
     f = synthesize(demo_set("constant"), Regime.B2, depth=3)
     sample = sample_graph(f, F(1, 4))
     xs = [x for x, _ in sample.points]
     assert {F(0), F(1, 4), F(1, 2), F(3, 4), F(1)} <= set(xs)
-    assert set(f.a_values) <= set(xs)
+    assert {F(*x) for x in f.a_values} <= set(xs)
     # Net values slide along the segment, so every sample sits at height 0.
     assert sum(1 for _, y in sample.points if y == 0) >= 5
     assert all(y == 0 for _, y in sample.points)
@@ -831,9 +833,58 @@ def _reference_sample_graph(f, pitch):
     """The former sampler: one exact backbone per grid x off the net and
     enumeration points, one sort of the Fraction keys, one float conversion."""
     grid = {i * pitch for i in range(int(1 / pitch) + 1)} | {F(1)}
+    a_values, c_values = ({F(*x): F(*y) for x, y in v.items()} for v in (f.a_values, f.c_values))
     values = {x: _reference_backbone(f.target, x, f.regime.bounded)
-              for x in grid - f.a_values.keys() - f.c_values.keys()}
-    return GraphSample(tuple(sorted({**values, **f.c_values, **f.a_values}.items())))
+              for x in grid - a_values.keys() - c_values.keys()}
+    return GraphSample(tuple(sorted({**values, **c_values, **a_values}.items())))
+
+
+def _column_sample(f, pitch):
+    """The graph sample off ``SynthFunction.column``: the exact value at every
+    grid x and every net and enumeration x, sorted by exact x, built eagerly."""
+    grid = {i * pitch for i in range(int(1 / pitch) + 1)} | {F(1)}
+    xs = grid | {F(*x) for x in (*f.a_values, *f.c_values)}
+    return GraphSample(tuple((x, f.column(x)[1]) for x in sorted(xs)))
+
+
+def _assert_sample_matches_columns(f, pitch):
+    got, want = sample_graph(f, pitch), _column_sample(f, pitch)
+    assert len(got) == len(want) == len(want.points)
+    assert got.xy.tobytes() == want.xy.tobytes()
+    assert list(got.points) == list(want.points) and got.points == want.points
+    assert [got.points[i] for i in range(0, len(got), 97)] == list(want.points[::97])
+
+
+@pytest.mark.parametrize("demo, regime, depth, signed", [
+    ("square", Regime.B2_BOUNDED, 10, False), ("hyperbola", Regime.B1, 10, False),
+    ("sect6", Regime.B1, 10, True), ("sect6", Regime.B2, 20, False),
+    ("constant", Regime.B1, 10, False)])
+def test_verify_demo_samples_match_their_columns(demo, regime, depth, signed):
+    """``sample_graph``'s points, read off its integer pairs, its floats and
+    its length are those of an eager sample of ``column`` on the five
+    verify demos at the command line's defaults."""
+    f = synthesize(demo_set(demo, depth), regime, depth, signed, demo_c_order(demo, depth))
+    _assert_sample_matches_columns(f, F(1, 1024))
+
+
+def test_random_target_samples_match_their_columns():
+    rng = random.Random(20261022)
+    for _ in range(8):
+        target = _graph_target(rng, poles_at_ends=rng.random() < 0.5)
+        for regime in Regime:
+            if check_regime(target, regime).passed:
+                _assert_sample_matches_columns(synthesize(target, regime, depth=5), F(1, 64))
+
+
+def test_sample_sorts_a_float_tie_exactly():
+    """A point 2^-80 right of the grid x 1/2 rounds onto its float: the tie
+    sort orders the two exactly, and the sample still matches its columns."""
+    target = TargetSet((PLine(((0, 0), (1, 0))), Point(F(1, 2) + F(1, 2**80), 1)))
+    f = synthesize(target, Regime.B2_BOUNDED, depth=4)
+    assert (2**79 + 1, 2**80) in f.a_values
+    sample = sample_graph(f, F(1, 64))
+    assert (np.diff(sample.xy[:, 0]) == 0).any()
+    _assert_sample_matches_columns(f, F(1, 64))
 
 
 def _reference_accumulation_estimate(sample, eps, min_count=3):
@@ -898,7 +949,8 @@ def _float_ties():
     f = _with_values("pline 0:0 1:1\n", Regime.B1, a_values={})
     tiny = F(1, 2**80)
     xs = [F(1, 2) + tiny, F(1, 3), F(1, 2) - tiny, F(1, 3) - tiny, F(1, 3) + 2 * tiny]
-    return dataclasses.replace(f, a_values={x: F(k) for k, x in enumerate(xs)})
+    return dataclasses.replace(f, a_values={(x.numerator, x.denominator): (k, 1)
+                                            for k, x in enumerate(xs)})
 
 
 SAMPLE_LAYER_EXAMPLES = {
