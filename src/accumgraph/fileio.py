@@ -36,7 +36,7 @@ class ParseError(Exception):
 def _parse_number(token: str, line: int, column: int) -> Fraction:
     if "e" in token or "E" in token:
         digits = (m := _EXPONENT.search(token)) and m.group(1).replace("_", "").lstrip("0")
-        if digits and (len(digits) > 4 or int(digits) > MAX_EXPONENT):
+        if digits and (len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT):
             raise ParseError(f"exponent of {token!r} beyond +-{MAX_EXPONENT}", line, column)
     try:
         return Fraction(token)

@@ -172,9 +172,10 @@ class RationalGraph:
 
     def net_samples(self, n: int, s: Fraction) -> List[NetSample]:
         """The Lemma 3.1 samples in the band |y| <= n, x and y as pairs, with
-        the graph, by degree, s the curve spacing, each node off the walk's table, which
-        lasts across levels. A segment (d1 = 0; a point is one over a
-        one-point domain) takes ``_dyadic_nodes``, band crossings included.
+        the graph, by degree, s the curve spacing, each node off the walk's
+        table, which lasts across levels. A segment (d1 = 0; a point is one
+        over a one-point domain) takes ``_dyadic_nodes``, band crossings
+        included.
 
         An arc takes the in-band nodes of the dyadic bisection of its domain
         from its near end down to cells whose width plus clamped y-rise is at

@@ -49,7 +49,8 @@ def lowest(num: int, den: int) -> Pair:
 
 def end_at(num: int, den: int) -> End:
     """The closed end at x = num/den (den != 0), in lowest terms."""
-    return (*lowest(num, den), False)
+    g = gcd(num, den) if den > 0 else -gcd(num, den)
+    return num // g, den // g, False
 
 
 def inner(p: End, q: End, side: int) -> End:

@@ -278,8 +278,9 @@ class SynthFunction:
 
     Evaluation order: net value if x carries a net point, else the
     enumeration value if x is in the empty-slice set, else the backbone.
-    ``a_values`` and ``c_values`` map x to f(x) as pairs. ``analysis``, the
-    target's analysis that synthesis used, is the strips' too.
+    ``a_values`` and ``c_values`` map x to f(x) as pairs. ``analysis`` is
+    the target's analysis that synthesis used; the strip certificates read
+    the same one.
     """
 
     regime: Regime

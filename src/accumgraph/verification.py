@@ -63,7 +63,7 @@ class GraphSample:
     built where read), and ``xy``, the same pairs as one float64 (N, 2)
     array: the one conversion every check reads."""
 
-    points: Tuple[Tuple[Fraction, Fraction], ...]
+    points: Sequence[Tuple[Fraction, Fraction]]
     xy: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:

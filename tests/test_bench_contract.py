@@ -25,11 +25,13 @@ def harness():
     spec = importlib.util.spec_from_file_location("perfbench_harness", HARNESS)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up
+    writes, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # no cache under perfbench/
     try:
         spec.loader.exec_module(module)
-        yield module
     finally:
-        del sys.modules[spec.name]
+        sys.dont_write_bytecode = writes
+    yield module
+    del sys.modules[spec.name]
 
 
 def test_every_traced_name_is_a_cli_function(harness):
