@@ -105,17 +105,17 @@ def _grid_pitch(n: int) -> Fraction:
 class _Placer:
     """Assigns final x coordinates: pairwise distinct, off the avoid set.
 
-    Samples come and go as (x, y) pairs, the net's through to the graph
-    sample. ``taken`` keys each used or avoided x by its pair, so the avoid
-    set must be finite. A sample whose x in [0, 1] is not taken stays put
-    (the fast path). Otherwise it slides by +-1/q, positive side first,
+    Samples come in and go out as (x, y) pairs, kept as such through to the
+    graph sample. ``taken`` keys each used or avoided x by its pair, so the
+    avoid set must be finite. A sample whose x in [0, 1] is not taken stays
+    put (the fast path). Otherwise it slides by +-1/q, positive side first,
     halving q after each pair: along its graph where the graph's domain
     holds the new x, and level otherwise. The first offset is the least of
     1/(16 n j) at global index j (well under the 1/(4 n j) budget) and
     2^-12, so collocated samples from different levels stay inside one
-    clustering cell; the displacement is at most min(1/(16 n), 2^-10).
-    Where every x offset moves y too far along a steep graph, the same
-    offsets move y, and x comes from the graph's exact inverse.
+    clustering cell; the displacement is at most min(1/(16 n), 2^-10). Where
+    every x offset moves y too far along a steep graph, the same offsets
+    move y, and x comes from the graph's exact inverse.
     """
 
     _ABS_CAP = Fraction(1, 4096)

@@ -59,9 +59,9 @@ class _ExactPoints(Sequence):
 
 @dataclass(frozen=True)
 class GraphSample:
-    """Exact pairs (x, f(x)) at strictly increasing x (``sample_graph``'s
-    built where read), and ``xy``, the same pairs as one float64 (N, 2)
-    array: the one conversion every check reads."""
+    """Exact pairs (x, f(x)) at strictly increasing x, and ``xy``, the same
+    pairs as one float64 (N, 2) array: the one conversion every check
+    reads. A sample from ``sample_graph`` builds its points as they are read."""
 
     points: Sequence[Tuple[Fraction, Fraction]]
     xy: np.ndarray = field(init=False, repr=False, compare=False)
